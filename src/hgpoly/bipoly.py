@@ -310,26 +310,6 @@ def _monomial_text(coeff: int, vars_and_exps: tuple[tuple[str, int], ...]) -> st
     return "*".join(factors)
 
 
-def add(p: BiPoly, q: BiPoly) -> BiPoly:
-    return p + q
-
-
-def mul(p: BiPoly, q: BiPoly) -> BiPoly:
-    return p * q
-
-
-def scale(p: BiPoly, c: int) -> BiPoly:
-    return p.scale(c)
-
-
-def partial_x(p: BiPoly) -> BiPoly:
-    return p.partial_x()
-
-
-def eval_y(p: BiPoly, c: int) -> UniPoly:
-    return p.eval_y(c)
-
-
 def to_edge_form(p: BiPoly, n: int) -> BiPoly:
     """Transform the vertex-subset polynomial of an n-vertex hypergraph
     into the edge-subset polynomial.

@@ -36,13 +36,7 @@ from .formats import (
     unipoly_to_json,
     write_deck,
 )
-from .homology import (
-    DEFAULT_HOMOLOGY_LIMIT,
-    BettiTable,
-    antidiagonal_recovery,
-    hochster_betti,
-    pd_reg_depth,
-)
+from .homology import DEFAULT_HOMOLOGY_LIMIT, BettiTable, antidiagonal_recovery, pd_reg_depth
 from .hypergraph import Hypergraph
 from .reconstruct import (
     reconstruct_edge_poly,
@@ -52,13 +46,7 @@ from .reconstruct import (
     reconstruct_vertex_poly,
     top_betti_report,
 )
-from .stanley_reisner import (
-    f_vector,
-    h_vector,
-    hilbert_function,
-    hilbert_series_reduced,
-    sr_invariants,
-)
+from .stanley_reisner import SRInvariants, sr_invariants
 from .verify import IDENTITY_IDS, run_all, run_identity
 
 ENV_LIMITS = "HGPOLY_LIMITS"
@@ -237,19 +225,23 @@ def _betti_text(table: BettiTable, n: int) -> str:
     return "\n".join(lines)
 
 
+def _bundle(h: Hypergraph, cfg: RunConfig) -> SRInvariants:
+    return sr_invariants(h, cfg.n_max, cfg.homology_n_max, cfg.parallel)
+
+
 def _report_for(h: Hypergraph, cfg: RunConfig) -> dict:
-    inv = sr_invariants(h, cfg.n_max)
-    series_num, series_dim = hilbert_series_reduced(h, cfg.n_max)
-    s_poly = edge_induced_poly(h, cfg.n_max, cfg.parallel)
-    p_poly = vertex_induced_poly(h, cfg.n_max, cfg.parallel)
+    inv = _bundle(h, cfg)
+    # the vertex side first, so a hypergraph over both limits is refused for n
+    f_json = [str(v) for v in inv.f]
+    series_num, series_dim = inv.hilbert_series_reduced
     report = {
         "hypergraph": h.to_json_dict(),
         "n": h.n,
         "m": h.m,
-        "edge_induced_poly": {"text": s_poly.to_text(), "terms": bipoly_to_json_terms(s_poly)},
-        "vertex_induced_poly": {"text": p_poly.to_text(), "terms": bipoly_to_json_terms(p_poly)},
-        "independence_poly": unipoly_to_json(independence_poly(h, cfg.n_max)),
-        "f_vector": [str(v) for v in inv.f],
+        "edge_induced_poly": {"text": inv.S.to_text(), "terms": bipoly_to_json_terms(inv.S)},
+        "vertex_induced_poly": {"text": inv.P.to_text(), "terms": bipoly_to_json_terms(inv.P)},
+        "independence_poly": f_json,
+        "f_vector": f_json,
         "h_vector": [str(v) for v in inv.h],
         "krull_dim": inv.krull_dim,
         "multiplicity": str(inv.multiplicity),
@@ -260,13 +252,13 @@ def _report_for(h: Hypergraph, cfg: RunConfig) -> dict:
             "reduced_numerator": unipoly_to_json(series_num),
             "reduced_denominator_power": series_dim,
         },
-        "hilbert_function": [str(v) for v in hilbert_function(h, cfg.k_max, cfg.n_max)],
+        "hilbert_function": [str(v) for v in inv.hilbert_function(cfg.k_max)],
     }
     if h.n <= cfg.homology_n_max:
-        table = hochster_betti(h, cfg.homology_n_max, cfg.parallel)
+        table = inv.betti
         pd, reg, depth = pd_reg_depth(table, h.n)
-        top = top_betti_report(h, cfg.homology_n_max)
-        recovery = antidiagonal_recovery(h, cfg.homology_n_max)
+        top = top_betti_report(table, inv.k_polynomial)
+        recovery = antidiagonal_recovery(table, inv.k_polynomial)
         report["betti"] = _betti_json(table)
         report["homological"] = {
             "projective_dimension": pd,
@@ -289,7 +281,7 @@ def _report_for(h: Hypergraph, cfg: RunConfig) -> dict:
         report["betti_skipped"] = (
             f"n={h.n} exceeds the homology limit {cfg.homology_n_max}"
         )
-    report["identities"] = run_all(h, cfg.n_max, cfg.homology_n_max, cfg.parallel)
+    report["identities"] = run_all(inv)
     return report
 
 
@@ -318,7 +310,7 @@ def _cmd_compute(args, cfg: RunConfig) -> int:
 
 def _cmd_hilbert(args, cfg: RunConfig) -> int:
     h = load_hypergraph(args.input)
-    values = hilbert_function(h, cfg.k_max, cfg.n_max)
+    values = _bundle(h, cfg).hilbert_function(cfg.k_max)
     if cfg.fmt == "json":
         _emit_json([str(v) for v in values])
     else:
@@ -328,7 +320,7 @@ def _cmd_hilbert(args, cfg: RunConfig) -> int:
 
 def _cmd_fvector(args, cfg: RunConfig) -> int:
     h = load_hypergraph(args.input)
-    f = f_vector(h, cfg.n_max)
+    f = _bundle(h, cfg).f
     if cfg.fmt == "json":
         _emit_json([str(v) for v in f])
     else:
@@ -338,8 +330,7 @@ def _cmd_fvector(args, cfg: RunConfig) -> int:
 
 def _cmd_hvector(args, cfg: RunConfig) -> int:
     h = load_hypergraph(args.input)
-    f = f_vector(h, cfg.n_max)
-    hv = h_vector(f, len(f) - 1)
+    hv = _bundle(h, cfg).h
     if cfg.fmt == "json":
         _emit_json([str(v) for v in hv])
     else:
@@ -349,7 +340,7 @@ def _cmd_hvector(args, cfg: RunConfig) -> int:
 
 def _cmd_betti(args, cfg: RunConfig) -> int:
     h = load_hypergraph(args.input)
-    table = hochster_betti(h, cfg.homology_n_max, cfg.parallel)
+    table = _bundle(h, cfg).betti
     if cfg.fmt == "json":
         _emit_json(_betti_json(table))
     else:
@@ -407,15 +398,11 @@ def _cmd_reconstruct(args, cfg: RunConfig) -> int:
 
 
 def _cmd_verify(args, cfg: RunConfig) -> int:
-    h = load_hypergraph(args.input)
+    inv = _bundle(load_hypergraph(args.input), cfg)
     if args.identity == "all":
-        results = run_all(h, cfg.n_max, cfg.homology_n_max, cfg.parallel)
+        results = run_all(inv)
     else:
-        results = {
-            args.identity: run_identity(
-                args.identity, h, cfg.n_max, cfg.homology_n_max, cfg.parallel
-            )
-        }
+        results = {args.identity: run_identity(args.identity, inv)}
     failed = False
     lines = {}
     for ident, outcome in sorted(results.items()):

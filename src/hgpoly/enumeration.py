@@ -123,41 +123,6 @@ def _edge_block(task: tuple[tuple[int, ...], int, int]) -> dict[tuple[int, int],
     return counts
 
 
-def _independence_block(task: tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int, int]) -> dict[int, int]:
-    """Tally |W| over independent subsets with Gray index in [start, stop)."""
-    edges, incident, start, stop = task
-    counts: dict[int, int] = {}
-    if start >= stop:
-        return counts
-    w = _gray(start)
-    missing = [(e & ~w).bit_count() for e in edges]
-    blocked = sum(1 for x in missing if x == 0)
-    size = w.bit_count()
-    if blocked == 0:
-        counts[size] = 1
-    for k in range(start + 1, stop):
-        bit = k & -k
-        v = bit.bit_length() - 1
-        gbit = 1 << v
-        if w & gbit:
-            w ^= gbit
-            size -= 1
-            for e_idx in incident[v]:
-                if missing[e_idx] == 0:
-                    blocked -= 1
-                missing[e_idx] += 1
-        else:
-            w ^= gbit
-            size += 1
-            for e_idx in incident[v]:
-                missing[e_idx] -= 1
-                if missing[e_idx] == 0:
-                    blocked += 1
-        if blocked == 0:
-            counts[size] = counts.get(size, 0) + 1
-    return counts
-
-
 def vertex_induced_poly(h: Hypergraph, limit: int | None = None, parallel: bool = False) -> BiPoly:
     """Polynomial whose (i, j) coefficient counts the i-vertex subsets
     inducing exactly j edges. The constant term 1 is the empty subset.
@@ -186,16 +151,6 @@ def edge_induced_poly(h: Hypergraph, limit: int | None = None, parallel: bool = 
 
 
 def independence_poly(h: Hypergraph, limit: int | None = None, parallel: bool = False) -> UniPoly:
-    """Generating polynomial of independent vertex subsets by size;
-    equals the vertex polynomial at y=0 but never tallies edge counts.
-    """
-    _check_limit("n", h.n, limit)
-    tasks = [(h.edges, h.incident, a, b) for a, b in _blocks(1 << h.n, parallel)]
-    merged: dict[int, int] = {}
-    for counts in map_ordered(_independence_block, tasks, parallel):
-        for size, c in counts.items():
-            merged[size] = merged.get(size, 0) + c
-    coeffs = [0] * (max(merged, default=-1) + 1)
-    for size, c in merged.items():
-        coeffs[size] = c
-    return UniPoly(coeffs)
+    """Generating polynomial of independent vertex subsets by size: the
+    vertex polynomial at y = 0."""
+    return vertex_induced_poly(h, limit, parallel).eval_y(0)

@@ -28,7 +28,6 @@ from .bipoly import UniPoly
 from .errors import InternalMismatch, LimitExceeded, UnknownVertex
 from .hypergraph import Hypergraph, mask_indices
 from .parallel import MAX_WORKERS, map_ordered
-from .stanley_reisner import k_polynomial
 
 DEFAULT_HOMOLOGY_LIMIT = 14
 
@@ -265,21 +264,30 @@ def _restriction_faces(bmask: int, edges: tuple[int, ...]) -> list[int]:
     return faces
 
 
-def _hochster_chunk(task: tuple[tuple[int, ...], tuple[int, ...]]) -> list[tuple[int, int, int]]:
-    """Worker: for each candidate B in the chunk, compute the nonzero
-    b[i, B] entries via restriction homology."""
-    edges, candidates = task
+def _restriction_chunk(task: tuple[tuple[tuple[int, ...], int], ...]) -> list[tuple[int, int, int]]:
+    """Worker: for each (edges, B) pair in the chunk, the nonzero b[i, B]
+    entries via homology of the independence complex of edges
+    restricted to B."""
     out: list[tuple[int, int, int]] = []
-    for bmask in candidates:
+    for edges, bmask in task:
         size = bmask.bit_count()
-        if size == 0:
-            continue
         dims = homology_dims_from_masks(_restriction_faces(bmask, edges))
         for i in range(1, size + 1):
             deg = size - i - 1
             if 0 <= deg + 1 < len(dims) and dims[deg + 1]:
                 out.append((i, bmask, dims[deg + 1]))
     return out
+
+
+def restriction_betti(pairs: list[tuple[tuple[int, ...], int]], parallel: bool = False) -> dict[tuple[int, int], int]:
+    """Multigraded entries b[i, B] for each (edges, B) pair, computed on
+    the pair's edge set, plus b[0, empty] = 1."""
+    table: dict[tuple[int, int], int] = {(0, 0): 1}
+    chunks = [tuple(ch) for ch in _chunk(pairs, parallel)]
+    for part in map_ordered(_restriction_chunk, chunks, parallel):
+        for i, bmask, b in part:
+            table[(i, bmask)] = b
+    return table
 
 
 def hochster_betti(h: Hypergraph, limit: int | None = None, parallel: bool = False) -> BettiTable:
@@ -292,13 +300,8 @@ def hochster_betti(h: Hypergraph, limit: int | None = None, parallel: bool = Fal
         raise LimitExceeded(
             f"n={h.n} exceeds the homology limit {lim}; raise the limit explicitly to run anyway"
         )
-    candidates = _edge_union_closure(h.edges)
-    chunks = _chunk(candidates, parallel)
-    table: dict[tuple[int, int], int] = {(0, 0): 1}
-    for part in map_ordered(_hochster_chunk, [(h.edges, tuple(ch)) for ch in chunks], parallel):
-        for i, bmask, b in part:
-            table[(i, bmask)] = b
-    return BettiTable(h.labels, table)
+    pairs = [(h.edges, bmask) for bmask in _edge_union_closure(h.edges) if bmask]
+    return BettiTable(h.labels, restriction_betti(pairs, parallel))
 
 
 def _chunk(items: list, parallel: bool) -> list[list]:
@@ -342,29 +345,27 @@ def betti_alternating_sum(table: BettiTable) -> UniPoly:
     return UniPoly(coeffs)
 
 
-def verify_betti_alternating_sum(h: Hypergraph, limit: int | None = None, parallel: bool = False) -> bool:
+def verify_betti_alternating_sum(table: BettiTable, kpoly: UniPoly) -> bool:
     """Check that the signed column sums of the Betti table equal the
-    Hilbert series numerator, coefficient by coefficient."""
-    table = hochster_betti(h, limit, parallel)
-    return betti_alternating_sum(table) == k_polynomial(h)
+    Hilbert series numerator kpoly, coefficient by coefficient."""
+    return betti_alternating_sum(table) == kpoly
 
 
-def antidiagonal_recovery(h: Hypergraph, limit: int | None = None) -> RecoveryResult:
-    """If every total degree j holds at most one nonzero graded entry,
-    recover those entries (for j >= 1) as the absolute values of the
-    Hilbert numerator coefficients, verifying them against the table.
+def antidiagonal_recovery(table: BettiTable, kpoly: UniPoly) -> RecoveryResult:
+    """If every total degree j of the table holds at most one nonzero
+    graded entry, recover those entries (for j >= 1) as the absolute
+    values of the coefficients of kpoly, the Hilbert numerator,
+    verifying them against the table.
 
     Otherwise report the first total degree with two or more nonzero
     entries.
     """
-    table = hochster_betti(h, limit)
     by_degree: dict[int, list[tuple[int, int]]] = {}
     for (i, j), b in table.graded.items():
         by_degree.setdefault(j, []).append((i, b))
     for j in sorted(by_degree):
         if len(by_degree[j]) > 1:
             return RecoveryResult(False, None, j)
-    kpoly = k_polynomial(h, limit)
     recovered: dict[int, int] = {}
     for j in range(1, kpoly.degree() + 1):
         c = kpoly.coeff(j)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .bipoly import BiPoly, expand_series, to_edge_form, to_vertex_form
+from .bipoly import BiPoly, UniPoly, expand_series, to_edge_form, to_vertex_form
 from .enumeration import edge_induced_poly, independence_poly, vertex_induced_poly
 from .errors import (
     InconsistentDeck,
@@ -36,15 +36,12 @@ from .errors import (
 from .homology import (
     DEFAULT_HOMOLOGY_LIMIT,
     BettiTable,
-    hochster_betti,
-    homology_dims_from_masks,
     pd_reg_depth,
-    _chunk,
-    _restriction_faces,
+    restriction_betti,
+    _edge_union_closure,
 )
 from .hypergraph import Deck, Hypergraph
-from .parallel import map_ordered
-from .stanley_reisner import k_polynomial
+from .stanley_reisner import SRInvariants
 
 
 def check_reconstructible(h: Hypergraph) -> None:
@@ -60,21 +57,22 @@ def check_reconstructible(h: Hypergraph) -> None:
         )
 
 
-def verify_deck_sum_identity(h: Hypergraph, which: str = "edge", limit: int | None = None) -> bool:
-    """Check n*F = x*dF/dx + sum of card polynomials, for F either the
-    edge-subset or the vertex-subset polynomial."""
+def verify_deck_sum_identity(inv: SRInvariants, which: str = "edge") -> bool:
+    """Check n*F = x*dF/dx + sum of card polynomials, for F the bundle's
+    edge-subset polynomial S or vertex-subset polynomial P; the cards
+    are swept afresh under the bundle's limit."""
+    h = inv.hypergraph
     check_reconstructible(h)
     if which == "edge":
-        compute = edge_induced_poly
+        f, compute = inv.S, edge_induced_poly
     elif which == "vertex":
-        compute = vertex_induced_poly
+        f, compute = inv.P, vertex_induced_poly
     else:
         raise ValueError(f"which must be 'edge' or 'vertex', got {which!r}")
-    f = compute(h, limit)
     lhs = f.scale(h.n)
     rhs = BiPoly.monomial(1, 0) * f.partial_x()
     for card in h.deck().cards:
-        rhs = rhs + compute(card, limit)
+        rhs = rhs + compute(card, inv.limit)
     return lhs == rhs
 
 
@@ -196,11 +194,10 @@ def reconstruct_hilbert_function(deck: Deck, k_max: int, limit: int | None = Non
     coefficientwise to k_max. The routes must agree.
     """
     n = deck.origin_n
-    s_rec = reconstruct_edge_poly([edge_induced_poly(c, limit) for c in deck.cards], n)
+    card_s = [edge_induced_poly(c, limit) for c in deck.cards]
+    s_rec = reconstruct_edge_poly(card_s, n)
     values = expand_series(s_rec.eval_y(-1), n, k_max)
-    card_values = [
-        expand_series(k_polynomial(card, limit), n - 1, k_max) for card in deck.cards
-    ]
+    card_values = [expand_series(s.eval_y(-1), n - 1, k_max) for s in card_s]
     for k in range(k_max + 1):
         lhs = n * values[k]
         deriv = k * values[k] - (k - 1) * values[k - 1] if k else 0
@@ -211,20 +208,6 @@ def reconstruct_hilbert_function(deck: Deck, k_max: int, limit: int | None = Non
                 f"at degree {k}: {lhs} vs {rhs}"
             )
     return values
-
-
-def _card_restriction_chunk(task: tuple[tuple[tuple[int, ...], int], ...]) -> list[tuple[int, int, int]]:
-    """Worker: nonzero b[i, B] entries, each computed on the supplied
-    card's edge set (already expressed in parent vertex indices)."""
-    out: list[tuple[int, int, int]] = []
-    for card_edges, bmask in task:
-        size = bmask.bit_count()
-        dims = homology_dims_from_masks(_restriction_faces(bmask, card_edges))
-        for i in range(1, size + 1):
-            deg = size - i - 1
-            if 0 <= deg + 1 < len(dims) and dims[deg + 1]:
-                out.append((i, bmask, dims[deg + 1]))
-    return out
 
 
 def reconstruct_multigraded_betti(deck: Deck, limit: int | None = None, parallel: bool = False) -> BettiTable:
@@ -255,20 +238,13 @@ def reconstruct_multigraded_betti(deck: Deck, limit: int | None = None, parallel
             "the deck implies an edgeless parent (or a single spanning edge, "
             "which has the same deck); not reconstructible"
         )
-    unions = {0}
-    for e in sorted(all_edges):
-        unions |= {u | e for u in unions}
     full = (1 << n) - 1
-    candidates = sorted(u for u in unions if u != full and u != 0)
-    tasks = []
-    for bmask in candidates:
-        l = next(v for v in range(n) if not bmask >> v & 1)
-        tasks.append((card_edges[l], bmask))
-    table: dict[tuple[int, int], int] = {(0, 0): 1}
-    chunk_tasks = [tuple(ch) for ch in _chunk(tasks, parallel)]
-    for part in map_ordered(_card_restriction_chunk, chunk_tasks, parallel):
-        for i, bmask, b in part:
-            table[(i, bmask)] = b
+    pairs = []
+    for bmask in _edge_union_closure(tuple(sorted(all_edges))):
+        if bmask and bmask != full:
+            l = next(v for v in range(n) if not bmask >> v & 1)
+            pairs.append((card_edges[l], bmask))
+    table = restriction_betti(pairs, parallel)
     return BettiTable(deck.parent_labels, table, top_complete=False)
 
 
@@ -288,10 +264,12 @@ class TopBettiReport:
     depth: int
 
 
-def top_betti_report(h: Hypergraph, limit: int | None = None) -> TopBettiReport:
-    table = hochster_betti(h, limit)
-    c_top = k_polynomial(h).coeff(h.n)
-    tops = {i: b for (i, j), b in sorted(table.graded.items()) if j == h.n}
+def top_betti_report(table: BettiTable, kpoly: UniPoly) -> TopBettiReport:
+    """Compare the full-vertex-set row of a complete Betti table with the
+    top coefficient of kpoly, the Hilbert series numerator."""
+    n = table.n
+    c_top = kpoly.coeff(n)
+    tops = {i: b for (i, j), b in sorted(table.graded.items()) if j == n}
     determined = len(tops) <= 1
     if len(tops) == 1:
         ((_, b),) = tops.items()
@@ -299,9 +277,9 @@ def top_betti_report(h: Hypergraph, limit: int | None = None) -> TopBettiReport:
             raise InternalMismatch(
                 f"single top entry {b} does not match the numerator coefficient {c_top}"
             )
-    pd, reg, depth = pd_reg_depth(table, h.n)
+    pd, reg, depth = pd_reg_depth(table, n)
     return TopBettiReport(
-        n=h.n,
+        n=n,
         top_coefficient=c_top,
         top_entries=tops,
         determined=determined,

@@ -1,9 +1,13 @@
-"""Stanley-Reisner invariants of the independence complex.
+"""Stanley-Reisner invariants of the independence complex, bundled per
+hypergraph.
 
-Everything here is derived from two exact sources: the independence
-polynomial (face counts by size) and the edge-subset polynomial
-specialized at y = -1, which is the numerator of the Hilbert series of
-the quotient by the edge ideal over n variables.
+Everything here is derived from the two direct subset sweeps: the
+vertex polynomial P, whose value at y = 0 gives the face counts, and
+the edge polynomial S, whose value at y = -1 is the numerator of the
+Hilbert series of the quotient by the edge ideal over n variables.
+``SRInvariants`` computes each quantity on first use and keeps it, so
+a consumer that reads the same bundle never sweeps or builds a Betti
+table twice.
 
 The Hilbert function is computed along two independent routes and the
 results are compared; a disagreement raises InternalMismatch because it
@@ -13,42 +17,123 @@ can only come from a bug.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
-from .bipoly import UniPoly, divide_by_one_minus_t, expand_series
-from .enumeration import edge_induced_poly, independence_poly
+from .bipoly import BiPoly, UniPoly, divide_by_one_minus_t, expand_series
+from .enumeration import edge_induced_poly, independence_poly, vertex_induced_poly
 from .errors import InternalMismatch, LengthMismatch
+from .homology import BettiTable, hochster_betti
 from .hypergraph import Hypergraph
 
 
 @dataclass(frozen=True)
 class SRInvariants:
-    """Bundle of ring invariants: face vector (leading 1 for the empty
-    face), its binomial transform h, Krull dimension, multiplicity, the
-    Hilbert series numerator, and the ambient variable count."""
+    """Every invariant of one hypergraph, each computed on first use
+    under the size limits and pool switch the bundle carries: the vertex
+    polynomial P and the edge polynomial S (one direct sweep each, never
+    derived from one another), the face vector f = P(x, 0) with a leading
+    1 for the empty face, its binomial transform h, the Krull dimension,
+    the multiplicity, the Hilbert series numerator K(t) = S(t, -1), and
+    the multigraded Betti table."""
 
-    f: tuple[int, ...]
-    h: tuple[int, ...]
-    krull_dim: int
-    multiplicity: int
-    k_polynomial: UniPoly
-    n: int
+    hypergraph: Hypergraph
+    limit: int | None = None
+    homology_limit: int | None = None
+    parallel: bool = False
+
+    @property
+    def n(self) -> int:
+        return self.hypergraph.n
+
+    @cached_property
+    def P(self) -> BiPoly:
+        return vertex_induced_poly(self.hypergraph, self.limit, self.parallel)
+
+    @cached_property
+    def S(self) -> BiPoly:
+        return edge_induced_poly(self.hypergraph, self.limit, self.parallel)
+
+    @cached_property
+    def f(self) -> tuple[int, ...]:
+        return self.P.eval_y(0).coeffs
+
+    @cached_property
+    def h(self) -> tuple[int, ...]:
+        return h_vector(self.f, self.krull_dim)
+
+    @property
+    def krull_dim(self) -> int:
+        """Largest independent-set size."""
+        return len(self.f) - 1
+
+    @property
+    def multiplicity(self) -> int:
+        """Number of independent sets of maximum size."""
+        return self.f[-1]
+
+    @cached_property
+    def k_polynomial(self) -> UniPoly:
+        return self.S.eval_y(-1)
+
+    @cached_property
+    def betti(self) -> BettiTable:
+        return hochster_betti(self.hypergraph, self.homology_limit, self.parallel)
+
+    @cached_property
+    def hilbert_series_reduced(self) -> tuple[UniPoly, int]:
+        """The Hilbert series in lowest (1-t)-terms: (numerator, d) with
+        the series equal to numerator / (1-t)^d and numerator(1) the
+        multiplicity."""
+        num = self.k_polynomial
+        d = self.krull_dim
+        for _ in range(self.n - d):
+            num = divide_by_one_minus_t(num)
+        return num, d
+
+    def hilbert_function(self, k_max: int) -> list[int]:
+        """Graded dimensions dim R_k for k = 0..k_max, where R is the
+        quotient of the n-variable polynomial ring by the edge ideal.
+
+        Two independent routes are used: series expansion of K(t) over
+        (1-t)^n, and the face-count formula
+        dim R_k = sum_i f[i] * C(k-1, i-1) for k >= 1. InternalMismatch
+        is raised if they disagree.
+        """
+        if k_max < 0:
+            raise ValueError(f"k_max must be nonnegative, got {k_max}")
+        via_series = expand_series(self.k_polynomial, self.n, k_max)
+        f = self.f
+        via_faces = [1] + [
+            sum(f[i] * comb(k - 1, i - 1) for i in range(1, len(f)))
+            for k in range(1, k_max + 1)
+        ]
+        if via_series != via_faces:
+            raise InternalMismatch(
+                f"Hilbert function routes disagree: series {via_series} vs face counts {via_faces}"
+            )
+        return via_series
+
+
+def sr_invariants(
+    h: Hypergraph, limit: int | None = None, homology_limit: int | None = None, parallel: bool = False
+) -> SRInvariants:
+    """The lazily filled invariant bundle of h."""
+    return SRInvariants(h, limit, homology_limit, parallel)
 
 
 def f_vector(h: Hypergraph, limit: int | None = None) -> tuple[int, ...]:
     """Face counts of the independence complex by size, starting with
     the empty set: entry l is the number of independent l-subsets."""
-    return independence_poly(h, limit).coeffs
+    return sr_invariants(h, limit).f
 
 
 def krull_dim(h: Hypergraph, limit: int | None = None) -> int:
-    """Largest independent-set size."""
-    return len(f_vector(h, limit)) - 1
+    return sr_invariants(h, limit).krull_dim
 
 
 def multiplicity(h: Hypergraph, limit: int | None = None) -> int:
-    """Number of independent sets of maximum size."""
-    return f_vector(h, limit)[-1]
+    return sr_invariants(h, limit).multiplicity
 
 
 def h_vector(f: tuple[int, ...] | list[int], d: int) -> tuple[int, ...]:
@@ -70,58 +155,20 @@ def h_vector(f: tuple[int, ...] | list[int], d: int) -> tuple[int, ...]:
 def k_polynomial(h: Hypergraph, limit: int | None = None) -> UniPoly:
     """Numerator of the Hilbert series over (1-t)^n: the edge-subset
     polynomial evaluated at y = -1."""
-    return edge_induced_poly(h, limit).eval_y(-1)
+    return sr_invariants(h, limit).k_polynomial
 
 
 def hilbert_function(h: Hypergraph, k_max: int, limit: int | None = None) -> list[int]:
-    """Graded dimensions dim R_k for k = 0..k_max, where R is the
-    quotient of the n-variable polynomial ring by the edge ideal.
-
-    Two independent routes are used: series expansion of the Hilbert
-    series numerator over (1-t)^n, and the face-count formula
-    dim R_k = sum_i f[i] * C(k-1, i-1) for k >= 1. InternalMismatch is
-    raised if they disagree.
-    """
-    if k_max < 0:
-        raise ValueError(f"k_max must be nonnegative, got {k_max}")
-    via_series = expand_series(k_polynomial(h, limit), h.n, k_max)
-    f = f_vector(h, limit)
-    via_faces = [1] + [
-        sum(f[i] * comb(k - 1, i - 1) for i in range(1, len(f)))
-        for k in range(1, k_max + 1)
-    ]
-    if via_series != via_faces:
-        raise InternalMismatch(
-            f"Hilbert function routes disagree: series {via_series} vs face counts {via_faces}"
-        )
-    return via_series
+    """See SRInvariants.hilbert_function."""
+    return sr_invariants(h, limit).hilbert_function(k_max)
 
 
 def hilbert_series_reduced(h: Hypergraph, limit: int | None = None) -> tuple[UniPoly, int]:
-    """The Hilbert series in lowest (1-t)-terms: returns (numerator, d)
-    with the series equal to numerator / (1-t)^d and numerator(1) the
-    multiplicity."""
-    num = k_polynomial(h, limit)
-    d = krull_dim(h, limit)
-    for _ in range(h.n - d):
-        num = divide_by_one_minus_t(num)
-    return num, d
+    """See SRInvariants.hilbert_series_reduced."""
+    return sr_invariants(h, limit).hilbert_series_reduced
 
 
 def exterior_face_poly(h: Hypergraph, limit: int | None = None) -> UniPoly:
     """Hilbert polynomial of the further quotient by all variable
     squares; its coefficients are exactly the face counts."""
     return independence_poly(h, limit)
-
-
-def sr_invariants(h: Hypergraph, limit: int | None = None) -> SRInvariants:
-    f = f_vector(h, limit)
-    d = len(f) - 1
-    return SRInvariants(
-        f=f,
-        h=h_vector(f, d),
-        krull_dim=d,
-        multiplicity=f[-1],
-        k_polynomial=k_polynomial(h, limit),
-        n=h.n,
-    )

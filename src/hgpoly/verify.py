@@ -1,7 +1,10 @@
 """Cross-checking identity suite.
 
-Each check recomputes both sides of an exact identity along independent
-routes and returns True only on coefficientwise equality. The CLI binds
+Each check compares the two sides of an exact identity, computed along
+independent routes, and returns True only on coefficientwise equality.
+The checks read one invariant bundle (``SRInvariants``), whose vertex
+and edge sweeps both run directly, so no side is derived from the
+other; 4.2 sweeps the cards afresh. The CLI binds
 them to the identity ids ``2.1``, ``2.3``, ``3.2``, ``4.2``, ``4.3``;
 a False from any of them on a valid input means a bug somewhere, which
 is the point of running them.
@@ -12,25 +15,21 @@ from __future__ import annotations
 from math import comb
 
 from .bipoly import UniPoly, to_edge_form
-from .enumeration import edge_induced_poly, vertex_induced_poly
 from .errors import LimitExceeded, NotReconstructible
 from .homology import verify_betti_alternating_sum
-from .hypergraph import Hypergraph
 from .reconstruct import verify_deck_sum_identity
-from .stanley_reisner import f_vector, k_polynomial
+from .stanley_reisner import SRInvariants
 
 IDENTITY_IDS = ("2.1", "2.3", "3.2", "4.2", "4.3")
 
 
-def verify_transform(h: Hypergraph, limit: int | None = None) -> bool:
+def verify_transform(inv: SRInvariants) -> bool:
     """Binomial-expansion transform of the vertex polynomial equals the
     directly enumerated edge polynomial."""
-    p = vertex_induced_poly(h, limit)
-    s = edge_induced_poly(h, limit)
-    return to_edge_form(p, h.n) == s
+    return to_edge_form(inv.P, inv.n) == inv.S
 
 
-def verify_coefficient_relation(h: Hypergraph, limit: int | None = None) -> bool:
+def verify_coefficient_relation(inv: SRInvariants) -> bool:
     """Binomial coefficient relation linking the two coefficient tables:
     for all (i, j),
 
@@ -42,9 +41,9 @@ def verify_coefficient_relation(h: Hypergraph, limit: int | None = None) -> bool
     induces, the right side extends the union of each j-edge subset by
     arbitrary extra vertices. The left sum runs over every l with a
     nonzero coefficient (an i-set can induce far more than i edges)."""
-    p = vertex_induced_poly(h, limit)
-    s = edge_induced_poly(h, limit)
-    n = h.n
+    p = inv.P
+    s = inv.S
+    n = inv.n
     j_max = max(p.deg_y(), s.deg_y(), 0)
     for i in range(n + 1):
         for j in range(j_max + 1):
@@ -55,47 +54,46 @@ def verify_coefficient_relation(h: Hypergraph, limit: int | None = None) -> bool
     return True
 
 
-def verify_series_numerator(h: Hypergraph, limit: int | None = None) -> bool:
+def verify_series_numerator(inv: SRInvariants) -> bool:
     """The edge polynomial at y = -1 equals the face-count expansion
-    sum_i f[i] t^i (1-t)^(n-i)."""
-    f = f_vector(h, limit)
+    sum_i f[i] t^i (1-t)^(n-i), with f read off the vertex polynomial."""
+    f = inv.f
     one_minus_t = UniPoly.one_minus_t()
     rhs = UniPoly()
     for i, fi in enumerate(f):
-        rhs = rhs + fi * (UniPoly.monomial(i) * one_minus_t ** (h.n - i))
-    return k_polynomial(h, limit) == rhs
+        rhs = rhs + fi * (UniPoly.monomial(i) * one_minus_t ** (inv.n - i))
+    return inv.k_polynomial == rhs
 
 
-def verify_deck_sums(h: Hypergraph, limit: int | None = None) -> bool:
+def verify_deck_sums(inv: SRInvariants) -> bool:
     """Deck-sum identity for both polynomials; raises NotReconstructible
     on excluded inputs."""
-    return verify_deck_sum_identity(h, "edge", limit) and verify_deck_sum_identity(
-        h, "vertex", limit
-    )
+    return verify_deck_sum_identity(inv, "edge") and verify_deck_sum_identity(inv, "vertex")
 
 
-def run_identity(identity: str, h: Hypergraph, limit: int | None = None, homology_limit: int | None = None, parallel: bool = False) -> bool:
+def run_identity(identity: str, inv: SRInvariants) -> bool:
     if identity == "2.1":
-        return verify_transform(h, limit)
+        return verify_transform(inv)
     if identity == "2.3":
-        return verify_coefficient_relation(h, limit)
+        return verify_coefficient_relation(inv)
     if identity == "3.2":
-        return verify_series_numerator(h, limit)
+        return verify_series_numerator(inv)
     if identity == "4.2":
-        return verify_deck_sums(h, limit)
+        return verify_deck_sums(inv)
     if identity == "4.3":
-        return verify_betti_alternating_sum(h, homology_limit, parallel)
+        return verify_betti_alternating_sum(inv.betti, inv.k_polynomial)
     raise ValueError(f"unknown identity {identity!r}")
 
 
-def run_all(h: Hypergraph, limit: int | None = None, homology_limit: int | None = None, parallel: bool = False) -> dict[str, bool | str]:
-    """Run the whole suite; identities whose preconditions exclude the
+def run_all(inv: SRInvariants) -> dict[str, bool | str]:
+    """Run the whole suite on one bundle, so the identities share its
+    sweeps and Betti table; identities whose preconditions exclude the
     input (or whose size limits refuse it) are reported as a
     'skipped: ...' string instead of a bool."""
     results: dict[str, bool | str] = {}
     for identity in IDENTITY_IDS:
         try:
-            results[identity] = run_identity(identity, h, limit, homology_limit, parallel)
+            results[identity] = run_identity(identity, inv)
         except (NotReconstructible, LimitExceeded) as exc:
             results[identity] = f"skipped: {exc}"
     return results

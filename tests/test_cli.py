@@ -99,7 +99,7 @@ class TestVerify:
         import hgpoly.verify as verify_mod
 
         monkeypatch.setitem(
-            verify_mod.__dict__, "verify_transform", lambda h, limit=None: False
+            verify_mod.__dict__, "verify_transform", lambda inv: False
         )
         assert main(["verify", "--identity", "2.1", "--input", k3_file]) == 1
         assert "identity 2.1: FAIL" in capsys.readouterr().out
@@ -200,6 +200,24 @@ class TestReport:
         }
         assert doc["top_betti"]["determined"] is True
         assert doc["antidiagonal_recovery"]["applicable"] is True
+        assert all(v is True for v in doc["identities"].values())
+
+    def test_report_with_m_above_homology_limit(self, tmp_path, capsys):
+        # K6 has m=15 edges, above the homology limit of 14; only n may be
+        # held against that limit, and the numerator K(t) is swept under
+        # the enumeration limit
+        from hgpoly.corpus import complete_graph
+
+        p = tmp_path / "k6.json"
+        p.write_text(dump_hypergraph_json(complete_graph(6)))
+        assert main(["report", "--input", str(p)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        # linear resolution: b[i, i+1] = i * C(6, i+1), one entry per column
+        assert doc["top_betti"] == {"top_coefficient": "-5", "entries": [[5, 5]], "determined": True}
+        assert doc["antidiagonal_recovery"] == {
+            "applicable": True,
+            "entries": [[2, 15], [3, 40], [4, 45], [5, 24], [6, 5]],
+        }
         assert all(v is True for v in doc["identities"].values())
 
     def test_report_respects_homology_limit(self, tmp_path, capsys):

@@ -230,7 +230,7 @@ def test_graded_collapse_consistent(h):
 @settings(max_examples=40, deadline=None)
 @given(hypergraphs(max_n=6, max_m=6))
 def test_alternating_sum_identity(h):
-    assert verify_betti_alternating_sum(h)
+    assert verify_betti_alternating_sum(hochster_betti(h), k_polynomial(h))
     assert betti_alternating_sum(hochster_betti(h)) == k_polynomial(h)
 
 
@@ -256,16 +256,16 @@ class TestDerivedInvariants:
 
 class TestAntidiagonalRecovery:
     def test_k3_applicable(self, k3):
-        rec = antidiagonal_recovery(k3)
+        rec = antidiagonal_recovery(hochster_betti(k3), k_polynomial(k3))
         assert rec.applicable and rec.entries == {2: 3, 3: 2}
 
     def test_edgeless_empty_recovery(self, edgeless3):
-        rec = antidiagonal_recovery(edgeless3)
+        rec = antidiagonal_recovery(hochster_betti(edgeless3), k_polynomial(edgeless3))
         assert rec.applicable and rec.entries == {}
 
     def test_wheel_not_applicable(self):
         # two nonzero entries share a column: (3, 5) and (4, 5)
-        rec = antidiagonal_recovery(wheel(5))
+        rec = antidiagonal_recovery(hochster_betti(wheel(5)), k_polynomial(wheel(5)))
         assert not rec.applicable
         assert rec.violating_degree == 5
 
@@ -273,7 +273,7 @@ class TestAntidiagonalRecovery:
         for _, h in corpus[:80]:
             if h.n > 6:
                 continue
-            rec = antidiagonal_recovery(h)
+            rec = antidiagonal_recovery(hochster_betti(h), k_polynomial(h))
             if not rec.applicable:
                 continue
             table = hochster_betti(h)

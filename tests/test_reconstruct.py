@@ -26,7 +26,7 @@ from hgpoly.reconstruct import (
     top_betti_report,
     verify_deck_sum_identity,
 )
-from hgpoly.stanley_reisner import f_vector, hilbert_function
+from hgpoly.stanley_reisner import f_vector, hilbert_function, k_polynomial, sr_invariants
 from hgpoly.corpus import wheel
 
 from .strategies import reconstructible_hypergraphs
@@ -62,16 +62,16 @@ class TestExclusions:
 
 class TestDeckSumIdentity:
     def test_k3_both_polynomials(self, k3):
-        assert verify_deck_sum_identity(k3, "edge")
-        assert verify_deck_sum_identity(k3, "vertex")
+        assert verify_deck_sum_identity(sr_invariants(k3), "edge")
+        assert verify_deck_sum_identity(sr_invariants(k3), "vertex")
 
     def test_rejects_unknown_kind(self, k3):
         with pytest.raises(ValueError):
-            verify_deck_sum_identity(k3, "both")
+            verify_deck_sum_identity(sr_invariants(k3), "both")
 
     def test_propagates_exclusions(self, edgeless3):
         with pytest.raises(NoEdges):
-            verify_deck_sum_identity(edgeless3, "edge")
+            verify_deck_sum_identity(sr_invariants(edgeless3), "edge")
 
 
 class TestReconstructEdgePoly:
@@ -175,18 +175,18 @@ class TestReconstructBetti:
 
 class TestTopBettiReport:
     def test_k3_determined(self, k3):
-        rep = top_betti_report(k3)
+        rep = top_betti_report(hochster_betti(k3), k_polynomial(k3))
         assert rep.determined
         assert rep.top_entries == {2: 2}
         assert rep.top_coefficient == 2
         assert (rep.projective_dimension, rep.regularity, rep.depth) == (2, 1, 1)
 
     def test_edgeless_trivially_determined(self, edgeless3):
-        rep = top_betti_report(edgeless3)
+        rep = top_betti_report(hochster_betti(edgeless3), k_polynomial(edgeless3))
         assert rep.determined and rep.top_entries == {} and rep.top_coefficient == 0
 
     def test_wheel_not_determined(self):
-        rep = top_betti_report(wheel(5))
+        rep = top_betti_report(hochster_betti(wheel(5)), k_polynomial(wheel(5)))
         assert not rep.determined
         assert rep.top_entries == {4: 1, 5: 1}
         # the alternating sum cancels, so the top row cannot be read off
@@ -228,5 +228,5 @@ def test_deck_constant_bookkeeping(h):
 @settings(max_examples=40, deadline=None)
 @given(reconstructible_hypergraphs(max_n=5, max_m=5))
 def test_deck_sum_identity_holds(h):
-    assert verify_deck_sum_identity(h, "edge")
-    assert verify_deck_sum_identity(h, "vertex")
+    assert verify_deck_sum_identity(sr_invariants(h), "edge")
+    assert verify_deck_sum_identity(sr_invariants(h), "vertex")

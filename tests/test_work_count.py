@@ -1,0 +1,71 @@
+"""How much work one CLI command does on its input hypergraph.
+
+The sweep and Betti-table entry points are wrapped at every binding in
+the package (a function that one module imports by name from another
+is replaced in both), and each call is logged with the vertex labels
+of the hypergraph it ran on, so calls on the parent are told apart
+from calls on its deck cards.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+
+import hgpoly.enumeration as enumeration
+import hgpoly.homology as homology
+from hgpoly.cli import main
+from hgpoly.corpus import complete_graph, cycle_graph, wheel
+from hgpoly.formats import dump_hypergraph_json
+
+COUNTED = (
+    (enumeration, "vertex_induced_poly"),
+    (enumeration, "edge_induced_poly"),
+    (enumeration, "independence_poly"),
+    (homology, "hochster_betti"),
+)
+
+
+@pytest.fixture
+def calls(monkeypatch) -> list[tuple[str, tuple[str, ...]]]:
+    log: list[tuple[str, tuple[str, ...]]] = []
+    for owner, name in COUNTED:
+        fn = getattr(owner, name)
+
+        def counted(h, *args, _name=name, _fn=fn, **kwargs):
+            log.append((_name, h.labels))
+            return _fn(h, *args, **kwargs)
+
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("hgpoly") and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted)
+    return log
+
+
+def _write(tmp_path, h) -> str:
+    path = tmp_path / "h.json"
+    path.write_text(dump_hypergraph_json(h))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "h", [cycle_graph(10), complete_graph(6), wheel(5)], ids=["cycle10", "K6", "wheel5"]
+)
+def test_report_sweeps_and_tables_once(h, calls, tmp_path, capsys):
+    assert main(["report", "--input", _write(tmp_path, h)]) == 0
+    capsys.readouterr()
+    on_parent = [name for name, labels in calls if labels == h.labels]
+    assert sorted(on_parent) == ["edge_induced_poly", "hochster_betti", "vertex_induced_poly"]
+    # the deck-sum identity 4.2 sweeps every card once per side
+    cards = sorted(card.labels for card in h.deck().cards)
+    for side in ("vertex_induced_poly", "edge_induced_poly"):
+        assert sorted(labels for name, labels in calls if name == side and labels != h.labels) == cards
+    assert len(calls) == 3 + 2 * h.n
+
+
+def test_verify_single_identity_builds_no_table(calls, tmp_path, capsys):
+    assert main(["verify", "--identity", "2.1", "--input", _write(tmp_path, cycle_graph(10))]) == 0
+    assert capsys.readouterr().out == "identity 2.1: ok\n"
+    assert [name for name, _ in calls] == ["vertex_induced_poly", "edge_induced_poly"]
+
