@@ -18,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .enumeration import (
@@ -56,8 +56,6 @@ ENV_LIMITS = "HGPOLY_LIMITS"
 class RunConfig:
     """Resolved run options shared by all subcommands."""
 
-    inputs: list[str] = field(default_factory=list)
-    command: str = ""
     fmt: str = "text"
     k_max: int = 20
     n_max: int = DEFAULT_LIMIT
@@ -152,8 +150,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         else env.get("homology_n_max", DEFAULT_HOMOLOGY_LIMIT)
     )
     return RunConfig(
-        inputs=[getattr(args, "input", getattr(args, "deck", ""))],
-        command=args.command,
         fmt=args.format,
         k_max=args.terms,
         n_max=n_max,

@@ -9,20 +9,23 @@ only face is the empty set, reduced homology is one-dimensional in
 degree -1 and zero elsewhere; the void complex (no faces at all) has no
 homology in any degree. Faces of each dimension are indexed in colex
 order (numeric order of their bitmasks), and all ranks are computed by
-fraction-free integer elimination, so results are exact and independent
-of pivoting.
+sparse integer elimination over the rationals, so results are exact.
 
 The multigraded table b[i, B] is nonzero only when B is a union of
 edges: any vertex of B not covered by an edge inside B is a cone apex
 of the restricted complex, killing all reduced homology. The table
 computation therefore walks exactly the union-closure of the edge set,
 which is what makes dense sweeps over all 2^n subsets unnecessary.
+Conversely, no restriction on that walk is a cone: for v in B pick an
+edge e inside B containing v; e minus v is a face (the edges form an
+antichain) but e is not, so v is no apex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 
 from .bipoly import UniPoly
 from .errors import InternalMismatch, LimitExceeded, UnknownVertex
@@ -32,54 +35,44 @@ from .parallel import MAX_WORKERS, map_ordered
 DEFAULT_HOMOLOGY_LIMIT = 14
 
 
-def exact_rank(rows: list[list[int]], pivot: str = "first") -> int:
-    """Rank of an integer matrix over the rationals by Bareiss
-    fraction-free elimination (all divisions exact).
+def _check_homology_limit(n: int, limit: int | None) -> None:
+    lim = DEFAULT_HOMOLOGY_LIMIT if limit is None else limit
+    if n > lim:
+        raise LimitExceeded(
+            f"n={n} exceeds the homology limit {lim}; raise the limit explicitly to run anyway"
+        )
 
-    pivot selects the row used at each column: "first" takes the first
-    nonzero entry, "minabs" the smallest in absolute value. The result
-    does not depend on the choice; exposing it lets tests check that.
+
+def exact_rank(vectors: list[dict[int, int]]) -> int:
+    """Rank over the rationals of integer vectors given sparsely as
+    {index: nonzero entry}; rows or columns of a matrix give the same
+    rank.
+
+    Each vector is reduced against the kept pivot vectors on its largest
+    index by integer cross-multiplication, then divided by the gcd of
+    its entries, so all arithmetic stays exact in the integers.
     """
-    if pivot not in ("first", "minabs"):
-        raise ValueError(f"unknown pivot strategy {pivot!r}")
-    m = [row[:] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        best = -1
-        for i in range(r, nrows):
-            if m[i][c]:
-                if pivot == "first":
-                    best = i
-                    break
-                if best < 0 or abs(m[i][c]) < abs(m[best][c]):
-                    best = i
-        if best < 0:
-            continue
-        if best != r:
-            m[best], m[r] = m[r], m[best]
-        pivot_val = m[r][c]
-        for i in range(r + 1, nrows):
-            mic = m[i][c]
-            if mic:
-                row_i = m[i]
-                row_r = m[r]
-                for j in range(c + 1, ncols):
-                    row_i[j] = (row_i[j] * pivot_val - mic * row_r[j]) // prev
-                row_i[c] = 0
-            else:
-                row_i = m[i]
-                for j in range(c + 1, ncols):
-                    row_i[j] = (row_i[j] * pivot_val) // prev
-        prev = pivot_val
-        rank += 1
-        r += 1
-    return rank
+    pivots: dict[int, dict[int, int]] = {}
+    for vec in vectors:
+        v = dict(vec)
+        while v:
+            top = max(v)
+            p = pivots.get(top)
+            if p is None:
+                g = gcd(*v.values())
+                pivots[top] = {k: x // g for k, x in v.items()} if g > 1 else v
+                break
+            g = gcd(p[top], v[top])
+            a, b = p[top] // g, v[top] // g
+            if a != 1:
+                v = {k: a * x for k, x in v.items()}
+            for k, x in p.items():
+                y = v.get(k, 0) - b * x
+                if y:
+                    v[k] = y
+                else:
+                    del v[k]
+    return len(pivots)
 
 
 def _faces_by_dim(faces: list[int]) -> list[list[int]]:
@@ -97,34 +90,23 @@ def _faces_by_dim(faces: list[int]) -> list[list[int]]:
     return grouped
 
 
-def _boundary_matrix(lower: list[int], upper: list[int]) -> list[list[int]]:
-    """Matrix of the boundary map from dimension-k faces (upper) to
-    dimension-(k-1) faces (lower), with the usual alternating signs."""
+def _boundary_matrix(lower: list[int], upper: list[int]) -> list[dict[int, int]]:
+    """Sparse columns of the boundary map from dimension-k faces (upper)
+    to dimension-(k-1) faces (lower), with the usual alternating signs;
+    column c maps the index of each facet of upper[c] to its sign."""
     index = {f: i for i, f in enumerate(lower)}
-    rows = [[0] * len(upper) for _ in lower]
-    for col, f in enumerate(upper):
+    cols = []
+    for f in upper:
+        col = {}
         sign = 1
         for v in mask_indices(f):
-            rows[index[f ^ (1 << v)]][col] = sign
+            col[index[f ^ (1 << v)]] = sign
             sign = -sign
-    return rows
+        cols.append(col)
+    return cols
 
 
-def _is_cone(faces: list[int]) -> bool:
-    """True when some vertex can be added to every face while staying in
-    the family; such complexes have no reduced homology."""
-    face_set = set(faces)
-    union = 0
-    for f in faces:
-        union |= f
-    for v in mask_indices(union):
-        bit = 1 << v
-        if all(f | bit in face_set for f in faces):
-            return True
-    return False
-
-
-def homology_dims_from_masks(faces: list[int], pivot: str = "first", cone_shortcut: bool = True) -> list[int]:
+def homology_dims_from_masks(faces: list[int]) -> list[int]:
     """Reduced rational homology dimensions of a downward-closed face
     family given as bitmasks.
 
@@ -135,12 +117,10 @@ def homology_dims_from_masks(faces: list[int], pivot: str = "first", cone_shortc
         return []
     grouped = _faces_by_dim(faces)
     depth = len(grouped)  # groups for dimensions -1 .. depth-2
-    if cone_shortcut and _is_cone(faces):
-        return [0] * depth
     # ranks[k] = rank of the boundary map out of dimension k-1 faces
     ranks = [0] * (depth + 1)
     for k in range(1, depth):
-        ranks[k] = exact_rank(_boundary_matrix(grouped[k - 1], grouped[k]), pivot)
+        ranks[k] = exact_rank(_boundary_matrix(grouped[k - 1], grouped[k]))
     return [len(grouped[k]) - ranks[k] - ranks[k + 1] for k in range(depth)]
 
 
@@ -188,19 +168,14 @@ class SimplicialComplex:
 
 def independence_complex(h: Hypergraph, limit: int | None = None) -> SimplicialComplex:
     """All independent vertex subsets of the hypergraph, as a complex."""
-    lim = DEFAULT_HOMOLOGY_LIMIT if limit is None else limit
-    if h.n > lim:
-        raise LimitExceeded(
-            f"n={h.n} exceeds the homology limit {lim}; raise the limit explicitly to run anyway"
-        )
-    faces = [w for w in range(1 << h.n) if all(e & ~w for e in h.edges)]
-    return SimplicialComplex(h.labels, frozenset(faces))
+    _check_homology_limit(h.n, limit)
+    return SimplicialComplex(h.labels, frozenset(_restriction_faces(h.full_mask, h.edges)))
 
 
-def reduced_homology_dims(cx: SimplicialComplex, pivot: str = "first", cone_shortcut: bool = True) -> list[int]:
+def reduced_homology_dims(cx: SimplicialComplex) -> list[int]:
     """Reduced rational homology dimensions of a complex, degrees -1
     through dim; [] for the void complex."""
-    return homology_dims_from_masks(sorted(cx.faces), pivot, cone_shortcut)
+    return homology_dims_from_masks(sorted(cx.faces))
 
 
 @dataclass(frozen=True)
@@ -267,11 +242,18 @@ def _restriction_faces(bmask: int, edges: tuple[int, ...]) -> list[int]:
 def _restriction_chunk(task: tuple[tuple[tuple[int, ...], int], ...]) -> list[tuple[int, int, int]]:
     """Worker: for each (edges, B) pair in the chunk, the nonzero b[i, B]
     entries via homology of the independence complex of edges
-    restricted to B."""
+    restricted to B. The independent sets of each distinct edge set are
+    enumerated once, over the union of its edges, and filtered per B."""
     out: list[tuple[int, int, int]] = []
+    independent: dict[tuple[int, ...], list[int]] = {}
     for edges, bmask in task:
+        if edges not in independent:
+            union = 0
+            for e in edges:
+                union |= e
+            independent[edges] = _restriction_faces(union, edges)
         size = bmask.bit_count()
-        dims = homology_dims_from_masks(_restriction_faces(bmask, edges))
+        dims = homology_dims_from_masks([w for w in independent[edges] if w & ~bmask == 0])
         for i in range(1, size + 1):
             deg = size - i - 1
             if 0 <= deg + 1 < len(dims) and dims[deg + 1]:
@@ -295,11 +277,7 @@ def hochster_betti(h: Hypergraph, limit: int | None = None, parallel: bool = Fal
     over the rationals: b[i, B] is the reduced homology dimension of the
     independence complex restricted to B, in degree |B| - i - 1, and
     b[0, empty] = 1."""
-    lim = DEFAULT_HOMOLOGY_LIMIT if limit is None else limit
-    if h.n > lim:
-        raise LimitExceeded(
-            f"n={h.n} exceeds the homology limit {lim}; raise the limit explicitly to run anyway"
-        )
+    _check_homology_limit(h.n, limit)
     pairs = [(h.edges, bmask) for bmask in _edge_union_closure(h.edges) if bmask]
     return BettiTable(h.labels, restriction_betti(pairs, parallel))
 

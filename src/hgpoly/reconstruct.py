@@ -25,7 +25,6 @@ from .errors import (
     InconsistentDeck,
     InternalMismatch,
     LengthMismatch,
-    LimitExceeded,
     NegativeTopCoefficient,
     NoEdges,
     NonIntegerCoefficient,
@@ -34,10 +33,10 @@ from .errors import (
     TooFewVertices,
 )
 from .homology import (
-    DEFAULT_HOMOLOGY_LIMIT,
     BettiTable,
     pd_reg_depth,
     restriction_betti,
+    _check_homology_limit,
     _edge_union_closure,
 )
 from .hypergraph import Deck, Hypergraph
@@ -60,7 +59,7 @@ def check_reconstructible(h: Hypergraph) -> None:
 def verify_deck_sum_identity(inv: SRInvariants, which: str = "edge") -> bool:
     """Check n*F = x*dF/dx + sum of card polynomials, for F the bundle's
     edge-subset polynomial S or vertex-subset polynomial P; the cards
-    are swept afresh under the bundle's limit."""
+    of the bundle's deck are swept afresh under its limit."""
     h = inv.hypergraph
     check_reconstructible(h)
     if which == "edge":
@@ -71,7 +70,7 @@ def verify_deck_sum_identity(inv: SRInvariants, which: str = "edge") -> bool:
         raise ValueError(f"which must be 'edge' or 'vertex', got {which!r}")
     lhs = f.scale(h.n)
     rhs = BiPoly.monomial(1, 0) * f.partial_x()
-    for card in h.deck().cards:
+    for card in inv.deck.cards:
         rhs = rhs + compute(card, inv.limit)
     return lhs == rhs
 
@@ -219,11 +218,7 @@ def reconstruct_multigraded_betti(deck: Deck, limit: int | None = None, parallel
     n = deck.origin_n
     if n < 3:
         raise TooFewVertices(f"reconstruction needs n >= 3, got n={n}")
-    lim = DEFAULT_HOMOLOGY_LIMIT if limit is None else limit
-    if n > lim:
-        raise LimitExceeded(
-            f"n={n} exceeds the homology limit {lim}; raise the limit explicitly to run anyway"
-        )
+    _check_homology_limit(n, limit)
     index = {lbl: v for v, lbl in enumerate(deck.parent_labels)}
     card_edges: list[tuple[int, ...]] = []
     all_edges: set[int] = set()

@@ -24,7 +24,7 @@ from .bipoly import BiPoly, UniPoly, divide_by_one_minus_t, expand_series
 from .enumeration import edge_induced_poly, independence_poly, vertex_induced_poly
 from .errors import InternalMismatch, LengthMismatch
 from .homology import BettiTable, hochster_betti
-from .hypergraph import Hypergraph
+from .hypergraph import Deck, Hypergraph
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,8 @@ class SRInvariants:
     polynomial P and the edge polynomial S (one direct sweep each, never
     derived from one another), the face vector f = P(x, 0) with a leading
     1 for the empty face, its binomial transform h, the Krull dimension,
-    the multiplicity, the Hilbert series numerator K(t) = S(t, -1), and
-    the multigraded Betti table."""
+    the multiplicity, the Hilbert series numerator K(t) = S(t, -1), the
+    vertex-deleted deck, and the multigraded Betti table."""
 
     hypergraph: Hypergraph
     limit: int | None = None
@@ -75,6 +75,10 @@ class SRInvariants:
     @cached_property
     def k_polynomial(self) -> UniPoly:
         return self.S.eval_y(-1)
+
+    @cached_property
+    def deck(self) -> Deck:
+        return self.hypergraph.deck()
 
     @cached_property
     def betti(self) -> BettiTable:

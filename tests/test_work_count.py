@@ -16,8 +16,9 @@ import pytest
 import hgpoly.enumeration as enumeration
 import hgpoly.homology as homology
 from hgpoly.cli import main
-from hgpoly.corpus import complete_graph, cycle_graph, wheel
+from hgpoly.corpus import complete_graph, cycle_graph, path_graph, wheel
 from hgpoly.formats import dump_hypergraph_json
+from hgpoly.hypergraph import Hypergraph
 
 COUNTED = (
     (enumeration, "vertex_induced_poly"),
@@ -69,3 +70,31 @@ def test_verify_single_identity_builds_no_table(calls, tmp_path, capsys):
     assert capsys.readouterr().out == "identity 2.1: ok\n"
     assert [name for name, _ in calls] == ["vertex_induced_poly", "edge_induced_poly"]
 
+
+def test_report_builds_the_deck_once(monkeypatch, tmp_path, capsys):
+    built: list[tuple[str, ...]] = []
+    deck = Hypergraph.deck
+
+    def counted(self):
+        built.append(self.labels)
+        return deck(self)
+
+    monkeypatch.setattr(Hypergraph, "deck", counted)
+    h = cycle_graph(10)
+    assert main(["report", "--input", _write(tmp_path, h)]) == 0
+    capsys.readouterr()
+    assert built.count(h.labels) == 1
+
+
+def test_independent_sets_enumerated_once_per_edge_set(monkeypatch):
+    seen: list[int] = []
+    faces = homology._restriction_faces
+
+    def counted(bmask, edges):
+        seen.append(bmask)
+        return faces(bmask, edges)
+
+    monkeypatch.setattr(homology, "_restriction_faces", counted)
+    h = path_graph(8)
+    homology.hochster_betti(h)
+    assert seen == [h.full_mask]
