@@ -51,6 +51,9 @@ from .verify import IDENTITY_IDS, run_all, run_identity
 
 ENV_LIMITS = "HGPOLY_LIMITS"
 
+# expand_series holds k_max + 1 big ints per pass, so --terms is bounded
+MAX_TERMS = 10_000
+
 
 @dataclass
 class RunConfig:
@@ -65,6 +68,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.k_max < 0:
             raise InputError(f"--terms must be nonnegative, got {self.k_max}")
+        if self.k_max > MAX_TERMS:
+            raise LimitExceeded(f"--terms={self.k_max} exceeds the series limit {MAX_TERMS}")
         if self.n_max <= 0 or self.homology_n_max <= 0:
             raise InputError("size limits must be positive")
 
@@ -101,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--homology-n-max", type=int, default=None, help=f"homology size limit (default {DEFAULT_HOMOLOGY_LIMIT})"
     )
-    common.add_argument("--parallel", action="store_true", help="use a process pool for subset sweeps and homology")
+    common.add_argument("--parallel", action="store_true", help="use a process pool for restriction homology")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -287,11 +292,11 @@ def _report_for(h: Hypergraph, cfg: RunConfig) -> dict:
 def _cmd_compute(args, cfg: RunConfig) -> int:
     h = load_hypergraph(args.input)
     if args.poly == "S":
-        poly = edge_induced_poly(h, cfg.n_max, cfg.parallel)
+        poly = edge_induced_poly(h, cfg.n_max)
     elif args.poly == "P":
-        poly = vertex_induced_poly(h, cfg.n_max, cfg.parallel)
+        poly = vertex_induced_poly(h, cfg.n_max)
     else:
-        upoly = independence_poly(h, cfg.n_max, cfg.parallel)
+        upoly = independence_poly(h, cfg.n_max)
         if cfg.fmt == "json":
             _emit_json(unipoly_to_json(upoly))
         else:

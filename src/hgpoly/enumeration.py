@@ -3,26 +3,32 @@
 The vertex-subset polynomial counts, for every vertex subset W, the
 number of edges contained in W; the edge-subset polynomial counts, for
 every edge subset L, the number of vertices covered by the union of L.
-Both sweeps walk subsets in Gray-code order, so each step toggles a
-single vertex (or edge) and the containment/coverage counters update in
-amortized constant time instead of being recomputed per subset.
 
-The subset range can also be split into contiguous blocks that are
-processed independently (optionally on a process pool) and merged in
-block order; the merged tallies are identical to a sequential sweep.
+Both sweeps are bit-sliced: the 2^k subset indices (k = n or m) are cut
+into blocks of 2^12, and one Python int holds one bit per subset of a
+block (bit l stands for the subset whose low index bits are l). A
+per-subset predicate such as "edge e lies inside W" then becomes a
+few AND/OR operations on these ints, and the per-subset counts are
+summed bitwise into binary digit planes by ripple-carry addition.
+Splitting the planes gives, for each count value, the int of the
+subsets that have it, and the tally is the popcount of its AND with
+the int of the subsets of each size. The loop over blocks runs in
+Python; each int holds at most 2^12 bits whatever n or m.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_, or_
+
 from .bipoly import BiPoly, UniPoly
 from .errors import LimitExceeded
 from .hypergraph import Hypergraph, mask_indices
-from .parallel import MAX_WORKERS, map_ordered
 
 DEFAULT_LIMIT = 24
 
-# Below this many subsets the pool overhead dwarfs the work.
-_MIN_PARALLEL_RANGE = 1 << 12
+# Index bits held in one int: a block is 2^12 subsets, a 4096-bit int.
+_LOW_BITS = 12
 
 
 def _check_limit(kind: str, value: int, limit: int | None) -> int:
@@ -35,122 +41,95 @@ def _check_limit(kind: str, value: int, limit: int | None) -> int:
     return lim
 
 
-def _blocks(size: int, parallel: bool) -> list[tuple[int, int]]:
-    if not parallel or size < _MIN_PARALLEL_RANGE or MAX_WORKERS < 2:
-        return [(0, size)]
-    nblocks = MAX_WORKERS
-    step = -(-size // nblocks)
-    return [(a, min(a + step, size)) for a in range(0, size, step)]
+def _coordinates(k: int) -> tuple[int, list[int]]:
+    """The all-ones int over 2^k subset bits, and for each v < k the int
+    of the indices l that have bit v (built by doubling its period)."""
+    size = 1 << k
+    coords = []
+    for v in range(k):
+        x = ((1 << (1 << v)) - 1) << (1 << v)
+        period = 2 << v
+        while period < size:
+            x |= x << period
+            period <<= 1
+        coords.append(x)
+    return (1 << size) - 1, coords
 
 
-def _gray(k: int) -> int:
-    return k ^ (k >> 1)
+def _levels(sets, full: int) -> dict[int, int]:
+    """For each count c, the int of the bits held by exactly c of the
+    given sets; empty levels are left out."""
+    planes: list[int] = []
+    for carry in sets:
+        d = 0
+        while carry:
+            if d == len(planes):
+                planes.append(carry)
+                break
+            planes[d], carry = planes[d] ^ carry, planes[d] & carry
+            d += 1
+    levels = {0: full}
+    for d, plane in enumerate(planes):
+        split: dict[int, int] = {}
+        for c, bits in levels.items():
+            if lo := bits & ~plane:
+                split[c] = lo
+            if hi := bits & plane:
+                split[c + (1 << d)] = hi
+        levels = split
+    return levels
 
 
-def _vertex_block(task: tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int, int]) -> dict[tuple[int, int], int]:
-    """Tally (|W|, #edges inside W) over subsets with Gray index in
-    [start, stop)."""
-    edges, incident, start, stop = task
-    counts: dict[tuple[int, int], int] = {}
-    if start >= stop:
-        return counts
-    w = _gray(start)
-    missing = [(e & ~w).bit_count() for e in edges]
-    inside = sum(1 for x in missing if x == 0)
-    size = w.bit_count()
-    counts[(size, inside)] = 1
-    for k in range(start + 1, stop):
-        bit = k & -k
-        v = bit.bit_length() - 1
-        gbit = 1 << v
-        if w & gbit:
-            w ^= gbit
-            size -= 1
-            for e_idx in incident[v]:
-                if missing[e_idx] == 0:
-                    inside -= 1
-                missing[e_idx] += 1
-        else:
-            w ^= gbit
-            size += 1
-            for e_idx in incident[v]:
-                missing[e_idx] -= 1
-                if missing[e_idx] == 0:
-                    inside += 1
-        key = (size, inside)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+def _tally(counts: dict[tuple[int, int], int], xs: dict[int, int], dx: int, ys: dict[int, int], dy: int) -> None:
+    """Add |xs[i] & ys[j]| to the (i + dx, j + dy) coefficient."""
+    for i, a in xs.items():
+        for j, b in ys.items():
+            if c := (a & b).bit_count():
+                key = (i + dx, j + dy)
+                counts[key] = counts.get(key, 0) + c
 
 
-def _edge_block(task: tuple[tuple[int, ...], int, int]) -> dict[tuple[int, int], int]:
-    """Tally (|union of L|, |L|) over edge subsets with Gray index in
-    [start, stop)."""
-    edges, start, stop = task
-    counts: dict[tuple[int, int], int] = {}
-    if start >= stop:
-        return counts
-    sel = _gray(start)
-    nverts = max((e.bit_length() for e in edges), default=0)
-    cover = [0] * nverts
-    covered = 0
-    picked = sel.bit_count()
-    for e_idx in mask_indices(sel):
-        for v in mask_indices(edges[e_idx]):
-            if cover[v] == 0:
-                covered += 1
-            cover[v] += 1
-    counts[(covered, picked)] = 1
-    for k in range(start + 1, stop):
-        bit = k & -k
-        e_idx = bit.bit_length() - 1
-        gbit = 1 << e_idx
-        if sel & gbit:
-            sel ^= gbit
-            picked -= 1
-            for v in mask_indices(edges[e_idx]):
-                cover[v] -= 1
-                if cover[v] == 0:
-                    covered -= 1
-        else:
-            sel ^= gbit
-            picked += 1
-            for v in mask_indices(edges[e_idx]):
-                if cover[v] == 0:
-                    covered += 1
-                cover[v] += 1
-        key = (covered, picked)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def vertex_induced_poly(h: Hypergraph, limit: int | None = None, parallel: bool = False) -> BiPoly:
+def vertex_induced_poly(h: Hypergraph, limit: int | None = None) -> BiPoly:
     """Polynomial whose (i, j) coefficient counts the i-vertex subsets
     inducing exactly j edges. The constant term 1 is the empty subset.
     """
     _check_limit("n", h.n, limit)
-    tasks = [(h.edges, h.incident, a, b) for a, b in _blocks(1 << h.n, parallel)]
-    merged: dict[tuple[int, int], int] = {}
-    for counts in map_ordered(_vertex_block, tasks, parallel):
-        for key, c in counts.items():
-            merged[key] = merged.get(key, 0) + c
-    return BiPoly(merged)
+    low = min(h.n, _LOW_BITS)
+    full, coords = _coordinates(low)
+    sizes = _levels(coords, full)
+    low_mask = (1 << low) - 1
+    # edge e lies inside W = high·2^low + l iff its high part is inside
+    # high and l holds all of its low vertices
+    parts = [(e >> low, reduce(and_, (coords[v] for v in mask_indices(e & low_mask)), full)) for e in h.edges]
+    counts: dict[tuple[int, int], int] = {}
+    for high in range(1 << (h.n - low)):
+        inside = _levels((bits for e_high, bits in parts if not e_high & ~high), full)
+        _tally(counts, sizes, high.bit_count(), inside, 0)
+    return BiPoly(counts)
 
 
-def edge_induced_poly(h: Hypergraph, limit: int | None = None, parallel: bool = False) -> BiPoly:
+def edge_induced_poly(h: Hypergraph, limit: int | None = None) -> BiPoly:
     """Polynomial whose (i, j) coefficient counts the j-element edge
     subsets whose union covers exactly i vertices. The constant term 1
     is the empty edge subset.
     """
     _check_limit("m", h.m, limit)
-    tasks = [(h.edges, a, b) for a, b in _blocks(1 << h.m, parallel)]
-    merged: dict[tuple[int, int], int] = {}
-    for counts in map_ordered(_edge_block, tasks, parallel):
-        for key, c in counts.items():
-            merged[key] = merged.get(key, 0) + c
-    return BiPoly(merged)
+    low = min(h.m, _LOW_BITS)
+    full, coords = _coordinates(low)
+    sizes = _levels(coords, full)
+    low_edges, high_edges = h.edges[:low], h.edges[low:]
+    # vertex v is covered iff a high edge picked holds it (every l of the
+    # block) or l meets reach[v], the low edges that hold it
+    reach = [reduce(or_, (coords[k] for k, e in enumerate(low_edges) if e >> v & 1), 0) for v in range(h.n)]
+    counts: dict[tuple[int, int], int] = {}
+    for high in range(1 << (h.m - low)):
+        union = reduce(or_, (high_edges[k] for k in mask_indices(high)), 0)
+        covered = _levels((bits for v, bits in enumerate(reach) if bits and not union >> v & 1), full)
+        _tally(counts, covered, union.bit_count(), sizes, high.bit_count())
+    return BiPoly(counts)
 
 
-def independence_poly(h: Hypergraph, limit: int | None = None, parallel: bool = False) -> UniPoly:
+def independence_poly(h: Hypergraph, limit: int | None = None) -> UniPoly:
     """Generating polynomial of independent vertex subsets by size: the
     vertex polynomial at y = 0."""
-    return vertex_induced_poly(h, limit, parallel).eval_y(0)
+    return vertex_induced_poly(h, limit).eval_y(0)

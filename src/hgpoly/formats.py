@@ -68,9 +68,11 @@ def _parse_lines(text: str, source: str) -> Hypergraph:
 def load_hypergraph(path: str | Path) -> Hypergraph:
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     return parse_hypergraph_text(text, str(path))
 
 

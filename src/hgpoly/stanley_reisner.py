@@ -30,7 +30,8 @@ from .hypergraph import Deck, Hypergraph
 @dataclass(frozen=True)
 class SRInvariants:
     """Every invariant of one hypergraph, each computed on first use
-    under the size limits and pool switch the bundle carries: the vertex
+    under the size limits the bundle carries (its pool switch reaches
+    only the Betti table; the sweeps always run in-process): the vertex
     polynomial P and the edge polynomial S (one direct sweep each, never
     derived from one another), the face vector f = P(x, 0) with a leading
     1 for the empty face, its binomial transform h, the Krull dimension,
@@ -48,11 +49,11 @@ class SRInvariants:
 
     @cached_property
     def P(self) -> BiPoly:
-        return vertex_induced_poly(self.hypergraph, self.limit, self.parallel)
+        return vertex_induced_poly(self.hypergraph, self.limit)
 
     @cached_property
     def S(self) -> BiPoly:
-        return edge_induced_poly(self.hypergraph, self.limit, self.parallel)
+        return edge_induced_poly(self.hypergraph, self.limit)
 
     @cached_property
     def f(self) -> tuple[int, ...]:

@@ -1,7 +1,7 @@
 """Independent brute-force reference implementations.
 
-Everything here deliberately avoids the library's bitmask and Gray-code
-machinery: subsets are walked with itertools over label tuples, ranks
+Everything here deliberately avoids the library's bitmask and bit-sliced
+sweep machinery: subsets are walked with itertools over label tuples, ranks
 are computed with Fraction Gaussian elimination, and the Betti oracle
 loops over all 2^n vertex subsets instead of the edge-union closure.
 Agreement between these and the production code is what the property

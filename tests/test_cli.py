@@ -171,6 +171,15 @@ class TestLimitsAndConfig:
     def test_negative_terms_rejected(self, k3_file):
         assert main(["hilbert", "--terms", "-1", "--input", k3_file]) == 2
 
+    def test_terms_above_bound_exit_3(self, k3_file, capsys):
+        assert main(["hilbert", "--terms", "10001", "--input", k3_file]) == 3
+        err = capsys.readouterr().err
+        assert "10001" in err and "10000" in err
+
+    def test_terms_at_bound_runs(self, k3_file, capsys):
+        assert main(["hilbert", "--terms", "10000", "--input", k3_file]) == 0
+        assert len(capsys.readouterr().out.split()) == 10001
+
     def test_nonpositive_limit_rejected(self, k3_file):
         assert main(["compute", "--poly", "S", "--n-max", "0", "--input", k3_file]) == 2
 
@@ -241,6 +250,20 @@ class TestReport:
         (tmp_path / "bad.json").write_text("{nope")
         assert main(["report", "--input", str(tmp_path)]) == 2
         assert "bad.json" in capsys.readouterr().err
+
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe\x00")
+        assert main(["report", "--input", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "bad.json" in err and "Traceback" not in err
+
+    def test_directory_with_non_utf8_file_exit_2(self, tmp_path, k3, capsys):
+        (tmp_path / "k3.json").write_text(dump_hypergraph_json(k3))
+        (tmp_path / "bad.json").write_bytes(b"\xff\xfe\x00")
+        assert main(["report", "--input", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "corpus errors" in err and "bad.json" in err and "Traceback" not in err
 
 
 def test_text_and_json_encode_identical_values(k3_file, capsys):

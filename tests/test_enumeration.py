@@ -1,18 +1,13 @@
 from __future__ import annotations
 
+import random
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 
 from hgpoly.bipoly import BiPoly
-from hgpoly.enumeration import (
-    _edge_block,
-    _vertex_block,
-    edge_induced_poly,
-    independence_poly,
-    vertex_induced_poly,
-)
+from hgpoly.enumeration import edge_induced_poly, independence_poly, vertex_induced_poly
 from hgpoly.errors import LimitExceeded
 from hgpoly.hypergraph import disjoint_union, validate
 from hgpoly.corpus import star
@@ -115,32 +110,35 @@ def test_independence_equals_vertex_poly_at_y0(h):
     assert independence_poly(h) == vertex_induced_poly(h).eval_y(0)
 
 
-class TestBlocks:
-    def test_vertex_blocks_merge_to_full_sweep(self, corpus):
-        for _, h in corpus[:40]:
-            full = _vertex_block((h.edges, h.incident, 0, 1 << h.n))
-            for nblocks in (2, 3):
-                step = -(-(1 << h.n) // nblocks)
-                merged: dict = {}
-                for a in range(0, 1 << h.n, step):
-                    part = _vertex_block((h.edges, h.incident, a, min(a + step, 1 << h.n)))
-                    for k, v in part.items():
-                        merged[k] = merged.get(k, 0) + v
-                assert merged == full
+def _clutter(n: int, m: int, seed: int):
+    """n vertices and m edges: when m > 0 the singleton edge {v0}, an
+    isolated v1, {v11, v12} when n > 12 and {v12, v(n-1)} (all of its
+    vertices at index >= 12) when n >= 14, then seeded random 2- and
+    3-edges over v2.. that keep the antichain, some straddling index 12."""
+    rng = random.Random(seed)
+    edges = [{0}, {11, 12}, {12, n - 1}][: 1 + (n > 12) + (n >= 14)] if m else []
+    while len(edges) < m:
+        e = set(rng.sample(range(2, n), rng.choice((2, 3))))
+        if all(not (e <= f or f <= e) for f in edges):
+            edges.append(e)
+    return validate([f"v{k}" for k in range(n)], [[f"v{k}" for k in sorted(e)] for e in edges])
 
-    def test_edge_blocks_merge_to_full_sweep(self, k3):
-        full = _edge_block((k3.edges, 0, 8))
-        merged: dict = {}
-        for a, b in ((0, 3), (3, 8)):
-            for k, v in _edge_block((k3.edges, a, b)).items():
-                merged[k] = merged.get(k, 0) + v
-        assert merged == full
 
-    def test_parallel_flag_bit_identical(self):
-        # large enough that the pool actually engages (2^n >= 4096)
-        h = validate([f"v{k}" for k in range(12)], [[f"v{k}", f"v{k+1}"] for k in range(11)])
-        assert vertex_induced_poly(h, parallel=True) == vertex_induced_poly(h)
-        assert independence_poly(h, parallel=True) == independence_poly(h)
+class TestBlockBoundary:
+    """Sweeps of more than 2^12 subsets run in several blocks; the
+    Hypothesis strategies stay within one."""
+
+    @pytest.mark.parametrize("n, m", [(0, 0), (3, 0), (13, 13), (14, 14), (15, 15)])
+    def test_vertex_poly_matches_naive(self, n, m):
+        h = _clutter(n, m, seed=n)
+        assert (h.n, h.m) == (n, m)
+        assert vertex_induced_poly(h).terms == oracles.naive_vertex_poly(h)
+
+    @pytest.mark.parametrize("n, m", [(0, 0), (3, 0), (10, 13), (10, 14)])
+    def test_edge_poly_matches_naive(self, n, m):
+        h = _clutter(n, m, seed=m)
+        assert (h.n, h.m) == (n, m)
+        assert edge_induced_poly(h).terms == oracles.naive_edge_poly(h)
 
 
 class TestLimits:
