@@ -8,8 +8,7 @@ limit exceeded.
 Every integer that can grow beyond machine size (coefficients, Hilbert
 values, face counts) is emitted as a decimal string in JSON output;
 structural indices stay plain numbers. All orderings are sorted, so
-outputs are byte-stable and safe for golden files, and parallel runs
-match sequential ones exactly.
+outputs are byte-stable and safe for golden files.
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ class RunConfig:
     k_max: int = 20
     n_max: int = DEFAULT_LIMIT
     homology_n_max: int = DEFAULT_HOMOLOGY_LIMIT
-    parallel: bool = False
 
     def __post_init__(self) -> None:
         if self.k_max < 0:
@@ -106,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--homology-n-max", type=int, default=None, help=f"homology size limit (default {DEFAULT_HOMOLOGY_LIMIT})"
     )
-    common.add_argument("--parallel", action="store_true", help="use a process pool for restriction homology")
+    common.add_argument("--parallel", action="store_true", help="does nothing (all work runs in-process); to be removed")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -159,7 +157,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         k_max=args.terms,
         n_max=n_max,
         homology_n_max=hom_max,
-        parallel=args.parallel,
     )
 
 
@@ -227,7 +224,7 @@ def _betti_text(table: BettiTable, n: int) -> str:
 
 
 def _bundle(h: Hypergraph, cfg: RunConfig) -> SRInvariants:
-    return sr_invariants(h, cfg.n_max, cfg.homology_n_max, cfg.parallel)
+    return sr_invariants(h, cfg.n_max, cfg.homology_n_max)
 
 
 def _report_for(h: Hypergraph, cfg: RunConfig) -> dict:
@@ -388,7 +385,7 @@ def _cmd_reconstruct(args, cfg: RunConfig) -> int:
         else:
             _emit(" ".join(str(v) for v in values))
     else:
-        table = reconstruct_multigraded_betti(deck, cfg.homology_n_max, cfg.parallel)
+        table = reconstruct_multigraded_betti(deck, cfg.homology_n_max)
         if cfg.fmt == "json":
             payload = _betti_json(table)
             payload["top_complete"] = False
@@ -425,8 +422,13 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
 def _cmd_report(args, cfg: RunConfig) -> int:
     path = Path(args.input)
     if path.is_dir():
-        members = load_corpus(path)
-        _emit_json([{"name": name, "report": _report_for(h, cfg)} for name, h in members])
+        docs = []
+        for name, h in load_corpus(path):
+            try:
+                docs.append({"name": name, "report": _report_for(h, cfg)})
+            except LimitExceeded as exc:
+                raise LimitExceeded(f"{name}: {exc}") from exc
+        _emit_json(docs)
     else:
         _emit_json(_report_for(load_hypergraph(path), cfg))
     return 0

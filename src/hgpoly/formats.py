@@ -94,15 +94,23 @@ def write_deck(deck: Deck, out_dir: str | Path) -> list[Path]:
 
 
 def read_deck(deck_dir: str | Path) -> Deck:
-    """Read card_*.json files in name order and recover the deck."""
+    """Read the card_<k>.json files in order of the integer k, whatever
+    its zero padding, and recover the deck."""
     deck_dir = Path(deck_dir)
     if not deck_dir.is_dir():
         raise ParseError(f"{deck_dir} is not a directory")
-    files = sorted(deck_dir.glob("card_*.json"))
+    files: dict[int, Path] = {}
+    for p in sorted(deck_dir.glob("card_*.json")):
+        digits = p.name[len("card_") : -len(".json")]
+        if not (digits.isascii() and digits.isdigit()):
+            raise ParseError(f"{p}: card file name is not card_<integer>.json")
+        k = int(digits)
+        if k in files:
+            raise ParseError(f"{p}: card index {k} repeats {files[k].name}")
+        files[k] = p
     if not files:
         raise ParseError(f"no card_*.json files in {deck_dir}")
-    cards = [load_hypergraph(p) for p in files]
-    return Deck.from_cards(cards)
+    return Deck.from_cards([load_hypergraph(files[k]) for k in sorted(files)])
 
 
 def load_corpus(directory: str | Path) -> list[tuple[str, Hypergraph]]:

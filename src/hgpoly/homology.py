@@ -30,7 +30,6 @@ from math import gcd
 from .bipoly import UniPoly
 from .errors import InternalMismatch, LimitExceeded, UnknownVertex
 from .hypergraph import Hypergraph, mask_indices
-from .parallel import MAX_WORKERS, map_ordered
 
 DEFAULT_HOMOLOGY_LIMIT = 14
 
@@ -239,14 +238,14 @@ def _restriction_faces(bmask: int, edges: tuple[int, ...]) -> list[int]:
     return faces
 
 
-def _restriction_chunk(task: tuple[tuple[tuple[int, ...], int], ...]) -> list[tuple[int, int, int]]:
-    """Worker: for each (edges, B) pair in the chunk, the nonzero b[i, B]
-    entries via homology of the independence complex of edges
-    restricted to B. The independent sets of each distinct edge set are
+def restriction_betti(pairs: list[tuple[tuple[int, ...], int]]) -> dict[tuple[int, int], int]:
+    """Multigraded entries b[i, B] for each (edges, B) pair, via homology
+    of the independence complex of edges restricted to B, plus
+    b[0, empty] = 1. The independent sets of each distinct edge set are
     enumerated once, over the union of its edges, and filtered per B."""
-    out: list[tuple[int, int, int]] = []
+    table: dict[tuple[int, int], int] = {(0, 0): 1}
     independent: dict[tuple[int, ...], list[int]] = {}
-    for edges, bmask in task:
+    for edges, bmask in pairs:
         if edges not in independent:
             union = 0
             for e in edges:
@@ -257,38 +256,18 @@ def _restriction_chunk(task: tuple[tuple[tuple[int, ...], int], ...]) -> list[tu
         for i in range(1, size + 1):
             deg = size - i - 1
             if 0 <= deg + 1 < len(dims) and dims[deg + 1]:
-                out.append((i, bmask, dims[deg + 1]))
-    return out
-
-
-def restriction_betti(pairs: list[tuple[tuple[int, ...], int]], parallel: bool = False) -> dict[tuple[int, int], int]:
-    """Multigraded entries b[i, B] for each (edges, B) pair, computed on
-    the pair's edge set, plus b[0, empty] = 1."""
-    table: dict[tuple[int, int], int] = {(0, 0): 1}
-    chunks = [tuple(ch) for ch in _chunk(pairs, parallel)]
-    for part in map_ordered(_restriction_chunk, chunks, parallel):
-        for i, bmask, b in part:
-            table[(i, bmask)] = b
+                table[(i, bmask)] = dims[deg + 1]
     return table
 
 
-def hochster_betti(h: Hypergraph, limit: int | None = None, parallel: bool = False) -> BettiTable:
+def hochster_betti(h: Hypergraph, limit: int | None = None) -> BettiTable:
     """Full multigraded Betti table of the quotient by the edge ideal,
     over the rationals: b[i, B] is the reduced homology dimension of the
     independence complex restricted to B, in degree |B| - i - 1, and
     b[0, empty] = 1."""
     _check_homology_limit(h.n, limit)
     pairs = [(h.edges, bmask) for bmask in _edge_union_closure(h.edges) if bmask]
-    return BettiTable(h.labels, restriction_betti(pairs, parallel))
-
-
-def _chunk(items: list, parallel: bool) -> list[list]:
-    """Split a task list for the pool; a single chunk when sequential."""
-    if not parallel or len(items) < 8 or MAX_WORKERS < 2:
-        return [items] if items else []
-    nchunks = MAX_WORKERS * 4
-    step = -(-len(items) // nchunks)
-    return [items[a : a + step] for a in range(0, len(items), step)]
+    return BettiTable(h.labels, restriction_betti(pairs))
 
 
 def pd_reg_depth(table: BettiTable, n: int) -> tuple[int, int, int]:

@@ -1,47 +1,3 @@
-"""Optional process-pool plumbing with deterministic, ordered merges.
+"""No process pool: exists only for perfbench's tracer, which reads _executor; goes with ROADMAP item 3."""
 
-Work is split into an explicit list of tasks; results always come back
-in task order, so parallel runs are bit-identical to sequential ones.
-The pool is created lazily, capped small, and reused for the lifetime
-of the process.
-"""
-
-from __future__ import annotations
-
-import atexit
-import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Sequence, TypeVar
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
-_executor: ProcessPoolExecutor | None = None
-
-MAX_WORKERS = min(4, os.cpu_count() or 1)
-
-
-def _get_executor() -> ProcessPoolExecutor:
-    global _executor
-    if _executor is None:
-        _executor = ProcessPoolExecutor(max_workers=MAX_WORKERS)
-        atexit.register(_shutdown)
-    return _executor
-
-
-def _shutdown() -> None:
-    global _executor
-    if _executor is not None:
-        _executor.shutdown(wait=False, cancel_futures=True)
-        _executor = None
-
-
-def map_ordered(fn: Callable[[_T], _R], tasks: Sequence[_T], parallel: bool = False) -> list[_R]:
-    """Apply fn to each task, preserving task order in the result list.
-
-    With parallel=False, or fewer than two tasks, runs in-process.
-    fn must be a module-level function and tasks picklable.
-    """
-    if not parallel or len(tasks) < 2 or MAX_WORKERS < 2:
-        return [fn(t) for t in tasks]
-    return list(_get_executor().map(fn, tasks))
+_executor = None

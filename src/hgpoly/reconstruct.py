@@ -39,7 +39,7 @@ from .homology import (
     _check_homology_limit,
     _edge_union_closure,
 )
-from .hypergraph import Deck, Hypergraph
+from .hypergraph import Deck, Hypergraph, mask_indices
 from .stanley_reisner import SRInvariants
 
 
@@ -209,7 +209,7 @@ def reconstruct_hilbert_function(deck: Deck, k_max: int, limit: int | None = Non
     return values
 
 
-def reconstruct_multigraded_betti(deck: Deck, limit: int | None = None, parallel: bool = False) -> BettiTable:
+def reconstruct_multigraded_betti(deck: Deck, limit: int | None = None) -> BettiTable:
     """Partial multigraded Betti table from the deck: every entry with
     B a proper vertex subset, computed on any card missing a vertex of
     the complement (restrictions to B agree between parent and card).
@@ -233,13 +233,23 @@ def reconstruct_multigraded_betti(deck: Deck, limit: int | None = None, parallel
             "the deck implies an edgeless parent (or a single spanning edge, "
             "which has the same deck); not reconstructible"
         )
+    # a genuine card l holds exactly the parent's edges avoiding vertex l
+    for e in sorted(all_edges):
+        holders = [l for l, masks in enumerate(card_edges) if e in masks]
+        missing = [l for l in range(n) if not e >> l & 1 and l not in holders]
+        if missing:
+            labels = [deck.parent_labels[v] for v in mask_indices(e)]
+            raise InconsistentDeck(
+                f"edge {labels} is on card {holders[0]} but not on card {missing[0]}, "
+                f"whose deleted vertex it avoids; the input is not a genuine deck"
+            )
     full = (1 << n) - 1
     pairs = []
     for bmask in _edge_union_closure(tuple(sorted(all_edges))):
         if bmask and bmask != full:
             l = next(v for v in range(n) if not bmask >> v & 1)
             pairs.append((card_edges[l], bmask))
-    table = restriction_betti(pairs, parallel)
+    table = restriction_betti(pairs)
     return BettiTable(deck.parent_labels, table, top_complete=False)
 
 

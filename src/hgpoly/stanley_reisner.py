@@ -30,8 +30,7 @@ from .hypergraph import Deck, Hypergraph
 @dataclass(frozen=True)
 class SRInvariants:
     """Every invariant of one hypergraph, each computed on first use
-    under the size limits the bundle carries (its pool switch reaches
-    only the Betti table; the sweeps always run in-process): the vertex
+    under the size limits the bundle carries, all in-process: the vertex
     polynomial P and the edge polynomial S (one direct sweep each, never
     derived from one another), the face vector f = P(x, 0) with a leading
     1 for the empty face, its binomial transform h, the Krull dimension,
@@ -41,7 +40,6 @@ class SRInvariants:
     hypergraph: Hypergraph
     limit: int | None = None
     homology_limit: int | None = None
-    parallel: bool = False
 
     @property
     def n(self) -> int:
@@ -83,7 +81,7 @@ class SRInvariants:
 
     @cached_property
     def betti(self) -> BettiTable:
-        return hochster_betti(self.hypergraph, self.homology_limit, self.parallel)
+        return hochster_betti(self.hypergraph, self.homology_limit)
 
     @cached_property
     def hilbert_series_reduced(self) -> tuple[UniPoly, int]:
@@ -120,11 +118,9 @@ class SRInvariants:
         return via_series
 
 
-def sr_invariants(
-    h: Hypergraph, limit: int | None = None, homology_limit: int | None = None, parallel: bool = False
-) -> SRInvariants:
+def sr_invariants(h: Hypergraph, limit: int | None = None, homology_limit: int | None = None) -> SRInvariants:
     """The lazily filled invariant bundle of h."""
-    return SRInvariants(h, limit, homology_limit, parallel)
+    return SRInvariants(h, limit, homology_limit)
 
 
 def f_vector(h: Hypergraph, limit: int | None = None) -> tuple[int, ...]:

@@ -1,12 +1,22 @@
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 
+import hgpoly
 from hgpoly.cli import main
+from hgpoly.corpus import complete_graph
 from hgpoly.formats import dump_hypergraph_json
 from hgpoly.hypergraph import validate
+
+from .test_reconstruct import cycle_chord
+
+TARGETS = ("S", "P", "fvector", "hilbert", "betti")
 
 
 @pytest.fixture
@@ -14,6 +24,15 @@ def k3_file(tmp_path, k3):
     p = tmp_path / "k3.json"
     p.write_text(dump_hypergraph_json(k3))
     return str(p)
+
+
+@pytest.fixture
+def chord_deck(tmp_path, capsys):
+    """Deck directory of the 10-cycle plus the chord between vertices 0 and 5."""
+    (tmp_path / "h.json").write_text(dump_hypergraph_json(cycle_chord(0, 5)))
+    assert main(["deck", "--input", str(tmp_path / "h.json"), "--out-dir", str(tmp_path / "cards")]) == 0
+    capsys.readouterr()
+    return tmp_path / "cards"
 
 
 @pytest.fixture
@@ -150,6 +169,47 @@ class TestDeckRoundtrip:
         assert main(["reconstruct", "--deck", str(deck_dir), "--target", "S"]) == 2
         assert "not divisible" in capsys.readouterr().err
 
+    def test_card_from_another_deck_exit_2(self, tmp_path, chord_deck, capsys):
+        (tmp_path / "other.json").write_text(dump_hypergraph_json(cycle_chord(2, 7)))
+        main(["deck", "--input", str(tmp_path / "other.json"), "--out-dir", str(tmp_path / "other")])
+        shutil.copy(tmp_path / "other" / "card_05.json", chord_deck / "card_05.json")
+        capsys.readouterr()
+        for target in TARGETS:
+            assert main(["reconstruct", "--deck", str(chord_deck), "--target", target]) == 2, target
+            err = capsys.readouterr().err
+            assert "not a genuine deck" in err, target
+        assert "on card 5 but not on card 0" in err  # betti names the cards
+
+    def test_mixed_width_deck_reconstructs_as_padded(self, tmp_path, chord_deck, capsys):
+        mixed = shutil.copytree(chord_deck, tmp_path / "mixed")
+        for k in (1, 3, 4, 8):
+            (mixed / f"card_0{k}.json").rename(mixed / f"card_{k}.json")
+        for target in TARGETS:
+            outs = []
+            for deck in (chord_deck, mixed):
+                assert main(["reconstruct", "--deck", str(deck), "--target", target]) == 0
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1], target
+
+    def test_parallel_flag_output_identical(self, chord_deck, capsys):
+        for target in TARGETS:
+            outs = []
+            for extra in ([], ["--parallel"]):
+                assert main(["reconstruct", "--deck", str(chord_deck), "--target", target, "--format", "json"] + extra) == 0
+                outs.append(capsys.readouterr().out.encode())
+            assert outs[0] == outs[1], target
+
+def test_cli_import_loads_no_process_pool():
+    code = (
+        "import sys, hgpoly.cli, hgpoly.parallel\n"
+        "mods = ('concurrent.futures', 'concurrent.futures.process', 'multiprocessing')\n"
+        "print(sorted(m for m in mods if m in sys.modules), hgpoly.parallel._executor)"
+    )
+    src = os.path.dirname(os.path.dirname(hgpoly.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "[] None\n"
+
 
 class TestLimitsAndConfig:
     def test_limit_exceeded_exit_3(self, k3_file, capsys):
@@ -250,6 +310,16 @@ class TestReport:
         (tmp_path / "bad.json").write_text("{nope")
         assert main(["report", "--input", str(tmp_path)]) == 2
         assert "bad.json" in capsys.readouterr().err
+
+    def test_directory_member_over_limit_named(self, tmp_path, k3, capsys):
+        (tmp_path / "a_k3.json").write_text(dump_hypergraph_json(k3))
+        (tmp_path / "k8.json").write_text(dump_hypergraph_json(complete_graph(8)))
+        assert main(["report", "--input", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: k8.json: m=28 exceeds the enumeration limit 24; raise the limit explicitly to run anyway\n"
+        )
 
     def test_non_utf8_file_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

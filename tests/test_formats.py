@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from hgpoly.bipoly import BiPoly, UniPoly
+from hgpoly.corpus import cycle_graph
 from hgpoly.errors import ParseError
 from hgpoly.formats import (
     bipoly_from_json_terms,
@@ -120,6 +121,28 @@ class TestFiles:
 
     def test_read_deck_empty_dir(self, tmp_path):
         with pytest.raises(ParseError):
+            read_deck(tmp_path)
+
+    def test_read_deck_unpadded_names(self, tmp_path):
+        # name order would put card_10 between card_1 and card_2
+        deck = cycle_graph(11).deck()
+        for l, card in enumerate(deck.cards):
+            (tmp_path / f"card_{l}.json").write_text(dump_hypergraph_json(card))
+        assert read_deck(tmp_path) == deck
+
+    @pytest.mark.parametrize("extra", ["card_1.json", "card_001.json"])
+    def test_read_deck_repeated_index_rejected(self, tmp_path, path3, extra):
+        write_deck(path3.deck(), tmp_path)
+        (tmp_path / extra).write_text((tmp_path / "card_01.json").read_text())
+        with pytest.raises(ParseError, match="card index 1 repeats") as exc:
+            read_deck(tmp_path)
+        assert "card_01.json" in str(exc.value) and extra in str(exc.value)
+
+    @pytest.mark.parametrize("bad", ["card_x.json", "card_.json", "card_-1.json", "card_1a.json"])
+    def test_read_deck_unparsable_name_rejected(self, tmp_path, path3, bad):
+        write_deck(path3.deck(), tmp_path)
+        (tmp_path / bad).write_text((tmp_path / "card_01.json").read_text())
+        with pytest.raises(ParseError, match=bad):
             read_deck(tmp_path)
 
     def test_load_corpus(self, tmp_path, k3, path3):

@@ -187,10 +187,6 @@ class TestHochster:
         with pytest.raises(LimitExceeded):
             hochster_betti(h, limit=5)
 
-    def test_parallel_identical(self):
-        h = cycle_graph(6)
-        assert hochster_betti(h, parallel=True).multigraded == hochster_betti(h).multigraded
-
 
 @settings(max_examples=30, deadline=None)
 @given(hypergraphs(max_n=5, max_m=5))

@@ -15,7 +15,7 @@ from hgpoly.errors import (
     TooFewVertices,
 )
 from hgpoly.homology import hochster_betti
-from hgpoly.hypergraph import validate
+from hgpoly.hypergraph import Deck, Hypergraph, validate
 from hgpoly.reconstruct import (
     check_reconstructible,
     reconstruct_edge_poly,
@@ -27,9 +27,15 @@ from hgpoly.reconstruct import (
     verify_deck_sum_identity,
 )
 from hgpoly.stanley_reisner import f_vector, hilbert_function, k_polynomial, sr_invariants
-from hgpoly.corpus import wheel
+from hgpoly.corpus import cycle_graph, wheel
 
 from .strategies import reconstructible_hypergraphs
+
+
+def cycle_chord(u: int, v: int) -> Hypergraph:
+    """The 10-cycle plus the chord uv."""
+    c = cycle_graph(10)
+    return Hypergraph.from_masks(c.labels, list(c.edges) + [(1 << u) | (1 << v)])
 
 
 class TestExclusions:
@@ -166,11 +172,13 @@ class TestReconstructBetti:
             expected = {k: v for k, v in direct.multigraded.items() if k[1] != full}
             assert rec.multigraded == expected
 
-    def test_parallel_identical(self):
-        h = wheel(5)
-        seq = reconstruct_multigraded_betti(h.deck())
-        par = reconstruct_multigraded_betti(h.deck(), parallel=True)
-        assert seq.multigraded == par.multigraded
+    def test_card_from_another_deck_rejected(self):
+        # same labels on every card, so only the edges give the forgery away
+        genuine, other = cycle_chord(0, 5), cycle_chord(2, 7)
+        cards = list(genuine.deck().cards)
+        cards[5] = other.deck().cards[5]
+        with pytest.raises(InconsistentDeck, match="on card 5 but not on card 0"):
+            reconstruct_multigraded_betti(Deck(genuine.labels, tuple(cards)))
 
 
 class TestTopBettiReport:
