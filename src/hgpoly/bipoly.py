@@ -142,18 +142,6 @@ class BiPoly:
             coeffs[i] = v
         return UniPoly(coeffs)
 
-    def eval_x(self, c: int) -> "UniPoly":
-        """Substitute x = c and collect in y."""
-        out: dict[int, int] = {}
-        for (i, j), v in self._terms.items():
-            out[j] = out.get(j, 0) + v * c**i
-        if not out:
-            return UniPoly()
-        coeffs = [0] * (max(out) + 1)
-        for j, v in out.items():
-            coeffs[j] = v
-        return UniPoly(coeffs)
-
     def to_text(self, x: str = "x", y: str = "y") -> str:
         """Render with terms sorted by (i, j) ascending, e.g.
         ``1 + 3*x^2*y + 3*x^3*y^2 + x^3*y^3``."""

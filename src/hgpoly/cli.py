@@ -5,6 +5,15 @@ reconstruct, verify, report. Exit codes: 0 success, 1 verification
 failure (or an internal consistency failure), 2 input error, 3 size
 limit exceeded.
 
+There is one output path. Each subcommand handler returns its result
+as a (JSON value, text) pair built by the value renderers (polynomial,
+vector, value list, Betti table, identity results), and ``main`` alone
+reads ``--format`` and writes to stdout; ``report`` has no text form and
+always prints JSON. compute, hilbert, fvector, hvector and betti are one
+handler over views of the hypergraph's ``SRInvariants`` bundle, and the
+five reconstruct targets go through the same renderers, so a value
+rebuilt from a deck prints exactly as the value computed directly.
+
 Every integer that can grow beyond machine size (coefficients, Hilbert
 values, face counts) is emitted as a decimal string in JSON output;
 structural indices stay plain numbers. All orderings are sorted, so
@@ -20,12 +29,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .enumeration import (
-    DEFAULT_LIMIT,
-    edge_induced_poly,
-    independence_poly,
-    vertex_induced_poly,
-)
+from .bipoly import BiPoly, UniPoly
+from .enumeration import DEFAULT_LIMIT, edge_induced_poly, vertex_induced_poly
 from .errors import InputError, InternalMismatch, LimitExceeded
 from .formats import (
     bipoly_to_json_terms,
@@ -58,7 +63,6 @@ MAX_TERMS = 10_000
 class RunConfig:
     """Resolved run options shared by all subcommands."""
 
-    fmt: str = "text"
     k_max: int = 20
     n_max: int = DEFAULT_LIMIT
     homology_n_max: int = DEFAULT_HOMOLOGY_LIMIT
@@ -109,22 +113,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compute", parents=[common], help="print a subhypergraph polynomial")
-    p.add_argument("--poly", choices=("S", "P", "independence"), required=True,
+    p.add_argument("--poly", dest="view", choices=("S", "P", "independence"), required=True,
                    help="S: edge-subset polynomial; P: vertex-subset polynomial; "
                         "independence: independent-set counts by size")
     p.add_argument("--input", required=True)
 
-    p = sub.add_parser("hilbert", parents=[common], help="graded dimensions of the edge-ideal quotient")
-    p.add_argument("--input", required=True)
-
-    p = sub.add_parser("fvector", parents=[common], help="face counts of the independence complex")
-    p.add_argument("--input", required=True)
-
-    p = sub.add_parser("hvector", parents=[common], help="binomial transform of the face counts")
-    p.add_argument("--input", required=True)
-
-    p = sub.add_parser("betti", parents=[common], help="multigraded Betti table via restriction homology")
-    p.add_argument("--input", required=True)
+    for name, text in (
+        ("hilbert", "graded dimensions of the edge-ideal quotient"),
+        ("fvector", "face counts of the independence complex"),
+        ("hvector", "binomial transform of the face counts"),
+        ("betti", "multigraded Betti table via restriction homology"),
+    ):
+        p = sub.add_parser(name, parents=[common], help=text)
+        p.add_argument("--input", required=True)
+        p.set_defaults(view=name)
 
     p = sub.add_parser("deck", parents=[common], help="write the vertex-deleted cards as JSON files")
     p.add_argument("--input", required=True)
@@ -152,37 +154,43 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if args.homology_n_max is not None
         else env.get("homology_n_max", DEFAULT_HOMOLOGY_LIMIT)
     )
-    return RunConfig(
-        fmt=args.format,
-        k_max=args.terms,
-        n_max=n_max,
-        homology_n_max=hom_max,
-    )
+    return RunConfig(k_max=args.terms, n_max=n_max, homology_n_max=hom_max)
 
 
-# -- rendering helpers --------------------------------------------------------
+# -- value renderers: each returns the (JSON value, text) pair of one value --
+
+Output = tuple[object, str | None]
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+def _strs(values) -> list[str]:
+    return [str(v) for v in values]
 
 
-def _emit_json(obj) -> None:
-    _emit(json.dumps(obj, indent=2))
+def _poly(p: BiPoly | UniPoly) -> tuple[list, str]:
+    terms = bipoly_to_json_terms(p) if isinstance(p, BiPoly) else unipoly_to_json(p)
+    return terms, p.to_text()
 
 
-def _vector_text(values) -> str:
-    return "(" + ", ".join(str(v) for v in values) + ")"
+def _vector(values) -> tuple[list[str], str]:
+    return _strs(values), "(" + ", ".join(_strs(values)) + ")"
+
+
+def _value_list(values) -> tuple[list[str], str]:
+    return _strs(values), " ".join(_strs(values))
 
 
 def _betti_json(table: BettiTable) -> dict:
-    return {
+    payload = {
         "multigraded": [[i, list(verts), b] for i, verts, b in table.multigraded_entries()],
         "graded": [[i, j, b] for i, j, b in table.graded_entries()],
     }
+    if not table.top_complete:
+        payload["top_complete"] = False
+    return payload
 
 
-def _betti_text(table: BettiTable, n: int) -> str:
+def _betti_text(table: BettiTable) -> str:
+    n = table.n
     pd, reg, depth = pd_reg_depth(table, n)
     graded = table.graded
     cols = list(range(pd + 1))
@@ -223,6 +231,15 @@ def _betti_text(table: BettiTable, n: int) -> str:
     return "\n".join(lines)
 
 
+def _betti(table: BettiTable) -> tuple[dict, str]:
+    return _betti_json(table), _betti_text(table)
+
+
+def _identities(results: dict[str, bool | str]) -> tuple[dict[str, str], str]:
+    status = {ident: "ok" if r is True else "FAIL" if r is False else str(r) for ident, r in sorted(results.items())}
+    return status, "\n".join(f"identity {ident}: {s}" for ident, s in status.items())
+
+
 def _bundle(h: Hypergraph, cfg: RunConfig) -> SRInvariants:
     return sr_invariants(h, cfg.n_max, cfg.homology_n_max)
 
@@ -230,7 +247,7 @@ def _bundle(h: Hypergraph, cfg: RunConfig) -> SRInvariants:
 def _report_for(h: Hypergraph, cfg: RunConfig) -> dict:
     inv = _bundle(h, cfg)
     # the vertex side first, so a hypergraph over both limits is refused for n
-    f_json = [str(v) for v in inv.f]
+    f_json = _strs(inv.f)
     series_num, series_dim = inv.hilbert_series_reduced
     report = {
         "hypergraph": h.to_json_dict(),
@@ -240,7 +257,7 @@ def _report_for(h: Hypergraph, cfg: RunConfig) -> dict:
         "vertex_induced_poly": {"text": inv.P.to_text(), "terms": bipoly_to_json_terms(inv.P)},
         "independence_poly": f_json,
         "f_vector": f_json,
-        "h_vector": [str(v) for v in inv.h],
+        "h_vector": _strs(inv.h),
         "krull_dim": inv.krull_dim,
         "multiplicity": str(inv.multiplicity),
         "k_polynomial": {"text": inv.k_polynomial.to_text(), "coefficients": unipoly_to_json(inv.k_polynomial)},
@@ -250,7 +267,7 @@ def _report_for(h: Hypergraph, cfg: RunConfig) -> dict:
             "reduced_numerator": unipoly_to_json(series_num),
             "reduced_denominator_power": series_dim,
         },
-        "hilbert_function": [str(v) for v in inv.hilbert_function(cfg.k_max)],
+        "hilbert_function": _strs(inv.hilbert_function(cfg.k_max)),
     }
     if h.n <= cfg.homology_n_max:
         table = inv.betti
@@ -283,163 +300,67 @@ def _report_for(h: Hypergraph, cfg: RunConfig) -> dict:
     return report
 
 
-# -- subcommand handlers -------------------------------------------------------
+# -- subcommand handlers: text None means the output is JSON only --
+
+# compute --poly and the four invariant commands, as views of the bundle
+_VIEWS = {
+    "S": lambda inv, cfg: _poly(inv.S),
+    "P": lambda inv, cfg: _poly(inv.P),
+    "independence": lambda inv, cfg: _poly(UniPoly(inv.f)),
+    "hilbert": lambda inv, cfg: _value_list(inv.hilbert_function(cfg.k_max)),
+    "fvector": lambda inv, cfg: _vector(inv.f),
+    "hvector": lambda inv, cfg: _vector(inv.h),
+    "betti": lambda inv, cfg: _betti(inv.betti),
+}
+
+_TARGETS = {
+    "S": lambda deck, cfg: _poly(
+        reconstruct_edge_poly([edge_induced_poly(c, cfg.n_max) for c in deck.cards], deck.origin_n)
+    ),
+    "P": lambda deck, cfg: _poly(
+        reconstruct_vertex_poly([vertex_induced_poly(c, cfg.n_max) for c in deck.cards], deck.origin_n)
+    ),
+    "fvector": lambda deck, cfg: _vector(reconstruct_f_vector(deck, cfg.n_max)),
+    "hilbert": lambda deck, cfg: _value_list(reconstruct_hilbert_function(deck, cfg.k_max, cfg.n_max)),
+    "betti": lambda deck, cfg: _betti(reconstruct_multigraded_betti(deck, cfg.homology_n_max)),
+}
 
 
-def _cmd_compute(args, cfg: RunConfig) -> int:
-    h = load_hypergraph(args.input)
-    if args.poly == "S":
-        poly = edge_induced_poly(h, cfg.n_max)
-    elif args.poly == "P":
-        poly = vertex_induced_poly(h, cfg.n_max)
-    else:
-        upoly = independence_poly(h, cfg.n_max)
-        if cfg.fmt == "json":
-            _emit_json(unipoly_to_json(upoly))
-        else:
-            _emit(upoly.to_text())
-        return 0
-    if cfg.fmt == "json":
-        _emit_json(bipoly_to_json_terms(poly))
-    else:
-        _emit(poly.to_text())
-    return 0
+def _cmd_view(args, cfg: RunConfig) -> Output:
+    return _VIEWS[args.view](_bundle(load_hypergraph(args.input), cfg), cfg)
 
 
-def _cmd_hilbert(args, cfg: RunConfig) -> int:
-    h = load_hypergraph(args.input)
-    values = _bundle(h, cfg).hilbert_function(cfg.k_max)
-    if cfg.fmt == "json":
-        _emit_json([str(v) for v in values])
-    else:
-        _emit(" ".join(str(v) for v in values))
-    return 0
+def _cmd_deck(args, cfg: RunConfig) -> Output:
+    paths = _strs(write_deck(load_hypergraph(args.input).deck(), args.out_dir))
+    return paths, "\n".join(paths)
 
 
-def _cmd_fvector(args, cfg: RunConfig) -> int:
-    h = load_hypergraph(args.input)
-    f = _bundle(h, cfg).f
-    if cfg.fmt == "json":
-        _emit_json([str(v) for v in f])
-    else:
-        _emit(_vector_text(f))
-    return 0
+def _cmd_reconstruct(args, cfg: RunConfig) -> Output:
+    return _TARGETS[args.target](read_deck(args.deck), cfg)
 
 
-def _cmd_hvector(args, cfg: RunConfig) -> int:
-    h = load_hypergraph(args.input)
-    hv = _bundle(h, cfg).h
-    if cfg.fmt == "json":
-        _emit_json([str(v) for v in hv])
-    else:
-        _emit(_vector_text(hv))
-    return 0
-
-
-def _cmd_betti(args, cfg: RunConfig) -> int:
-    h = load_hypergraph(args.input)
-    table = _bundle(h, cfg).betti
-    if cfg.fmt == "json":
-        _emit_json(_betti_json(table))
-    else:
-        _emit(_betti_text(table, h.n))
-    return 0
-
-
-def _cmd_deck(args, cfg: RunConfig) -> int:
-    h = load_hypergraph(args.input)
-    paths = write_deck(h.deck(), args.out_dir)
-    if cfg.fmt == "json":
-        _emit_json([str(p) for p in paths])
-    else:
-        for p in paths:
-            _emit(str(p))
-    return 0
-
-
-def _cmd_reconstruct(args, cfg: RunConfig) -> int:
-    deck = read_deck(args.deck)
-    n = deck.origin_n
-    if args.target == "S":
-        poly = reconstruct_edge_poly([edge_induced_poly(c, cfg.n_max) for c in deck.cards], n)
-        if cfg.fmt == "json":
-            _emit_json(bipoly_to_json_terms(poly))
-        else:
-            _emit(poly.to_text())
-    elif args.target == "P":
-        poly = reconstruct_vertex_poly([vertex_induced_poly(c, cfg.n_max) for c in deck.cards], n)
-        if cfg.fmt == "json":
-            _emit_json(bipoly_to_json_terms(poly))
-        else:
-            _emit(poly.to_text())
-    elif args.target == "fvector":
-        f = reconstruct_f_vector(deck, cfg.n_max)
-        if cfg.fmt == "json":
-            _emit_json([str(v) for v in f])
-        else:
-            _emit(_vector_text(f))
-    elif args.target == "hilbert":
-        values = reconstruct_hilbert_function(deck, cfg.k_max, cfg.n_max)
-        if cfg.fmt == "json":
-            _emit_json([str(v) for v in values])
-        else:
-            _emit(" ".join(str(v) for v in values))
-    else:
-        table = reconstruct_multigraded_betti(deck, cfg.homology_n_max)
-        if cfg.fmt == "json":
-            payload = _betti_json(table)
-            payload["top_complete"] = False
-            _emit_json(payload)
-        else:
-            _emit(_betti_text(table, n))
-    return 0
-
-
-def _cmd_verify(args, cfg: RunConfig) -> int:
+def _cmd_verify(args, cfg: RunConfig) -> Output:
     inv = _bundle(load_hypergraph(args.input), cfg)
     if args.identity == "all":
-        results = run_all(inv)
-    else:
-        results = {args.identity: run_identity(args.identity, inv)}
-    failed = False
-    lines = {}
-    for ident, outcome in sorted(results.items()):
-        if outcome is True:
-            lines[ident] = "ok"
-        elif outcome is False:
-            lines[ident] = "FAIL"
-            failed = True
-        else:
-            lines[ident] = str(outcome)
-    if cfg.fmt == "json":
-        _emit_json(lines)
-    else:
-        for ident, status in lines.items():
-            _emit(f"identity {ident}: {status}")
-    return 1 if failed else 0
+        return _identities(run_all(inv))
+    return _identities({args.identity: run_identity(args.identity, inv)})
 
 
-def _cmd_report(args, cfg: RunConfig) -> int:
+def _cmd_report(args, cfg: RunConfig) -> Output:
     path = Path(args.input)
-    if path.is_dir():
-        docs = []
-        for name, h in load_corpus(path):
-            try:
-                docs.append({"name": name, "report": _report_for(h, cfg)})
-            except LimitExceeded as exc:
-                raise LimitExceeded(f"{name}: {exc}") from exc
-        _emit_json(docs)
-    else:
-        _emit_json(_report_for(load_hypergraph(path), cfg))
-    return 0
+    if not path.is_dir():
+        return _report_for(load_hypergraph(path), cfg), None
+    docs = []
+    for name, h in load_corpus(path):
+        try:
+            docs.append({"name": name, "report": _report_for(h, cfg)})
+        except LimitExceeded as exc:
+            raise LimitExceeded(f"{name}: {exc}") from exc
+    return docs, None
 
 
 _HANDLERS = {
-    "compute": _cmd_compute,
-    "hilbert": _cmd_hilbert,
-    "fvector": _cmd_fvector,
-    "hvector": _cmd_hvector,
-    "betti": _cmd_betti,
+    **dict.fromkeys(("compute", "hilbert", "fvector", "hvector", "betti"), _cmd_view),
     "deck": _cmd_deck,
     "reconstruct": _cmd_reconstruct,
     "verify": _cmd_verify,
@@ -448,11 +369,9 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _HANDLERS[args.command](args, cfg)
+        value, text = _HANDLERS[args.command](args, _config_from_args(args))
     except LimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -462,6 +381,11 @@ def main(argv: list[str] | None = None) -> int:
     except InternalMismatch as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 1
+    if args.format == "json" or text is None:
+        text = json.dumps(value, indent=2)
+    if text:  # the deck of an empty hypergraph lists no paths
+        sys.stdout.write(text + "\n")
+    return 1 if args.command == "verify" and "FAIL" in value.values() else 0
 
 
 def entry() -> None:

@@ -18,6 +18,7 @@ from .errors import (
     DuplicateEdge,
     DuplicateVertexLabel,
     EmptyEdge,
+    InconsistentDeck,
     IndexOutOfRange,
     InvalidDeck,
     ParseError,
@@ -59,15 +60,6 @@ class Hypergraph:
     def label_index(self) -> dict[str, int]:
         return {lbl: k for k, lbl in enumerate(self.labels)}
 
-    @cached_property
-    def incident(self) -> tuple[tuple[int, ...], ...]:
-        """For each vertex index, the indices of edges containing it."""
-        inc: list[list[int]] = [[] for _ in range(self.n)]
-        for e_idx, e in enumerate(self.edges):
-            for v in mask_indices(e):
-                inc[v].append(e_idx)
-        return tuple(tuple(lst) for lst in inc)
-
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -84,18 +76,29 @@ class Hypergraph:
                 raise EmptyEdge("edge with no vertices")
             if e >> n:
                 raise UnknownVertex(f"edge mask {e:#x} has bits outside the {n}-vertex range")
-        masks.sort(key=mask_indices)
+        keyed = sorted((mask_indices(e), e) for e in masks)
+        masks = [e for _, e in keyed]
+        verts = [vs for vs, _ in keyed]
         for k in range(1, len(masks)):
             if masks[k] == masks[k - 1]:
-                raise DuplicateEdge(f"duplicate edge {{{', '.join(labels[v] for v in mask_indices(masks[k]))}}}")
-        for a in range(len(masks)):
-            for b in range(len(masks)):
-                if a != b and masks[a] & ~masks[b] == 0:
-                    small = ", ".join(labels[v] for v in mask_indices(masks[a]))
-                    big = ", ".join(labels[v] for v in mask_indices(masks[b]))
-                    raise AntichainViolation(
-                        f"edge {{{small}}} is contained in edge {{{big}}}"
-                    )
+                raise DuplicateEdge(f"duplicate edge {{{', '.join(labels[v] for v in verts[k])}}}")
+        # bit k of holders[v] is set when edge k holds vertex v, so the
+        # edges holding all of edge a's vertices are the AND over them
+        holders = [0] * n
+        for k, vs in enumerate(verts):
+            bit = 1 << k
+            for v in vs:
+                holders[v] |= bit
+        for a, vs in enumerate(verts):
+            inside = ~(1 << a)
+            for v in vs:
+                inside &= holders[v]
+            if inside:
+                small = ", ".join(labels[v] for v in vs)
+                big = ", ".join(labels[v] for v in verts[mask_indices(inside)[0]])
+                raise AntichainViolation(
+                    f"edge {{{small}}} is contained in edge {{{big}}}"
+                )
         return cls(labels, tuple(masks))
 
     def mask_of(self, vertices: Iterable[str]) -> int:
@@ -259,7 +262,9 @@ class Deck:
 
     Cards keep the parent's labels (minus the deleted one), which is
     what makes the reconstruction identities checkable without any
-    isomorphism search.
+    isomorphism search. Construction rejects cards that disagree with
+    each other (InconsistentDeck): card l must hold exactly the edges
+    of the other cards that avoid vertex l.
     """
 
     parent_labels: tuple[str, ...]
@@ -275,10 +280,33 @@ class Deck:
                 raise InvalidDeck(
                     f"card {l} has labels {card.labels}, expected {expected}"
                 )
+        # a genuine card l holds exactly the parent's edges avoiding vertex l
+        holders: dict[int, int] = {}
+        for l, edges in enumerate(self.parent_edges):
+            for e in edges:
+                holders[e] = holders.get(e, 0) | 1 << l
+        for e in sorted(holders):
+            missing = ((1 << n) - 1) & ~e & ~holders[e]
+            if missing:
+                labels = [self.parent_labels[v] for v in mask_indices(e)]
+                raise InconsistentDeck(
+                    f"edge {labels} is on card {mask_indices(holders[e])[0]} but not on card "
+                    f"{mask_indices(missing)[0]}, whose deleted vertex it avoids; the input is not a genuine deck"
+                )
 
     @property
     def origin_n(self) -> int:
         return len(self.parent_labels)
+
+    @cached_property
+    def parent_edges(self) -> tuple[tuple[int, ...], ...]:
+        """Each card's edges as masks over the parent's vertex indices:
+        card l's vertex k is the parent's vertex k below l, k + 1 from l on."""
+        out = []
+        for l, card in enumerate(self.cards):
+            low = (1 << l) - 1
+            out.append(tuple(e & low | (e & ~low) << 1 for e in card.edges))
+        return tuple(out)
 
     @classmethod
     def from_cards(cls, cards: Sequence[Hypergraph]) -> "Deck":

@@ -39,15 +39,24 @@ from .homology import (
     _check_homology_limit,
     _edge_union_closure,
 )
-from .hypergraph import Deck, Hypergraph, mask_indices
+from .hypergraph import Deck, Hypergraph
 from .stanley_reisner import SRInvariants
+
+_EDGELESS_DECK = (
+    "the deck implies an edgeless parent (or a single spanning edge, "
+    "which has the same deck); not reconstructible"
+)
+
+
+def _check_n(n: int) -> None:
+    if n < 3:
+        raise TooFewVertices(f"reconstruction needs n >= 3, got n={n}")
 
 
 def check_reconstructible(h: Hypergraph) -> None:
     """Reject the inputs whose deck cannot determine them: fewer than
     three vertices, no edges, or one edge covering every vertex."""
-    if h.n < 3:
-        raise TooFewVertices(f"reconstruction needs n >= 3, got n={h.n}")
+    _check_n(h.n)
     if h.m == 0:
         raise NoEdges("an edgeless hypergraph is not reconstructible")
     if h.m == 1 and h.edges[0] == h.full_mask:
@@ -76,8 +85,7 @@ def verify_deck_sum_identity(inv: SRInvariants, which: str = "edge") -> bool:
 
 
 def _deck_coefficient_sums(deck_polys: Sequence[BiPoly], n: int) -> dict[tuple[int, int], int]:
-    if n < 3:
-        raise TooFewVertices(f"reconstruction needs n >= 3, got n={n}")
+    _check_n(n)
     if len(deck_polys) != n:
         raise LengthMismatch(f"expected {n} card polynomials, got {len(deck_polys)}")
     total: dict[tuple[int, int], int] = {}
@@ -118,10 +126,7 @@ def reconstruct_edge_poly(deck_polys: Sequence[BiPoly], n: int) -> BiPoly:
     theta = _divide_card_sums(total, n)
     m = sum(c for (i, j), c in theta.items() if j == 1)
     if m == 0:
-        raise NoEdges(
-            "the deck implies an edgeless parent (or a single spanning edge, "
-            "which has the same deck); not reconstructible"
-        )
+        raise NoEdges(_EDGELESS_DECK)
     max_j = max(m, max(j for _, j in theta))
     for j in range(1, max_j + 1):
         col = sum(c for (i, jj), c in theta.items() if jj == j and i < n)
@@ -161,13 +166,9 @@ def reconstruct_f_vector(deck: Deck, limit: int | None = None) -> tuple[int, ...
     """Face counts of the parent's independence complex from the cards:
     an independent l-set survives in n - l cards."""
     n = deck.origin_n
-    if n < 3:
-        raise TooFewVertices(f"reconstruction needs n >= 3, got n={n}")
+    _check_n(n)
     if all(card.m == 0 for card in deck.cards):
-        raise NoEdges(
-            "the deck implies an edgeless parent (or a single spanning edge, "
-            "which has the same deck); not reconstructible"
-        )
+        raise NoEdges(_EDGELESS_DECK)
     card_f = [independence_poly(card, limit).coeffs for card in deck.cards]
     out = [1]
     for l in range(1, n):
@@ -214,35 +215,15 @@ def reconstruct_multigraded_betti(deck: Deck, limit: int | None = None) -> Betti
     B a proper vertex subset, computed on any card missing a vertex of
     the complement (restrictions to B agree between parent and card).
     Entries with B the full vertex set are not deck-visible, so the
-    returned table has top_complete False."""
+    returned table has top_complete False. The deck was checked for
+    consistency when it was built."""
     n = deck.origin_n
-    if n < 3:
-        raise TooFewVertices(f"reconstruction needs n >= 3, got n={n}")
+    _check_n(n)
     _check_homology_limit(n, limit)
-    index = {lbl: v for v, lbl in enumerate(deck.parent_labels)}
-    card_edges: list[tuple[int, ...]] = []
-    all_edges: set[int] = set()
-    for card in deck.cards:
-        masks = tuple(
-            sum(1 << index[lbl] for lbl in edge) for edge in card.edge_label_sets()
-        )
-        card_edges.append(masks)
-        all_edges.update(masks)
+    card_edges = deck.parent_edges
+    all_edges = set().union(*card_edges)
     if not all_edges:
-        raise NoEdges(
-            "the deck implies an edgeless parent (or a single spanning edge, "
-            "which has the same deck); not reconstructible"
-        )
-    # a genuine card l holds exactly the parent's edges avoiding vertex l
-    for e in sorted(all_edges):
-        holders = [l for l, masks in enumerate(card_edges) if e in masks]
-        missing = [l for l in range(n) if not e >> l & 1 and l not in holders]
-        if missing:
-            labels = [deck.parent_labels[v] for v in mask_indices(e)]
-            raise InconsistentDeck(
-                f"edge {labels} is on card {holders[0]} but not on card {missing[0]}, "
-                f"whose deleted vertex it avoids; the input is not a genuine deck"
-            )
+        raise NoEdges(_EDGELESS_DECK)
     full = (1 << n) - 1
     pairs = []
     for bmask in _edge_union_closure(tuple(sorted(all_edges))):

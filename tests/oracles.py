@@ -132,3 +132,15 @@ def naive_betti_table(h: Hypergraph) -> dict[tuple[int, tuple[str, ...]], int]:
                 if 0 <= deg + 1 < len(dims) and dims[deg + 1]:
                     table[(i, tuple(combo))] = dims[deg + 1]
     return table
+
+
+def first_contained_pair(edges: list[tuple[int, ...]]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The pair an antichain check reports, by a pairwise loop over sets:
+    in canonical edge order (sorted index tuples), the first edge lying
+    inside another, and the first edge it lies inside."""
+    order = sorted(edges)
+    for a in order:
+        for b in order:
+            if a != b and set(a) <= set(b):
+                return a, b
+    return None

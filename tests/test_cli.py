@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -151,8 +152,8 @@ class TestDeckRoundtrip:
         assert "projective dimension:" not in out
 
     def test_corrupted_deck_exit_2(self, tmp_path, capsys):
-        # parent: path on 4 vertices; adding an edge to one card makes the
-        # coefficient sums indivisible, so no parent exists
+        # parent: path on 4 vertices; an edge added to card 0 that avoids
+        # vertex c is missing from card 2, so no parent exists
         p = tmp_path / "path4.json"
         p.write_text(
             json.dumps(
@@ -167,7 +168,7 @@ class TestDeckRoundtrip:
             json.dumps({"vertices": ["b", "c", "d"], "edges": [["b", "c"], ["c", "d"], ["b", "d"]]})
         )
         assert main(["reconstruct", "--deck", str(deck_dir), "--target", "S"]) == 2
-        assert "not divisible" in capsys.readouterr().err
+        assert "is on card 0 but not on card 2" in capsys.readouterr().err
 
     def test_card_from_another_deck_exit_2(self, tmp_path, chord_deck, capsys):
         (tmp_path / "other.json").write_text(dump_hypergraph_json(cycle_chord(2, 7)))
@@ -179,6 +180,21 @@ class TestDeckRoundtrip:
             err = capsys.readouterr().err
             assert "not a genuine deck" in err, target
         assert "on card 5 but not on card 0" in err  # betti names the cards
+
+    def test_relabelled_card_rejected_on_read_for_every_target(self, tmp_path, chord_deck, capsys):
+        # card 3 of cycle_chord(1, 6) is isomorphic to the genuine card 3
+        # and has the same labels, so the deck sums cannot tell them apart
+        (tmp_path / "other.json").write_text(dump_hypergraph_json(cycle_chord(1, 6)))
+        main(["deck", "--input", str(tmp_path / "other.json"), "--out-dir", str(tmp_path / "other")])
+        shutil.copy(tmp_path / "other" / "card_03.json", chord_deck / "card_03.json")
+        capsys.readouterr()
+        for target in TARGETS:
+            assert main(["reconstruct", "--deck", str(chord_deck), "--target", target]) == 2, target
+            assert capsys.readouterr() == (
+                "",
+                "error: edge ['a', 'f'] is on card 1 but not on card 3, whose deleted vertex it avoids; "
+                "the input is not a genuine deck\n",
+            ), target
 
     def test_mixed_width_deck_reconstructs_as_padded(self, tmp_path, chord_deck, capsys):
         mixed = shutil.copytree(chord_deck, tmp_path / "mixed")
@@ -320,6 +336,17 @@ class TestReport:
         assert captured.err == (
             "error: k8.json: m=28 exceeds the enumeration limit 24; raise the limit explicitly to run anyway\n"
         )
+
+    def test_ten_thousand_edges_refused_without_pairwise_check(self, tmp_path, capsys):
+        # every edge pair would be compared before the vertex limit is read
+        labels = [f"v{k}" for k in range(400)]
+        edges = [[labels[a], labels[b]] for a in range(400) for b in range(a + 1, 400)][:10_000]
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps({"vertices": labels, "edges": edges}))
+        start = time.perf_counter()
+        assert main(["report", "--input", str(p)]) == 3
+        assert time.perf_counter() - start < 5.0
+        assert "n=400 exceeds the enumeration limit 24" in capsys.readouterr().err
 
     def test_non_utf8_file_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import random
+import time
+from itertools import combinations, islice
+
 import pytest
 from hypothesis import given, settings
 
@@ -8,15 +12,18 @@ from hgpoly.errors import (
     DuplicateEdge,
     DuplicateVertexLabel,
     EmptyEdge,
+    InconsistentDeck,
     IndexOutOfRange,
     InvalidDeck,
     UnknownEdge,
     UnknownVertex,
     UnknownVertexLabel,
 )
-from hgpoly.hypergraph import Deck, disjoint_union, validate
+from hgpoly.hypergraph import Deck, Hypergraph, disjoint_union, validate
 
+from .oracles import first_contained_pair
 from .strategies import hypergraphs
+from .test_reconstruct import cycle_chord
 
 
 class TestValidate:
@@ -29,6 +36,32 @@ class TestValidate:
         with pytest.raises(AntichainViolation) as exc:
             validate(["a", "b", "c"], [["a", "b"], ["a", "b", "c"]])
         assert "a, b" in str(exc.value) and "a, b, c" in str(exc.value)
+
+    def test_antichain_check_names_the_pair_of_the_pairwise_loop(self):
+        rng = random.Random(7)
+        labels = [f"v{k}" for k in range(8)]
+        for _ in range(300):
+            edges = {tuple(sorted(rng.sample(range(8), rng.randint(1, 4)))) for _ in range(rng.randint(1, 12))}
+            pair = first_contained_pair(list(edges))
+            masks = [sum(1 << v for v in e) for e in edges]
+            if pair is None:
+                Hypergraph.from_masks(labels, masks)
+                continue
+            small, big = (", ".join(labels[v] for v in e) for e in pair)
+            with pytest.raises(AntichainViolation) as exc:
+                Hypergraph.from_masks(labels, masks)
+            assert str(exc.value) == f"edge {{{small}}} is contained in edge {{{big}}}"
+
+    def test_ten_thousand_edges_validate_quickly(self):
+        labels = [f"v{k}" for k in range(400)]
+        masks = [(1 << a) | (1 << b) for a, b in islice(combinations(range(400), 2), 10_000)]
+        start = time.perf_counter()
+        h = Hypergraph.from_masks(labels, masks)
+        assert time.perf_counter() - start < 2.0
+        assert h.m == 10_000
+        with pytest.raises(AntichainViolation) as exc:
+            Hypergraph.from_masks(labels, masks + [0b111])
+        assert str(exc.value) == "edge {v0, v1} is contained in edge {v0, v1, v2}"
 
     def test_singleton_edge_allowed(self):
         h = validate(["a"], [["a"]])
@@ -143,6 +176,17 @@ class TestDeck:
         bad = [validate(["x", "y"], []), validate(["x", "z"], []), validate(["q", "r"], [])]
         with pytest.raises(InvalidDeck):
             Deck.from_cards(bad)
+
+    def test_from_cards_rejects_card_from_another_deck(self):
+        # card 3 of the relabelled copy fits the labels; its chord does not
+        cards = list(cycle_chord(0, 5).deck().cards)
+        cards[3] = cycle_chord(1, 6).card(3)
+        with pytest.raises(InconsistentDeck) as exc:
+            Deck.from_cards(cards)
+        assert str(exc.value) == (
+            "edge ['a', 'f'] is on card 1 but not on card 3, whose deleted vertex it avoids; "
+            "the input is not a genuine deck"
+        )
 
     def test_deck_constructor_validates_card_count(self, k3):
         with pytest.raises(InvalidDeck):
