@@ -368,8 +368,12 @@ _HANDLERS = {
 }
 
 
+# built once: in-process callers run main many times
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         value, text = _HANDLERS[args.command](args, _config_from_args(args))
     except LimitExceeded as exc:

@@ -48,10 +48,6 @@ class UnknownVertex(InputError):
 UnknownVertexLabel = UnknownVertex
 
 
-class UnknownEdge(InputError):
-    """An edge subset argument contains a set that is not an edge."""
-
-
 class IndexOutOfRange(InputError):
     """A vertex index argument is outside 0..n-1."""
 

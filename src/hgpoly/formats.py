@@ -8,18 +8,18 @@ and a line format whose first line lists the vertex labels separated by
 spaces, with each following nonempty line giving one edge the same way.
 Both parsers reject trailing garbage and unknown structure.
 
-Polynomials serialize as ``[[i, j, "coeff"], ...]`` with coefficients as
-decimal strings, so arbitrarily large integers survive JSON round trips.
+Polynomials are written (never read) as ``[[i, j, "coeff"], ...]`` with
+coefficients as decimal strings, so arbitrarily large integers survive
+any JSON reader.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Sequence
 
 from .bipoly import BiPoly, UniPoly
-from .errors import ParseError
+from .errors import InputError, ParseError
 from .hypergraph import Deck, Hypergraph, validate
 
 
@@ -81,16 +81,28 @@ def dump_hypergraph_json(h: Hypergraph) -> str:
 
 
 def write_deck(deck: Deck, out_dir: str | Path) -> list[Path]:
-    """Write one JSON file per card, zero-padded in vertex order."""
+    """Write one JSON file per card, zero-padded in vertex order.
+
+    Raises InputError, before writing anything, when out_dir cannot be
+    a directory or already holds a card_*.json file that this deck would
+    not overwrite: read back, that stale card would join the deck.
+    """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     width = max(2, len(str(deck.origin_n - 1)))
-    paths = []
-    for l, card in enumerate(deck.cards):
-        p = out_dir / f"card_{l:0{width}d}.json"
-        p.write_text(dump_hypergraph_json(card))
-        paths.append(p)
-    return paths
+    names = [f"card_{l:0{width}d}.json" for l in range(deck.origin_n)]
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        stale = sorted(p.name for p in out_dir.glob("card_*.json") if p.name not in names)
+        if stale:
+            raise InputError(
+                f"{out_dir} already holds {stale[0]}, which this {deck.origin_n}-card deck "
+                f"would not overwrite; write the deck to an empty directory"
+            )
+        for name, card in zip(names, deck.cards):
+            (out_dir / name).write_text(dump_hypergraph_json(card))
+    except OSError as exc:
+        raise InputError(f"cannot write the deck to {out_dir}: {exc}") from exc
+    return [out_dir / name for name in names]
 
 
 def read_deck(deck_dir: str | Path) -> Deck:
@@ -140,28 +152,6 @@ def bipoly_to_json_terms(p: BiPoly) -> list[list]:
     return [[i, j, str(c)] for (i, j), c in p.iter_sorted()]
 
 
-def bipoly_from_json_terms(terms: Sequence[Sequence]) -> BiPoly:
-    out = {}
-    for entry in terms:
-        if len(entry) != 3:
-            raise ParseError(f"polynomial term {entry!r} is not [i, j, coeff]")
-        i, j, c = entry
-        if not isinstance(i, int) or not isinstance(j, int):
-            raise ParseError(f"polynomial term {entry!r} has non-integer exponents")
-        try:
-            coeff = int(c)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"polynomial term {entry!r} has a bad coefficient") from exc
-        out[(i, j)] = coeff
-    return BiPoly(out)
-
-
 def unipoly_to_json(p: UniPoly) -> list[str]:
     return [str(c) for c in p.coeffs]
 
-
-def unipoly_from_json(coeffs: Sequence) -> UniPoly:
-    try:
-        return UniPoly([int(c) for c in coeffs])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad coefficient list {coeffs!r}") from exc

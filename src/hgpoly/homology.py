@@ -1,8 +1,12 @@
-"""Simplicial complexes, exact rational homology, and multigraded Betti
-numbers of edge ideals via restriction homology.
+"""Exact rational homology of independence complexes, and multigraded
+Betti numbers of edge ideals via restriction homology.
 
 Conventions
 -----------
+A complex is a downward-closed list of face bitmasks over the vertex
+indices; the faces of the independence complex restricted to B are the
+subsets of B containing no edge (``_restriction_faces``), and
+``homology_dims_from_masks`` takes such a list to its reduced homology.
 The reduced chain complex includes the empty face in degree -1, so the
 augmentation map is the boundary from degree 0. For the complex whose
 only face is the empty set, reduced homology is one-dimensional in
@@ -28,7 +32,7 @@ from functools import cached_property
 from math import gcd
 
 from .bipoly import UniPoly
-from .errors import InternalMismatch, LimitExceeded, UnknownVertex
+from .errors import InternalMismatch, LimitExceeded
 from .hypergraph import Hypergraph, mask_indices
 
 DEFAULT_HOMOLOGY_LIMIT = 14
@@ -121,60 +125,6 @@ def homology_dims_from_masks(faces: list[int]) -> list[int]:
     for k in range(1, depth):
         ranks[k] = exact_rank(_boundary_matrix(grouped[k - 1], grouped[k]))
     return [len(grouped[k]) - ranks[k] - ranks[k + 1] for k in range(depth)]
-
-
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """Downward-closed family of vertex subsets over a labeled ground
-    set, stored as bitmasks. The empty face is present whenever the
-    family is nonvoid."""
-
-    labels: tuple[str, ...]
-    faces: frozenset[int]
-
-    def __post_init__(self) -> None:
-        for f in self.faces:
-            for v in mask_indices(f):
-                if f ^ (1 << v) not in self.faces:
-                    raise ValueError(
-                        f"face family is not downward closed at {self._face_labels(f)}"
-                    )
-
-    def _face_labels(self, mask: int) -> tuple[str, ...]:
-        return tuple(self.labels[v] for v in mask_indices(mask))
-
-    @property
-    def dim(self) -> int:
-        """Dimension of the largest face; -1 for {empty}, and -2 for the
-        void complex by convention."""
-        if not self.faces:
-            return -2
-        return max(f.bit_count() for f in self.faces) - 1
-
-    def face_label_sets(self) -> list[tuple[str, ...]]:
-        return [self._face_labels(f) for f in sorted(self.faces, key=lambda f: (f.bit_count(), f))]
-
-    def restrict(self, vertices) -> "SimplicialComplex":
-        """Subcomplex of faces contained in the given vertex subset."""
-        idx = {lbl: k for k, lbl in enumerate(self.labels)}
-        bmask = 0
-        for lbl in vertices:
-            if lbl not in idx:
-                raise UnknownVertex(f"unknown vertex {lbl!r}")
-            bmask |= 1 << idx[lbl]
-        return SimplicialComplex(self.labels, frozenset(f for f in self.faces if f & ~bmask == 0))
-
-
-def independence_complex(h: Hypergraph, limit: int | None = None) -> SimplicialComplex:
-    """All independent vertex subsets of the hypergraph, as a complex."""
-    _check_homology_limit(h.n, limit)
-    return SimplicialComplex(h.labels, frozenset(_restriction_faces(h.full_mask, h.edges)))
-
-
-def reduced_homology_dims(cx: SimplicialComplex) -> list[int]:
-    """Reduced rational homology dimensions of a complex, degrees -1
-    through dim; [] for the void complex."""
-    return homology_dims_from_masks(sorted(cx.faces))
 
 
 @dataclass(frozen=True)

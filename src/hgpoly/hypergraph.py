@@ -22,7 +22,6 @@ from .errors import (
     IndexOutOfRange,
     InvalidDeck,
     ParseError,
-    UnknownEdge,
     UnknownVertex,
 )
 
@@ -55,10 +54,6 @@ class Hypergraph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def label_index(self) -> dict[str, int]:
-        return {lbl: k for k, lbl in enumerate(self.labels)}
 
     @property
     def full_mask(self) -> int:
@@ -101,63 +96,12 @@ class Hypergraph:
                 )
         return cls(labels, tuple(masks))
 
-    def mask_of(self, vertices: Iterable[str]) -> int:
-        """Bitmask of a vertex subset given by labels.
-
-        Raises UnknownVertex for labels outside the vertex set.
-        """
-        mask = 0
-        idx = self.label_index
-        for lbl in vertices:
-            v = idx.get(lbl)
-            if v is None:
-                raise UnknownVertex(f"unknown vertex {lbl!r}")
-            mask |= 1 << v
-        return mask
-
     def labels_of(self, mask: int) -> tuple[str, ...]:
         return tuple(self.labels[v] for v in mask_indices(mask))
 
     def edge_label_sets(self) -> tuple[tuple[str, ...], ...]:
         """Edges as label tuples, in canonical order."""
         return tuple(self.labels_of(e) for e in self.edges)
-
-    # -- induced substructures -------------------------------------------
-
-    def vertex_induced(self, vertices: Iterable[str]) -> "Hypergraph":
-        """Restriction to a vertex subset W: keeps exactly the edges
-        contained in W."""
-        wmask = self.mask_of(vertices)
-        keep = [v for v in range(self.n) if wmask >> v & 1]
-        new_labels = tuple(self.labels[v] for v in keep)
-        position = {v: k for k, v in enumerate(keep)}
-        new_edges = []
-        for e in self.edges:
-            if e & ~wmask == 0:
-                new_edges.append(sum(1 << position[v] for v in mask_indices(e)))
-        return Hypergraph.from_masks(new_labels, new_edges)
-
-    def edge_union(self, edge_subset: Iterable[Iterable[str]]) -> tuple[str, ...]:
-        """Union of the vertices covered by a subset of the edges.
-
-        Each element must be an edge of this hypergraph (UnknownEdge
-        otherwise). The empty subset gives the empty vertex set.
-        """
-        edge_set = set(self.edges)
-        acc = 0
-        for raw in edge_subset:
-            mask = self.mask_of(raw)
-            if mask not in edge_set:
-                raise UnknownEdge(f"{{{', '.join(sorted(self.labels_of(mask)))}}} is not an edge")
-            acc |= mask
-        return self.labels_of(acc)
-
-    def is_independent(self, vertices: Iterable[str]) -> bool:
-        """True iff no edge is contained in the given vertex subset."""
-        wmask = self.mask_of(vertices)
-        return all(e & ~wmask for e in self.edges)
-
-    # -- decks -------------------------------------------------------------
 
     def card(self, l: int) -> "Hypergraph":
         """Vertex-deleted card: drop vertex l and every edge containing it."""
@@ -178,39 +122,6 @@ class Hypergraph:
     def deck(self) -> "Deck":
         """All n vertex-deleted cards, in vertex order."""
         return Deck(self.labels, tuple(self.card(l) for l in range(self.n)))
-
-    # -- misc structure ------------------------------------------------------
-
-    def connected_components(self) -> list["Hypergraph"]:
-        """Partition by transitive edge co-membership; isolated vertices
-        form singleton components. Components are ordered by their
-        smallest vertex index."""
-        parent = list(range(self.n))
-
-        def find(v: int) -> int:
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for e in self.edges:
-            vs = mask_indices(e)
-            for other in vs[1:]:
-                ra, rb = find(vs[0]), find(other)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-        groups: dict[int, list[int]] = {}
-        for v in range(self.n):
-            groups.setdefault(find(v), []).append(v)
-        comps = []
-        for root in sorted(groups):
-            comps.append(self.vertex_induced([self.labels[v] for v in groups[root]]))
-        return comps
-
-    def edge_ideal_generators(self) -> list[tuple[str, ...]]:
-        """The edges as the minimal squarefree generating set of the
-        associated monomial ideal (minimality is the antichain invariant)."""
-        return list(self.edge_label_sets())
 
     def to_json_dict(self) -> dict:
         return {

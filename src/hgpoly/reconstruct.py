@@ -164,25 +164,19 @@ def reconstruct_vertex_poly(deck_polys: Sequence[BiPoly], n: int) -> BiPoly:
 
 def reconstruct_f_vector(deck: Deck, limit: int | None = None) -> tuple[int, ...]:
     """Face counts of the parent's independence complex from the cards:
-    an independent l-set survives in n - l cards."""
+    an independent l-set survives in n - l cards, so the cards' counts
+    go through the same exact division as the polynomials, as j = 0
+    terms."""
     n = deck.origin_n
     _check_n(n)
     if all(card.m == 0 for card in deck.cards):
         raise NoEdges(_EDGELESS_DECK)
-    card_f = [independence_poly(card, limit).coeffs for card in deck.cards]
-    out = [1]
-    for l in range(1, n):
-        s = sum(f[l] if l < len(f) else 0 for f in card_f)
-        q, r = divmod(s, n - l)
-        if r:
-            raise NonIntegerCoefficient(
-                f"face-count sum {s} at size {l} is not divisible by n-l={n - l}; "
-                f"the input is not a genuine deck"
-            )
-        out.append(q)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    card_f = [
+        BiPoly({(l, 0): c for l, c in enumerate(independence_poly(card, limit).coeffs)})
+        for card in deck.cards
+    ]
+    faces = _divide_card_sums(_deck_coefficient_sums(card_f, n), n)
+    return tuple(faces.get((l, 0), 0) for l in range(max(faces)[0] + 1))
 
 
 def reconstruct_hilbert_function(deck: Deck, k_max: int, limit: int | None = None) -> list[int]:

@@ -129,14 +129,6 @@ def f_vector(h: Hypergraph, limit: int | None = None) -> tuple[int, ...]:
     return sr_invariants(h, limit).f
 
 
-def krull_dim(h: Hypergraph, limit: int | None = None) -> int:
-    return sr_invariants(h, limit).krull_dim
-
-
-def multiplicity(h: Hypergraph, limit: int | None = None) -> int:
-    return sr_invariants(h, limit).multiplicity
-
-
 def h_vector(f: tuple[int, ...] | list[int], d: int) -> tuple[int, ...]:
     """Binomial transform of a face vector of a (d-1)-dimensional
     complex: the coefficients of sum_i f[i] t^i (1-t)^(d-i).
@@ -162,11 +154,6 @@ def k_polynomial(h: Hypergraph, limit: int | None = None) -> UniPoly:
 def hilbert_function(h: Hypergraph, k_max: int, limit: int | None = None) -> list[int]:
     """See SRInvariants.hilbert_function."""
     return sr_invariants(h, limit).hilbert_function(k_max)
-
-
-def hilbert_series_reduced(h: Hypergraph, limit: int | None = None) -> tuple[UniPoly, int]:
-    """See SRInvariants.hilbert_series_reduced."""
-    return sr_invariants(h, limit).hilbert_series_reduced
 
 
 def exterior_face_poly(h: Hypergraph, limit: int | None = None) -> UniPoly:

@@ -207,6 +207,31 @@ class TestDeckRoundtrip:
                 outs.append(capsys.readouterr().out)
             assert outs[0] == outs[1], target
 
+    def test_out_dir_naming_a_file_exit_2(self, k3_file, capsys):
+        assert main(["deck", "--input", k3_file, "--out-dir", k3_file]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: cannot write the deck to {k3_file}: ")
+
+    def test_larger_earlier_deck_refused_before_writing(self, chord_deck, k3_file, capsys):
+        before = {p.name: p.read_text() for p in chord_deck.iterdir()}
+        assert main(["deck", "--input", k3_file, "--out-dir", str(chord_deck)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            f"error: {chord_deck} already holds card_03.json, which this 3-card deck "
+            "would not overwrite; write the deck to an empty directory\n",
+        )
+        assert {p.name: p.read_text() for p in chord_deck.iterdir()} == before
+
+    def test_deck_rewritten_over_itself_or_a_smaller_deck(self, tmp_path, chord_deck, k3_file, capsys):
+        (chord_deck / "notes.txt").write_text("kept")
+        before = {p.name: p.read_text() for p in chord_deck.iterdir()}
+        assert main(["deck", "--input", str(tmp_path / "h.json"), "--out-dir", str(chord_deck)]) == 0
+        assert {p.name: p.read_text() for p in chord_deck.iterdir()} == before
+        small = tmp_path / "small"
+        assert main(["deck", "--input", k3_file, "--out-dir", str(small)]) == 0
+        assert main(["deck", "--input", str(tmp_path / "h.json"), "--out-dir", str(small)]) == 0
+        assert sorted(p.name for p in small.iterdir()) == sorted(before)[:-1]
+
     def test_parallel_flag_output_identical(self, chord_deck, capsys):
         for target in TARGETS:
             outs = []

@@ -9,14 +9,12 @@ from hgpoly.bipoly import BiPoly, UniPoly
 from hgpoly.corpus import cycle_graph
 from hgpoly.errors import ParseError
 from hgpoly.formats import (
-    bipoly_from_json_terms,
     bipoly_to_json_terms,
     dump_hypergraph_json,
     load_corpus,
     load_hypergraph,
     parse_hypergraph_text,
     read_deck,
-    unipoly_from_json,
     unipoly_to_json,
     write_deck,
 )
@@ -81,31 +79,26 @@ def test_hypergraph_json_roundtrip(h):
     assert parse_hypergraph_text(dump_hypergraph_json(h)) == h
 
 
+# no program path reads polynomial JSON; these decode it the way any
+# JSON consumer would, to check that the written terms are faithful
+
+
 @settings(max_examples=60, deadline=None)
 @given(bipolys())
 def test_bipoly_json_roundtrip(p):
     encoded = json.loads(json.dumps(bipoly_to_json_terms(p)))
-    assert bipoly_from_json_terms(encoded) == p
+    assert BiPoly({(i, j): int(c) for i, j, c in encoded}) == p
 
 
 def test_bipoly_json_big_coefficients_survive():
     p = BiPoly({(1, 1): 10**40})
-    assert bipoly_from_json_terms(bipoly_to_json_terms(p)) == p
-    assert bipoly_to_json_terms(p)[0][2] == str(10**40)
-
-
-def test_bipoly_json_rejects_malformed():
-    with pytest.raises(ParseError):
-        bipoly_from_json_terms([[1, 2]])
-    with pytest.raises(ParseError):
-        bipoly_from_json_terms([[1.5, 2, "3"]])
-    with pytest.raises(ParseError):
-        bipoly_from_json_terms([[1, 2, "xyz"]])
+    assert bipoly_to_json_terms(p) == [[1, 1, str(10**40)]]
 
 
 def test_unipoly_json_roundtrip():
     p = UniPoly([1, 0, -(10**30)])
-    assert unipoly_from_json(unipoly_to_json(p)) == p
+    encoded = json.loads(json.dumps(unipoly_to_json(p)))
+    assert UniPoly([int(c) for c in encoded]) == p
 
 
 class TestFiles:

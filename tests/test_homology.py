@@ -4,18 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgpoly.errors import LimitExceeded, UnknownVertex
+from hgpoly.errors import LimitExceeded
 from hgpoly.homology import (
-    BettiTable,
-    SimplicialComplex,
+    DEFAULT_HOMOLOGY_LIMIT,
+    _check_homology_limit,
+    _restriction_faces,
     antidiagonal_recovery,
     betti_alternating_sum,
     exact_rank,
     hochster_betti,
     homology_dims_from_masks,
-    independence_complex,
     pd_reg_depth,
-    reduced_homology_dims,
     verify_betti_alternating_sum,
 )
 from hgpoly.hypergraph import validate
@@ -28,6 +27,13 @@ from .strategies import hypergraphs
 
 def _sparse(rows: list[list[int]]) -> list[dict[int, int]]:
     return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def _face_labels(h, bmask: int) -> list[tuple[str, ...]]:
+    """Faces of h's independence complex restricted to bmask, as label
+    tuples by size, then colex."""
+    faces = _restriction_faces(bmask, h.edges)
+    return [h.labels_of(f) for f in sorted(faces, key=lambda f: (f.bit_count(), f))]
 
 
 class TestExactRank:
@@ -60,38 +66,45 @@ class TestExactRank:
 
 
 class TestComplex:
+    """Independence complexes as face masks, via _restriction_faces."""
+
     def test_independence_complex_k3(self, k3):
-        cx = independence_complex(k3)
-        assert cx.face_label_sets() == [(), ("a",), ("b",), ("c",)]
+        assert _face_labels(k3, k3.full_mask) == [(), ("a",), ("b",), ("c",)]
 
     def test_independence_complex_path(self, path3):
-        cx = independence_complex(path3)
-        assert cx.face_label_sets() == [(), ("a",), ("b",), ("c",), ("a", "c")]
+        assert _face_labels(path3, path3.full_mask) == [(), ("a",), ("b",), ("c",), ("a", "c")]
 
     def test_full_simplex(self, edgeless3):
-        cx = independence_complex(edgeless3)
-        assert len(cx.faces) == 8 and cx.dim == 2
-
-    def test_downward_closure_enforced(self):
-        with pytest.raises(ValueError):
-            SimplicialComplex(("a", "b"), frozenset({0b11}))
+        faces = _restriction_faces(edgeless3.full_mask, edgeless3.edges)
+        assert len(faces) == 8 and max(f.bit_count() for f in faces) == 3
 
     def test_restrict(self, k3):
-        cx = independence_complex(k3)
-        assert cx.restrict([]).face_label_sets() == [()]
-        assert cx.restrict(["a", "b"]).face_label_sets() == [(), ("a",), ("b",)]
-        with pytest.raises(UnknownVertex):
-            cx.restrict(["z"])
+        assert _face_labels(k3, 0) == [()]
+        assert _face_labels(k3, 0b011) == [(), ("a",), ("b",)]
 
     def test_restrict_full_simplex(self, edgeless3):
-        cx = independence_complex(edgeless3)
-        sub = cx.restrict(["a", "b"])
-        assert len(sub.faces) == 4
+        assert len(_restriction_faces(0b011, edgeless3.edges)) == 4
 
     def test_limit(self):
-        h = validate([f"v{k}" for k in range(6)], [])
+        _check_homology_limit(5, 5)
         with pytest.raises(LimitExceeded):
-            independence_complex(h, limit=5)
+            _check_homology_limit(6, 5)
+        _check_homology_limit(DEFAULT_HOMOLOGY_LIMIT, None)
+        with pytest.raises(LimitExceeded):
+            _check_homology_limit(DEFAULT_HOMOLOGY_LIMIT + 1, None)
+
+
+@settings(max_examples=50, deadline=None)
+@given(hypergraphs(max_n=5, max_m=5))
+def test_restriction_faces_are_the_independent_subsets(h):
+    # every restriction is downward closed (the boundary matrices look
+    # up each facet) and filtering the whole complex gives the same faces
+    whole = _restriction_faces(h.full_mask, h.edges)
+    for bmask in range(1 << h.n):
+        faces = _restriction_faces(bmask, h.edges)
+        assert sorted(faces) == [w for w in sorted(whole) if w & ~bmask == 0]
+        assert all(all(e & ~w for e in h.edges) for w in faces)
+        assert all(f ^ (1 << v) in faces for f in faces for v in range(h.n) if f >> v & 1)
 
 
 class TestReducedHomology:
@@ -113,14 +126,14 @@ class TestReducedHomology:
         assert homology_dims_from_masks(list(range(8))) == [0, 0, 0, 0]
 
     def test_pentagon_is_circle(self):
-        cx = independence_complex(cycle_graph(5))
-        assert reduced_homology_dims(cx) == [0, 0, 1]
+        c5 = cycle_graph(5)
+        assert homology_dims_from_masks(_restriction_faces(c5.full_mask, c5.edges)) == [0, 0, 1]
 
     def test_cone_with_isolated_vertex_is_acyclic(self):
         # the pentagon's independence complex (a circle) coned off by an
         # isolated vertex: every face extends by that vertex
         h = validate([f"v{k}" for k in range(6)], [[f"v{k}", f"v{(k + 1) % 5}"] for k in range(5)])
-        assert reduced_homology_dims(independence_complex(h)) == [0, 0, 0, 0]
+        assert homology_dims_from_masks(_restriction_faces(h.full_mask, h.edges)) == [0, 0, 0, 0]
 
     def test_real_projective_plane_over_the_rationals(self):
         # the 6-vertex triangulation: a closed surface (every edge on two
@@ -141,25 +154,23 @@ class TestReducedHomology:
 @settings(max_examples=50, deadline=None)
 @given(hypergraphs(max_n=5, max_m=5))
 def test_homology_matches_naive(h):
-    cx = independence_complex(h)
-    got = reduced_homology_dims(cx)
-    faces = [frozenset(f) for f in cx.face_label_sets()]
-    assert got == oracles.naive_reduced_homology(faces)
+    faces = _restriction_faces(h.full_mask, h.edges)
+    naive_faces = oracles.naive_independence_faces(h)
+    assert {frozenset(h.labels_of(f)) for f in faces} == set(naive_faces)
+    assert homology_dims_from_masks(faces) == oracles.naive_reduced_homology(naive_faces)
 
 
 @settings(max_examples=50, deadline=None)
 @given(hypergraphs(max_n=5, max_m=5))
 def test_euler_characteristic_consistency(h):
     # alternating sum of homology dims equals the reduced Euler
-    # characteristic from face counts, for the complex and every
-    # restriction of it
-    cx = independence_complex(h)
-    subsets = [h.labels[: k + 1] for k in range(h.n)] + [h.labels]
-    for vertices in [()] + subsets:
-        sub = cx.restrict(vertices)
-        dims = reduced_homology_dims(sub)
+    # characteristic from face counts, for every restriction of the
+    # complex
+    for bmask in range(1 << h.n):
+        faces = _restriction_faces(bmask, h.edges)
+        dims = homology_dims_from_masks(faces)
         from_homology = sum((-1) ** k * d for k, d in enumerate(dims))
-        from_faces = sum((-1) ** f.bit_count() for f in sub.faces)
+        from_faces = sum((-1) ** f.bit_count() for f in faces)
         assert from_homology == from_faces
 
 
@@ -203,8 +214,7 @@ def test_independent_supports_carry_nothing(h):
     for (i, bmask), b in table.multigraded.items():
         if i == 0:
             continue
-        labels = [h.labels[v] for v in range(h.n) if bmask >> v & 1]
-        assert not h.is_independent(labels)
+        assert any(e & ~bmask == 0 for e in h.edges)
 
 
 @settings(max_examples=40, deadline=None)

@@ -147,6 +147,10 @@ class TestReconstructFVector:
         with pytest.raises(NoEdges):
             reconstruct_f_vector(edgeless3.deck())
 
+    def test_vertex_count_checked_before_edges(self):
+        with pytest.raises(TooFewVertices):
+            reconstruct_f_vector(validate(["a", "b"], []).deck())
+
 
 class TestReconstructHilbert:
     def test_k3(self, k3):
@@ -216,13 +220,14 @@ def test_roundtrip_properties(h):
 @settings(max_examples=40, deadline=None)
 @given(reconstructible_hypergraphs(max_n=5, max_m=5))
 def test_derived_invariants_from_reconstructed_f(h):
-    from hgpoly.stanley_reisner import h_vector, krull_dim, multiplicity
+    from hgpoly.stanley_reisner import h_vector
 
+    inv = sr_invariants(h)
     rec_f = reconstruct_f_vector(h.deck())
     d = len(rec_f) - 1
-    assert d == krull_dim(h)
-    assert rec_f[-1] == multiplicity(h)
-    assert h_vector(rec_f, d) == h_vector(f_vector(h), krull_dim(h))
+    assert d == inv.krull_dim
+    assert rec_f[-1] == inv.multiplicity
+    assert h_vector(rec_f, d) == inv.h
 
 
 @settings(max_examples=40, deadline=None)

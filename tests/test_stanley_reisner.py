@@ -11,10 +11,7 @@ from hgpoly.stanley_reisner import (
     f_vector,
     h_vector,
     hilbert_function,
-    hilbert_series_reduced,
     k_polynomial,
-    krull_dim,
-    multiplicity,
     sr_invariants,
 )
 from hgpoly.verify import verify_series_numerator
@@ -34,14 +31,15 @@ class TestFVector:
         assert f_vector(edgeless3) == (1, 3, 3, 1)
 
     def test_krull_and_multiplicity(self, k3, path3, edgeless3):
-        assert (krull_dim(k3), multiplicity(k3)) == (1, 3)
-        assert (krull_dim(path3), multiplicity(path3)) == (2, 1)
-        assert (krull_dim(edgeless3), multiplicity(edgeless3)) == (3, 1)
+        for h, expected in ((k3, (1, 3)), (path3, (2, 1)), (edgeless3, (3, 1))):
+            inv = sr_invariants(h)
+            assert (inv.krull_dim, inv.multiplicity) == expected
 
     def test_fully_blocked(self):
         h = validate(["a"], [["a"]])
         assert f_vector(h) == (1,)
-        assert krull_dim(h) == 0 and multiplicity(h) == 1
+        inv = sr_invariants(h)
+        assert inv.krull_dim == 0 and inv.multiplicity == 1
 
 
 class TestHVector:
@@ -97,12 +95,13 @@ class TestHilbert:
 
 class TestReducedSeries:
     def test_k3_reduced(self, k3):
-        num, d = hilbert_series_reduced(k3)
+        inv = sr_invariants(k3)
+        num, d = inv.hilbert_series_reduced
         assert num == UniPoly([1, 2]) and d == 1
-        assert num(1) == multiplicity(k3)
+        assert num(1) == inv.multiplicity
 
     def test_edgeless_reduced(self, edgeless3):
-        num, d = hilbert_series_reduced(edgeless3)
+        num, d = sr_invariants(edgeless3).hilbert_series_reduced
         assert num == UniPoly.one() and d == 3
 
 
@@ -137,11 +136,11 @@ def test_h_vector_sums_to_multiplicity(h):
 @settings(max_examples=60, deadline=None)
 @given(hypergraphs())
 def test_numerator_divisible_by_codimension_power(h):
+    inv = sr_invariants(h)
     num = k_polynomial(h)
-    d = krull_dim(h)
-    for _ in range(h.n - d):
+    for _ in range(h.n - inv.krull_dim):
         num = divide_by_one_minus_t(num)
-    assert num(1) == multiplicity(h)
+    assert num(1) == inv.multiplicity
 
 
 @settings(max_examples=40, deadline=None)
