@@ -187,6 +187,18 @@ def test_card_commutes_with_vertex_induced(h):
         assert on_card == restriction_betti([(h.edges, b) for b in avoiding])
 
 
+@settings(max_examples=60, deadline=None)
+@given(hypergraphs())
+def test_antichain_preserved_by_card_and_induced(h):
+    # from_masks re-checks the antichain invariant, so surviving
+    # construction is the assertion; the induced half keeps the edges
+    # inside the first half of the vertices, as restriction does
+    for l in range(h.n):
+        h.card(l)
+    w = (1 << (h.n // 2)) - 1
+    Hypergraph.from_masks(h.labels, [e for e in h.edges if e & ~w == 0])
+
+
 def test_disjoint_union_requires_distinct_labels(k3):
     with pytest.raises(DuplicateVertexLabel):
         disjoint_union(k3, k3)
