@@ -20,8 +20,8 @@ inverses on polynomials of x-degree at most n.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from math import comb
-from typing import Iterable, Iterator, Mapping
 
 from .errors import DegreeExceedsN
 

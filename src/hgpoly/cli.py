@@ -26,7 +26,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .bipoly import BiPoly, UniPoly
@@ -59,15 +58,11 @@ ENV_LIMITS = "HGPOLY_LIMITS"
 MAX_TERMS = 10_000
 
 
-@dataclass
 class RunConfig:
     """Resolved run options shared by all subcommands."""
 
-    k_max: int = 20
-    n_max: int = DEFAULT_LIMIT
-    homology_n_max: int = DEFAULT_HOMOLOGY_LIMIT
-
-    def __post_init__(self) -> None:
+    def __init__(self, k_max: int = 20, n_max: int = DEFAULT_LIMIT, homology_n_max: int = DEFAULT_HOMOLOGY_LIMIT):
+        self.k_max, self.n_max, self.homology_n_max = k_max, n_max, homology_n_max
         if self.k_max < 0:
             raise InputError(f"--terms must be nonnegative, got {self.k_max}")
         if self.k_max > MAX_TERMS:

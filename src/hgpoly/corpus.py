@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import random
 import string
+from collections.abc import Iterator
 from itertools import combinations
-from typing import Iterator
 
 from .hypergraph import Hypergraph, disjoint_union
 

@@ -27,13 +27,13 @@ antichain) but e is not, so v is no apex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import cached_property
 from math import gcd
 
 from .bipoly import UniPoly
 from .errors import InternalMismatch, LimitExceeded
-from .hypergraph import Hypergraph, mask_indices
+from .hypergraph import Frozen, Hypergraph, mask_indices
 
 DEFAULT_HOMOLOGY_LIMIT = 14
 
@@ -127,8 +127,7 @@ def homology_dims_from_masks(faces: list[int]) -> list[int]:
     return [len(grouped[k]) - ranks[k] - ranks[k + 1] for k in range(depth)]
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(Frozen):
     """Multigraded table b[i, B] keyed by (homological degree, vertex
     bitmask), together with its collapse by |B|. Entry (0, empty) is 1.
 
@@ -136,9 +135,8 @@ class BettiTable:
     see the entries with B equal to the full vertex set.
     """
 
-    labels: tuple[str, ...]
-    multigraded: dict[tuple[int, int], int]
-    top_complete: bool = True
+    def __init__(self, labels: tuple[str, ...], multigraded: dict[tuple[int, int], int], top_complete: bool = True):
+        self._freeze(labels=labels, multigraded=multigraded, top_complete=top_complete)
 
     @property
     def n(self) -> int:
@@ -188,21 +186,30 @@ def _restriction_faces(bmask: int, edges: tuple[int, ...]) -> list[int]:
     return faces
 
 
-def restriction_betti(pairs: list[tuple[tuple[int, ...], int]]) -> dict[tuple[int, int], int]:
-    """Multigraded entries b[i, B] for each (edges, B) pair, via homology
-    of the independence complex of edges restricted to B, plus
-    b[0, empty] = 1. The independent sets of each distinct edge set are
-    enumerated once, over the union of its edges, and filtered per B."""
+def restriction_betti(edges: tuple[int, ...], bmasks: Iterable[int]) -> dict[tuple[int, int], int]:
+    """Multigraded entries b[i, B] of one edge set for each B in bmasks,
+    via homology of its independence complex restricted to B, plus
+    b[0, empty] = 1.
+
+    The independent sets are enumerated once, over the union of the
+    edges, and filtered per B. That filter sees only the vertices of
+    the edges, so a B that is not the union of the edges inside it is
+    skipped: it has a vertex on no inside edge, a cone apex, and so no
+    entries at all."""
     table: dict[tuple[int, int], int] = {(0, 0): 1}
-    independent: dict[tuple[int, ...], list[int]] = {}
-    for edges, bmask in pairs:
-        if edges not in independent:
-            union = 0
-            for e in edges:
-                union |= e
-            independent[edges] = _restriction_faces(union, edges)
+    union = 0
+    for e in edges:
+        union |= e
+    independent = _restriction_faces(union, edges)
+    for bmask in bmasks:
+        covered = 0
+        for e in edges:
+            if e & ~bmask == 0:
+                covered |= e
+        if covered != bmask:
+            continue
         size = bmask.bit_count()
-        dims = homology_dims_from_masks([w for w in independent[edges] if w & ~bmask == 0])
+        dims = homology_dims_from_masks([w for w in independent if w & ~bmask == 0])
         for i in range(1, size + 1):
             deg = size - i - 1
             if 0 <= deg + 1 < len(dims) and dims[deg + 1]:
@@ -216,8 +223,8 @@ def hochster_betti(h: Hypergraph, limit: int | None = None) -> BettiTable:
     independence complex restricted to B, in degree |B| - i - 1, and
     b[0, empty] = 1."""
     _check_homology_limit(h.n, limit)
-    pairs = [(h.edges, bmask) for bmask in _edge_union_closure(h.edges) if bmask]
-    return BettiTable(h.labels, restriction_betti(pairs))
+    bmasks = [bmask for bmask in _edge_union_closure(h.edges) if bmask]
+    return BettiTable(h.labels, restriction_betti(h.edges, bmasks))
 
 
 def pd_reg_depth(table: BettiTable, n: int) -> tuple[int, int, int]:
@@ -229,16 +236,14 @@ def pd_reg_depth(table: BettiTable, n: int) -> tuple[int, int, int]:
     return pd, reg, n - pd
 
 
-@dataclass(frozen=True)
-class RecoveryResult:
+class RecoveryResult(Frozen):
     """Outcome of recovering Betti numbers from the Hilbert series
     numerator alone. applicable is False when some total degree carries
     two or more nonzero entries, making the alternating sum ambiguous;
     violating_degree then names the first such column."""
 
-    applicable: bool
-    entries: dict[int, int] | None
-    violating_degree: int | None
+    def __init__(self, applicable: bool, entries: dict[int, int] | None, violating_degree: int | None) -> None:
+        self._freeze(applicable=applicable, entries=entries, violating_degree=violating_degree)
 
 
 def betti_alternating_sum(table: BettiTable) -> UniPoly:

@@ -9,9 +9,8 @@ equality is structural. Values are immutable and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import cached_property
-from typing import Iterable, Sequence
 
 from .errors import (
     AntichainViolation,
@@ -36,16 +35,39 @@ def mask_indices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Frozen:
+    """Immutable value: a subclass's __init__ sets its fields once, in
+    order, through _freeze; equality and hash then go by the field
+    values, and setting or deleting an attribute raises AttributeError.
+    cached_property still works, as it writes to __dict__ directly."""
+
+    def _freeze(self, **fields) -> None:
+        self.__dict__.update(fields, _values=tuple(fields.values()))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+
+class Hypergraph(Frozen):
     """Labeled hypergraph with an antichain edge set.
 
     Construct through :func:`validate` (label-level input) or
     :meth:`from_masks` (index-level input); both enforce the invariants.
     """
 
-    labels: tuple[str, ...]
-    edges: tuple[int, ...]
+    def __init__(self, labels: tuple[str, ...], edges: tuple[int, ...]) -> None:
+        self._freeze(labels=labels, edges=edges)
 
     @property
     def n(self) -> int:
@@ -167,8 +189,7 @@ def validate(raw_vertices: Sequence[str], raw_edges: Iterable[Iterable[str]]) ->
     return Hypergraph.from_masks(labels, masks)
 
 
-@dataclass(frozen=True)
-class Deck:
+class Deck(Frozen):
     """Ordered vertex-deleted deck: card l is the parent minus vertex l.
 
     Cards keep the parent's labels (minus the deleted one), which is
@@ -178,10 +199,8 @@ class Deck:
     of the other cards that avoid vertex l.
     """
 
-    parent_labels: tuple[str, ...]
-    cards: tuple[Hypergraph, ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, parent_labels: tuple[str, ...], cards: tuple[Hypergraph, ...]) -> None:
+        self._freeze(parent_labels=parent_labels, cards=cards)
         n = len(self.parent_labels)
         if len(self.cards) != n:
             raise InvalidDeck(f"expected {n} cards, got {len(self.cards)}")

@@ -15,9 +15,8 @@ is exactly why they are excluded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from math import comb
-from typing import Sequence
 
 from .bipoly import BiPoly, UniPoly, expand_series, to_edge_form, to_vertex_form
 from .enumeration import edge_induced_poly, independence_poly, vertex_induced_poly
@@ -39,7 +38,7 @@ from .homology import (
     _check_homology_limit,
     _edge_union_closure,
 )
-from .hypergraph import Deck, Hypergraph
+from .hypergraph import Deck, Frozen, Hypergraph
 from .stanley_reisner import SRInvariants
 
 _EDGELESS_DECK = (
@@ -206,42 +205,37 @@ def reconstruct_hilbert_function(deck: Deck, k_max: int, limit: int | None = Non
 
 def reconstruct_multigraded_betti(deck: Deck, limit: int | None = None) -> BettiTable:
     """Partial multigraded Betti table from the deck: every entry with
-    B a proper vertex subset, computed on any card missing a vertex of
-    the complement (restrictions to B agree between parent and card).
-    Entries with B the full vertex set are not deck-visible, so the
-    returned table has top_complete False. The deck was checked for
-    consistency when it was built."""
+    B a proper vertex subset, computed on one edge set, the union of
+    all cards' edges.
+
+    That union is enough: B misses some vertex l, and card l holds
+    exactly the edges of the other cards that avoid l (the deck was
+    checked for consistency when it was built), so card l's edges
+    inside B, like the parent's, are exactly the union's edges inside
+    B. The independent sets are thus enumerated once, not once per
+    card. Entries with B the full vertex set are not deck-visible, so
+    the returned table has top_complete False."""
     n = deck.origin_n
     _check_n(n)
     _check_homology_limit(n, limit)
-    card_edges = deck.parent_edges
-    all_edges = set().union(*card_edges)
-    if not all_edges:
+    edges = tuple(sorted(set().union(*deck.parent_edges)))
+    if not edges:
         raise NoEdges(_EDGELESS_DECK)
     full = (1 << n) - 1
-    pairs = []
-    for bmask in _edge_union_closure(tuple(sorted(all_edges))):
-        if bmask and bmask != full:
-            l = next(v for v in range(n) if not bmask >> v & 1)
-            pairs.append((card_edges[l], bmask))
-    table = restriction_betti(pairs)
-    return BettiTable(deck.parent_labels, table, top_complete=False)
+    bmasks = [bmask for bmask in _edge_union_closure(edges) if bmask and bmask != full]
+    return BettiTable(deck.parent_labels, restriction_betti(edges, bmasks), top_complete=False)
 
 
-@dataclass(frozen=True)
-class TopBettiReport:
+class TopBettiReport(Frozen):
     """Whether the full-vertex-set row of the Betti table is pinned down
     by the top coefficient of the Hilbert series numerator: it is when
     at most one entry in that row is nonzero, and then the homological
     invariants derived from the table are deck-reconstructible too."""
 
-    n: int
-    top_coefficient: int
-    top_entries: dict[int, int]
-    determined: bool
-    projective_dimension: int
-    regularity: int
-    depth: int
+    def __init__(self, n: int, top_coefficient: int, top_entries: dict[int, int], determined: bool,
+                 projective_dimension: int, regularity: int, depth: int) -> None:
+        self._freeze(n=n, top_coefficient=top_coefficient, top_entries=top_entries, determined=determined,
+                     projective_dimension=projective_dimension, regularity=regularity, depth=depth)
 
 
 def top_betti_report(table: BettiTable, kpoly: UniPoly) -> TopBettiReport:

@@ -16,7 +16,6 @@ can only come from a bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
@@ -24,11 +23,10 @@ from .bipoly import BiPoly, UniPoly, divide_by_one_minus_t, expand_series
 from .enumeration import edge_induced_poly, independence_poly, vertex_induced_poly
 from .errors import InternalMismatch, LengthMismatch
 from .homology import BettiTable, hochster_betti
-from .hypergraph import Deck, Hypergraph
+from .hypergraph import Deck, Frozen, Hypergraph
 
 
-@dataclass(frozen=True)
-class SRInvariants:
+class SRInvariants(Frozen):
     """Every invariant of one hypergraph, each computed on first use
     under the size limits the bundle carries, all in-process: the vertex
     polynomial P and the edge polynomial S (one direct sweep each, never
@@ -37,9 +35,8 @@ class SRInvariants:
     the multiplicity, the Hilbert series numerator K(t) = S(t, -1), the
     vertex-deleted deck, and the multigraded Betti table."""
 
-    hypergraph: Hypergraph
-    limit: int | None = None
-    homology_limit: int | None = None
+    def __init__(self, hypergraph: Hypergraph, limit: int | None = None, homology_limit: int | None = None) -> None:
+        self._freeze(hypergraph=hypergraph, limit=limit, homology_limit=homology_limit)
 
     @property
     def n(self) -> int:

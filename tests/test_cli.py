@@ -240,11 +240,15 @@ class TestDeckRoundtrip:
                 outs.append(capsys.readouterr().out.encode())
             assert outs[0] == outs[1], target
 
-def test_cli_import_loads_no_process_pool():
+def test_cli_import_adds_no_heavy_modules():
+    # the difference ignores whatever site preloads; dataclasses would
+    # bring inspect, ast and dis with it
     code = (
-        "import sys, hgpoly.cli, hgpoly.parallel\n"
-        "mods = ('concurrent.futures', 'concurrent.futures.process', 'multiprocessing')\n"
-        "print(sorted(m for m in mods if m in sys.modules), hgpoly.parallel._executor)"
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import hgpoly.cli, hgpoly.parallel\n"
+        "mods = ('dataclasses', 'inspect', 'typing', 'concurrent.futures', 'multiprocessing')\n"
+        "print(sorted(m for m in mods if m in set(sys.modules) - before), hgpoly.parallel._executor)"
     )
     src = os.path.dirname(os.path.dirname(hgpoly.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -15,6 +15,7 @@ from hgpoly.homology import (
     hochster_betti,
     homology_dims_from_masks,
     pd_reg_depth,
+    restriction_betti,
     verify_betti_alternating_sum,
 )
 from hgpoly.hypergraph import validate
@@ -205,6 +206,22 @@ def test_hochster_matches_naive_all_subsets_loop(h):
     table = hochster_betti(h)
     got = {(i, verts): b for i, verts, b in table.multigraded_entries()}
     assert got == oracles.naive_betti_table(h)
+
+
+def test_restriction_betti_gives_an_uncovered_vertex_no_entries():
+    # no edge covers vertex 1, so the complex on {1} is a cone
+    assert restriction_betti((), [0b10]) == {(0, 0): 1}
+
+
+@settings(max_examples=30, deadline=None)
+@given(hypergraphs(max_n=5, max_m=5), st.lists(st.integers(0, 31), max_size=12))
+def test_restriction_betti_on_any_subsets_matches_naive(h, raw):
+    # any B, not only the unions of edges that hochster_betti walks
+    bmasks = sorted({b & h.full_mask for b in raw})
+    wanted = {h.labels_of(b) for b in bmasks}
+    expected = {key: b for key, b in oracles.naive_betti_table(h).items() if key[0] == 0 or key[1] in wanted}
+    got = restriction_betti(h.edges, bmasks)
+    assert {(i, h.labels_of(bmask)): b for (i, bmask), b in got.items()} == expected
 
 
 @settings(max_examples=40, deadline=None)

@@ -17,8 +17,16 @@ from hgpoly.errors import (
     InvalidDeck,
     UnknownVertexLabel,
 )
-from hgpoly.homology import _edge_union_closure, _restriction_faces, restriction_betti
+from hgpoly.homology import (
+    _edge_union_closure,
+    _restriction_faces,
+    antidiagonal_recovery,
+    hochster_betti,
+    restriction_betti,
+)
 from hgpoly.hypergraph import Deck, Hypergraph, disjoint_union, validate
+from hgpoly.reconstruct import top_betti_report
+from hgpoly.stanley_reisner import sr_invariants
 
 from .oracles import first_contained_pair
 from .strategies import hypergraphs
@@ -166,6 +174,37 @@ class TestDeck:
             Deck(k3.labels, k3.deck().cards[:2])
 
 
+class TestValueSemantics:
+    """Hypergraph, Deck and the result records are immutable values."""
+
+    def test_equal_values_compare_and_hash_equal(self, k3, path3):
+        twin = validate(["a", "b", "c"], [["b", "c"], ["c", "a"], ["a", "b"]])
+        assert twin is not k3 and twin == k3 and hash(twin) == hash(k3)
+        deck = Deck(parent_labels=k3.labels, cards=twin.deck().cards)
+        assert deck == k3.deck() and hash(deck) == hash(k3.deck())
+        assert k3 != path3 and k3.deck() != path3.deck() and k3 != k3.labels
+        assert len({k3, twin, path3}) == 2
+
+    def test_fields_cannot_be_assigned(self, k3):
+        inv = sr_invariants(k3)
+        values = (
+            (k3, "edges"),
+            (k3.deck(), "cards"),
+            (inv, "limit"),
+            (inv.betti, "top_complete"),
+            (antidiagonal_recovery(inv.betti, inv.k_polynomial), "entries"),
+            (top_betti_report(inv.betti, inv.k_polynomial), "depth"),
+        )
+        for value, field in values:
+            with pytest.raises(AttributeError):
+                setattr(value, field, None)
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+
+    def test_repr(self, k3):
+        assert repr(k3) == "Hypergraph(vertices=[a, b, c], edges=[{a,b}, {a,c}, {b,c}])"
+
+
 @settings(max_examples=60, deadline=None)
 @given(hypergraphs())
 def test_card_commutes_with_vertex_induced(h):
@@ -183,8 +222,7 @@ def test_card_commutes_with_vertex_induced(h):
                 inside = {e for e in h.edges if e & ~bmask == 0}
                 assert {e for e in card_edges if e & ~bmask == 0} == inside
         avoiding = [b for b in unions if b and not b >> l & 1]
-        on_card = restriction_betti([(card_edges, b) for b in avoiding])
-        assert on_card == restriction_betti([(h.edges, b) for b in avoiding])
+        assert restriction_betti(card_edges, avoiding) == restriction_betti(h.edges, avoiding)
 
 
 @settings(max_examples=60, deadline=None)

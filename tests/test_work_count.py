@@ -19,6 +19,8 @@ from hgpoly.cli import main
 from hgpoly.corpus import complete_graph, cycle_graph, path_graph, wheel
 from hgpoly.formats import dump_hypergraph_json
 from hgpoly.hypergraph import Hypergraph
+from hgpoly.reconstruct import reconstruct_multigraded_betti
+from hgpoly.stanley_reisner import sr_invariants
 
 COUNTED = (
     (enumeration, "vertex_induced_poly"),
@@ -71,6 +73,14 @@ def test_verify_single_identity_builds_no_table(calls, tmp_path, capsys):
     assert [name for name, _ in calls] == ["vertex_induced_poly", "edge_induced_poly"]
 
 
+def test_bundle_computes_each_member_once(calls):
+    inv = sr_invariants(cycle_graph(6))
+    members = ("P", "S", "f", "h", "k_polynomial", "deck", "betti", "hilbert_series_reduced")
+    first = [getattr(inv, name) for name in members]
+    assert all(getattr(inv, name) is value for name, value in zip(members, first))
+    assert sorted(name for name, _ in calls) == ["edge_induced_poly", "hochster_betti", "vertex_induced_poly"]
+
+
 def test_report_builds_the_deck_once(monkeypatch, tmp_path, capsys):
     built: list[tuple[str, ...]] = []
     deck = Hypergraph.deck
@@ -97,4 +107,9 @@ def test_independent_sets_enumerated_once_per_edge_set(monkeypatch):
     monkeypatch.setattr(homology, "_restriction_faces", counted)
     h = path_graph(8)
     homology.hochster_betti(h)
+    assert seen == [h.full_mask]
+    # the reconstruction's one edge set is the union of the cards' edges
+    seen.clear()
+    h = cycle_graph(10)
+    reconstruct_multigraded_betti(h.deck())
     assert seen == [h.full_mask]
