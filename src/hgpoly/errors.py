@@ -43,11 +43,6 @@ class UnknownVertex(InputError):
     """A vertex label outside the hypergraph's vertex set was referenced."""
 
 
-# Alias: the same condition surfaces both during validation of raw edge
-# lists and when an operation receives a vertex subset argument.
-UnknownVertexLabel = UnknownVertex
-
-
 class IndexOutOfRange(InputError):
     """A vertex index argument is outside 0..n-1."""
 

@@ -20,7 +20,7 @@ from functools import cached_property
 from math import comb
 
 from .bipoly import BiPoly, UniPoly, divide_by_one_minus_t, expand_series
-from .enumeration import edge_induced_poly, independence_poly, vertex_induced_poly
+from .enumeration import edge_induced_poly, vertex_induced_poly
 from .errors import InternalMismatch, LengthMismatch
 from .homology import BettiTable, hochster_betti
 from .hypergraph import Deck, Frozen, Hypergraph
@@ -151,9 +151,3 @@ def k_polynomial(h: Hypergraph, limit: int | None = None) -> UniPoly:
 def hilbert_function(h: Hypergraph, k_max: int, limit: int | None = None) -> list[int]:
     """See SRInvariants.hilbert_function."""
     return sr_invariants(h, limit).hilbert_function(k_max)
-
-
-def exterior_face_poly(h: Hypergraph, limit: int | None = None) -> UniPoly:
-    """Hilbert polynomial of the further quotient by all variable
-    squares; its coefficients are exactly the face counts."""
-    return independence_poly(h, limit)

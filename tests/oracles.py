@@ -2,16 +2,18 @@
 
 Everything here deliberately avoids the library's bitmask and bit-sliced
 sweep machinery: subsets are walked with itertools over label tuples, ranks
-are computed with Fraction Gaussian elimination, and the Betti oracle
-loops over all 2^n vertex subsets instead of the edge-union closure.
-Agreement between these and the production code is what the property
-tests assert.
+are computed with Fraction (or mod 2) Gaussian elimination, and the Betti
+oracle loops over all 2^n vertex subsets instead of the edge-union closure.
+The closed-form Betti tables at the end come from theorems, not from any
+homology computation. Agreement between these and the production code is
+what the property tests assert.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from hgpoly.hypergraph import Hypergraph
 
@@ -82,9 +84,27 @@ def rank_over_rationals(rows: list[list[int]]) -> int:
     return rank
 
 
-def naive_reduced_homology(faces: list[frozenset[str]]) -> list[int]:
+def rank_over_gf2(rows: list[list[int]]) -> int:
+    """Plain Gaussian elimination mod 2 over lists of integers."""
+    m = [[x % 2 for x in row] for row in rows]
+    ncols = len(m[0]) if m else 0
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][c]:
+                m[i] = [a ^ b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def naive_reduced_homology(faces: list[frozenset[str]], rank=rank_over_rationals) -> list[int]:
     """Reduced homology dimensions from label-set faces, degrees -1 up,
-    using the Fraction rank above. Void input gives []."""
+    using the given matrix rank (by default the Fraction rank above, so
+    over the rationals). Void input gives []."""
     if not faces:
         return []
     by_dim: dict[int, list[frozenset[str]]] = {}
@@ -104,7 +124,7 @@ def naive_reduced_homology(faces: list[frozenset[str]]) -> list[int]:
     ranks = [0] * (top + 2)
     for k in range(1, top + 1):
         if groups[k] and groups[k - 1]:
-            ranks[k] = rank_over_rationals(boundary(groups[k], groups[k - 1]))
+            ranks[k] = rank(boundary(groups[k], groups[k - 1]))
     return [len(groups[k]) - ranks[k] - ranks[k + 1] for k in range(top + 1)]
 
 
@@ -144,3 +164,57 @@ def first_contained_pair(edges: list[tuple[int, ...]]) -> tuple[tuple[int, ...],
             if a != b and set(a) <= set(b):
                 return a, b
     return None
+
+
+# -- closed-form Betti tables ------------------------------------------------
+
+
+def complete_graph_graded(n: int) -> dict[tuple[int, int], int]:
+    """Graded table of the edge ideal of K_n: b[i, i+1] = i * C(n, i+1)
+    for i >= 1 (its resolution is linear), and b[0, 0] = 1."""
+    table = {(0, 0): 1}
+    for i in range(1, n):
+        table[(i, i + 1)] = i * comb(n, i + 1)
+    return table
+
+
+def star_graded(m: int) -> dict[tuple[int, int], int]:
+    """Graded table of the edge ideal of a star with m leaves:
+    b[i, i+1] = C(m, i), and b[0, 0] = 1."""
+    return {(0, 0): 1, **{(i, i + 1): comb(m, i) for i in range(1, m + 1)}}
+
+
+def path_cycle_multigraded(n: int, cycle: bool) -> dict[tuple[int, int], int]:
+    """Multigraded table, keyed (i, vertex bitmask), of the path or
+    cycle on vertices 0..n-1 with edges {k, k+1} (mod n for a cycle).
+
+    Kozlov (JCTA 1999): the independence complex of a path on l vertices
+    is contractible when l = 1 mod 3 and otherwise a sphere of dimension
+    ceil(l/3) - 1. A proper restriction B is a disjoint union of such
+    paths (its runs), so its complex is a join: one run with l = 1 mod 3
+    kills the entry, and otherwise b[|B| - sum ceil(l_j/3), B] = 1. The
+    whole cycle is a wedge of two (k-1)-spheres for n = 3k, a
+    (k-1)-sphere for n = 3k+1 and a k-sphere for n = 3k+2."""
+    table = {}
+    full = (1 << n) - 1
+    for bmask in range(1 << n):
+        size = bin(bmask).count("1")
+        if cycle and bmask == full:
+            k, r = divmod(n, 3)
+            dim, mult = (k - 1, 2) if r == 0 else (k - 1, 1) if r == 1 else (k, 1)
+            table[(size - dim - 1, bmask)] = mult
+            continue
+        # walk the runs from a vertex outside B, so no run wraps around
+        start = next((v + 1 for v in range(n) if not bmask >> v & 1), 0) if cycle else 0
+        runs, length = [], 0
+        for step in range(n):
+            if bmask >> ((start + step) % n) & 1:
+                length += 1
+            elif length:
+                runs.append(length)
+                length = 0
+        if length:
+            runs.append(length)
+        if all(run % 3 != 1 for run in runs):
+            table[(size - sum(-(-run // 3) for run in runs), bmask)] = 1
+    return table

@@ -1,13 +1,21 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hgpoly import homology
 from hgpoly.errors import LimitExceeded
 from hgpoly.homology import (
     DEFAULT_HOMOLOGY_LIMIT,
     _check_homology_limit,
+    _edge_union_closure,
+    _exact_homology_dims,
+    _faces_by_dim,
+    _gf2_homology_dims,
+    _gf2_reduce,
     _restriction_faces,
     antidiagonal_recovery,
     betti_alternating_sum,
@@ -18,16 +26,46 @@ from hgpoly.homology import (
     restriction_betti,
     verify_betti_alternating_sum,
 )
-from hgpoly.hypergraph import validate
-from hgpoly.corpus import cycle_graph, wheel
+from hgpoly.hypergraph import Hypergraph, validate
+from hgpoly.corpus import cycle_graph, path_graph, wheel
 from hgpoly.stanley_reisner import k_polynomial
 
 from . import oracles
 from .strategies import hypergraphs
 
 
+# the 6-vertex real projective plane: a closed surface (every edge on
+# two triangles) of Euler characteristic 1 whose 1-skeleton is K_6
+RP2_TRIANGLES = [
+    (0, 1, 3), (0, 1, 5), (0, 2, 4), (0, 2, 5), (0, 3, 4),
+    (1, 2, 3), (1, 2, 4), (1, 4, 5), (2, 3, 5), (3, 4, 5),
+]
+
+
+def _rp2() -> Hypergraph:
+    """The ten triples that are not triangles of RP^2: its minimal
+    non-faces, so its independence complex is RP^2."""
+    facets = {sum(1 << v for v in t) for t in RP2_TRIANGLES}
+    triples = (sum(1 << v for v in c) for c in combinations(range(6), 3))
+    return Hypergraph.from_masks(tuple("abcdef"), [t for t in triples if t not in facets])
+
+
 def _sparse(rows: list[list[int]]) -> list[dict[int, int]]:
     return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+@pytest.fixture
+def exact_rank_calls(monkeypatch) -> list[int]:
+    """Sizes of the exact_rank calls made while the test runs: the
+    fallback behind the GF(2) certificate."""
+    calls: list[int] = []
+
+    def counted(vectors):
+        calls.append(len(vectors))
+        return exact_rank(vectors)
+
+    monkeypatch.setattr(homology, "exact_rank", counted)
+    return calls
 
 
 def _face_labels(h, bmask: int) -> list[tuple[str, ...]]:
@@ -137,19 +175,16 @@ class TestReducedHomology:
         assert homology_dims_from_masks(_restriction_faces(h.full_mask, h.edges)) == [0, 0, 0, 0]
 
     def test_real_projective_plane_over_the_rationals(self):
-        # the 6-vertex triangulation: a closed surface (every edge on two
-        # triangles) of Euler characteristic 1; over GF(2) it would carry
-        # H_1 = H_2 = 1, over the rationals it is acyclic
-        triangles = [
-            (0, 1, 3), (0, 1, 5), (0, 2, 4), (0, 2, 5), (0, 3, 4),
-            (1, 2, 3), (1, 2, 4), (1, 4, 5), (2, 3, 5), (3, 4, 5),
-        ]
-        masks = [sum(1 << v for v in t) for t in triangles]
+        # over GF(2) it carries H_1 = H_2 = 1, over the rationals it is
+        # acyclic
+        masks = [sum(1 << v for v in t) for t in RP2_TRIANGLES]
         faces = sorted({f & s for f in masks for s in range(64)})
         edges = [f for f in faces if f.bit_count() == 2]
+        assert len(edges) == 15
         assert all(sum(f & e == e for f in masks) == 2 for e in edges)
         assert 6 - len(edges) + len(masks) == 1
         assert homology_dims_from_masks(faces) == [0, 0, 0, 0]
+        assert _gf2_homology_dims(_faces_by_dim(faces)) == [0, 0, 1, 1]
 
 
 @settings(max_examples=50, deadline=None)
@@ -173,6 +208,102 @@ def test_euler_characteristic_consistency(h):
         from_homology = sum((-1) ** k * d for k, d in enumerate(dims))
         from_faces = sum((-1) ** f.bit_count() for f in faces)
         assert from_homology == from_faces
+
+
+class TestGF2:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda cols: st.lists(st.lists(st.integers(0, 1), min_size=cols, max_size=cols), min_size=1, max_size=8)
+        )
+    )
+    def test_rank_matches_mod_2_gauss(self, rows):
+        ints = [sum(x << j for j, x in enumerate(row)) for row in rows]
+        assert len(_gf2_reduce(ints)) == oracles.rank_over_gf2(rows)
+        assert len(_gf2_reduce(ints[::-1])) == oracles.rank_over_gf2(rows)
+
+    def test_rank_is_taken_mod_2(self):
+        rows = [[1, 1], [1, -1]]
+        assert exact_rank(_sparse(rows)) == 2
+        assert len(_gf2_reduce([0b11, 0b11])) == oracles.rank_over_gf2(rows) == 1
+
+
+def _assert_gf2_matches_mod_2_oracle(h: Hypergraph) -> None:
+    faces = _restriction_faces(h.full_mask, h.edges)
+    expected = oracles.naive_reduced_homology(oracles.naive_independence_faces(h), rank=oracles.rank_over_gf2)
+    assert _gf2_homology_dims(_faces_by_dim(faces)) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(hypergraphs(max_n=6, max_m=6))
+def test_gf2_homology_matches_mod_2_oracle(h):
+    # the top-down reduction that skips rows against the mod 2 boundary
+    # matrices of the naive oracle
+    _assert_gf2_matches_mod_2_oracle(h)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [cycle_graph(8), cycle_graph(9), path_graph(10), wheel(7), _rp2()],
+    ids=["cycle8", "cycle9", "path10", "wheel7", "rp2"],
+)
+def test_gf2_homology_matches_mod_2_oracle_on_deeper_complexes(h):
+    # complexes of dimension 2 to 4, where the skipped rows matter
+    _assert_gf2_matches_mod_2_oracle(h)
+
+
+def _assert_certified_equals_exact(edges: tuple[int, ...], bmasks) -> int:
+    """Check homology_dims_from_masks against the all-exact route on
+    each restriction, with the certificate's premises; returns how many
+    restrictions needed the fallback."""
+    fallbacks = 0
+    for bmask in bmasks:
+        faces = _restriction_faces(bmask, edges)
+        grouped = _faces_by_dim(faces)
+        gf2, rational = _gf2_homology_dims(grouped), _exact_homology_dims(grouped)
+        assert homology_dims_from_masks(faces) == rational
+        assert len(gf2) == len(rational) and all(a >= b for a, b in zip(gf2, rational))
+        assert sum((-1) ** k * (a - b) for k, (a, b) in enumerate(zip(gf2, rational))) == 0
+        fallbacks += sum(1 for d in gf2 if d) > 1
+    return fallbacks
+
+
+@settings(max_examples=40, deadline=None)
+@given(hypergraphs(max_n=6, max_m=6))
+def test_certified_homology_equals_exact_on_every_restriction(h):
+    _assert_certified_equals_exact(h.edges, range(1 << h.n))
+
+
+def test_certified_homology_equals_exact_on_the_corpus(corpus):
+    hypergraphs = [h for _, h in corpus] + [wheel(6), wheel(7), _rp2()]
+    fallbacks = sum(_assert_certified_equals_exact(h.edges, _edge_union_closure(h.edges)) for h in hypergraphs)
+    assert fallbacks > 0
+
+
+class TestRealProjectivePlaneTable:
+    """Reisner's example: the table depends on the characteristic, so
+    the GF(2) certificate must fail on B = V and fall back."""
+
+    def test_independence_complex_is_rp2(self):
+        h = _rp2()
+        masks = [sum(1 << v for v in t) for t in RP2_TRIANGLES]
+        assert sorted(_restriction_faces(h.full_mask, h.edges)) == sorted({f & s for f in masks for s in range(64)})
+
+    def test_rational_graded_table(self):
+        assert hochster_betti(_rp2()).graded == {(0, 0): 1, (1, 3): 10, (2, 4): 15, (3, 5): 6}
+
+    def test_fallback_runs_only_on_the_full_vertex_set(self, exact_rank_calls):
+        h = _rp2()
+        for bmask in _edge_union_closure(h.edges):
+            exact_rank_calls.clear()
+            restriction_betti(h.edges, [bmask])
+            assert bool(exact_rank_calls) == (bmask == h.full_mask)
+
+
+def test_paths_and_cycles_need_no_fallback(exact_rank_calls):
+    hochster_betti(cycle_graph(9))
+    hochster_betti(path_graph(9))
+    assert exact_rank_calls == []
 
 
 class TestHochster:

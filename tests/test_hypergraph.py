@@ -15,7 +15,7 @@ from hgpoly.errors import (
     InconsistentDeck,
     IndexOutOfRange,
     InvalidDeck,
-    UnknownVertexLabel,
+    UnknownVertex,
 )
 from hgpoly.homology import (
     _edge_union_closure,
@@ -83,7 +83,7 @@ class TestValidate:
             validate(["a"], [[]])
 
     def test_unknown_vertex_label(self):
-        with pytest.raises(UnknownVertexLabel):
+        with pytest.raises(UnknownVertex):
             validate(["a", "b"], [["a", "z"]])
 
     def test_duplicate_vertex_label(self):

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 
 from hgpoly.bipoly import UniPoly, divide_by_one_minus_t
+from hgpoly.enumeration import independence_poly
 from hgpoly.errors import LengthMismatch
 from hgpoly.hypergraph import validate
 from hgpoly.stanley_reisner import (
-    exterior_face_poly,
     f_vector,
     h_vector,
     hilbert_function,
@@ -107,10 +107,10 @@ class TestReducedSeries:
 
 class TestExterior:
     def test_matches_face_counts(self, k3, edgeless3):
-        assert exterior_face_poly(k3).coeffs == (1, 3)
-        assert exterior_face_poly(edgeless3).coeffs == (1, 3, 3, 1)
+        assert independence_poly(k3).coeffs == (1, 3)
+        assert independence_poly(edgeless3).coeffs == (1, 3, 3, 1)
         h = validate(["a"], [["a"]])
-        assert exterior_face_poly(h) == UniPoly.one()
+        assert independence_poly(h) == UniPoly.one()
 
 
 @settings(max_examples=60, deadline=None)
