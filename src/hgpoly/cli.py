@@ -23,7 +23,6 @@ outputs are byte-stable and safe for golden files.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -33,6 +32,7 @@ from .enumeration import DEFAULT_LIMIT, edge_induced_poly, vertex_induced_poly
 from .errors import InputError, InternalMismatch, LimitExceeded
 from .formats import (
     bipoly_to_json_terms,
+    dump_json,
     load_corpus,
     load_hypergraph,
     read_deck,
@@ -381,9 +381,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 1
     if args.format == "json" or text is None:
-        text = json.dumps(value, indent=2)
+        text = dump_json(value)
     if text:  # the deck of an empty hypergraph lists no paths
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)  # not text + "\n": a report can be megabytes
+        sys.stdout.write("\n")
     return 1 if args.command == "verify" and "FAIL" in value.values() else 0
 
 

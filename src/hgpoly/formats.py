@@ -16,6 +16,7 @@ any JSON reader.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .bipoly import BiPoly, UniPoly
@@ -76,8 +77,46 @@ def load_hypergraph(path: str | Path) -> Hypergraph:
     return parse_hypergraph_text(text, str(path))
 
 
+def dump_json(value: object) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for values built
+    of str, int, bool, None, lists, tuples and dicts with str keys; any
+    other type, a subclass of these included, raises TypeError. With an
+    indent the standard library falls back to its pure-Python encoder,
+    which this writer outruns. Each container is joined from its items'
+    texts as soon as they are written, so the text is never held as one
+    piece per token."""
+    return _json_text(value, "\n")
+
+
+def _json_text(value: object, newline: str) -> str:
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return repr(value)
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([_json_text(item, inner) for item in value]) + newline + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        items = [encode_basestring_ascii(key) + ": " + _json_text(item, inner) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise TypeError(f"cannot write {kind.__name__} as JSON")
+
+
 def dump_hypergraph_json(h: Hypergraph) -> str:
-    return json.dumps(h.to_json_dict(), indent=2) + "\n"
+    return dump_json(h.to_json_dict()) + "\n"
 
 
 def write_deck(deck: Deck, out_dir: str | Path) -> list[Path]:

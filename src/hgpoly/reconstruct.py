@@ -19,7 +19,7 @@ from collections.abc import Sequence
 from math import comb
 
 from .bipoly import BiPoly, UniPoly, expand_series, to_edge_form, to_vertex_form
-from .enumeration import edge_induced_poly, independence_poly, vertex_induced_poly
+from .enumeration import edge_family_poly, edge_induced_poly, independence_poly, vertex_family_poly
 from .errors import (
     InconsistentDeck,
     InternalMismatch,
@@ -66,21 +66,21 @@ def check_reconstructible(h: Hypergraph) -> None:
 
 def verify_deck_sum_identity(inv: SRInvariants, which: str = "edge") -> bool:
     """Check n*F = x*dF/dx + sum of card polynomials, for F the bundle's
-    edge-subset polynomial S or vertex-subset polynomial P; the cards
-    of the bundle's deck are swept afresh under its limit."""
+    edge-subset polynomial S or vertex-subset polynomial P. The cards
+    of the bundle's deck, with their own relabelled edge masks, are
+    swept afresh as one family under its limit, and their summed terms
+    must be (n - i)*F[i, j] at every (i, j)."""
     h = inv.hypergraph
     check_reconstructible(h)
     if which == "edge":
-        f, compute = inv.S, edge_induced_poly
+        f, sweep = inv.S, edge_family_poly
     elif which == "vertex":
-        f, compute = inv.P, vertex_induced_poly
+        f, sweep = inv.P, vertex_family_poly
     else:
         raise ValueError(f"which must be 'edge' or 'vertex', got {which!r}")
-    lhs = f.scale(h.n)
-    rhs = BiPoly.monomial(1, 0) * f.partial_x()
-    for card in inv.deck.cards:
-        rhs = rhs + compute(card, inv.limit)
-    return lhs == rhs
+    n = h.n
+    expected = {(i, j): (n - i) * c for (i, j), c in f.terms.items() if i < n}
+    return sweep(inv.deck.cards, inv.limit).terms == expected
 
 
 def _deck_coefficient_sums(deck_polys: Sequence[BiPoly], n: int) -> dict[tuple[int, int], int]:

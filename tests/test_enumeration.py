@@ -5,12 +5,19 @@ from math import comb
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgpoly.bipoly import BiPoly
-from hgpoly.enumeration import edge_induced_poly, independence_poly, vertex_induced_poly
+from hgpoly.enumeration import (
+    edge_family_poly,
+    edge_induced_poly,
+    independence_poly,
+    vertex_family_poly,
+    vertex_induced_poly,
+)
 from hgpoly.errors import LimitExceeded
 from hgpoly.hypergraph import disjoint_union, validate
-from hgpoly.corpus import star
+from hgpoly.corpus import complete_graph, cycle_graph, path_graph, random_antichain, star
 
 from . import oracles
 from .strategies import hypergraphs
@@ -139,6 +146,63 @@ class TestBlockBoundary:
         h = _clutter(n, m, seed=m)
         assert (h.n, h.m) == (n, m)
         assert edge_induced_poly(h).terms == oracles.naive_edge_poly(h)
+
+
+def _naive_sum(naive, family) -> dict[tuple[int, int], int]:
+    total: dict[tuple[int, int], int] = {}
+    for h in family:
+        for key, c in naive(h).items():
+            total[key] = total.get(key, 0) + c
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(hypergraphs(), min_size=1, max_size=8))
+def test_family_sweeps_sum_the_members(family):
+    assert vertex_family_poly(family).terms == _naive_sum(oracles.naive_vertex_poly, family)
+    assert edge_family_poly(family).terms == _naive_sum(oracles.naive_edge_poly, family)
+
+
+class TestFamilies:
+    """Members are packed several to a block; one with more than 12
+    vertices (or edges) is swept alone, block by block."""
+
+    def _check(self, family):
+        assert vertex_family_poly(family).terms == _naive_sum(oracles.naive_vertex_poly, family)
+        assert edge_family_poly(family).terms == _naive_sum(oracles.naive_edge_poly, family)
+
+    def test_a_member_over_one_block_among_small_ones(self):
+        # n = m = 13: two blocks for that member alone, on either side
+        family = [cycle_graph(4), _clutter(13, 13, seed=13), path_graph(12), star(3)]
+        self._check(family)
+
+    def test_a_member_with_more_than_12_edges(self):
+        family = [_clutter(10, 14, seed=14), complete_graph(6), cycle_graph(5)]
+        assert [h.m for h in family] == [14, 15, 5]
+        self._check(family)
+
+    def test_edgeless_members(self):
+        family = [validate([], []), validate(["a", "b", "c"], []), cycle_graph(5), validate(list("abcdefg"), [])]
+        self._check(family)
+
+    def test_members_that_fill_several_blocks(self):
+        # 2^9 vertex subsets each: eight to a block, so 20 members take three
+        family = [random_antichain(random.Random(seed), 9, 8) for seed in range(20)]
+        assert {h.n for h in family} == {9}
+        self._check(family)
+
+    @pytest.mark.parametrize("n, m", [(0, 0), (3, 0), (13, 13), (10, 14)])
+    def test_a_family_of_one_is_the_single_sweep(self, n, m):
+        h = _clutter(n, m, seed=m)
+        assert vertex_family_poly([h]) == vertex_induced_poly(h)
+        assert edge_family_poly([h]) == edge_induced_poly(h)
+
+    def test_each_member_is_held_to_the_limit(self, k3):
+        small = validate(["a"], [["a"]])
+        with pytest.raises(LimitExceeded, match="n=3"):
+            vertex_family_poly([small, k3], limit=2)
+        with pytest.raises(LimitExceeded, match="m=3"):
+            edge_family_poly([small, k3], limit=2)
 
 
 class TestLimits:

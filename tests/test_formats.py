@@ -4,6 +4,7 @@ import json
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgpoly.bipoly import BiPoly, UniPoly
 from hgpoly.corpus import cycle_graph
@@ -11,6 +12,7 @@ from hgpoly.errors import ParseError
 from hgpoly.formats import (
     bipoly_to_json_terms,
     dump_hypergraph_json,
+    dump_json,
     load_corpus,
     load_hypergraph,
     parse_hypergraph_text,
@@ -20,6 +22,33 @@ from hgpoly.formats import (
 )
 
 from .strategies import bipolys, hypergraphs
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestDumpJson:
+    @settings(max_examples=60, deadline=None)
+    @given(_json_values)
+    def test_matches_the_standard_library(self, value):
+        assert dump_json(value) == json.dumps(value, indent=2)
+
+    def test_escapes_like_the_standard_library(self):
+        value = {"\u00e9\n\"\\": ["\ud83d\ude00", "\x00\x1f\x7f", 10**30, -1, True, None, [], {}, ()]}
+        assert dump_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "value", [1.5, {1: "a"}, {("a",): 1}, {"a"}, b"a", object(), [1, 2.0], {"a": {"b": float("nan")}}]
+    )
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            dump_json(value)
 
 
 class TestHypergraphJson:

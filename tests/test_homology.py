@@ -88,11 +88,13 @@ class TestExactRank:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        st.lists(
-            st.lists(st.one_of(st.just(0), st.integers(-50, 50)), min_size=1, max_size=6),
-            min_size=1,
-            max_size=6,
-        ).filter(lambda rows: len({len(r) for r in rows}) == 1)
+        st.integers(1, 6).flatmap(
+            lambda cols: st.lists(
+                st.lists(st.one_of(st.just(0), st.integers(-50, 50)), min_size=cols, max_size=cols),
+                min_size=1,
+                max_size=6,
+            )
+        )
     )
     def test_matches_fraction_gauss_and_pivots_agree(self, rows):
         # rows, columns and the rows in reverse order each pick other

@@ -52,19 +52,39 @@ def _write(tmp_path, h) -> str:
     return str(path)
 
 
+@pytest.fixture
+def families(monkeypatch) -> dict[str, list[tuple[tuple[str, ...], ...]]]:
+    """The member labels of every family sweep, by side."""
+    log: dict[str, list[tuple[tuple[str, ...], ...]]] = {"vertex": [], "edge": []}
+    for side in log:
+        name = f"{side}_family_poly"
+        fn = getattr(enumeration, name)
+
+        def counted(family, *args, _fn=fn, _log=log[side], **kwargs):
+            _log.append(tuple(h.labels for h in family))
+            return _fn(family, *args, **kwargs)
+
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("hgpoly") and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted)
+    return log
+
+
 @pytest.mark.parametrize(
     "h", [cycle_graph(10), complete_graph(6), wheel(5)], ids=["cycle10", "K6", "wheel5"]
 )
-def test_report_sweeps_and_tables_once(h, calls, tmp_path, capsys):
+def test_report_sweeps_and_tables_once(h, calls, families, tmp_path, capsys):
     assert main(["report", "--input", _write(tmp_path, h)]) == 0
     capsys.readouterr()
-    on_parent = [name for name, labels in calls if labels == h.labels]
-    assert sorted(on_parent) == ["edge_induced_poly", "hochster_betti", "vertex_induced_poly"]
-    # the deck-sum identity 4.2 sweeps every card once per side
-    cards = sorted(card.labels for card in h.deck().cards)
-    for side in ("vertex_induced_poly", "edge_induced_poly"):
-        assert sorted(labels for name, labels in calls if name == side and labels != h.labels) == cards
-    assert len(calls) == 3 + 2 * h.n
+    # the parent is swept once per side and no card is swept on its own
+    assert sorted(name for name, _ in calls) == ["edge_induced_poly", "hochster_betti", "vertex_induced_poly"]
+    assert all(labels == h.labels for _, labels in calls)
+    # beside the parent's family of one, the deck-sum identity 4.2 makes
+    # one family sweep per side, whose members are the n cards in order
+    cards = tuple(card.labels for card in h.deck().cards)
+    assert len(cards) == h.n
+    for side in ("vertex", "edge"):
+        assert sorted(families[side]) == sorted([(h.labels,), cards])
 
 
 def test_verify_single_identity_builds_no_table(calls, tmp_path, capsys):
