@@ -28,7 +28,7 @@ import sys
 from pathlib import Path
 
 from .bipoly import BiPoly, UniPoly
-from .enumeration import DEFAULT_LIMIT, edge_induced_poly, vertex_induced_poly
+from .enumeration import DEFAULT_LIMIT, edge_family_poly, vertex_family_poly
 from .errors import InputError, InternalMismatch, LimitExceeded
 from .formats import (
     bipoly_to_json_terms,
@@ -309,12 +309,8 @@ _VIEWS = {
 }
 
 _TARGETS = {
-    "S": lambda deck, cfg: _poly(
-        reconstruct_edge_poly([edge_induced_poly(c, cfg.n_max) for c in deck.cards], deck.origin_n)
-    ),
-    "P": lambda deck, cfg: _poly(
-        reconstruct_vertex_poly([vertex_induced_poly(c, cfg.n_max) for c in deck.cards], deck.origin_n)
-    ),
+    "S": lambda deck, cfg: _poly(reconstruct_edge_poly(edge_family_poly(deck.cards, cfg.n_max), deck.origin_n)),
+    "P": lambda deck, cfg: _poly(reconstruct_vertex_poly(vertex_family_poly(deck.cards, cfg.n_max), deck.origin_n)),
     "fvector": lambda deck, cfg: _vector(reconstruct_f_vector(deck, cfg.n_max)),
     "hilbert": lambda deck, cfg: _value_list(reconstruct_hilbert_function(deck, cfg.k_max, cfg.n_max)),
     "betti": lambda deck, cfg: _betti(reconstruct_multigraded_betti(deck, cfg.homology_n_max)),

@@ -28,7 +28,7 @@ from collections.abc import Iterator, Sequence
 from functools import cache, lru_cache, reduce
 from operator import and_, or_
 
-from .bipoly import BiPoly, UniPoly
+from .bipoly import BiPoly
 from .errors import LimitExceeded
 from .hypergraph import Hypergraph, mask_indices
 
@@ -199,8 +199,3 @@ def edge_induced_poly(h: Hypergraph, limit: int | None = None) -> BiPoly:
     """
     return edge_family_poly((h,), limit)
 
-
-def independence_poly(h: Hypergraph, limit: int | None = None) -> UniPoly:
-    """Generating polynomial of independent vertex subsets by size: the
-    vertex polynomial at y = 0."""
-    return vertex_induced_poly(h, limit).eval_y(0)

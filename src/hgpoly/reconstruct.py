@@ -2,7 +2,10 @@
 
 A subhypergraph spanning i < n vertices survives in exactly n - i of
 the n cards, so summing a coefficient over the deck and dividing by
-n - i recovers it. The divisions must come out exact: a remainder
+n - i recovers it. S, P, the f-vector and the Hilbert function are
+therefore read from the sum of the card polynomials alone, which one
+family sweep over the cards computes and which does not depend on the
+cards' labels or order. The divisions must come out exact: a remainder
 certifies that the input is not a genuine deck. The full-vertex row of
 the edge-subset polynomial is not visible on any card; it is completed
 from the column-sum identity (column j sums to C(m, j)), which is valid
@@ -15,15 +18,13 @@ is exactly why they are excluded.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from math import comb
 
 from .bipoly import BiPoly, UniPoly, expand_series, to_edge_form, to_vertex_form
-from .enumeration import edge_family_poly, edge_induced_poly, independence_poly, vertex_family_poly
+from .enumeration import edge_family_poly, vertex_family_poly
 from .errors import (
     InconsistentDeck,
     InternalMismatch,
-    LengthMismatch,
     NegativeTopCoefficient,
     NoEdges,
     NonIntegerCoefficient,
@@ -83,23 +84,17 @@ def verify_deck_sum_identity(inv: SRInvariants, which: str = "edge") -> bool:
     return sweep(inv.deck.cards, inv.limit).terms == expected
 
 
-def _deck_coefficient_sums(deck_polys: Sequence[BiPoly], n: int) -> dict[tuple[int, int], int]:
+def _divide_card_sum(card_sum: BiPoly, n: int) -> dict[tuple[int, int], int]:
+    """The parent's terms below the full vertex set: each (i, j) term of
+    the summed card polynomial divided exactly by n - i. Every card holds
+    the empty subset once, so the constant term must be n."""
     _check_n(n)
-    if len(deck_polys) != n:
-        raise LengthMismatch(f"expected {n} card polynomials, got {len(deck_polys)}")
-    total: dict[tuple[int, int], int] = {}
-    for p in deck_polys:
-        for e, c in p.terms.items():
-            total[e] = total.get(e, 0) + c
+    total = card_sum.terms
     const = total.pop((0, 0), 0)
     if const != n:
         raise InconsistentDeck(
             f"card constant terms sum to {const}, but a genuine {n}-card deck sums to {n}"
         )
-    return total
-
-
-def _divide_card_sums(total: dict[tuple[int, int], int], n: int) -> dict[tuple[int, int], int]:
     out: dict[tuple[int, int], int] = {(0, 0): 1}
     for (i, j), s in sorted(total.items()):
         if i >= n:
@@ -117,12 +112,11 @@ def _divide_card_sums(total: dict[tuple[int, int], int], n: int) -> dict[tuple[i
     return out
 
 
-def reconstruct_edge_poly(deck_polys: Sequence[BiPoly], n: int) -> BiPoly:
-    """Edge-subset polynomial of the parent from the cards' edge-subset
-    polynomials: rows i < n by exact division, the edge count from the
-    single-edge column, and the i = n row from the column sums."""
-    total = _deck_coefficient_sums(deck_polys, n)
-    theta = _divide_card_sums(total, n)
+def reconstruct_edge_poly(card_sum: BiPoly, n: int) -> BiPoly:
+    """Edge-subset polynomial of the parent from the sum of its n cards'
+    edge-subset polynomials: rows i < n by exact division, the edge count
+    from the single-edge column, and the i = n row from the column sums."""
+    theta = _divide_card_sum(card_sum, n)
     m = sum(c for (i, j), c in theta.items() if j == 1)
     if m == 0:
         raise NoEdges(_EDGELESS_DECK)
@@ -140,15 +134,15 @@ def reconstruct_edge_poly(deck_polys: Sequence[BiPoly], n: int) -> BiPoly:
     return BiPoly(theta)
 
 
-def reconstruct_vertex_poly(deck_polys: Sequence[BiPoly], n: int) -> BiPoly:
-    """Vertex-subset polynomial of the parent from the cards' vertex
-    polynomials. The full-vertex row is the single term for the whole
-    vertex set inducing all m edges, with m taken from the edge-route
-    reconstruction; the result must agree with transforming the deck to
-    edge form, reconstructing there, and transforming back."""
-    total = _deck_coefficient_sums(deck_polys, n)
-    beta = _divide_card_sums(total, n)
-    edge_rec = reconstruct_edge_poly([to_edge_form(p, n - 1) for p in deck_polys], n)
+def reconstruct_vertex_poly(card_sum: BiPoly, n: int) -> BiPoly:
+    """Vertex-subset polynomial of the parent from the sum of its n
+    cards' vertex polynomials. The full-vertex row is the single term for
+    the whole vertex set inducing all m edges, with m taken from the
+    edge-route reconstruction; the result must agree with transforming
+    the sum to edge form (the transform is linear), reconstructing there,
+    and transforming back."""
+    beta = _divide_card_sum(card_sum, n)
+    edge_rec = reconstruct_edge_poly(to_edge_form(card_sum, n - 1), n)
     m = sum(c for (i, j), c in edge_rec.terms.items() if j == 1)
     beta[(n, m)] = beta.get((n, m), 0) + 1
     direct = BiPoly(beta)
@@ -163,38 +157,35 @@ def reconstruct_vertex_poly(deck_polys: Sequence[BiPoly], n: int) -> BiPoly:
 
 def reconstruct_f_vector(deck: Deck, limit: int | None = None) -> tuple[int, ...]:
     """Face counts of the parent's independence complex from the cards:
-    an independent l-set survives in n - l cards, so the cards' counts
-    go through the same exact division as the polynomials, as j = 0
-    terms."""
+    an independent l-set survives in n - l cards, so the counts are the
+    j = 0 terms of the cards' summed vertex polynomial, divided exactly
+    like the other terms."""
     n = deck.origin_n
     _check_n(n)
     if all(card.m == 0 for card in deck.cards):
         raise NoEdges(_EDGELESS_DECK)
-    card_f = [
-        BiPoly({(l, 0): c for l, c in enumerate(independence_poly(card, limit).coeffs)})
-        for card in deck.cards
-    ]
-    faces = _divide_card_sums(_deck_coefficient_sums(card_f, n), n)
-    return tuple(faces.get((l, 0), 0) for l in range(max(faces)[0] + 1))
+    faces = {i: c for (i, j), c in _divide_card_sum(vertex_family_poly(deck.cards, limit), n).items() if not j}
+    return tuple(faces.get(l, 0) for l in range(max(faces) + 1))
 
 
 def reconstruct_hilbert_function(deck: Deck, k_max: int, limit: int | None = None) -> list[int]:
     """Hilbert function of the parent's quotient ring from the deck.
 
-    Primary route: reconstruct the edge-subset polynomial, specialize at
-    y = -1, expand over (1-t)^n. Verification route: the deck identity
-    n*H(t) = t(1-t)H'(t) + sum of card Hilbert series, checked
-    coefficientwise to k_max. The routes must agree.
+    Primary route: reconstruct the edge-subset polynomial from the cards'
+    summed one, specialize at y = -1, expand over (1-t)^n. Verification
+    route: the deck identity n*H(t) = t(1-t)H'(t) + sum of card Hilbert
+    series, checked coefficientwise to k_max; the expansion is linear, so
+    the cards' series sum to that of the summed polynomial. The routes
+    must agree.
     """
     n = deck.origin_n
-    card_s = [edge_induced_poly(c, limit) for c in deck.cards]
-    s_rec = reconstruct_edge_poly(card_s, n)
-    values = expand_series(s_rec.eval_y(-1), n, k_max)
-    card_values = [expand_series(s.eval_y(-1), n - 1, k_max) for s in card_s]
+    card_sum = edge_family_poly(deck.cards, limit)
+    values = expand_series(reconstruct_edge_poly(card_sum, n).eval_y(-1), n, k_max)
+    card_values = expand_series(card_sum.eval_y(-1), n - 1, k_max)
     for k in range(k_max + 1):
         lhs = n * values[k]
         deriv = k * values[k] - (k - 1) * values[k - 1] if k else 0
-        rhs = deriv + sum(cv[k] for cv in card_values)
+        rhs = deriv + card_values[k]
         if lhs != rhs:
             raise PathsDisagree(
                 f"reconstructed Hilbert values fail the deck differential identity "

@@ -18,7 +18,7 @@ import pytest
 from hgpoly.bipoly import BiPoly, UniPoly, to_edge_form
 from hgpoly.cli import main
 from hgpoly.corpus import complete_graph, star
-from hgpoly.enumeration import edge_induced_poly, vertex_induced_poly
+from hgpoly.enumeration import edge_family_poly, edge_induced_poly, vertex_family_poly, vertex_induced_poly
 from hgpoly.errors import (
     AntichainViolation,
     NoEdges,
@@ -126,10 +126,8 @@ def test_criterion_6_reconstruction_roundtrips(corpus):
             continue
         count += 1
         deck = h.deck()
-        s_polys = [edge_induced_poly(c) for c in deck.cards]
-        assert reconstruct_edge_poly(s_polys, h.n) == edge_induced_poly(h), name
-        p_polys = [vertex_induced_poly(c) for c in deck.cards]
-        assert reconstruct_vertex_poly(p_polys, h.n) == vertex_induced_poly(h), name
+        assert reconstruct_edge_poly(edge_family_poly(deck.cards), h.n) == edge_induced_poly(h), name
+        assert reconstruct_vertex_poly(vertex_family_poly(deck.cards), h.n) == vertex_induced_poly(h), name
         assert reconstruct_f_vector(deck) == f_vector(h), name
         k_max = 2 * h.n
         assert reconstruct_hilbert_function(deck, k_max) == hilbert_function(h, k_max), name
@@ -174,12 +172,11 @@ def test_criterion_8_negative_paths():
     with pytest.raises(TooFewVertices):
         check_reconstructible(validate(["a", "b"], [["a", "b"]]))
 
-    # corrupted deck: perturb one card coefficient so a division fails
+    # corrupted deck: perturb one coefficient of the card sum so a division fails
     h = validate(list("abcd"), [["a", "b"], ["b", "c"], ["c", "d"]])
-    polys = [edge_induced_poly(c) for c in h.deck().cards]
-    polys[0] = polys[0] + BiPoly.monomial(2, 1)
+    card_sum = edge_family_poly(h.deck().cards) + BiPoly.monomial(2, 1)
     with pytest.raises(NonIntegerCoefficient) as exc:
-        reconstruct_edge_poly(polys, 4)
+        reconstruct_edge_poly(card_sum, 4)
     assert "not divisible" in str(exc.value)
 
     _report("8 negative paths", "all five diagnostics trigger with correct messages")

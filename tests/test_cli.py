@@ -151,6 +151,16 @@ class TestDeckRoundtrip:
         assert "projective dimension >=" in out
         assert "projective dimension:" not in out
 
+    def test_missing_card_exit_2(self, tmp_path, k3_file, capsys):
+        # S, P, f and the Hilbert function read only the card sum, so the
+        # card count is checked when the deck is read
+        deck_dir = tmp_path / "cards"
+        assert main(["deck", "--input", k3_file, "--out-dir", str(deck_dir)]) == 0
+        (deck_dir / "card_02.json").unlink()
+        capsys.readouterr()
+        assert main(["reconstruct", "--deck", str(deck_dir), "--target", "S"]) == 2
+        assert capsys.readouterr().err == "error: expected 3 cards, got 2\n"
+
     def test_corrupted_deck_exit_2(self, tmp_path, capsys):
         # parent: path on 4 vertices; an edge added to card 0 that avoids
         # vertex c is missing from card 2, so no parent exists

@@ -11,7 +11,6 @@ from hgpoly.bipoly import BiPoly
 from hgpoly.enumeration import (
     edge_family_poly,
     edge_induced_poly,
-    independence_poly,
     vertex_family_poly,
     vertex_induced_poly,
 )
@@ -49,17 +48,17 @@ class TestFrozenValues:
             assert edge_induced_poly(h) == expected
 
     def test_independence_poly_k3(self, k3):
-        assert independence_poly(k3).coeffs == (1, 3)
+        assert vertex_induced_poly(k3).eval_y(0).coeffs == (1, 3)
 
     def test_independence_poly_blocked_singleton(self):
         h = validate(["a"], [["a"]])
-        assert independence_poly(h).coeffs == (1,)
+        assert vertex_induced_poly(h).eval_y(0).coeffs == (1,)
 
     def test_empty_hypergraph(self):
         h = validate([], [])
         assert vertex_induced_poly(h) == BiPoly.one()
         assert edge_induced_poly(h) == BiPoly.one()
-        assert independence_poly(h).coeffs == (1,)
+        assert vertex_induced_poly(h).eval_y(0).coeffs == (1,)
 
 
 @settings(max_examples=80, deadline=None)
@@ -77,7 +76,7 @@ def test_edge_poly_matches_naive(h):
 @settings(max_examples=80, deadline=None)
 @given(hypergraphs())
 def test_independence_poly_matches_naive(h):
-    assert list(independence_poly(h).coeffs) == oracles.naive_independent_sizes(h)
+    assert list(vertex_induced_poly(h).eval_y(0).coeffs) == oracles.naive_independent_sizes(h)
 
 
 @settings(max_examples=60, deadline=None)
@@ -109,12 +108,6 @@ def test_multiplicative_over_disjoint_union(h1, h2):
     u = disjoint_union(h1, relabeled)
     assert vertex_induced_poly(u) == vertex_induced_poly(h1) * vertex_induced_poly(h2)
     assert edge_induced_poly(u) == edge_induced_poly(h1) * edge_induced_poly(h2)
-
-
-@settings(max_examples=60, deadline=None)
-@given(hypergraphs())
-def test_independence_equals_vertex_poly_at_y0(h):
-    assert independence_poly(h) == vertex_induced_poly(h).eval_y(0)
 
 
 def _clutter(n: int, m: int, seed: int):

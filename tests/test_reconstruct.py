@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 
 from hgpoly.bipoly import BiPoly
-from hgpoly.enumeration import edge_induced_poly, vertex_induced_poly
+from hgpoly.enumeration import edge_family_poly, edge_induced_poly, vertex_family_poly, vertex_induced_poly
 from hgpoly.errors import (
     InconsistentDeck,
-    LengthMismatch,
     NegativeTopCoefficient,
     NoEdges,
     NonIntegerCoefficient,
@@ -84,57 +83,56 @@ class TestDeckSumIdentity:
 class TestReconstructEdgePoly:
     def test_k3_from_frozen_cards(self):
         card = BiPoly({(0, 0): 1, (2, 1): 1})
-        got = reconstruct_edge_poly([card] * 3, 3)
+        got = reconstruct_edge_poly(3 * card, 3)
         assert got == BiPoly({(0, 0): 1, (2, 1): 3, (3, 2): 3, (3, 3): 1})
 
     def test_path3(self, path3):
-        polys = [edge_induced_poly(c) for c in path3.deck().cards]
-        assert reconstruct_edge_poly(polys, 3) == BiPoly({(0, 0): 1, (2, 1): 2, (3, 2): 1})
+        card_sum = edge_family_poly(path3.deck().cards)
+        assert reconstruct_edge_poly(card_sum, 3) == BiPoly({(0, 0): 1, (2, 1): 2, (3, 2): 1})
 
     def test_wrong_length(self):
-        with pytest.raises(LengthMismatch):
-            reconstruct_edge_poly([BiPoly.one()] * 2, 3)
+        # two cards for a 3-vertex parent: each card's empty subset adds 1
+        with pytest.raises(InconsistentDeck, match="card constant terms sum to 2"):
+            reconstruct_edge_poly(2 * BiPoly.one(), 3)
 
     def test_too_few_vertices(self):
         with pytest.raises(TooFewVertices):
-            reconstruct_edge_poly([BiPoly.one()] * 2, 2)
+            reconstruct_edge_poly(2 * BiPoly.one(), 2)
 
     def test_edgeless_deck_rejected(self):
         with pytest.raises(NoEdges):
-            reconstruct_edge_poly([BiPoly.one()] * 4, 4)
+            reconstruct_edge_poly(4 * BiPoly.one(), 4)
 
     def test_perturbed_coefficient_breaks_divisibility(self):
-        # parent: path on 4 vertices; bump one card's (2,1) count so the
-        # deck sum at i=2 is no longer divisible by n-i=2
+        # parent: path on 4 vertices; bump the deck sum's (2,1) count so
+        # it is no longer divisible by n-i=2
         h = validate(list("abcd"), [["a", "b"], ["b", "c"], ["c", "d"]])
-        polys = [edge_induced_poly(c) for c in h.deck().cards]
-        polys[0] = polys[0] + BiPoly.monomial(2, 1)
+        card_sum = edge_family_poly(h.deck().cards) + BiPoly.monomial(2, 1)
         with pytest.raises(NonIntegerCoefficient) as exc:
-            reconstruct_edge_poly(polys, 4)
+            reconstruct_edge_poly(card_sum, 4)
         assert "i=2" in str(exc.value)
 
     def test_perturbed_constant_detected(self, k3):
-        polys = [edge_induced_poly(c) for c in k3.deck().cards]
-        polys[1] = polys[1] + BiPoly.one()
+        card_sum = edge_family_poly(k3.deck().cards) + BiPoly.one()
         with pytest.raises(InconsistentDeck):
-            reconstruct_edge_poly(polys, 3)
+            reconstruct_edge_poly(card_sum, 3)
 
     def test_overfull_column_goes_negative(self):
         # each fake card claims far more 2-edge subsets than m=3 edges allow
         fake = BiPoly({(0, 0): 1, (2, 1): 1, (2, 2): 7})
         with pytest.raises(NegativeTopCoefficient):
-            reconstruct_edge_poly([fake] * 3, 3)
+            reconstruct_edge_poly(3 * fake, 3)
 
 
 class TestReconstructVertexPoly:
     def test_k3(self, k3):
-        polys = [vertex_induced_poly(c) for c in k3.deck().cards]
-        assert reconstruct_vertex_poly(polys, 3) == vertex_induced_poly(k3)
+        card_sum = vertex_family_poly(k3.deck().cards)
+        assert reconstruct_vertex_poly(card_sum, 3) == vertex_induced_poly(k3)
 
     def test_path3(self, path3):
-        polys = [vertex_induced_poly(c) for c in path3.deck().cards]
+        card_sum = vertex_family_poly(path3.deck().cards)
         expected = BiPoly({(0, 0): 1, (1, 0): 3, (2, 0): 1, (2, 1): 2, (3, 2): 1})
-        assert reconstruct_vertex_poly(polys, 3) == expected
+        assert reconstruct_vertex_poly(card_sum, 3) == expected
 
 
 class TestReconstructFVector:
@@ -214,10 +212,8 @@ class TestTopBettiReport:
 @given(reconstructible_hypergraphs(max_n=5, max_m=5))
 def test_roundtrip_properties(h):
     deck = h.deck()
-    s_polys = [edge_induced_poly(c) for c in deck.cards]
-    assert reconstruct_edge_poly(s_polys, h.n) == edge_induced_poly(h)
-    p_polys = [vertex_induced_poly(c) for c in deck.cards]
-    assert reconstruct_vertex_poly(p_polys, h.n) == vertex_induced_poly(h)
+    assert reconstruct_edge_poly(edge_family_poly(deck.cards), h.n) == edge_induced_poly(h)
+    assert reconstruct_vertex_poly(vertex_family_poly(deck.cards), h.n) == vertex_induced_poly(h)
     assert reconstruct_f_vector(deck) == f_vector(h)
     assert reconstruct_hilbert_function(deck, h.n + 2) == hilbert_function(h, h.n + 2)
 

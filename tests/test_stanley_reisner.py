@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from hgpoly.bipoly import UniPoly, divide_by_one_minus_t
-from hgpoly.enumeration import independence_poly
+from hgpoly.enumeration import vertex_induced_poly
 from hgpoly.errors import LengthMismatch
 from hgpoly.hypergraph import validate
 from hgpoly.stanley_reisner import (
@@ -107,10 +107,10 @@ class TestReducedSeries:
 
 class TestExterior:
     def test_matches_face_counts(self, k3, edgeless3):
-        assert independence_poly(k3).coeffs == (1, 3)
-        assert independence_poly(edgeless3).coeffs == (1, 3, 3, 1)
+        assert vertex_induced_poly(k3).eval_y(0).coeffs == (1, 3)
+        assert vertex_induced_poly(edgeless3).eval_y(0).coeffs == (1, 3, 3, 1)
         h = validate(["a"], [["a"]])
-        assert independence_poly(h) == UniPoly.one()
+        assert vertex_induced_poly(h).eval_y(0) == UniPoly.one()
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,6 +13,7 @@ import sys
 
 import pytest
 
+import hgpoly.bipoly as bipoly
 import hgpoly.enumeration as enumeration
 import hgpoly.homology as homology
 from hgpoly.cli import main
@@ -25,24 +26,33 @@ from hgpoly.stanley_reisner import sr_invariants
 COUNTED = (
     (enumeration, "vertex_induced_poly"),
     (enumeration, "edge_induced_poly"),
-    (enumeration, "independence_poly"),
     (homology, "hochster_betti"),
 )
+
+
+def _rebind(monkeypatch, owner, name: str, wrap) -> None:
+    """Replace owner.name by wrap(owner.name) in every hgpoly module that
+    binds it."""
+    fn = getattr(owner, name)
+    replacement = wrap(fn)
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("hgpoly") and getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, replacement)
 
 
 @pytest.fixture
 def calls(monkeypatch) -> list[tuple[str, tuple[str, ...]]]:
     log: list[tuple[str, tuple[str, ...]]] = []
     for owner, name in COUNTED:
-        fn = getattr(owner, name)
 
-        def counted(h, *args, _name=name, _fn=fn, **kwargs):
-            log.append((_name, h.labels))
-            return _fn(h, *args, **kwargs)
+        def wrap(fn, _name=name):
+            def counted(h, *args, **kwargs):
+                log.append((_name, h.labels))
+                return fn(h, *args, **kwargs)
 
-        for mod in list(sys.modules.values()):
-            if getattr(mod, "__name__", "").startswith("hgpoly") and getattr(mod, name, None) is fn:
-                monkeypatch.setattr(mod, name, counted)
+            return counted
+
+        _rebind(monkeypatch, owner, name, wrap)
     return log
 
 
@@ -57,16 +67,15 @@ def families(monkeypatch) -> dict[str, list[tuple[tuple[str, ...], ...]]]:
     """The member labels of every family sweep, by side."""
     log: dict[str, list[tuple[tuple[str, ...], ...]]] = {"vertex": [], "edge": []}
     for side in log:
-        name = f"{side}_family_poly"
-        fn = getattr(enumeration, name)
 
-        def counted(family, *args, _fn=fn, _log=log[side], **kwargs):
-            _log.append(tuple(h.labels for h in family))
-            return _fn(family, *args, **kwargs)
+        def wrap(fn, _log=log[side]):
+            def counted(family, *args, **kwargs):
+                _log.append(tuple(h.labels for h in family))
+                return fn(family, *args, **kwargs)
 
-        for mod in list(sys.modules.values()):
-            if getattr(mod, "__name__", "").startswith("hgpoly") and getattr(mod, name, None) is fn:
-                monkeypatch.setattr(mod, name, counted)
+            return counted
+
+        _rebind(monkeypatch, enumeration, f"{side}_family_poly", wrap)
     return log
 
 
@@ -85,6 +94,35 @@ def test_report_sweeps_and_tables_once(h, calls, families, tmp_path, capsys):
     assert len(cards) == h.n
     for side in ("vertex", "edge"):
         assert sorted(families[side]) == sorted([(h.labels,), cards])
+
+
+@pytest.mark.parametrize(
+    "target, side", [("S", "edge"), ("P", "vertex"), ("fvector", "vertex"), ("hilbert", "edge")]
+)
+@pytest.mark.parametrize("h", [cycle_graph(10), wheel(5)], ids=["cycle10", "wheel5"])
+def test_reconstruct_sweeps_the_deck_once(h, target, side, calls, families, monkeypatch, tmp_path, capsys):
+    transforms: list[int] = []
+
+    def wrap(fn):
+        def counted(p, n):
+            transforms.append(n)
+            return fn(p, n)
+
+        return counted
+
+    _rebind(monkeypatch, bipoly, "to_edge_form", wrap)
+    cards_dir = str(tmp_path / "cards")
+    assert main(["deck", "--input", _write(tmp_path, h), "--out-dir", cards_dir]) == 0
+    assert main(["reconstruct", "--deck", cards_dir, "--target", target]) == 0
+    capsys.readouterr()
+    # one family sweep over the n cards, on the side the target reads,
+    # and no hypergraph swept on its own
+    cards = tuple(card.labels for card in h.deck().cards)
+    assert len(cards) == h.n
+    assert families == {"vertex": [], "edge": [], side: [cards]}
+    assert calls == []
+    # P checks its direct route against one transform of the summed cards
+    assert transforms == ([h.n - 1] if target == "P" else [])
 
 
 def test_verify_single_identity_builds_no_table(calls, tmp_path, capsys):
