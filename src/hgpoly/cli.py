@@ -9,7 +9,11 @@ There is one output path. Each subcommand handler returns its result
 as a (JSON value, text) pair built by the value renderers (polynomial,
 vector, value list, Betti table, identity results), and ``main`` alone
 reads ``--format`` and writes to stdout; ``report`` has no text form and
-always prints JSON. compute, hilbert, fvector, hvector and betti are one
+always prints JSON. A directory ``report`` parses and limit-checks every
+member before any output, then returns a lazy list that ``main`` writes
+one member's report at a time, so peak memory follows the largest
+member; only an internal consistency failure (exit 1) can leave a
+partial document. compute, hilbert, fvector, hvector and betti are one
 handler over views of the hypergraph's ``SRInvariants`` bundle, and the
 five reconstruct targets go through the same renderers, so a value
 rebuilt from a deck prints exactly as the value computed directly.
@@ -25,14 +29,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
+from collections.abc import Iterator
 
 from .bipoly import BiPoly, UniPoly
-from .enumeration import DEFAULT_LIMIT, edge_family_poly, vertex_family_poly
+from .enumeration import DEFAULT_LIMIT, check_sweep_limits, edge_family_poly, vertex_family_poly
 from .errors import InputError, InternalMismatch, LimitExceeded
 from .formats import (
     bipoly_to_json_terms,
     dump_json,
+    dump_json_list,
     load_corpus,
     load_hypergraph,
     read_deck,
@@ -322,7 +327,7 @@ def _cmd_view(args, cfg: RunConfig) -> Output:
 
 
 def _cmd_deck(args, cfg: RunConfig) -> Output:
-    paths = _strs(write_deck(load_hypergraph(args.input).deck(), args.out_dir))
+    paths = write_deck(load_hypergraph(args.input).deck(), args.out_dir)
     return paths, "\n".join(paths)
 
 
@@ -338,16 +343,15 @@ def _cmd_verify(args, cfg: RunConfig) -> Output:
 
 
 def _cmd_report(args, cfg: RunConfig) -> Output:
-    path = Path(args.input)
-    if not path.is_dir():
-        return _report_for(load_hypergraph(path), cfg), None
-    docs = []
-    for name, h in load_corpus(path):
+    if not os.path.isdir(args.input):
+        return _report_for(load_hypergraph(args.input), cfg), None
+    corpus = load_corpus(args.input)
+    for name, h in corpus:
         try:
-            docs.append({"name": name, "report": _report_for(h, cfg)})
+            check_sweep_limits(h, cfg.n_max)
         except LimitExceeded as exc:
             raise LimitExceeded(f"{name}: {exc}") from exc
-    return docs, None
+    return ({"name": name, "report": _report_for(h, cfg)} for name, h in corpus), None
 
 
 _HANDLERS = {
@@ -367,6 +371,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         value, text = _HANDLERS[args.command](args, _config_from_args(args))
+        pieces = (text,) if text else None  # the deck of an empty hypergraph lists no paths
+        if args.format == "json" or text is None:  # a directory report is a lazy list, built as it is written
+            pieces = dump_json_list(value) if isinstance(value, Iterator) else (dump_json(value),)
+        if pieces is not None:
+            sys.stdout.writelines(pieces)  # not joined with the newline: a report can be megabytes
+            sys.stdout.write("\n")
     except LimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -376,11 +386,6 @@ def main(argv: list[str] | None = None) -> int:
     except InternalMismatch as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 1
-    if args.format == "json" or text is None:
-        text = dump_json(value)
-    if text:  # the deck of an empty hypergraph lists no paths
-        sys.stdout.write(text)  # not text + "\n": a report can be megabytes
-        sys.stdout.write("\n")
     return 1 if args.command == "verify" and "FAIL" in value.values() else 0
 
 

@@ -48,6 +48,12 @@ def _check_limit(kind: str, value: int, limit: int | None) -> int:
     return lim
 
 
+def check_sweep_limits(h: Hypergraph, limit: int | None = None) -> None:
+    """Raise, without sweeping, the LimitExceeded that sweeping h would: n first, then m."""
+    _check_limit("n", h.n, limit)
+    _check_limit("m", h.m, limit)
+
+
 @cache
 def _coordinates(k: int) -> tuple[int, tuple[int, ...]]:
     """The all-ones int over 2^k subset bits, and for each v < k the int

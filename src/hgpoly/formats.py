@@ -11,13 +11,18 @@ Both parsers reject trailing garbage and unknown structure.
 Polynomials are written (never read) as ``[[i, j, "coeff"], ...]`` with
 coefficients as decimal strings, so arbitrarily large integers survive
 any JSON reader.
+
+JSON is rendered here and written to stdout by ``cli.main`` alone, a
+lazy list (``dump_json_list``) one item at a time. Paths are strings
+handled by ``os``, so this module loads neither pathlib nor fnmatch.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 from .bipoly import BiPoly, UniPoly
 from .errors import InputError, ParseError
@@ -66,10 +71,10 @@ def _parse_lines(text: str, source: str) -> Hypergraph:
     return validate(vertices, edges)
 
 
-def load_hypergraph(path: str | Path) -> Hypergraph:
-    path = Path(path)
+def load_hypergraph(path: str) -> Hypergraph:
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -86,6 +91,16 @@ def dump_json(value: object) -> str:
     texts as soon as they are written, so the text is never held as one
     piece per token."""
     return _json_text(value, "\n")
+
+
+def dump_json_list(items: Iterable) -> Iterator[str]:
+    """``dump_json(list(items))`` in pieces, each item drawn from items
+    and rendered only when its piece is asked for."""
+    sep = "[\n  "
+    for item in items:
+        yield sep + _json_text(item, "\n  ")
+        sep = ",\n  "
+    yield "[]" if sep == "[\n  " else "\n]"
 
 
 def _json_text(value: object, newline: str) -> str:
@@ -119,67 +134,71 @@ def dump_hypergraph_json(h: Hypergraph) -> str:
     return dump_json(h.to_json_dict()) + "\n"
 
 
-def write_deck(deck: Deck, out_dir: str | Path) -> list[Path]:
+def _card_names(directory: str) -> list[str]:
+    return sorted(n for n in os.listdir(directory) if n.startswith("card_") and n.endswith(".json"))
+
+
+def write_deck(deck: Deck, out_dir: str) -> list[str]:
     """Write one JSON file per card, zero-padded in vertex order.
 
     Raises InputError, before writing anything, when out_dir cannot be
     a directory or already holds a card_*.json file that this deck would
     not overwrite: read back, that stale card would join the deck.
     """
-    out_dir = Path(out_dir)
     width = max(2, len(str(deck.origin_n - 1)))
     names = [f"card_{l:0{width}d}.json" for l in range(deck.origin_n)]
+    paths = [os.path.join(out_dir, name) for name in names]
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        stale = sorted(p.name for p in out_dir.glob("card_*.json") if p.name not in names)
+        os.makedirs(out_dir, exist_ok=True)
+        stale = [name for name in _card_names(out_dir) if name not in names]
         if stale:
             raise InputError(
                 f"{out_dir} already holds {stale[0]}, which this {deck.origin_n}-card deck "
                 f"would not overwrite; write the deck to an empty directory"
             )
-        for name, card in zip(names, deck.cards):
-            (out_dir / name).write_text(dump_hypergraph_json(card))
+        for path, card in zip(paths, deck.cards):
+            with open(path, "w") as fh:
+                fh.write(dump_hypergraph_json(card))
     except OSError as exc:
         raise InputError(f"cannot write the deck to {out_dir}: {exc}") from exc
-    return [out_dir / name for name in names]
+    return paths
 
 
-def read_deck(deck_dir: str | Path) -> Deck:
+def read_deck(deck_dir: str) -> Deck:
     """Read the card_<k>.json files in order of the integer k, whatever
     its zero padding, and recover the deck."""
-    deck_dir = Path(deck_dir)
-    if not deck_dir.is_dir():
+    if not os.path.isdir(deck_dir):
         raise ParseError(f"{deck_dir} is not a directory")
-    files: dict[int, Path] = {}
-    for p in sorted(deck_dir.glob("card_*.json")):
-        digits = p.name[len("card_") : -len(".json")]
+    files: dict[int, str] = {}
+    for name in _card_names(deck_dir):
+        digits = name[len("card_") : -len(".json")]
         if not (digits.isascii() and digits.isdigit()):
-            raise ParseError(f"{p}: card file name is not card_<integer>.json")
+            raise ParseError(f"{os.path.join(deck_dir, name)}: card file name is not card_<integer>.json")
         k = int(digits)
         if k in files:
-            raise ParseError(f"{p}: card index {k} repeats {files[k].name}")
-        files[k] = p
+            raise ParseError(f"{os.path.join(deck_dir, name)}: card index {k} repeats {files[k]}")
+        files[k] = name
     if not files:
         raise ParseError(f"no card_*.json files in {deck_dir}")
-    return Deck.from_cards([load_hypergraph(files[k]) for k in sorted(files)])
+    return Deck.from_cards([load_hypergraph(os.path.join(deck_dir, files[k])) for k in sorted(files)])
 
 
-def load_corpus(directory: str | Path) -> list[tuple[str, Hypergraph]]:
+def load_corpus(directory: str) -> list[tuple[str, Hypergraph]]:
     """Parse every regular file in a directory, in sorted name order.
 
     Per-file errors are aggregated into a single ParseError naming each
     offending file.
     """
-    directory = Path(directory)
-    if not directory.is_dir():
+    if not os.path.isdir(directory):
         raise ParseError(f"{directory} is not a directory")
     loaded: list[tuple[str, Hypergraph]] = []
     failures: list[str] = []
-    for p in sorted(directory.iterdir()):
-        if not p.is_file():
+    for name in sorted(os.listdir(directory)):
+        path = os.path.join(directory, name)
+        if not os.path.isfile(path):
             continue
         try:
-            loaded.append((p.name, load_hypergraph(p)))
+            loaded.append((name, load_hypergraph(path)))
         except ParseError as exc:
             failures.append(str(exc))
     if failures:

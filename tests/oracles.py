@@ -166,6 +166,23 @@ def first_contained_pair(edges: list[tuple[int, ...]]) -> tuple[tuple[int, ...],
     return None
 
 
+def convolve2d(a: dict[tuple[int, int], int], b: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+    """The convolution of two tables keyed (i, j), zero entries dropped.
+
+    The parts of a disjoint union have their edge ideals in disjoint
+    variables, so the minimal free resolution of the union's ideal is the
+    tensor product of the parts' resolutions: homological and internal
+    degrees add, and the graded Betti table of the union is this
+    convolution of the parts' tables. A face of the union's independence
+    complex is a face of each part, so the f-vectors (keyed (i, 0))
+    convolve the same way."""
+    out: dict[tuple[int, int], int] = {}
+    for (i, j), x in a.items():
+        for (k, l), y in b.items():
+            out[(i + k, j + l)] = out.get((i + k, j + l), 0) + x * y
+    return {key: c for key, c in out.items() if c}
+
+
 # -- closed-form Betti tables ------------------------------------------------
 
 

@@ -1,20 +1,28 @@
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hgpoly
-from hgpoly.cli import main
-from hgpoly.corpus import complete_graph
+from hgpoly import cli
+from hgpoly.cli import RunConfig, main
+from hgpoly.corpus import complete_graph, cycle_graph
+from hgpoly.enumeration import check_sweep_limits
+from hgpoly.errors import InternalMismatch, LimitExceeded
 from hgpoly.formats import dump_hypergraph_json
 from hgpoly.hypergraph import validate
 
+from .strategies import hypergraphs
 from .test_reconstruct import cycle_chord
 
 TARGETS = ("S", "P", "fvector", "hilbert", "betti")
@@ -364,9 +372,14 @@ class TestReport:
         (tmp_path / "k3.json").write_text(dump_hypergraph_json(k3))
         (tmp_path / "bad.json").write_text("{nope")
         assert main(["report", "--input", str(tmp_path)]) == 2
-        assert "bad.json" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == "" and "bad.json" in captured.err
 
-    def test_directory_member_over_limit_named(self, tmp_path, k3, capsys):
+    def test_directory_member_over_limit_named(self, tmp_path, k3, capsys, monkeypatch):
+        # the member over the limit sorts last, and is refused before any
+        # member's report is built
+        calls = []
+        monkeypatch.setattr(cli, "_report_for", lambda h, cfg: calls.append(h))
         (tmp_path / "a_k3.json").write_text(dump_hypergraph_json(k3))
         (tmp_path / "k8.json").write_text(dump_hypergraph_json(complete_graph(8)))
         assert main(["report", "--input", str(tmp_path)]) == 3
@@ -375,6 +388,51 @@ class TestReport:
         assert captured.err == (
             "error: k8.json: m=28 exceeds the enumeration limit 24; raise the limit explicitly to run anyway\n"
         )
+        assert calls == []
+
+    def test_directory_internal_failure_midway_exit_1(self, tmp_path, k3, path3, capsys, monkeypatch):
+        (tmp_path / "a.json").write_text(dump_hypergraph_json(k3))
+        assert main(["report", "--input", str(tmp_path)]) == 0
+        first = capsys.readouterr().out
+        (tmp_path / "b.json").write_text(dump_hypergraph_json(path3))
+        report_for = cli._report_for
+
+        def fail_on_second(h, cfg):
+            if h == path3:
+                raise InternalMismatch("routes disagree")
+            return report_for(h, cfg)
+
+        monkeypatch.setattr(cli, "_report_for", fail_on_second)
+        assert main(["report", "--input", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "internal consistency failure: routes disagree\n"
+        # the first member's document was written before the failure
+        assert captured.out.startswith(first[: -len("\n]\n")])
+
+    def test_directory_report_memory_follows_the_largest_member(self, tmp_path):
+        text = dump_hypergraph_json(cycle_graph(8))
+        for k in range(128):
+            (tmp_path / f"c{k:03d}.json").write_text(text)
+
+        class Sink:
+            written = 0
+
+            def write(self, piece):
+                self.written += len(piece)
+
+            def writelines(self, pieces):
+                for piece in pieces:
+                    self.write(piece)
+
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                assert main(["report", "--input", str(tmp_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * sink.written, (peak, sink.written)
 
     def test_ten_thousand_edges_refused_without_pairwise_check(self, tmp_path, capsys):
         # every edge pair would be compared before the vertex limit is read
@@ -408,3 +466,19 @@ def test_text_and_json_encode_identical_values(k3_file, capsys):
     main(["fvector", "--format", "json", "--input", k3_file])
     as_json = json.loads(capsys.readouterr().out)
     assert text == "(" + ", ".join(as_json) + ")"
+
+
+@settings(max_examples=60, deadline=None)
+@given(hypergraphs(), st.integers(1, 6))
+def test_sweep_limit_check_agrees_with_report(h, n_max):
+    # the directory report checks every member before building any
+    # report, so the check must refuse exactly what a report refuses
+    def refusal(run):
+        try:
+            run()
+        except LimitExceeded as exc:
+            return str(exc)
+        return None
+
+    checked = refusal(lambda: check_sweep_limits(h, n_max))
+    assert checked == refusal(lambda: cli._report_for(h, RunConfig(n_max=n_max)))

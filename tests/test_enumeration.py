@@ -16,6 +16,7 @@ from hgpoly.enumeration import (
 )
 from hgpoly.errors import LimitExceeded
 from hgpoly.hypergraph import disjoint_union, validate
+from hgpoly.stanley_reisner import sr_invariants
 from hgpoly.corpus import complete_graph, cycle_graph, path_graph, random_antichain, star
 
 from . import oracles
@@ -105,9 +106,12 @@ def test_multiplicative_over_disjoint_union(h1, h2):
         [f"r{lbl}" for lbl in h2.labels],
         [[f"r{lbl}" for lbl in e] for e in h2.edge_label_sets()],
     )
-    u = disjoint_union(h1, relabeled)
-    assert vertex_induced_poly(u) == vertex_induced_poly(h1) * vertex_induced_poly(h2)
-    assert edge_induced_poly(u) == edge_induced_poly(h1) * edge_induced_poly(h2)
+    u, parts = sr_invariants(disjoint_union(h1, relabeled)), (sr_invariants(h1), sr_invariants(h2))
+    assert u.P == parts[0].P * parts[1].P
+    assert u.S == parts[0].S * parts[1].S
+    f1, f2 = ({(i, 0): c for i, c in enumerate(inv.f)} for inv in parts)
+    assert {(i, 0): c for i, c in enumerate(u.f)} == oracles.convolve2d(f1, f2)
+    assert u.betti.graded == oracles.convolve2d(parts[0].betti.graded, parts[1].betti.graded)
 
 
 def _clutter(n: int, m: int, seed: int):

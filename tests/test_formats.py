@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -138,7 +139,7 @@ class TestFiles:
     def test_deck_roundtrip(self, tmp_path, path3):
         deck = path3.deck()
         paths = write_deck(deck, tmp_path / "deck")
-        assert [p.name for p in paths] == ["card_00.json", "card_01.json", "card_02.json"]
+        assert [os.path.basename(p) for p in paths] == ["card_00.json", "card_01.json", "card_02.json"]
         assert read_deck(tmp_path / "deck") == deck
 
     def test_read_deck_empty_dir(self, tmp_path):
