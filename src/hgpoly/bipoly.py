@@ -1,13 +1,14 @@
-"""Exact sparse bivariate and dense univariate polynomial arithmetic.
+"""Exact sparse bivariate and dense univariate integer polynomials.
 
 A BiPoly is a map from exponent pairs ``(i, j)`` (the x- and y-degrees)
-to nonzero Python integers, so all arithmetic is exact at any size.
+to nonzero Python integers, so every coefficient is exact at any size.
 The zero polynomial is the empty map.  A UniPoly is a dense coefficient
 tuple indexed by degree with trailing zeros trimmed; the zero polynomial
-is the empty tuple.
+is the empty tuple.  The engine builds, transforms, evaluates and
+renders these polynomials but never multiplies or adds them, so there
+is no ring arithmetic.
 
-Besides ring arithmetic this module houses the two binomial-expansion
-transforms between the vertex-subset and edge-subset enumerating
+This module houses the two binomial-expansion transforms between the vertex-subset and edge-subset enumerating
 polynomials of a hypergraph on n vertices:
 
     to_edge_form(P, n)    expands  sum_ij c_ij x^i (1-x)^(n-i) (1+y)^j
@@ -42,18 +43,6 @@ class BiPoly:
                 store[(i, j)] = store.get((i, j), 0) + c
         self._terms = {e: c for e, c in store.items() if c}
 
-    @classmethod
-    def zero(cls) -> "BiPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "BiPoly":
-        return cls({(0, 0): 1})
-
-    @classmethod
-    def monomial(cls, i: int, j: int, coeff: int = 1) -> "BiPoly":
-        return cls({(i, j): coeff})
-
     @property
     def terms(self) -> dict[tuple[int, int], int]:
         """Copy of the term map (exponent pair -> coefficient)."""
@@ -71,12 +60,6 @@ class BiPoly:
         """Largest x-exponent, or -1 for the zero polynomial."""
         return max((i for i, _ in self._terms), default=-1)
 
-    def deg_y(self) -> int:
-        return max((j for _, j in self._terms), default=-1)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BiPoly):
             return NotImplemented
@@ -84,51 +67,6 @@ class BiPoly:
 
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, 0) + c
-        return BiPoly(out)
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, 0) - c
-        return BiPoly(out)
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly({e: -c for e, c in self._terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        out: dict[tuple[int, int], int] = {}
-        for (i1, j1), c1 in self._terms.items():
-            for (i2, j2), c2 in other._terms.items():
-                e = (i1 + i2, j1 + j2)
-                out[e] = out.get(e, 0) + c1 * c2
-        return BiPoly(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c: int) -> "BiPoly":
-        if c == 0:
-            return BiPoly()
-        return BiPoly({e: c * v for e, v in self._terms.items()})
-
-    def partial_x(self) -> "BiPoly":
-        """Formal partial derivative in x."""
-        return BiPoly({(i - 1, j): i * c for (i, j), c in self._terms.items() if i > 0})
 
     def eval_y(self, c: int) -> "UniPoly":
         """Substitute y = c and collect in x."""
@@ -172,24 +110,6 @@ class UniPoly:
             cs.pop()
         self._coeffs = tuple(cs)
 
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "UniPoly":
-        return cls((1,))
-
-    @classmethod
-    def monomial(cls, k: int, coeff: int = 1) -> "UniPoly":
-        if k < 0:
-            raise ValueError("negative degree")
-        return cls((0,) * k + (coeff,))
-
-    @classmethod
-    def one_minus_t(cls) -> "UniPoly":
-        return cls((1, -1))
-
     @property
     def coeffs(self) -> tuple[int, ...]:
         return self._coeffs
@@ -211,52 +131,6 @@ class UniPoly:
 
     def __hash__(self) -> int:
         return hash(self._coeffs)
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        n = max(len(self._coeffs), len(other._coeffs))
-        return UniPoly([self.coeff(k) + other.coeff(k) for k in range(n)])
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        n = max(len(self._coeffs), len(other._coeffs))
-        return UniPoly([self.coeff(k) - other.coeff(k) for k in range(n)])
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self._coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return UniPoly([c * other for c in self._coeffs])
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return UniPoly()
-        out = [0] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for a, ca in enumerate(self._coeffs):
-            if ca:
-                for b, cb in enumerate(other._coeffs):
-                    out[a + b] += ca * cb
-        return UniPoly(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, k: int) -> "UniPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        result = UniPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def __call__(self, value: int) -> int:
         acc = 0

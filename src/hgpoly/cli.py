@@ -54,10 +54,8 @@ from .reconstruct import (
     reconstruct_vertex_poly,
     top_betti_report,
 )
-from .stanley_reisner import SRInvariants, sr_invariants
+from .stanley_reisner import SRInvariants
 from .verify import IDENTITY_IDS, run_all, run_identity
-
-ENV_LIMITS = "HGPOLY_LIMITS"
 
 # expand_series holds k_max + 1 big ints per pass, so --terms is bounded
 MAX_TERMS = 10_000
@@ -76,25 +74,6 @@ class RunConfig:
             raise InputError("size limits must be positive")
 
 
-def _env_limit_defaults() -> dict[str, int]:
-    """Parse HGPOLY_LIMITS ('n-max=20 homology-n-max=10', comma or space
-    separated, flag names with or without dashes)."""
-    raw = os.environ.get(ENV_LIMITS, "").replace(",", " ")
-    out: dict[str, int] = {}
-    for token in raw.split():
-        if "=" not in token:
-            raise InputError(f"{ENV_LIMITS}: expected name=value, got {token!r}")
-        name, _, value = token.partition("=")
-        key = name.strip().lstrip("-").replace("-", "_")
-        if key not in ("n_max", "homology_n_max"):
-            raise InputError(f"{ENV_LIMITS}: unknown limit {name!r}")
-        try:
-            out[key] = int(value)
-        except ValueError as exc:
-            raise InputError(f"{ENV_LIMITS}: bad value in {token!r}") from exc
-    return out
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hgpoly",
@@ -104,10 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text", help="output format")
     common.add_argument("--terms", type=int, default=20, metavar="K", help="series terms to expand (default 20)")
-    common.add_argument("--n-max", type=int, default=None, help=f"enumeration size limit (default {DEFAULT_LIMIT})")
-    common.add_argument(
-        "--homology-n-max", type=int, default=None, help=f"homology size limit (default {DEFAULT_HOMOLOGY_LIMIT})"
-    )
+    common.add_argument("--n-max", type=int, default=DEFAULT_LIMIT, help=f"enumeration size limit (default {DEFAULT_LIMIT})")
+    common.add_argument("--homology-n-max", type=int, default=DEFAULT_HOMOLOGY_LIMIT,
+                        help=f"homology size limit (default {DEFAULT_HOMOLOGY_LIMIT})")
     common.add_argument("--parallel", action="store_true", help="does nothing (all work runs in-process); to be removed")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -146,17 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    env = _env_limit_defaults()
-    n_max = args.n_max if args.n_max is not None else env.get("n_max", DEFAULT_LIMIT)
-    hom_max = (
-        args.homology_n_max
-        if args.homology_n_max is not None
-        else env.get("homology_n_max", DEFAULT_HOMOLOGY_LIMIT)
-    )
-    return RunConfig(k_max=args.terms, n_max=n_max, homology_n_max=hom_max)
-
-
 # -- value renderers: each returns the (JSON value, text) pair of one value --
 
 Output = tuple[object, str | None]
@@ -191,7 +158,7 @@ def _betti_json(table: BettiTable) -> dict:
 
 def _betti_text(table: BettiTable) -> str:
     n = table.n
-    pd, reg, depth = pd_reg_depth(table, n)
+    pd, reg, depth = pd_reg_depth(table)
     graded = table.graded
     cols = list(range(pd + 1))
     rows = list(range(reg + 1))
@@ -240,12 +207,8 @@ def _identities(results: dict[str, bool | str]) -> tuple[dict[str, str], str]:
     return status, "\n".join(f"identity {ident}: {s}" for ident, s in status.items())
 
 
-def _bundle(h: Hypergraph, cfg: RunConfig) -> SRInvariants:
-    return sr_invariants(h, cfg.n_max, cfg.homology_n_max)
-
-
 def _report_for(h: Hypergraph, cfg: RunConfig) -> dict:
-    inv = _bundle(h, cfg)
+    inv = SRInvariants(h, cfg.n_max, cfg.homology_n_max)
     # the vertex side first, so a hypergraph over both limits is refused for n
     f_json = _strs(inv.f)
     series_num, series_dim = inv.hilbert_series_reduced
@@ -271,7 +234,7 @@ def _report_for(h: Hypergraph, cfg: RunConfig) -> dict:
     }
     if h.n <= cfg.homology_n_max:
         table = inv.betti
-        pd, reg, depth = pd_reg_depth(table, h.n)
+        pd, reg, depth = pd_reg_depth(table)
         top = top_betti_report(table, inv.k_polynomial)
         recovery = antidiagonal_recovery(table, inv.k_polynomial)
         report["betti"] = _betti_json(table)
@@ -323,7 +286,7 @@ _TARGETS = {
 
 
 def _cmd_view(args, cfg: RunConfig) -> Output:
-    return _VIEWS[args.view](_bundle(load_hypergraph(args.input), cfg), cfg)
+    return _VIEWS[args.view](SRInvariants(load_hypergraph(args.input), cfg.n_max, cfg.homology_n_max), cfg)
 
 
 def _cmd_deck(args, cfg: RunConfig) -> Output:
@@ -336,7 +299,7 @@ def _cmd_reconstruct(args, cfg: RunConfig) -> Output:
 
 
 def _cmd_verify(args, cfg: RunConfig) -> Output:
-    inv = _bundle(load_hypergraph(args.input), cfg)
+    inv = SRInvariants(load_hypergraph(args.input), cfg.n_max, cfg.homology_n_max)
     if args.identity == "all":
         return _identities(run_all(inv))
     return _identities({args.identity: run_identity(args.identity, inv)})
@@ -370,7 +333,7 @@ _PARSER = build_parser()
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        value, text = _HANDLERS[args.command](args, _config_from_args(args))
+        value, text = _HANDLERS[args.command](args, RunConfig(args.terms, args.n_max, args.homology_n_max))
         pieces = (text,) if text else None  # the deck of an empty hypergraph lists no paths
         if args.format == "json" or text is None:  # a directory report is a lazy list, built as it is written
             pieces = dump_json_list(value) if isinstance(value, Iterator) else (dump_json(value),)

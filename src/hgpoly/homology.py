@@ -291,13 +291,14 @@ def hochster_betti(h: Hypergraph, limit: int | None = None) -> BettiTable:
     return BettiTable(h.labels, restriction_betti(h.edges, bmasks))
 
 
-def pd_reg_depth(table: BettiTable, n: int) -> tuple[int, int, int]:
+def pd_reg_depth(table: BettiTable) -> tuple[int, int, int]:
     """Projective dimension, regularity, and depth of the quotient ring,
     read off the graded table: pd is the largest homological degree with
-    a nonzero entry, regularity the largest j - i, and depth n - pd."""
+    a nonzero entry, regularity the largest j - i, and depth n - pd for
+    the table's n vertices."""
     pd = max(i for i, _ in table.graded)
     reg = max(j - i for i, j in table.graded)
-    return pd, reg, n - pd
+    return pd, reg, table.n - pd
 
 
 class RecoveryResult(Frozen):

@@ -34,7 +34,6 @@ from .errors import (
 )
 from .homology import (
     BettiTable,
-    pd_reg_depth,
     restriction_betti,
     _check_homology_limit,
     _edge_union_closure,
@@ -223,10 +222,8 @@ class TopBettiReport(Frozen):
     at most one entry in that row is nonzero, and then the homological
     invariants derived from the table are deck-reconstructible too."""
 
-    def __init__(self, n: int, top_coefficient: int, top_entries: dict[int, int], determined: bool,
-                 projective_dimension: int, regularity: int, depth: int) -> None:
-        self._freeze(n=n, top_coefficient=top_coefficient, top_entries=top_entries, determined=determined,
-                     projective_dimension=projective_dimension, regularity=regularity, depth=depth)
+    def __init__(self, top_coefficient: int, top_entries: dict[int, int], determined: bool) -> None:
+        self._freeze(top_coefficient=top_coefficient, top_entries=top_entries, determined=determined)
 
 
 def top_betti_report(table: BettiTable, kpoly: UniPoly) -> TopBettiReport:
@@ -235,20 +232,10 @@ def top_betti_report(table: BettiTable, kpoly: UniPoly) -> TopBettiReport:
     n = table.n
     c_top = kpoly.coeff(n)
     tops = {i: b for (i, j), b in sorted(table.graded.items()) if j == n}
-    determined = len(tops) <= 1
     if len(tops) == 1:
         ((_, b),) = tops.items()
         if b != abs(c_top):
             raise InternalMismatch(
                 f"single top entry {b} does not match the numerator coefficient {c_top}"
             )
-    pd, reg, depth = pd_reg_depth(table, n)
-    return TopBettiReport(
-        n=n,
-        top_coefficient=c_top,
-        top_entries=tops,
-        determined=determined,
-        projective_dimension=pd,
-        regularity=reg,
-        depth=depth,
-    )
+    return TopBettiReport(c_top, tops, determined=len(tops) <= 1)

@@ -115,15 +115,10 @@ class SRInvariants(Frozen):
         return via_series
 
 
-def sr_invariants(h: Hypergraph, limit: int | None = None, homology_limit: int | None = None) -> SRInvariants:
-    """The lazily filled invariant bundle of h."""
-    return SRInvariants(h, limit, homology_limit)
-
-
 def f_vector(h: Hypergraph, limit: int | None = None) -> tuple[int, ...]:
     """Face counts of the independence complex by size, starting with
     the empty set: entry l is the number of independent l-subsets."""
-    return sr_invariants(h, limit).f
+    return SRInvariants(h, limit).f
 
 
 def h_vector(f: tuple[int, ...] | list[int], d: int) -> tuple[int, ...]:
@@ -142,12 +137,6 @@ def h_vector(f: tuple[int, ...] | list[int], d: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def k_polynomial(h: Hypergraph, limit: int | None = None) -> UniPoly:
-    """Numerator of the Hilbert series over (1-t)^n: the edge-subset
-    polynomial evaluated at y = -1."""
-    return sr_invariants(h, limit).k_polynomial
-
-
 def hilbert_function(h: Hypergraph, k_max: int, limit: int | None = None) -> list[int]:
     """See SRInvariants.hilbert_function."""
-    return sr_invariants(h, limit).hilbert_function(k_max)
+    return SRInvariants(h, limit).hilbert_function(k_max)

@@ -279,18 +279,6 @@ class TestLimitsAndConfig:
         assert main(["compute", "--poly", "S", "--n-max", "2", "--input", k3_file]) == 3
         assert "limit" in capsys.readouterr().err
 
-    def test_env_limits_respected(self, k3_file, capsys, monkeypatch):
-        monkeypatch.setenv("HGPOLY_LIMITS", "n-max=2")
-        assert main(["compute", "--poly", "S", "--input", k3_file]) == 3
-
-    def test_flag_overrides_env(self, k3_file, capsys, monkeypatch):
-        monkeypatch.setenv("HGPOLY_LIMITS", "n-max=2")
-        assert main(["compute", "--poly", "S", "--n-max", "24", "--input", k3_file]) == 0
-
-    def test_bad_env_limits_exit_2(self, k3_file, capsys, monkeypatch):
-        monkeypatch.setenv("HGPOLY_LIMITS", "bogus=3")
-        assert main(["compute", "--poly", "S", "--input", k3_file]) == 2
-
     def test_negative_terms_rejected(self, k3_file):
         assert main(["hilbert", "--terms", "-1", "--input", k3_file]) == 2
 

@@ -21,7 +21,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import tempfile
 from pathlib import Path
 
@@ -77,8 +76,7 @@ def cli_digests(workdir: Path) -> dict[str, dict[str, str]]:
     return digests
 
 
-def test_cli_matches_goldens(tmp_path, monkeypatch):
-    monkeypatch.delenv("HGPOLY_LIMITS", raising=False)
+def test_cli_matches_goldens(tmp_path):
     expected = json.loads(GOLDEN.read_text())
     got = cli_digests(tmp_path)
     assert sorted(got) == sorted(expected)
@@ -90,7 +88,6 @@ def test_cli_matches_goldens(tmp_path, monkeypatch):
 
 
 if __name__ == "__main__":
-    os.environ.pop("HGPOLY_LIMITS", None)
     GOLDEN.parent.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         digests = cli_digests(Path(tmp))

@@ -25,7 +25,7 @@ from hgpoly.enumeration import edge_family_poly, edge_induced_poly, vertex_famil
 from hgpoly.formats import dump_hypergraph_json, load_corpus, read_deck, write_deck
 from hgpoly.hypergraph import Hypergraph, mask_indices
 from hgpoly.reconstruct import reconstruct_edge_poly, reconstruct_vertex_poly
-from hgpoly.stanley_reisner import sr_invariants
+from hgpoly.stanley_reisner import SRInvariants
 
 from .strategies import hypergraphs, reconstructible_hypergraphs
 
@@ -42,7 +42,7 @@ def _relabel(h: Hypergraph, perm: list[int]) -> Hypergraph:
 @given(hypergraphs(), st.data())
 def test_invariants_unchanged_by_relabelling(h, data):
     perm = data.draw(st.permutations(range(h.n)))
-    inv, moved = sr_invariants(h), sr_invariants(_relabel(h, perm))
+    inv, moved = SRInvariants(h), SRInvariants(_relabel(h, perm))
     assert moved.P == inv.P
     assert moved.S == inv.S
     assert moved.f == inv.f

@@ -28,7 +28,7 @@ from hgpoly.homology import (
 )
 from hgpoly.hypergraph import Hypergraph, validate
 from hgpoly.corpus import cycle_graph, path_graph, wheel
-from hgpoly.stanley_reisner import k_polynomial
+from hgpoly.stanley_reisner import SRInvariants
 
 from . import oracles
 from .strategies import hypergraphs
@@ -394,42 +394,42 @@ def test_graded_collapse_consistent(h):
 @settings(max_examples=40, deadline=None)
 @given(hypergraphs(max_n=6, max_m=6))
 def test_alternating_sum_identity(h):
-    assert verify_betti_alternating_sum(hochster_betti(h), k_polynomial(h))
-    assert betti_alternating_sum(hochster_betti(h)) == k_polynomial(h)
+    assert verify_betti_alternating_sum(hochster_betti(h), SRInvariants(h).k_polynomial)
+    assert betti_alternating_sum(hochster_betti(h)) == SRInvariants(h).k_polynomial
 
 
 class TestDerivedInvariants:
     def test_k3(self, k3):
-        assert pd_reg_depth(hochster_betti(k3), 3) == (2, 1, 1)
+        assert pd_reg_depth(hochster_betti(k3)) == (2, 1, 1)
 
     def test_edgeless(self):
         for n in (1, 3, 5):
             h = validate([f"v{k}" for k in range(n)], [])
-            assert pd_reg_depth(hochster_betti(h), n) == (0, 0, n)
+            assert pd_reg_depth(hochster_betti(h)) == (0, 0, n)
 
     def test_single_edge(self):
         h = validate(["a", "b"], [["a", "b"]])
-        assert pd_reg_depth(hochster_betti(h), 2) == (1, 1, 1)
+        assert pd_reg_depth(hochster_betti(h)) == (1, 1, 1)
 
     def test_complete_intersection(self):
         h = validate(["a", "b", "c", "d"], [["a", "b"], ["c", "d"]])
         table = hochster_betti(h)
         assert table.graded == {(0, 0): 1, (1, 2): 2, (2, 4): 1}
-        assert pd_reg_depth(table, 4) == (2, 2, 2)
+        assert pd_reg_depth(table) == (2, 2, 2)
 
 
 class TestAntidiagonalRecovery:
     def test_k3_applicable(self, k3):
-        rec = antidiagonal_recovery(hochster_betti(k3), k_polynomial(k3))
+        rec = antidiagonal_recovery(hochster_betti(k3), SRInvariants(k3).k_polynomial)
         assert rec.applicable and rec.entries == {2: 3, 3: 2}
 
     def test_edgeless_empty_recovery(self, edgeless3):
-        rec = antidiagonal_recovery(hochster_betti(edgeless3), k_polynomial(edgeless3))
+        rec = antidiagonal_recovery(hochster_betti(edgeless3), SRInvariants(edgeless3).k_polynomial)
         assert rec.applicable and rec.entries == {}
 
     def test_wheel_not_applicable(self):
         # two nonzero entries share a column: (3, 5) and (4, 5)
-        rec = antidiagonal_recovery(hochster_betti(wheel(5)), k_polynomial(wheel(5)))
+        rec = antidiagonal_recovery(hochster_betti(wheel(5)), SRInvariants(wheel(5)).k_polynomial)
         assert not rec.applicable
         assert rec.violating_degree == 5
 
@@ -437,7 +437,7 @@ class TestAntidiagonalRecovery:
         for _, h in corpus[:80]:
             if h.n > 6:
                 continue
-            rec = antidiagonal_recovery(hochster_betti(h), k_polynomial(h))
+            rec = antidiagonal_recovery(hochster_betti(h), SRInvariants(h).k_polynomial)
             if not rec.applicable:
                 continue
             table = hochster_betti(h)

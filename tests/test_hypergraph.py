@@ -26,7 +26,7 @@ from hgpoly.homology import (
 )
 from hgpoly.hypergraph import Deck, Hypergraph, disjoint_union, validate
 from hgpoly.reconstruct import top_betti_report
-from hgpoly.stanley_reisner import sr_invariants
+from hgpoly.stanley_reisner import SRInvariants
 
 from .oracles import first_contained_pair
 from .strategies import hypergraphs
@@ -186,7 +186,7 @@ class TestValueSemantics:
         assert len({k3, twin, path3}) == 2
 
     def test_fields_cannot_be_assigned(self, k3):
-        inv = sr_invariants(k3)
+        inv = SRInvariants(k3)
         values = (
             (k3, "edges"),
             (k3.deck(), "cards"),

@@ -8,11 +8,10 @@ from hgpoly.enumeration import vertex_induced_poly
 from hgpoly.errors import LengthMismatch
 from hgpoly.hypergraph import validate
 from hgpoly.stanley_reisner import (
+    SRInvariants,
     f_vector,
     h_vector,
     hilbert_function,
-    k_polynomial,
-    sr_invariants,
 )
 from hgpoly.verify import verify_series_numerator
 
@@ -32,13 +31,13 @@ class TestFVector:
 
     def test_krull_and_multiplicity(self, k3, path3, edgeless3):
         for h, expected in ((k3, (1, 3)), (path3, (2, 1)), (edgeless3, (3, 1))):
-            inv = sr_invariants(h)
+            inv = SRInvariants(h)
             assert (inv.krull_dim, inv.multiplicity) == expected
 
     def test_fully_blocked(self):
         h = validate(["a"], [["a"]])
         assert f_vector(h) == (1,)
-        inv = sr_invariants(h)
+        inv = SRInvariants(h)
         assert inv.krull_dim == 0 and inv.multiplicity == 1
 
 
@@ -63,13 +62,13 @@ class TestHVector:
 
 class TestKPolynomial:
     def test_k3(self, k3):
-        assert k_polynomial(k3) == UniPoly([1, 0, -3, 2])
+        assert SRInvariants(k3).k_polynomial == UniPoly([1, 0, -3, 2])
 
     def test_path3(self, path3):
-        assert k_polynomial(path3) == UniPoly([1, 0, -2, 1])
+        assert SRInvariants(path3).k_polynomial == UniPoly([1, 0, -2, 1])
 
     def test_edgeless(self, edgeless3):
-        assert k_polynomial(edgeless3) == UniPoly.one()
+        assert SRInvariants(edgeless3).k_polynomial == UniPoly([1])
 
 
 class TestHilbert:
@@ -95,14 +94,14 @@ class TestHilbert:
 
 class TestReducedSeries:
     def test_k3_reduced(self, k3):
-        inv = sr_invariants(k3)
+        inv = SRInvariants(k3)
         num, d = inv.hilbert_series_reduced
         assert num == UniPoly([1, 2]) and d == 1
         assert num(1) == inv.multiplicity
 
     def test_edgeless_reduced(self, edgeless3):
-        num, d = sr_invariants(edgeless3).hilbert_series_reduced
-        assert num == UniPoly.one() and d == 3
+        num, d = SRInvariants(edgeless3).hilbert_series_reduced
+        assert num == UniPoly([1]) and d == 3
 
 
 class TestExterior:
@@ -110,7 +109,7 @@ class TestExterior:
         assert vertex_induced_poly(k3).eval_y(0).coeffs == (1, 3)
         assert vertex_induced_poly(edgeless3).eval_y(0).coeffs == (1, 3, 3, 1)
         h = validate(["a"], [["a"]])
-        assert vertex_induced_poly(h).eval_y(0) == UniPoly.one()
+        assert vertex_induced_poly(h).eval_y(0) == UniPoly([1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -122,13 +121,13 @@ def test_f_vector_matches_naive(h):
 @settings(max_examples=60, deadline=None)
 @given(hypergraphs())
 def test_numerator_equals_face_expansion(h):
-    assert verify_series_numerator(sr_invariants(h))
+    assert verify_series_numerator(SRInvariants(h))
 
 
 @settings(max_examples=60, deadline=None)
 @given(hypergraphs())
 def test_h_vector_sums_to_multiplicity(h):
-    inv = sr_invariants(h)
+    inv = SRInvariants(h)
     assert sum(inv.h) == inv.multiplicity
     assert inv.h[0] == 1
 
@@ -136,8 +135,8 @@ def test_h_vector_sums_to_multiplicity(h):
 @settings(max_examples=60, deadline=None)
 @given(hypergraphs())
 def test_numerator_divisible_by_codimension_power(h):
-    inv = sr_invariants(h)
-    num = k_polynomial(h)
+    inv = SRInvariants(h)
+    num = inv.k_polynomial
     for _ in range(h.n - inv.krull_dim):
         num = divide_by_one_minus_t(num)
     assert num(1) == inv.multiplicity
@@ -159,12 +158,12 @@ def test_h_vector_expansion_recovers_face_counts(h):
     # sum f_i t^i / (1-t)^i
     from hgpoly.bipoly import expand_series
 
-    inv = sr_invariants(h)
+    inv = SRInvariants(h)
     d = inv.krull_dim
     k_max = 2 * h.n + 2
     lhs = expand_series(UniPoly(inv.h), d, k_max)
     rhs = [0] * (k_max + 1)
     for i, fi in enumerate(inv.f):
-        series = expand_series(UniPoly.monomial(i), i, k_max)
+        series = expand_series(UniPoly([0] * i + [1]), i, k_max)
         rhs = [a + fi * b for a, b in zip(rhs, series)]
     assert lhs == rhs

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hgpoly.bipoly import BiPoly
 from hgpoly.corpus import cycle_graph, uniform_complete, wheel
 from hgpoly.hypergraph import validate
-from hgpoly.stanley_reisner import sr_invariants
+from hgpoly.stanley_reisner import SRInvariants
 from hgpoly.verify import (
     IDENTITY_IDS,
     run_all,
@@ -23,7 +23,7 @@ from .strategies import hypergraphs
 @settings(max_examples=60, deadline=None)
 @given(hypergraphs())
 def test_transform_and_coefficient_relation(h):
-    inv = sr_invariants(h)
+    inv = SRInvariants(h)
     assert verify_transform(inv)
     assert verify_coefficient_relation(inv)
 
@@ -31,41 +31,41 @@ def test_transform_and_coefficient_relation(h):
 @settings(max_examples=60, deadline=None)
 @given(hypergraphs())
 def test_series_numerator(h):
-    assert verify_series_numerator(sr_invariants(h))
+    assert verify_series_numerator(SRInvariants(h))
 
 
 def test_run_all_k3(k3):
-    assert run_all(sr_invariants(k3)) == {ident: True for ident in IDENTITY_IDS}
+    assert run_all(SRInvariants(k3)) == {ident: True for ident in IDENTITY_IDS}
 
 
 def test_run_all_skips_excluded(edgeless3):
-    results = run_all(sr_invariants(edgeless3))
+    results = run_all(SRInvariants(edgeless3))
     assert results["2.1"] is True
     assert isinstance(results["4.2"], str) and results["4.2"].startswith("skipped")
 
 
 def test_run_all_skips_over_homology_limit():
     h = validate([f"v{k}" for k in range(4)], [["v0", "v1"]])
-    results = run_all(sr_invariants(h, homology_limit=3))
+    results = run_all(SRInvariants(h, homology_limit=3))
     assert isinstance(results["4.3"], str) and "limit" in results["4.3"]
     assert results["3.2"] is True
 
 
 def test_unknown_identity(k3):
     with pytest.raises(ValueError):
-        run_identity("9.9", sr_invariants(k3))
+        run_identity("9.9", SRInvariants(k3))
 
 
 def test_deck_sums_on_wheel():
     from hgpoly.corpus import wheel
 
-    assert verify_deck_sums(sr_invariants(wheel(5)))
+    assert verify_deck_sums(SRInvariants(wheel(5)))
 
 
 def _perturbed(h, side: str, key: tuple[int, int]):
     """h's bundle with 1 added to one coefficient of P or S, before
     anything is derived from it."""
-    inv = sr_invariants(h)
+    inv = SRInvariants(h)
     terms = getattr(inv, side).terms
     terms[key] = terms.get(key, 0) + 1
     inv.__dict__[side] = BiPoly(terms)
@@ -97,7 +97,7 @@ def _reads(identity: str, side: str, key: tuple[int, int], n: int) -> bool:
 )
 @pytest.mark.parametrize("side", ["P", "S"])
 def test_a_perturbed_coefficient_fails_each_identity_that_reads_it(h, side):
-    inv = sr_invariants(h)
+    inv = SRInvariants(h)
     assert all(run_identity(ident, inv) for ident in ("2.3", "3.2", "4.2"))
     # every present coefficient, and one absent from both polynomials
     keys = sorted(getattr(inv, side).terms) + [(0, 1)]

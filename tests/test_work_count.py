@@ -21,7 +21,7 @@ from hgpoly.corpus import complete_graph, cycle_graph, path_graph, wheel
 from hgpoly.formats import dump_hypergraph_json
 from hgpoly.hypergraph import Hypergraph
 from hgpoly.reconstruct import reconstruct_multigraded_betti
-from hgpoly.stanley_reisner import sr_invariants
+from hgpoly.stanley_reisner import SRInvariants
 
 COUNTED = (
     (enumeration, "vertex_induced_poly"),
@@ -132,7 +132,7 @@ def test_verify_single_identity_builds_no_table(calls, tmp_path, capsys):
 
 
 def test_bundle_computes_each_member_once(calls):
-    inv = sr_invariants(cycle_graph(6))
+    inv = SRInvariants(cycle_graph(6))
     members = ("P", "S", "f", "h", "k_polynomial", "deck", "betti", "hilbert_series_reduced")
     first = [getattr(inv, name) for name in members]
     assert all(getattr(inv, name) is value for name, value in zip(members, first))
