@@ -8,20 +8,20 @@ is the empty tuple.  The engine builds, transforms, evaluates and
 renders these polynomials but never multiplies or adds them, so there
 is no ring arithmetic.
 
-This module houses the two binomial-expansion transforms between the vertex-subset and edge-subset enumerating
-polynomials of a hypergraph on n vertices:
+Six exact expansions share one binomial substitution, :func:`substitute`
+with (a, b) in {-1, 0, 1}^2, so no rational function ever appears:
 
-    to_edge_form(P, n)    expands  sum_ij c_ij x^i (1-x)^(n-i) (1+y)^j
-    to_vertex_form(S, n)  expands  sum_ij c_ij x^i (1+x)^(n-i) (y-1)^j
-
-Both are implemented term by term with exact binomial coefficients, so
-no rational functions ever appear and the two maps are exact mutual
-inverses on polynomials of x-degree at most n.
+    to_edge_form(P, n)     (-1, +1)   P -> S
+    to_vertex_form(S, n)   (+1, -1)   S -> P, exact inverse at x-degree <= n
+    identity 2.3           (0, +1) on P against (+1, 0) on S
+    identity 3.2           (-1, 0) on f against the terms of K(t)
+    h_vector(f, d)         (-1, 0) at d
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
+from functools import cache
 from math import comb
 
 from .errors import DegreeExceedsN
@@ -121,9 +121,6 @@ class UniPoly:
         """Degree, or -1 for the zero polynomial."""
         return len(self._coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UniPoly):
             return NotImplemented
@@ -131,12 +128,6 @@ class UniPoly:
 
     def __hash__(self) -> int:
         return hash(self._coeffs)
-
-    def __call__(self, value: int) -> int:
-        acc = 0
-        for c in reversed(self._coeffs):
-            acc = acc * value + c
-        return acc
 
     def to_text(self, var: str = "t") -> str:
         if not self._coeffs:
@@ -172,24 +163,42 @@ def _monomial_text(coeff: int, vars_and_exps: tuple[tuple[str, int], ...]) -> st
     return "*".join(factors)
 
 
+def substitute(terms: Mapping[tuple[int, int], int], n: int, a: int, b: int) -> dict[tuple[int, int], int]:
+    """Expand sum c * x^i (1+a*x)^(n-i) (y+b)^j over the terms c*x^i*y^j,
+    for a and b in {-1, 0, 1}; the result is a term map without zeros.
+
+    Raises DegreeExceedsN for a term with i > n when a != 0, whose
+    negative power of (1+a*x) is no polynomial.
+    """
+    out: dict[tuple[int, int], int] = {}
+    for (i, j), c in terms.items():
+        if a and i > n:
+            raise DegreeExceedsN(f"term x^{i}*y^{j} has x-degree {i}, which exceeds n={n}")
+        ys = _binomial_row(j, b)
+        for l, cx in _binomial_row(n - i, a):
+            cx *= c
+            for k, cy in ys:
+                e = (i + l, j - k)
+                out[e] = out.get(e, 0) + cx * cy
+    return {e: c for e, c in out.items() if c}
+
+
+@cache
+def _binomial_row(k: int, a: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero terms (l, C(k, l) a^l) of (1 + a*t)^k."""
+    return tuple((l, comb(k, l) * a**l) for l in range(k + 1)) if a else ((0, 1),)
+
+
 def to_edge_form(p: BiPoly, n: int) -> BiPoly:
     """Transform the vertex-subset polynomial of an n-vertex hypergraph
-    into the edge-subset polynomial.
-
-    Each term c*x^i*y^j contributes c * x^i (1-x)^(n-i) (1+y)^j, expanded
-    binomially, so the result is an exact polynomial identity.
+    into the edge-subset polynomial: each term c*x^i*y^j contributes
+    c * x^i (1-x)^(n-i) (1+y)^j, expanded binomially, so the result is
+    an exact polynomial identity.
 
     Raises DegreeExceedsN if the x-degree of p exceeds n.
     """
     _check_deg(p, n)
-    out: dict[tuple[int, int], int] = {}
-    for (i, j), c in p._terms.items():
-        for a in range(n - i + 1):
-            ca = c * comb(n - i, a) * (-1 if a & 1 else 1)
-            for b in range(j + 1):
-                e = (i + a, b)
-                out[e] = out.get(e, 0) + ca * comb(j, b)
-    return BiPoly(out)
+    return BiPoly(substitute(p._terms, n, -1, 1))
 
 
 def to_vertex_form(s: BiPoly, n: int) -> BiPoly:
@@ -199,15 +208,7 @@ def to_vertex_form(s: BiPoly, n: int) -> BiPoly:
     Raises DegreeExceedsN if the x-degree of s exceeds n.
     """
     _check_deg(s, n)
-    out: dict[tuple[int, int], int] = {}
-    for (i, j), c in s._terms.items():
-        for a in range(n - i + 1):
-            ca = c * comb(n - i, a)
-            for b in range(j + 1):
-                sign = -1 if (j - b) & 1 else 1
-                e = (i + a, b)
-                out[e] = out.get(e, 0) + ca * comb(j, b) * sign
-    return BiPoly(out)
+    return BiPoly(substitute(s._terms, n, 1, -1))
 
 
 def _check_deg(p: BiPoly, n: int) -> None:
@@ -232,19 +233,3 @@ def expand_series(num: UniPoly, denom_power: int, k_max: int) -> list[int]:
             acc += out[k]
             out[k] = acc
     return out
-
-
-def divide_by_one_minus_t(p: UniPoly) -> UniPoly:
-    """Exact quotient p(t) / (1-t). Raises ValueError when (1-t) does
-    not divide p, i.e. when p(1) != 0."""
-    if p.is_zero():
-        return UniPoly()
-    if p(1) != 0:
-        raise ValueError("(1-t) does not divide the polynomial: value at t=1 is nonzero")
-    # From (1-t) q = p: q_k = p_k + q_{k-1}; the top prefix sum is p(1) = 0.
-    q = []
-    acc = 0
-    for k in range(p.degree()):
-        acc += p.coeff(k)
-        q.append(acc)
-    return UniPoly(q)

@@ -211,7 +211,6 @@ def _report_for(h: Hypergraph, cfg: RunConfig) -> dict:
     inv = SRInvariants(h, cfg.n_max, cfg.homology_n_max)
     # the vertex side first, so a hypergraph over both limits is refused for n
     f_json = _strs(inv.f)
-    series_num, series_dim = inv.hilbert_series_reduced
     report = {
         "hypergraph": h.to_json_dict(),
         "n": h.n,
@@ -227,8 +226,8 @@ def _report_for(h: Hypergraph, cfg: RunConfig) -> dict:
         "hilbert_series": {
             "numerator": unipoly_to_json(inv.k_polynomial),
             "denominator_power": h.n,
-            "reduced_numerator": unipoly_to_json(series_num),
-            "reduced_denominator_power": series_dim,
+            "reduced_numerator": unipoly_to_json(UniPoly(inv.h)),
+            "reduced_denominator_power": inv.krull_dim,
         },
         "hilbert_function": _strs(inv.hilbert_function(cfg.k_max)),
     }

@@ -5,9 +5,11 @@ Everything here is derived from the two direct subset sweeps: the
 vertex polynomial P, whose value at y = 0 gives the face counts, and
 the edge polynomial S, whose value at y = -1 is the numerator of the
 Hilbert series of the quotient by the edge ideal over n variables.
-``SRInvariants`` computes each quantity on first use and keeps it, so
-a consumer that reads the same bundle never sweeps or builds a Betti
-table twice.
+The h-vector is the reduced numerator: K(t) = h(t) (1-t)^(n-d) with d
+the Krull dimension, so the series in lowest terms is h(t) / (1-t)^d
+(identity 3.2 checks the expansion this rests on). ``SRInvariants``
+computes each quantity on first use and keeps it, so a consumer that
+reads the same bundle never sweeps or builds a Betti table twice.
 
 The Hilbert function is computed along two independent routes and the
 results are compared; a disagreement raises InternalMismatch because it
@@ -19,7 +21,7 @@ from __future__ import annotations
 from functools import cached_property
 from math import comb
 
-from .bipoly import BiPoly, UniPoly, divide_by_one_minus_t, expand_series
+from .bipoly import BiPoly, UniPoly, expand_series, substitute
 from .enumeration import edge_induced_poly, vertex_induced_poly
 from .errors import InternalMismatch, LengthMismatch
 from .homology import BettiTable, hochster_betti
@@ -80,17 +82,6 @@ class SRInvariants(Frozen):
     def betti(self) -> BettiTable:
         return hochster_betti(self.hypergraph, self.homology_limit)
 
-    @cached_property
-    def hilbert_series_reduced(self) -> tuple[UniPoly, int]:
-        """The Hilbert series in lowest (1-t)-terms: (numerator, d) with
-        the series equal to numerator / (1-t)^d and numerator(1) the
-        multiplicity."""
-        num = self.k_polynomial
-        d = self.krull_dim
-        for _ in range(self.n - d):
-            num = divide_by_one_minus_t(num)
-        return num, d
-
     def hilbert_function(self, k_max: int) -> list[int]:
         """Graded dimensions dim R_k for k = 0..k_max, where R is the
         quotient of the n-variable polynomial ring by the edge ideal.
@@ -129,12 +120,8 @@ def h_vector(f: tuple[int, ...] | list[int], d: int) -> tuple[int, ...]:
     """
     if len(f) != d + 1:
         raise LengthMismatch(f"f-vector of length {len(f)} does not match dimension argument d={d}")
-    out = [0] * (d + 1)
-    for i, fi in enumerate(f):
-        for k in range(i, d + 1):
-            sign = -1 if (k - i) & 1 else 1
-            out[k] += fi * comb(d - i, k - i) * sign
-    return tuple(out)
+    out = substitute({(i, 0): fi for i, fi in enumerate(f)}, d, -1, 0)
+    return tuple(out.get((k, 0), 0) for k in range(d + 1))
 
 
 def hilbert_function(h: Hypergraph, k_max: int, limit: int | None = None) -> list[int]:

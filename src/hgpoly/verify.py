@@ -4,8 +4,8 @@ Each check compares the two sides of an exact identity, computed along
 independent routes, and returns True only on coefficientwise equality.
 The checks read one invariant bundle (``SRInvariants``), whose vertex
 and edge sweeps both run directly, so no side is derived from the
-other. 2.3 and 3.2 expand each side in one pass over its own
-polynomial's terms and compare the results as coefficient maps; 4.2
+other. 2.1, 2.3 and 3.2 expand through ``bipoly.substitute``, one
+call per side over that side's own terms, and compare term maps; 4.2
 sweeps the deck's cards afresh, as one family per side. The CLI binds
 them to the identity ids ``2.1``, ``2.3``, ``3.2``, ``4.2``, ``4.3``;
 a False from any of them on a valid input means a bug somewhere, which
@@ -14,9 +14,7 @@ is the point of running them.
 
 from __future__ import annotations
 
-from math import comb
-
-from .bipoly import to_edge_form
+from .bipoly import substitute, to_edge_form
 from .errors import LimitExceeded, NotReconstructible
 from .homology import verify_betti_alternating_sum
 from .reconstruct import verify_deck_sum_identity
@@ -29,14 +27,6 @@ def verify_transform(inv: SRInvariants) -> bool:
     """Binomial-expansion transform of the vertex polynomial equals the
     directly enumerated edge polynomial."""
     return to_edge_form(inv.P, inv.n) == inv.S
-
-
-def _add(terms: dict, key, value: int) -> None:
-    terms[key] = terms.get(key, 0) + value
-
-
-def _nonzero(terms: dict) -> dict:
-    return {key: c for key, c in terms.items() if c}
 
 
 def verify_coefficient_relation(inv: SRInvariants) -> bool:
@@ -52,29 +42,16 @@ def verify_coefficient_relation(inv: SRInvariants) -> bool:
     arbitrary extra vertices. As polynomials, the left side is
     P(x, y+1), expanded from P's terms, and the right side is
     sum_ij theta[i, j] x^i (1+x)^(n-i) y^j, expanded from S's terms;
-    each is one pass over its own terms."""
-    n = inv.n
-    lhs: dict[tuple[int, int], int] = {}
-    for (i, k), c in inv.P.terms.items():
-        for j in range(k + 1):
-            _add(lhs, (i, j), c * comb(k, j))
-    rhs: dict[tuple[int, int], int] = {}
-    for (i, j), c in inv.S.terms.items():
-        for l in range(n - i + 1):
-            _add(rhs, (i + l, j), c * comb(n - i, l))
-    return _nonzero(lhs) == _nonzero(rhs)
+    each is one substitution over its own terms."""
+    return substitute(inv.P.terms, inv.n, 0, 1) == substitute(inv.S.terms, inv.n, 1, 0)
 
 
 def verify_series_numerator(inv: SRInvariants) -> bool:
     """The edge polynomial at y = -1 equals the face-count expansion
     sum_i f[i] t^i (1-t)^(n-i), with f read off the vertex polynomial
     and each power of (1-t) expanded by the binomial theorem."""
-    n = inv.n
-    rhs: dict[int, int] = {}
-    for i, fi in enumerate(inv.f):
-        for l in range(n - i + 1):
-            _add(rhs, i + l, -fi * comb(n - i, l) if l & 1 else fi * comb(n - i, l))
-    return _nonzero(rhs) == _nonzero(dict(enumerate(inv.k_polynomial.coeffs)))
+    faces = {(i, 0): fi for i, fi in enumerate(inv.f)}
+    return substitute(faces, inv.n, -1, 0) == {(k, 0): c for k, c in enumerate(inv.k_polynomial.coeffs) if c}
 
 
 def verify_deck_sums(inv: SRInvariants) -> bool:

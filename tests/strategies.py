@@ -6,7 +6,7 @@ import string
 
 from hypothesis import strategies as st
 
-from hgpoly.bipoly import BiPoly, UniPoly
+from hgpoly.bipoly import BiPoly
 from hgpoly.hypergraph import Hypergraph
 
 coefficients = st.integers(min_value=-(10**12), max_value=10**12)
@@ -21,11 +21,6 @@ def bipolys(draw, max_deg_x: int = 6, max_deg_y: int = 6, max_terms: int = 8) ->
         j = draw(st.integers(0, max_deg_y))
         terms[(i, j)] = draw(coefficients)
     return BiPoly(terms)
-
-
-@st.composite
-def unipolys(draw, max_deg: int = 8) -> UniPoly:
-    return UniPoly(draw(st.lists(coefficients, max_size=max_deg + 1)))
 
 
 @st.composite

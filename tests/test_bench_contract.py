@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import importlib.util
 import inspect
+import json
+import re
 from pathlib import Path
 
 import pytest
@@ -19,7 +21,8 @@ from hgpoly.cli import main
 from hgpoly.corpus import cycle_graph, path_graph
 from hgpoly.formats import dump_hypergraph_json
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
 # module -> names that perfbench/run.py, probe.py and tracer.py read
 HARNESS_NAMES = {
@@ -35,6 +38,17 @@ HARNESS_NAMES = {
 }
 
 
+# Names the tracer still measures although the function is gone, so the
+# metrics built on them read 0; each is for the benchmark's next change
+# (ROADMAP item 1) to drop from perfbench/tracer.py.
+DEAD_TRACER_NAMES = {
+    "enumeration.independence_poly": "ROADMAP item 1: enumeration.independence_sweeps",
+    "homology._is_cone": "ROADMAP item 1: homology.dims_self_s",
+    "parallel.map_ordered": "ROADMAP item 1: parallel.*",
+    "bipoly.divide_by_one_minus_t": "ROADMAP item 1: bipoly.series_calls, bipoly.series_s",
+}
+
+
 def _load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
     module = importlib.util.module_from_spec(spec)
@@ -47,6 +61,29 @@ def test_harness_names_exist(module):
     mod = importlib.import_module(module)
     missing = [name for name in HARNESS_NAMES[module] if not hasattr(mod, name)]
     assert not missing, f"{module} lacks {missing}"
+
+
+def _tracer_function_names(modules) -> set[str]:
+    """Every quoted "<module>.<name>" in the tracer's source whose module
+    is one it wraps, less the per-layer metric names."""
+    metrics = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    quoted = re.findall(r'"([A-Za-z_]\w*\.[\w.]+)"', TRACER_PATH.read_text())
+    return {name for name in quoted if name.split(".", 1)[0] in modules and name not in metrics}
+
+
+def test_tracer_names_resolve():
+    # a deleted or renamed function silently zeroes the metric built on it
+    names = _tracer_function_names(_load_tracer().MODULES)
+    assert len(names) == 33
+    missing = []
+    for name in sorted(names):
+        module, _, path = name.partition(".")
+        obj = importlib.import_module(f"hgpoly.{module}")
+        for attr in path.split("."):
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(name)
+    assert missing == sorted(DEAD_TRACER_NAMES)
 
 
 def test_harness_methods_exist():

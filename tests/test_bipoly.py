@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 from hgpoly.bipoly import (
     BiPoly,
     UniPoly,
-    divide_by_one_minus_t,
     expand_series,
+    substitute,
     to_edge_form,
     to_vertex_form,
 )
 from hgpoly.errors import DegreeExceedsN
 
 from . import oracles
-from .strategies import bipolys, unipolys
+from .strategies import bipolys
 
 ONE = BiPoly({(0, 0): 1})
 
@@ -84,6 +84,31 @@ class TestTransforms:
             to_vertex_form(BiPoly({(3, 1): 1}), 2)
 
 
+SIGNS = (-1, 0, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bipolys(), st.integers(0, 3))
+def test_substitute_matches_direct_evaluation(p, extra):
+    # n is at least the x-degree; the direct side evaluates each factor
+    # as an integer, so no expansion is shared with the kernel
+    n = max(p.deg_x(), 0) + extra
+    for a in SIGNS:
+        for b in SIGNS:
+            out = substitute(p.terms, n, a, b)
+            assert all(out.values())
+            for x, y in ((2, 3), (-3, 1), (5, -2)):
+                direct = sum(c * x**i * (1 + a * x) ** (n - i) * (y + b) ** j for (i, j), c in p.terms.items())
+                assert sum(c * x**i * y**j for (i, j), c in out.items()) == direct, (a, b, x, y)
+
+
+def test_substitute_rejects_a_term_above_n():
+    for a in (-1, 1):
+        for b in SIGNS:
+            with pytest.raises(DegreeExceedsN):
+                substitute({(0, 0): 1, (4, 1): 2}, 3, a, b)
+
+
 @settings(max_examples=120, deadline=None)
 @given(bipolys(max_deg_x=6), st.integers(6, 8))
 def test_transform_roundtrip(p, n):
@@ -94,37 +119,11 @@ def test_transform_roundtrip(p, n):
 class TestUniPoly:
     def test_trailing_zeros_trimmed(self):
         assert UniPoly([1, 2, 0, 0]).coeffs == (1, 2)
-        assert UniPoly([0, 0]).is_zero()
+        assert UniPoly([0, 0]).coeffs == ()
 
     def test_degree_and_eval(self):
         p = UniPoly([1, -3, 2])
         assert p.degree() == 2
-        assert p(1) == 0
-        assert p(2) == 3
-
-    def test_divide_by_one_minus_t(self):
-        # 1 - 3t^2 + 2t^3 = (1-t)^2 (1+2t)
-        q = divide_by_one_minus_t(UniPoly([1, 0, -3, 2]))
-        assert q == UniPoly([1, 1, -2])
-        assert divide_by_one_minus_t(q) == UniPoly([1, 2])
-        with pytest.raises(ValueError):
-            divide_by_one_minus_t(UniPoly([1, 1]))
-
-
-@settings(max_examples=100, deadline=None)
-@given(unipolys(), st.integers(0, 5))
-def test_divide_after_multiply_roundtrip(p, k):
-    # q = p (1-t)^k, written out: q_d = sum_a (-1)^a C(k, a) p_(d-a)
-    q = UniPoly([
-        sum((-1) ** a * _comb(k, a) * p.coeff(d - a) for a in range(k + 1))
-        for d in range(p.degree() + k + 1)
-    ])
-    for _ in range(k):
-        quotient = divide_by_one_minus_t(q)
-        # (1-t) quotient = q: q_d = quotient_d - quotient_(d-1) at every d
-        assert all(q.coeff(d) == quotient.coeff(d) - quotient.coeff(d - 1) for d in range(q.degree() + 2))
-        q = quotient
-    assert q == p
 
 
 class TestSeries:

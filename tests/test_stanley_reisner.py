@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 
-from hgpoly.bipoly import UniPoly, divide_by_one_minus_t
+from hgpoly.bipoly import UniPoly
+from hgpoly.cli import RunConfig, _report_for
 from hgpoly.enumeration import vertex_induced_poly
 from hgpoly.errors import LengthMismatch
 from hgpoly.hypergraph import validate
@@ -46,8 +49,6 @@ class TestHVector:
         assert h_vector((1, 3), 1) == (1, 2)
 
     def test_full_simplex_collapses(self):
-        from math import comb
-
         for n in range(6):
             f = tuple(comb(n, i) for i in range(n + 1))
             assert h_vector(f, n) == (1,) + (0,) * n
@@ -93,15 +94,21 @@ class TestHilbert:
 
 
 class TestReducedSeries:
+    """The report's Hilbert series over (1-t)^n and in lowest terms."""
+
     def test_k3_reduced(self, k3):
-        inv = SRInvariants(k3)
-        num, d = inv.hilbert_series_reduced
-        assert num == UniPoly([1, 2]) and d == 1
-        assert num(1) == inv.multiplicity
+        series = _report_for(k3, RunConfig())["hilbert_series"]
+        assert series == {
+            "numerator": ["1", "0", "-3", "2"],
+            "denominator_power": 3,
+            "reduced_numerator": ["1", "2"],
+            "reduced_denominator_power": 1,
+        }
+        assert sum(map(int, series["reduced_numerator"])) == SRInvariants(k3).multiplicity
 
     def test_edgeless_reduced(self, edgeless3):
-        num, d = SRInvariants(edgeless3).hilbert_series_reduced
-        assert num == UniPoly([1]) and d == 3
+        series = _report_for(edgeless3, RunConfig())["hilbert_series"]
+        assert series["reduced_numerator"] == ["1"] and series["reduced_denominator_power"] == 3
 
 
 class TestExterior:
@@ -135,11 +142,15 @@ def test_h_vector_sums_to_multiplicity(h):
 @settings(max_examples=60, deadline=None)
 @given(hypergraphs())
 def test_numerator_divisible_by_codimension_power(h):
+    # K(t) = h(t) (1-t)^c with c = n - d: coefficient t of the product is
+    # sum_k h[k] (-1)^(t-k) C(c, t-k)
     inv = SRInvariants(h)
-    num = inv.k_polynomial
-    for _ in range(h.n - inv.krull_dim):
-        num = divide_by_one_minus_t(num)
-    assert num(1) == inv.multiplicity
+    c = h.n - inv.krull_dim
+    product = [
+        sum(hk * (-1) ** (t - k) * comb(c, t - k) for k, hk in enumerate(inv.h) if 0 <= t - k <= c)
+        for t in range(h.n + 1)
+    ]
+    assert UniPoly(product) == inv.k_polynomial
 
 
 @settings(max_examples=40, deadline=None)

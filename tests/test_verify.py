@@ -72,9 +72,12 @@ def _perturbed(h, side: str, key: tuple[int, int]):
     return inv
 
 
+PERTURBED_IDS = ("2.1", "2.3", "3.2", "4.2")
+
+
 def _reads(identity: str, side: str, key: tuple[int, int], n: int) -> bool:
-    """Whether the identity reads that coefficient: 2.3 reads all of P
-    and S, 3.2 reads S through K(t) = S(t, -1) and P only through
+    """Whether the identity reads that coefficient: 2.1 and 2.3 read all
+    of P and S, 3.2 reads S through K(t) = S(t, -1) and P only through
     f = P(x, 0), and 4.2 reads the rows i < n of both (row n carries
     the factor n - i = 0)."""
     i, j = key
@@ -98,10 +101,10 @@ def _reads(identity: str, side: str, key: tuple[int, int], n: int) -> bool:
 @pytest.mark.parametrize("side", ["P", "S"])
 def test_a_perturbed_coefficient_fails_each_identity_that_reads_it(h, side):
     inv = SRInvariants(h)
-    assert all(run_identity(ident, inv) for ident in ("2.3", "3.2", "4.2"))
+    assert all(run_identity(ident, inv) for ident in PERTURBED_IDS)
     # every present coefficient, and one absent from both polynomials
     keys = sorted(getattr(inv, side).terms) + [(0, 1)]
     for key in keys:
-        for ident in ("2.3", "3.2", "4.2"):
+        for ident in PERTURBED_IDS:
             result = run_identity(ident, _perturbed(h, side, key))
             assert result is not _reads(ident, side, key, h.n), (ident, key)

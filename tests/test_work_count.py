@@ -133,7 +133,7 @@ def test_verify_single_identity_builds_no_table(calls, tmp_path, capsys):
 
 def test_bundle_computes_each_member_once(calls):
     inv = SRInvariants(cycle_graph(6))
-    members = ("P", "S", "f", "h", "k_polynomial", "deck", "betti", "hilbert_series_reduced")
+    members = ("P", "S", "f", "h", "k_polynomial", "deck", "betti")
     first = [getattr(inv, name) for name in members]
     assert all(getattr(inv, name) is value for name, value in zip(members, first))
     assert sorted(name for name, _ in calls) == ["edge_induced_poly", "hochster_betti", "vertex_induced_poly"]
