@@ -83,16 +83,7 @@ class BiPoly:
     def to_text(self, x: str = "x", y: str = "y") -> str:
         """Render with terms sorted by (i, j) ascending, e.g.
         ``1 + 3*x^2*y + 3*x^3*y^2 + x^3*y^3``."""
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for (i, j), c in self.iter_sorted():
-            mono = _monomial_text(c, ((x, i), (y, j)))
-            if not parts:
-                parts.append(mono if c > 0 else f"-{mono}")
-            else:
-                parts.append(f"+ {mono}" if c > 0 else f"- {mono}")
-        return " ".join(parts)
+        return _sum_text((c, ((x, i), (y, j))) for (i, j), c in self.iter_sorted())
 
     def __repr__(self) -> str:
         return f"BiPoly({self.to_text()})"
@@ -130,21 +121,23 @@ class UniPoly:
         return hash(self._coeffs)
 
     def to_text(self, var: str = "t") -> str:
-        if not self._coeffs:
-            return "0"
-        parts: list[str] = []
-        for k, c in enumerate(self._coeffs):
-            if not c:
-                continue
-            mono = _monomial_text(c, ((var, k),))
-            if not parts:
-                parts.append(mono if c > 0 else f"-{mono}")
-            else:
-                parts.append(f"+ {mono}" if c > 0 else f"- {mono}")
-        return " ".join(parts)
+        return _sum_text((c, ((var, k),)) for k, c in enumerate(self._coeffs) if c)
 
     def __repr__(self) -> str:
         return f"UniPoly({self.to_text()})"
+
+
+def _sum_text(terms: Iterable[tuple[int, tuple[tuple[str, int], ...]]]) -> str:
+    """Signed sum of (coefficient, ((variable, exponent), ...)) terms,
+    e.g. ``1 - 3*t^2``; "0" when there are none."""
+    parts: list[str] = []
+    for c, vars_and_exps in terms:
+        mono = _monomial_text(c, vars_and_exps)
+        if not parts:
+            parts.append(mono if c > 0 else f"-{mono}")
+        else:
+            parts.append(f"+ {mono}" if c > 0 else f"- {mono}")
+    return " ".join(parts) or "0"
 
 
 def _monomial_text(coeff: int, vars_and_exps: tuple[tuple[str, int], ...]) -> str:

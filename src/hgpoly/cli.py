@@ -44,7 +44,7 @@ from .formats import (
     unipoly_to_json,
     write_deck,
 )
-from .homology import DEFAULT_HOMOLOGY_LIMIT, BettiTable, antidiagonal_recovery, pd_reg_depth
+from .homology import DEFAULT_HOMOLOGY_LIMIT, BettiTable, betti_columns, pd_reg_depth
 from .hypergraph import Hypergraph
 from .reconstruct import (
     reconstruct_edge_poly,
@@ -52,7 +52,6 @@ from .reconstruct import (
     reconstruct_hilbert_function,
     reconstruct_multigraded_betti,
     reconstruct_vertex_poly,
-    top_betti_report,
 )
 from .stanley_reisner import SRInvariants
 from .verify import IDENTITY_IDS, run_all, run_identity
@@ -234,8 +233,10 @@ def _report_for(h: Hypergraph, cfg: RunConfig) -> dict:
     if h.n <= cfg.homology_n_max:
         table = inv.betti
         pd, reg, depth = pd_reg_depth(table)
-        top = top_betti_report(table, inv.k_polynomial)
-        recovery = antidiagonal_recovery(table, inv.k_polynomial)
+        columns = betti_columns(table, inv.k_polynomial)
+        # column n is the row no card sees: K_n pins it down when it holds at most one entry
+        top = columns.get(h.n, {})
+        crowded = [j for j, column in columns.items() if len(column) > 1]
         report["betti"] = _betti_json(table)
         report["homological"] = {
             "projective_dimension": pd,
@@ -244,14 +245,14 @@ def _report_for(h: Hypergraph, cfg: RunConfig) -> dict:
             "depth": depth,
         }
         report["top_betti"] = {
-            "top_coefficient": str(top.top_coefficient),
-            "entries": [[i, b] for i, b in sorted(top.top_entries.items())],
-            "determined": top.determined,
+            "top_coefficient": str(inv.k_polynomial.coeff(h.n)),
+            "entries": [[i, b] for i, b in sorted(top.items())],
+            "determined": len(top) <= 1,
         }
         report["antidiagonal_recovery"] = (
-            {"applicable": True, "entries": [[j, b] for j, b in sorted(recovery.entries.items())]}
-            if recovery.applicable
-            else {"applicable": False, "violating_degree": recovery.violating_degree}
+            {"applicable": False, "violating_degree": min(crowded)}
+            if crowded
+            else {"applicable": True, "entries": [[j, abs(c)] for j, c in enumerate(inv.k_polynomial.coeffs) if j and c]}
         )
     else:
         report["betti"] = None

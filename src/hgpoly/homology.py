@@ -202,6 +202,9 @@ class BettiTable(Frozen):
     def __init__(self, labels: tuple[str, ...], multigraded: dict[tuple[int, int], int], top_complete: bool = True):
         self._freeze(labels=labels, multigraded=multigraded, top_complete=top_complete)
 
+    def __hash__(self) -> int:
+        return hash((self.labels, frozenset(self.multigraded.items()), self.top_complete))
+
     @property
     def n(self) -> int:
         return len(self.labels)
@@ -301,16 +304,6 @@ def pd_reg_depth(table: BettiTable) -> tuple[int, int, int]:
     return pd, reg, table.n - pd
 
 
-class RecoveryResult(Frozen):
-    """Outcome of recovering Betti numbers from the Hilbert series
-    numerator alone. applicable is False when some total degree carries
-    two or more nonzero entries, making the alternating sum ambiguous;
-    violating_degree then names the first such column."""
-
-    def __init__(self, applicable: bool, entries: dict[int, int] | None, violating_degree: int | None) -> None:
-        self._freeze(applicable=applicable, entries=entries, violating_degree=violating_degree)
-
-
 def betti_alternating_sum(table: BettiTable) -> UniPoly:
     """The signed column sums sum_i (-1)^i b[i, j] t^j."""
     acc: dict[int, int] = {}
@@ -328,30 +321,19 @@ def verify_betti_alternating_sum(table: BettiTable, kpoly: UniPoly) -> bool:
     return betti_alternating_sum(table) == kpoly
 
 
-def antidiagonal_recovery(table: BettiTable, kpoly: UniPoly) -> RecoveryResult:
-    """If every total degree j of the table holds at most one nonzero
-    graded entry, recover those entries (for j >= 1) as the absolute
-    values of the coefficients of kpoly, the Hilbert numerator,
-    verifying them against the table.
+def betti_columns(table: BettiTable, kpoly: UniPoly) -> dict[int, dict[int, int]]:
+    """The graded entries of a complete table grouped by total degree,
+    j -> {i: b[i, j]}, for each nonempty column j.
 
-    Otherwise report the first total degree with two or more nonzero
-    entries.
-    """
-    by_degree: dict[int, list[tuple[int, int]]] = {}
+    By identity 4.3 the signed sum of column j is the coefficient K_j of
+    kpoly, the Hilbert numerator, so a column with at most one entry
+    holds exactly |K_j|, and an empty one 0. InternalMismatch is raised
+    when one does not."""
+    columns: dict[int, dict[int, int]] = {}
     for (i, j), b in table.graded.items():
-        by_degree.setdefault(j, []).append((i, b))
-    for j in sorted(by_degree):
-        if len(by_degree[j]) > 1:
-            return RecoveryResult(False, None, j)
-    recovered: dict[int, int] = {}
-    for j in range(1, kpoly.degree() + 1):
-        c = kpoly.coeff(j)
-        if c:
-            recovered[j] = abs(c)
-    # with one entry per column, the signed column sum is that entry
-    table_cols = {j: b for j, entries in by_degree.items() for _, b in entries if j >= 1}
-    if recovered != table_cols:
-        raise InternalMismatch(
-            f"single-entry columns disagree with the series numerator: {table_cols} vs {recovered}"
-        )
-    return RecoveryResult(True, recovered, None)
+        columns.setdefault(j, {})[i] = b
+    for j in range(max(kpoly.degree(), max(columns, default=-1)) + 1):
+        column = columns.get(j, {})
+        if len(column) <= 1 and sum(column.values()) != abs(kpoly.coeff(j)):
+            raise InternalMismatch(f"Betti column {j} {column} disagrees with the numerator coefficient {kpoly.coeff(j)}")
+    return columns

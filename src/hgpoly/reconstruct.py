@@ -20,11 +20,10 @@ from __future__ import annotations
 
 from math import comb
 
-from .bipoly import BiPoly, UniPoly, expand_series, to_edge_form, to_vertex_form
+from .bipoly import BiPoly, expand_series, to_edge_form, to_vertex_form
 from .enumeration import edge_family_poly, vertex_family_poly
 from .errors import (
     InconsistentDeck,
-    InternalMismatch,
     NegativeTopCoefficient,
     NoEdges,
     NonIntegerCoefficient,
@@ -38,7 +37,7 @@ from .homology import (
     _check_homology_limit,
     _edge_union_closure,
 )
-from .hypergraph import Deck, Frozen, Hypergraph
+from .hypergraph import Deck, Hypergraph
 from .stanley_reisner import SRInvariants
 
 _EDGELESS_DECK = (
@@ -214,28 +213,3 @@ def reconstruct_multigraded_betti(deck: Deck, limit: int | None = None) -> Betti
     full = (1 << n) - 1
     bmasks = [bmask for bmask in _edge_union_closure(edges) if bmask and bmask != full]
     return BettiTable(deck.parent_labels, restriction_betti(edges, bmasks), top_complete=False)
-
-
-class TopBettiReport(Frozen):
-    """Whether the full-vertex-set row of the Betti table is pinned down
-    by the top coefficient of the Hilbert series numerator: it is when
-    at most one entry in that row is nonzero, and then the homological
-    invariants derived from the table are deck-reconstructible too."""
-
-    def __init__(self, top_coefficient: int, top_entries: dict[int, int], determined: bool) -> None:
-        self._freeze(top_coefficient=top_coefficient, top_entries=top_entries, determined=determined)
-
-
-def top_betti_report(table: BettiTable, kpoly: UniPoly) -> TopBettiReport:
-    """Compare the full-vertex-set row of a complete Betti table with the
-    top coefficient of kpoly, the Hilbert series numerator."""
-    n = table.n
-    c_top = kpoly.coeff(n)
-    tops = {i: b for (i, j), b in sorted(table.graded.items()) if j == n}
-    if len(tops) == 1:
-        ((_, b),) = tops.items()
-        if b != abs(c_top):
-            raise InternalMismatch(
-                f"single top entry {b} does not match the numerator coefficient {c_top}"
-            )
-    return TopBettiReport(c_top, tops, determined=len(tops) <= 1)

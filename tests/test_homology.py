@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgpoly import homology
-from hgpoly.errors import LimitExceeded
+from hgpoly.cli import RunConfig, _report_for
+from hgpoly.errors import InternalMismatch, LimitExceeded
 from hgpoly.homology import (
     DEFAULT_HOMOLOGY_LIMIT,
     _check_homology_limit,
@@ -17,8 +18,9 @@ from hgpoly.homology import (
     _gf2_homology_dims,
     _gf2_reduce,
     _restriction_faces,
-    antidiagonal_recovery,
+    BettiTable,
     betti_alternating_sum,
+    betti_columns,
     exact_rank,
     hochster_betti,
     homology_dims_from_masks,
@@ -418,28 +420,50 @@ class TestDerivedInvariants:
         assert pd_reg_depth(table) == (2, 2, 2)
 
 
+def recovery(h: Hypergraph) -> dict:
+    return _report_for(h, RunConfig())["antidiagonal_recovery"]
+
+
 class TestAntidiagonalRecovery:
     def test_k3_applicable(self, k3):
-        rec = antidiagonal_recovery(hochster_betti(k3), SRInvariants(k3).k_polynomial)
-        assert rec.applicable and rec.entries == {2: 3, 3: 2}
+        assert recovery(k3) == {"applicable": True, "entries": [[2, 3], [3, 2]]}
 
     def test_edgeless_empty_recovery(self, edgeless3):
-        rec = antidiagonal_recovery(hochster_betti(edgeless3), SRInvariants(edgeless3).k_polynomial)
-        assert rec.applicable and rec.entries == {}
+        assert recovery(edgeless3) == {"applicable": True, "entries": []}
 
     def test_wheel_not_applicable(self):
         # two nonzero entries share a column: (3, 5) and (4, 5)
-        rec = antidiagonal_recovery(hochster_betti(wheel(5)), SRInvariants(wheel(5)).k_polynomial)
-        assert not rec.applicable
-        assert rec.violating_degree == 5
+        assert recovery(wheel(5)) == {"applicable": False, "violating_degree": 5}
+        assert betti_columns(hochster_betti(wheel(5)), SRInvariants(wheel(5)).k_polynomial)[5] == {3: 1, 4: 5}
 
     def test_recovered_values_match_table(self, corpus):
         for _, h in corpus[:80]:
             if h.n > 6:
                 continue
-            rec = antidiagonal_recovery(hochster_betti(h), SRInvariants(h).k_polynomial)
-            if not rec.applicable:
+            rec = recovery(h)
+            if not rec["applicable"]:
                 continue
             table = hochster_betti(h)
-            for j, b in rec.entries.items():
+            for j, b in rec["entries"]:
                 assert any(jj == j and bb == b for (_, jj), bb in table.graded.items())
+
+
+class TestBettiColumns:
+    def test_complete_tables_pass(self, k3):
+        assert betti_columns(hochster_betti(k3), SRInvariants(k3).k_polynomial) == {0: {0: 1}, 2: {1: 3}, 3: {2: 2}}
+        columns = betti_columns(hochster_betti(wheel(5)), SRInvariants(wheel(5)).k_polynomial)
+        assert columns[6] == {4: 1, 5: 1}
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {(2, 0b111): 3},  # the single entry of column 3 is off by one: K_3 = 2
+            {(1, 0b001): 1},  # an entry in column 1, where K_1 = 0
+            {(2, 0b111): 0},  # column 3 emptied, where K_3 = 2
+        ],
+    )
+    def test_a_disagreeing_column_is_an_internal_mismatch(self, k3, change):
+        table = hochster_betti(k3)
+        multigraded = {key: b for key, b in {**table.multigraded, **change}.items() if b}
+        with pytest.raises(InternalMismatch):
+            betti_columns(BettiTable(table.labels, multigraded), SRInvariants(k3).k_polynomial)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from hgpoly.bipoly import BiPoly
+from hgpoly.cli import RunConfig, _report_for
 from hgpoly.enumeration import edge_family_poly, edge_induced_poly, vertex_family_poly, vertex_induced_poly
 from hgpoly.errors import (
     InconsistentDeck,
@@ -23,7 +24,6 @@ from hgpoly.reconstruct import (
     reconstruct_hilbert_function,
     reconstruct_multigraded_betti,
     reconstruct_vertex_poly,
-    top_betti_report,
     verify_deck_sum_identity,
 )
 from hgpoly.stanley_reisner import SRInvariants, f_vector, hilbert_function
@@ -188,23 +188,20 @@ class TestReconstructBetti:
             reconstruct_multigraded_betti(Deck(genuine.labels, tuple(cards)))
 
 
+def top_betti(h: Hypergraph) -> dict:
+    return _report_for(h, RunConfig())["top_betti"]
+
+
 class TestTopBettiReport:
     def test_k3_determined(self, k3):
-        rep = top_betti_report(hochster_betti(k3), SRInvariants(k3).k_polynomial)
-        assert rep.determined
-        assert rep.top_entries == {2: 2}
-        assert rep.top_coefficient == 2
+        assert top_betti(k3) == {"top_coefficient": "2", "entries": [[2, 2]], "determined": True}
 
     def test_edgeless_trivially_determined(self, edgeless3):
-        rep = top_betti_report(hochster_betti(edgeless3), SRInvariants(edgeless3).k_polynomial)
-        assert rep.determined and rep.top_entries == {} and rep.top_coefficient == 0
+        assert top_betti(edgeless3) == {"top_coefficient": "0", "entries": [], "determined": True}
 
     def test_wheel_not_determined(self):
-        rep = top_betti_report(hochster_betti(wheel(5)), SRInvariants(wheel(5)).k_polynomial)
-        assert not rep.determined
-        assert rep.top_entries == {4: 1, 5: 1}
         # the alternating sum cancels, so the top row cannot be read off
-        assert rep.top_coefficient == 0
+        assert top_betti(wheel(5)) == {"top_coefficient": "0", "entries": [[4, 1], [5, 1]], "determined": False}
 
 
 @settings(max_examples=40, deadline=None)
