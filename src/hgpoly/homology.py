@@ -21,14 +21,25 @@ nonzero in at most one degree is exactly the rational homology. Any
 other complex is recomputed by ``exact_rank``, sparse integer
 elimination over the rationals, so every result is exact.
 
-The multigraded table b[i, B] is nonzero only when B is a union of
-edges: any vertex of B not covered by an edge inside B is a cone apex
-of the restricted complex, killing all reduced homology. The table
-computation therefore walks exactly the union-closure of the edge set,
-which is what makes dense sweeps over all 2^n subsets unnecessary.
-Conversely, no restriction on that walk is a cone: for v in B pick an
-edge e inside B containing v; e minus v is a face (the edges form an
-antichain) but e is not, so v is no apex.
+The multigraded table b[i, B] comes from the complex Ind(H|B), which
+``restriction_betti`` reduces before anything is ranked:
+
+- Cone: a vertex of B on no edge inside B is a cone apex, so B has no
+  entries. Only unions of edges carry entries, so a table walks the
+  union closure of the edge set, not all 2^n subsets.
+- Fold: w is dominated by u != w when every edge e through u inside B
+  has an edge inside (e - u) + w. Then a face holding w stays a face
+  with u added (an edge in it would contain u, and its e - u with w
+  would hold an edge of the face), so dropping w is a strong collapse,
+  which keeps the homology (Barmak and Minian, DCG 2012; on graphs it
+  reads N(u) in N(w), Engstrom's fold lemma).
+- Split: the complex of a folded B is the join of its connected pieces'
+  complexes, so its Poincare polynomial p(u) = sum_k dim H_(k-1) u^k is
+  the product of theirs (Milnor), and b[i, B] is its coefficient of
+  u^(|B| - i), with |B| taken before folding.
+- Memo: each piece's p is computed once per table, from its faces
+  filtered out of the independent sets of the edges' union, which are
+  enumerated at most once.
 """
 
 from __future__ import annotations
@@ -237,50 +248,127 @@ def _edge_union_closure(edges: tuple[int, ...]) -> list[int]:
 
 
 def _restriction_faces(bmask: int, edges: tuple[int, ...]) -> list[int]:
-    """Independent subsets of B, enumerated directly over 2^|B|."""
-    verts = mask_indices(bmask)
-    inside = [e for e in edges if e & ~bmask == 0]
-    faces = []
-    for k in range(1 << len(verts)):
-        w = 0
-        kk = k
-        while kk:
-            low = kk & -kk
-            w |= 1 << verts[low.bit_length() - 1]
-            kk ^= low
-        if all(e & ~w for e in inside):
-            faces.append(w)
+    """Independent subsets of B, grown one vertex of B at a time in
+    increasing order: each set found so far takes the new vertex unless
+    that completes an edge inside B whose top vertex it is, so each edge
+    is checked only by the vertex that could complete it."""
+    rests: dict[int, list[int]] = {}
+    for e in edges:
+        if e & ~bmask == 0:
+            top = 1 << (e.bit_length() - 1)
+            rests.setdefault(top, []).append(e ^ top)
+    faces = [0]
+    todo = bmask
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        below = rests.get(low, ())
+        faces += [f | low for f in faces if all(r & ~f for r in below)]
     return faces
+
+
+def _fold(bmask: int, near: dict[int, int] | None, links: dict) -> tuple[int, dict[int, int]] | None:
+    """B less its dominated vertices, dropped until none is left, and each
+    kept vertex's neighbours inside it, keyed by vertex bit; None when B
+    is a cone. For a graph near[u] is u's neighbour mask (w is dominated
+    when N(u) lies in N(w)); else links[u] pairs each edge e through u
+    with W_e, the vertices w for which some edge lies inside (e - u) + w.
+    No such w shares an edge with u, so candidates start as B less those."""
+    while True:
+        dropped, adjacent = False, {}
+        rest = bmask
+        while rest:
+            u = rest & -rest
+            rest ^= u
+            if near is not None:
+                cover = near[u] & bmask
+                cands = bmask & ~cover & ~u
+                todo = cover if cands else 0
+                while todo:
+                    x = todo & -todo
+                    todo ^= x
+                    cands &= near[x]
+            else:
+                cover, cands = 0, bmask & ~u
+                for e, adds in links[u]:
+                    if e & ~bmask == 0:
+                        cover |= e
+                        cands &= adds
+                cands &= ~cover
+            if not cover:
+                return None
+            adjacent[u] = cover & ~u
+            if cands:
+                bmask &= ~cands
+                rest &= ~cands
+                dropped = True
+        if not dropped:
+            return bmask, adjacent
+
+
+def _pieces(bmask: int, adjacent: dict[int, int]) -> list[int]:
+    """The vertex masks of the connected pieces of B."""
+    pieces = []
+    while bmask:
+        piece = front = bmask & -bmask
+        while front:
+            reach = 0
+            while front:
+                v = front & -front
+                front ^= v
+                reach |= adjacent[v]
+            front = reach & ~piece
+            piece |= front
+        pieces.append(piece)
+        bmask &= ~piece
+    return pieces
 
 
 def restriction_betti(edges: tuple[int, ...], bmasks: Iterable[int]) -> dict[tuple[int, int], int]:
     """Multigraded entries b[i, B] of one edge set for each B in bmasks,
-    via homology of its independence complex restricted to B, plus
-    b[0, empty] = 1.
-
-    The independent sets are enumerated once, over the union of the
-    edges, and filtered per B. That filter sees only the vertices of
-    the edges, so a B that is not the union of the edges inside it is
-    skipped: it has a vertex on no inside edge, a cone apex, and so no
-    entries at all."""
+    plus b[0, empty] = 1. Each B is tested for a cone apex, folded and
+    split into pieces, and its entries are read off the product of the
+    pieces' Poincare polynomials, each computed once per call (see the
+    module docstring)."""
     table: dict[tuple[int, int], int] = {(0, 0): 1}
     union = 0
     for e in edges:
         union |= e
-    independent = _restriction_faces(union, edges)
+    near = dict.fromkeys((1 << v for v in mask_indices(union)), 0) if all(e.bit_count() == 2 for e in edges) else None
+    links: dict[int, list[tuple[int, int]]] = {}
+    for e in edges:
+        for v in mask_indices(e):
+            u = 1 << v
+            if near is not None:
+                near[u] |= e ^ u
+                continue
+            adds = 0
+            for f in edges:
+                d = f & ~(e ^ u)
+                if d & (d - 1) == 0:
+                    adds |= d
+            links.setdefault(u, []).append((e, adds))
+    memo: dict[int, dict[int, int]] = {}
+    independent: list[int] = []
     for bmask in bmasks:
-        covered = 0
-        for e in edges:
-            if e & ~bmask == 0:
-                covered |= e
-        if covered != bmask:
+        folded = None if bmask & ~union else _fold(bmask, near, links)
+        if folded is None:
             continue
+        poly = {0: 1}
+        for piece in _pieces(*folded):
+            terms = memo.get(piece)
+            if terms is None:
+                independent = independent or _restriction_faces(union, edges)
+                dims = homology_dims_from_masks([w for w in independent if w & ~piece == 0])
+                terms = memo[piece] = {k: c for k, c in enumerate(dims) if c}
+            product: dict[int, int] = {}
+            for a, x in poly.items():
+                for b, y in terms.items():
+                    product[a + b] = product.get(a + b, 0) + x * y
+            poly = product
         size = bmask.bit_count()
-        dims = homology_dims_from_masks([w for w in independent if w & ~bmask == 0])
-        for i in range(1, size + 1):
-            deg = size - i - 1
-            if 0 <= deg + 1 < len(dims) and dims[deg + 1]:
-                table[(i, bmask)] = dims[deg + 1]
+        for k in sorted(poly, reverse=True):
+            table[(size - k, bmask)] = poly[k]
     return table
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
@@ -28,7 +29,7 @@ from hgpoly.homology import (
     restriction_betti,
     verify_betti_alternating_sum,
 )
-from hgpoly.hypergraph import Hypergraph, validate
+from hgpoly.hypergraph import Hypergraph, disjoint_union, validate
 from hgpoly.corpus import cycle_graph, path_graph, wheel
 from hgpoly.stanley_reisner import SRInvariants
 
@@ -398,6 +399,61 @@ def test_graded_collapse_consistent(h):
 def test_alternating_sum_identity(h):
     assert verify_betti_alternating_sum(hochster_betti(h), SRInvariants(h).k_polynomial)
     assert betti_alternating_sum(hochster_betti(h)) == SRInvariants(h).k_polynomial
+
+
+def _assert_signed_sums_are_mu(h: Hypergraph, limit: int | None = None) -> None:
+    """Per B, sum_i (-1)^i b[i, B] equals the Taylor complex's mu(B), and
+    no entry lies outside the union closure."""
+    mu = oracles.signed_union_closure(h)
+    sums: dict[frozenset[str], int] = {}
+    for (i, bmask), b in hochster_betti(h, limit).multigraded.items():
+        key = frozenset(h.labels_of(bmask))
+        sums[key] = sums.get(key, 0) + (-b if i & 1 else b)
+    assert set(sums) <= set(mu)
+    assert {key: sums.get(key, 0) for key in mu} == mu
+
+
+@settings(max_examples=40, deadline=None)
+@given(hypergraphs(max_n=7, max_m=7))
+def test_signed_sums_are_mu(h):
+    _assert_signed_sums_are_mu(h)
+
+
+def _seeded(n: int, size: int, m: int, seed: int) -> Hypergraph:
+    pool = [sum(1 << v for v in c) for c in combinations(range(n), size)]
+    return Hypergraph.from_masks(tuple(f"v{k}" for k in range(n)), random.Random(seed).sample(pool, m))
+
+
+# n = 16 is out of the naive oracle's reach; the 3-uniform seeds keep
+# pieces that no fold shrinks, so the rank path runs there
+@pytest.mark.parametrize("size, m, seed", [(2, 16, 0), (2, 16, 1), (3, 10, 0), (3, 10, 1)])
+def test_signed_sums_are_mu_at_16(size, m, seed):
+    _assert_signed_sums_are_mu(_seeded(16, size, m, seed), 16)
+
+
+def _assert_table_of_disjoint_union_is_the_convolution(a: Hypergraph, b: Hypergraph) -> None:
+    # the resolution over disjoint variables is the tensor product, so
+    # b[i, B1 + B2] = sum over i1 + i2 = i of b_a[i1, B1] b_b[i2, B2]
+    expected: dict[tuple[int, int], int] = {}
+    for (i, x), p in hochster_betti(a).multigraded.items():
+        for (j, y), q in hochster_betti(b).multigraded.items():
+            key = (i + j, x | y << a.n)
+            expected[key] = expected.get(key, 0) + p * q
+    assert hochster_betti(disjoint_union(a, b)).multigraded == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(hypergraphs(max_n=4, max_m=4), hypergraphs(max_n=4, max_m=4))
+def test_table_of_disjoint_union_is_the_convolution(a, b):
+    relabeled = validate([f"r{lbl}" for lbl in b.labels], [[f"r{lbl}" for lbl in e] for e in b.edge_label_sets()])
+    _assert_table_of_disjoint_union_is_the_convolution(a, relabeled)
+
+
+def test_table_of_path5_and_cycle6_is_the_convolution():
+    cycle = cycle_graph(6)
+    _assert_table_of_disjoint_union_is_the_convolution(
+        path_graph(5), Hypergraph.from_masks(tuple(f"c{lbl}" for lbl in cycle.labels), cycle.edges)
+    )
 
 
 class TestDerivedInvariants:

@@ -17,7 +17,7 @@ import hgpoly.bipoly as bipoly
 import hgpoly.enumeration as enumeration
 import hgpoly.homology as homology
 from hgpoly.cli import main
-from hgpoly.corpus import complete_graph, cycle_graph, path_graph, wheel
+from hgpoly.corpus import complete_graph, cycle_graph, path_graph, star, wheel
 from hgpoly.formats import dump_hypergraph_json
 from hgpoly.hypergraph import Hypergraph
 from hgpoly.reconstruct import reconstruct_multigraded_betti
@@ -171,3 +171,22 @@ def test_independent_sets_enumerated_once_per_edge_set(monkeypatch):
     h = cycle_graph(10)
     reconstruct_multigraded_betti(h.deck())
     assert seen == [h.full_mask]
+
+
+@pytest.mark.parametrize(
+    "h, most", [(path_graph(16), 17), (cycle_graph(16), 17), (star(12), 12)], ids=["path16", "cycle16", "star12"]
+)
+def test_folded_pieces_are_ranked_once(h, most, monkeypatch):
+    # folding leaves single edges (and a cycle whole), each ranked once
+    # per table; without the fold every B of the closure is ranked
+    # (path16 5841, cycle16 8089, star12 4095 complexes)
+    sizes: list[int] = []
+    dims = homology.homology_dims_from_masks
+
+    def counted(faces):
+        sizes.append(len(faces))
+        return dims(faces)
+
+    monkeypatch.setattr(homology, "homology_dims_from_masks", counted)
+    homology.hochster_betti(h, 16)
+    assert 0 < len(sizes) <= most
