@@ -314,7 +314,14 @@ def _cmd_report(args, cfg: RunConfig) -> Output:
             check_sweep_limits(h, cfg.n_max)
         except LimitExceeded as exc:
             raise LimitExceeded(f"{name}: {exc}") from exc
-    return ({"name": name, "report": _report_for(h, cfg)} for name, h in corpus), None
+
+    def reports() -> Iterator[dict]:
+        corpus.reverse()
+        while corpus:  # popped, so a member is freed as soon as the next one is drawn
+            name, h = corpus.pop()
+            yield {"name": name, "report": _report_for(h, cfg)}
+
+    return reports(), None
 
 
 _HANDLERS = {
@@ -353,7 +360,30 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """Run ``main`` as a process and end it as soon as its output is flushed.
+
+    The process leaves by ``os._exit``, so it pays for no module teardown
+    and no final garbage collection. That also skips ``atexit`` hooks and
+    leaves buffered files unflushed, so nothing the CLI runs may register
+    an ``atexit`` hook (``tests/test_entry.py`` checks every subcommand)
+    or leave a file open when ``main`` returns. argparse's exits for
+    ``--help`` and usage errors take the same path. A flush that fails
+    leaves by ``sys.exit``, so the interpreter reports it and exits 120;
+    an uncaught exception keeps its traceback and exit 1.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:
+        if not isinstance(exc.code, int):
+            raise
+        code = exc.code
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the process started with that descriptor closed
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

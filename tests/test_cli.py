@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -421,6 +422,23 @@ class TestReport:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * sink.written, (peak, sink.written)
+
+    def test_directory_report_frees_each_member_once_written(self, tmp_path, monkeypatch):
+        text = dump_hypergraph_json(cycle_graph(5))
+        for k in range(4):
+            (tmp_path / f"c{k}.json").write_text(text)
+        report_for = cli._report_for
+        drawn = []
+
+        def report_after_freeing(h, cfg):
+            # every earlier member's report has been written when the next member is drawn
+            assert [ref() for ref in drawn] == [None] * len(drawn)
+            drawn.append(weakref.ref(h))
+            return report_for(h, cfg)
+
+        monkeypatch.setattr(cli, "_report_for", report_after_freeing)
+        assert main(["report", "--input", str(tmp_path)]) == 0
+        assert len(drawn) == 4
 
     def test_ten_thousand_edges_refused_without_pairwise_check(self, tmp_path, capsys):
         # every edge pair would be compared before the vertex limit is read
