@@ -60,19 +60,6 @@ from .verify import IDENTITY_IDS, run_all, run_identity
 MAX_TERMS = 10_000
 
 
-class RunConfig:
-    """Resolved run options shared by all subcommands."""
-
-    def __init__(self, k_max: int = 20, n_max: int = DEFAULT_LIMIT, homology_n_max: int = DEFAULT_HOMOLOGY_LIMIT):
-        self.k_max, self.n_max, self.homology_n_max = k_max, n_max, homology_n_max
-        if self.k_max < 0:
-            raise InputError(f"--terms must be nonnegative, got {self.k_max}")
-        if self.k_max > MAX_TERMS:
-            raise LimitExceeded(f"--terms={self.k_max} exceeds the series limit {MAX_TERMS}")
-        if self.n_max <= 0 or self.homology_n_max <= 0:
-            raise InputError("size limits must be positive")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hgpoly",
@@ -206,8 +193,8 @@ def _identities(results: dict[str, bool | str]) -> tuple[dict[str, str], str]:
     return status, "\n".join(f"identity {ident}: {s}" for ident, s in status.items())
 
 
-def _report_for(h: Hypergraph, cfg: RunConfig) -> dict:
-    inv = SRInvariants(h, cfg.n_max, cfg.homology_n_max)
+def _report_for(h: Hypergraph, args) -> dict:
+    inv = SRInvariants(h, args.n_max, args.homology_n_max)
     # the vertex side first, so a hypergraph over both limits is refused for n
     f_json = _strs(inv.f)
     report = {
@@ -228,10 +215,14 @@ def _report_for(h: Hypergraph, cfg: RunConfig) -> dict:
             "reduced_numerator": unipoly_to_json(UniPoly(inv.h)),
             "reduced_denominator_power": inv.krull_dim,
         },
-        "hilbert_function": _strs(inv.hilbert_function(cfg.k_max)),
+        "hilbert_function": _strs(inv.hilbert_function(args.terms)),
     }
-    if h.n <= cfg.homology_n_max:
+    try:
         table = inv.betti
+    except LimitExceeded as exc:
+        report["betti"] = None
+        report["betti_skipped"] = str(exc)
+    else:
         pd, reg, depth = pd_reg_depth(table)
         columns = betti_columns(table, inv.k_polynomial)
         # column n is the row no card sees: K_n pins it down when it holds at most one entry
@@ -254,11 +245,6 @@ def _report_for(h: Hypergraph, cfg: RunConfig) -> dict:
             if crowded
             else {"applicable": True, "entries": [[j, abs(c)] for j, c in enumerate(inv.k_polynomial.coeffs) if j and c]}
         )
-    else:
-        report["betti"] = None
-        report["betti_skipped"] = (
-            f"n={h.n} exceeds the homology limit {cfg.homology_n_max}"
-        )
     report["identities"] = run_all(inv)
     return report
 
@@ -267,51 +253,51 @@ def _report_for(h: Hypergraph, cfg: RunConfig) -> dict:
 
 # compute --poly and the four invariant commands, as views of the bundle
 _VIEWS = {
-    "S": lambda inv, cfg: _poly(inv.S),
-    "P": lambda inv, cfg: _poly(inv.P),
-    "independence": lambda inv, cfg: _poly(UniPoly(inv.f)),
-    "hilbert": lambda inv, cfg: _value_list(inv.hilbert_function(cfg.k_max)),
-    "fvector": lambda inv, cfg: _vector(inv.f),
-    "hvector": lambda inv, cfg: _vector(inv.h),
-    "betti": lambda inv, cfg: _betti(inv.betti),
+    "S": lambda inv, args: _poly(inv.S),
+    "P": lambda inv, args: _poly(inv.P),
+    "independence": lambda inv, args: _poly(UniPoly(inv.f)),
+    "hilbert": lambda inv, args: _value_list(inv.hilbert_function(args.terms)),
+    "fvector": lambda inv, args: _vector(inv.f),
+    "hvector": lambda inv, args: _vector(inv.h),
+    "betti": lambda inv, args: _betti(inv.betti),
 }
 
 _TARGETS = {
-    "S": lambda deck, cfg: _poly(reconstruct_edge_poly(edge_family_poly(deck.cards, cfg.n_max), deck.origin_n)),
-    "P": lambda deck, cfg: _poly(reconstruct_vertex_poly(vertex_family_poly(deck.cards, cfg.n_max), deck.origin_n)),
-    "fvector": lambda deck, cfg: _vector(reconstruct_f_vector(deck, cfg.n_max)),
-    "hilbert": lambda deck, cfg: _value_list(reconstruct_hilbert_function(deck, cfg.k_max, cfg.n_max)),
-    "betti": lambda deck, cfg: _betti(reconstruct_multigraded_betti(deck, cfg.homology_n_max)),
+    "S": lambda deck, args: _poly(reconstruct_edge_poly(edge_family_poly(deck.cards, args.n_max), deck.origin_n)),
+    "P": lambda deck, args: _poly(reconstruct_vertex_poly(vertex_family_poly(deck.cards, args.n_max), deck.origin_n)),
+    "fvector": lambda deck, args: _vector(reconstruct_f_vector(deck, args.n_max)),
+    "hilbert": lambda deck, args: _value_list(reconstruct_hilbert_function(deck, args.terms, args.n_max)),
+    "betti": lambda deck, args: _betti(reconstruct_multigraded_betti(deck, args.homology_n_max)),
 }
 
 
-def _cmd_view(args, cfg: RunConfig) -> Output:
-    return _VIEWS[args.view](SRInvariants(load_hypergraph(args.input), cfg.n_max, cfg.homology_n_max), cfg)
+def _cmd_view(args) -> Output:
+    return _VIEWS[args.view](SRInvariants(load_hypergraph(args.input), args.n_max, args.homology_n_max), args)
 
 
-def _cmd_deck(args, cfg: RunConfig) -> Output:
+def _cmd_deck(args) -> Output:
     paths = write_deck(load_hypergraph(args.input).deck(), args.out_dir)
     return paths, "\n".join(paths)
 
 
-def _cmd_reconstruct(args, cfg: RunConfig) -> Output:
-    return _TARGETS[args.target](read_deck(args.deck), cfg)
+def _cmd_reconstruct(args) -> Output:
+    return _TARGETS[args.target](read_deck(args.deck), args)
 
 
-def _cmd_verify(args, cfg: RunConfig) -> Output:
-    inv = SRInvariants(load_hypergraph(args.input), cfg.n_max, cfg.homology_n_max)
+def _cmd_verify(args) -> Output:
+    inv = SRInvariants(load_hypergraph(args.input), args.n_max, args.homology_n_max)
     if args.identity == "all":
         return _identities(run_all(inv))
     return _identities({args.identity: run_identity(args.identity, inv)})
 
 
-def _cmd_report(args, cfg: RunConfig) -> Output:
+def _cmd_report(args) -> Output:
     if not os.path.isdir(args.input):
-        return _report_for(load_hypergraph(args.input), cfg), None
+        return _report_for(load_hypergraph(args.input), args), None
     corpus = load_corpus(args.input)
     for name, h in corpus:
         try:
-            check_sweep_limits(h, cfg.n_max)
+            check_sweep_limits(h, args.n_max)
         except LimitExceeded as exc:
             raise LimitExceeded(f"{name}: {exc}") from exc
 
@@ -319,7 +305,7 @@ def _cmd_report(args, cfg: RunConfig) -> Output:
         corpus.reverse()
         while corpus:  # popped, so a member is freed as soon as the next one is drawn
             name, h = corpus.pop()
-            yield {"name": name, "report": _report_for(h, cfg)}
+            yield {"name": name, "report": _report_for(h, args)}
 
     return reports(), None
 
@@ -340,7 +326,13 @@ _PARSER = build_parser()
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        value, text = _HANDLERS[args.command](args, RunConfig(args.terms, args.n_max, args.homology_n_max))
+        if args.terms < 0:
+            raise InputError(f"--terms must be nonnegative, got {args.terms}")
+        if args.terms > MAX_TERMS:
+            raise LimitExceeded(f"--terms={args.terms} exceeds the series limit {MAX_TERMS}")
+        if args.n_max <= 0 or args.homology_n_max <= 0:
+            raise InputError("size limits must be positive")
+        value, text = _HANDLERS[args.command](args)
         pieces = (text,) if text else None  # the deck of an empty hypergraph lists no paths
         if args.format == "json" or text is None:  # a directory report is a lazy list, built as it is written
             pieces = dump_json_list(value) if isinstance(value, Iterator) else (dump_json(value),)

@@ -29,7 +29,7 @@ from functools import cache, lru_cache, reduce
 from operator import and_, or_
 
 from .bipoly import BiPoly
-from .errors import LimitExceeded
+from .errors import check_limit
 from .hypergraph import Hypergraph, mask_indices
 
 DEFAULT_LIMIT = 24
@@ -38,20 +38,10 @@ DEFAULT_LIMIT = 24
 _LOW_BITS = 12
 
 
-def _check_limit(kind: str, value: int, limit: int | None) -> int:
-    lim = DEFAULT_LIMIT if limit is None else limit
-    if value > lim:
-        raise LimitExceeded(
-            f"{kind}={value} exceeds the enumeration limit {lim}; "
-            f"raise the limit explicitly to run anyway"
-        )
-    return lim
-
-
-def check_sweep_limits(h: Hypergraph, limit: int | None = None) -> None:
+def check_sweep_limits(h: Hypergraph, limit: int = DEFAULT_LIMIT) -> None:
     """Raise, without sweeping, the LimitExceeded that sweeping h would: n first, then m."""
-    _check_limit("n", h.n, limit)
-    _check_limit("m", h.m, limit)
+    check_limit("n", h.n, "enumeration", limit)
+    check_limit("m", h.m, "enumeration", limit)
 
 
 @cache
@@ -147,14 +137,14 @@ def _tally(counts: dict[tuple[int, int], int], xs, dx: int, ys, dy: int) -> None
                 counts[key] = counts.get(key, 0) + c
 
 
-def vertex_family_poly(family: Sequence[Hypergraph], limit: int | None = None) -> BiPoly:
+def vertex_family_poly(family: Sequence[Hypergraph], limit: int = DEFAULT_LIMIT) -> BiPoly:
     """Sum over the family of the vertex-subset polynomials: the (i, j)
     coefficient counts the pairs of a member and one of its i-vertex
     subsets inducing exactly j edges. Each member contributes the
     constant 1 of its empty subset."""
     parts = []
     for h in family:
-        _check_limit("n", h.n, limit)
+        check_limit("n", h.n, "enumeration", limit)
         low = min(h.n, _LOW_BITS)
         ones, coords = _coordinates(low)
         low_mask = (1 << low) - 1
@@ -168,14 +158,14 @@ def vertex_family_poly(family: Sequence[Hypergraph], limit: int | None = None) -
     return BiPoly(counts)
 
 
-def edge_family_poly(family: Sequence[Hypergraph], limit: int | None = None) -> BiPoly:
+def edge_family_poly(family: Sequence[Hypergraph], limit: int = DEFAULT_LIMIT) -> BiPoly:
     """Sum over the family of the edge-subset polynomials: the (i, j)
     coefficient counts the pairs of a member and one of its j-element
     edge subsets whose union covers exactly i vertices. Each member
     contributes the constant 1 of its empty edge subset."""
     reach = []
     for h in family:
-        _check_limit("m", h.m, limit)
+        check_limit("m", h.m, "enumeration", limit)
         _, coords = _coordinates(min(h.m, _LOW_BITS))
         # vertex v is covered iff a high edge picked holds it (every l of
         # the block) or l meets reach[v], the low edges that hold it
@@ -191,14 +181,14 @@ def edge_family_poly(family: Sequence[Hypergraph], limit: int | None = None) -> 
     return BiPoly(counts)
 
 
-def vertex_induced_poly(h: Hypergraph, limit: int | None = None) -> BiPoly:
+def vertex_induced_poly(h: Hypergraph, limit: int = DEFAULT_LIMIT) -> BiPoly:
     """Polynomial whose (i, j) coefficient counts the i-vertex subsets
     inducing exactly j edges. The constant term 1 is the empty subset.
     """
     return vertex_family_poly((h,), limit)
 
 
-def edge_induced_poly(h: Hypergraph, limit: int | None = None) -> BiPoly:
+def edge_induced_poly(h: Hypergraph, limit: int = DEFAULT_LIMIT) -> BiPoly:
     """Polynomial whose (i, j) coefficient counts the j-element edge
     subsets whose union covers exactly i vertices. The constant term 1
     is the empty edge subset.

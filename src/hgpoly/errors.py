@@ -56,6 +56,16 @@ class LimitExceeded(HgpolyError):
     to run anyway."""
 
 
+def check_limit(kind: str, value: int, name: str, limit: int) -> None:
+    """Refuse an instance whose size ``kind`` (n or m) is above the named
+    limit. Every size refusal is raised here, so the CLI's exit-3 message,
+    identity 4.3's skip and a report's ``betti_skipped`` read alike."""
+    if value > limit:
+        raise LimitExceeded(
+            f"{kind}={value} exceeds the {name} limit {limit}; raise the limit explicitly to run anyway"
+        )
+
+
 class DegreeExceedsN(InputError):
     """A polynomial transform was asked for with x-degree above the
     declared vertex count."""

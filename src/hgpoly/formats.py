@@ -82,6 +82,17 @@ def load_hypergraph(path: str) -> Hypergraph:
     return parse_hypergraph_text(text, str(path))
 
 
+def _load_named(path: str) -> Hypergraph:
+    """``load_hypergraph`` for one file of several: a validation error's
+    message is led by the path, as a parse error's already is."""
+    try:
+        return load_hypergraph(path)
+    except ParseError:
+        raise
+    except InputError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def dump_json(value: object) -> str:
     """``json.dumps(value, indent=2)``, byte for byte, for values built
     of str, int, bool, None, lists, tuples and dicts with str keys; any
@@ -180,14 +191,14 @@ def read_deck(deck_dir: str) -> Deck:
         files[k] = name
     if not files:
         raise ParseError(f"no card_*.json files in {deck_dir}")
-    return Deck.from_cards([load_hypergraph(os.path.join(deck_dir, files[k])) for k in sorted(files)])
+    return Deck.from_cards([_load_named(os.path.join(deck_dir, files[k])) for k in sorted(files)])
 
 
 def load_corpus(directory: str) -> list[tuple[str, Hypergraph]]:
     """Parse every regular file in a directory, in sorted name order.
 
-    Per-file errors are aggregated into a single ParseError naming each
-    offending file.
+    Per-file input errors, of parsing or of validation, are aggregated
+    into a single ParseError naming each offending file once.
     """
     if not os.path.isdir(directory):
         raise ParseError(f"{directory} is not a directory")
@@ -198,8 +209,8 @@ def load_corpus(directory: str) -> list[tuple[str, Hypergraph]]:
         if not os.path.isfile(path):
             continue
         try:
-            loaded.append((name, load_hypergraph(path)))
-        except ParseError as exc:
+            loaded.append((name, _load_named(path)))
+        except InputError as exc:
             failures.append(str(exc))
     if failures:
         raise ParseError("corpus errors:\n" + "\n".join(failures))

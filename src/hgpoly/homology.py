@@ -49,18 +49,10 @@ from functools import cached_property
 from math import gcd
 
 from .bipoly import UniPoly
-from .errors import InternalMismatch, LimitExceeded
+from .errors import InternalMismatch, check_limit
 from .hypergraph import Frozen, Hypergraph, mask_indices
 
 DEFAULT_HOMOLOGY_LIMIT = 14
-
-
-def _check_homology_limit(n: int, limit: int | None) -> None:
-    lim = DEFAULT_HOMOLOGY_LIMIT if limit is None else limit
-    if n > lim:
-        raise LimitExceeded(
-            f"n={n} exceeds the homology limit {lim}; raise the limit explicitly to run anyway"
-        )
 
 
 def exact_rank(vectors: list[dict[int, int]]) -> int:
@@ -374,12 +366,12 @@ def restriction_betti(edges: tuple[int, ...], bmasks: Iterable[int]) -> dict[tup
     return table
 
 
-def hochster_betti(h: Hypergraph, limit: int | None = None) -> BettiTable:
+def hochster_betti(h: Hypergraph, limit: int = DEFAULT_HOMOLOGY_LIMIT) -> BettiTable:
     """Full multigraded Betti table of the quotient by the edge ideal,
     over the rationals: b[i, B] is the reduced homology dimension of the
     independence complex restricted to B, in degree |B| - i - 1, and
     b[0, empty] = 1."""
-    _check_homology_limit(h.n, limit)
+    check_limit("n", h.n, "homology", limit)
     bmasks = [bmask for bmask in _edge_union_closure(h.edges) if bmask]
     return BettiTable(h.labels, restriction_betti(h.edges, bmasks))
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from math import comb
 
 from .bipoly import BiPoly, expand_series, to_edge_form, to_vertex_form
-from .enumeration import edge_family_poly, vertex_family_poly
+from .enumeration import DEFAULT_LIMIT, edge_family_poly, vertex_family_poly
 from .errors import (
     InconsistentDeck,
     NegativeTopCoefficient,
@@ -30,13 +30,9 @@ from .errors import (
     PathsDisagree,
     SingleSpanningEdge,
     TooFewVertices,
+    check_limit,
 )
-from .homology import (
-    BettiTable,
-    restriction_betti,
-    _check_homology_limit,
-    _edge_union_closure,
-)
+from .homology import DEFAULT_HOMOLOGY_LIMIT, BettiTable, _edge_union_closure, restriction_betti
 from .hypergraph import Deck, Hypergraph
 from .stanley_reisner import SRInvariants
 
@@ -153,7 +149,7 @@ def reconstruct_vertex_poly(card_sum: BiPoly, n: int) -> BiPoly:
     return direct
 
 
-def reconstruct_f_vector(deck: Deck, limit: int | None = None) -> tuple[int, ...]:
+def reconstruct_f_vector(deck: Deck, limit: int = DEFAULT_LIMIT) -> tuple[int, ...]:
     """Face counts of the parent's independence complex from the cards:
     an independent l-set survives in n - l cards, so the counts are the
     j = 0 terms of the cards' summed vertex polynomial, divided exactly
@@ -166,7 +162,7 @@ def reconstruct_f_vector(deck: Deck, limit: int | None = None) -> tuple[int, ...
     return tuple(faces.get(l, 0) for l in range(max(faces) + 1))
 
 
-def reconstruct_hilbert_function(deck: Deck, k_max: int, limit: int | None = None) -> list[int]:
+def reconstruct_hilbert_function(deck: Deck, k_max: int, limit: int = DEFAULT_LIMIT) -> list[int]:
     """Hilbert function of the parent's quotient ring from the deck.
 
     Primary route: reconstruct the edge-subset polynomial from the cards'
@@ -192,7 +188,7 @@ def reconstruct_hilbert_function(deck: Deck, k_max: int, limit: int | None = Non
     return values
 
 
-def reconstruct_multigraded_betti(deck: Deck, limit: int | None = None) -> BettiTable:
+def reconstruct_multigraded_betti(deck: Deck, limit: int = DEFAULT_HOMOLOGY_LIMIT) -> BettiTable:
     """Partial multigraded Betti table from the deck: every entry with
     B a proper vertex subset, computed on one edge set, the union of
     all cards' edges.
@@ -206,7 +202,7 @@ def reconstruct_multigraded_betti(deck: Deck, limit: int | None = None) -> Betti
     the returned table has top_complete False."""
     n = deck.origin_n
     _check_n(n)
-    _check_homology_limit(n, limit)
+    check_limit("n", n, "homology", limit)
     edges = tuple(sorted(set().union(*deck.parent_edges)))
     if not edges:
         raise NoEdges(_EDGELESS_DECK)

@@ -22,9 +22,9 @@ from functools import cached_property
 from math import comb
 
 from .bipoly import BiPoly, UniPoly, expand_series, substitute
-from .enumeration import edge_induced_poly, vertex_induced_poly
+from .enumeration import DEFAULT_LIMIT, edge_induced_poly, vertex_induced_poly
 from .errors import InternalMismatch, LengthMismatch
-from .homology import BettiTable, hochster_betti
+from .homology import DEFAULT_HOMOLOGY_LIMIT, BettiTable, hochster_betti
 from .hypergraph import Deck, Frozen, Hypergraph
 
 
@@ -37,7 +37,7 @@ class SRInvariants(Frozen):
     the multiplicity, the Hilbert series numerator K(t) = S(t, -1), the
     vertex-deleted deck, and the multigraded Betti table."""
 
-    def __init__(self, hypergraph: Hypergraph, limit: int | None = None, homology_limit: int | None = None) -> None:
+    def __init__(self, hypergraph: Hypergraph, limit: int = DEFAULT_LIMIT, homology_limit: int = DEFAULT_HOMOLOGY_LIMIT):
         self._freeze(hypergraph=hypergraph, limit=limit, homology_limit=homology_limit)
 
     @property
@@ -106,7 +106,7 @@ class SRInvariants(Frozen):
         return via_series
 
 
-def f_vector(h: Hypergraph, limit: int | None = None) -> tuple[int, ...]:
+def f_vector(h: Hypergraph, limit: int = DEFAULT_LIMIT) -> tuple[int, ...]:
     """Face counts of the independence complex by size, starting with
     the empty set: entry l is the number of independent l-subsets."""
     return SRInvariants(h, limit).f
@@ -124,6 +124,6 @@ def h_vector(f: tuple[int, ...] | list[int], d: int) -> tuple[int, ...]:
     return tuple(out.get((k, 0), 0) for k in range(d + 1))
 
 
-def hilbert_function(h: Hypergraph, k_max: int, limit: int | None = None) -> list[int]:
+def hilbert_function(h: Hypergraph, k_max: int, limit: int = DEFAULT_LIMIT) -> list[int]:
     """See SRInvariants.hilbert_function."""
     return SRInvariants(h, limit).hilbert_function(k_max)

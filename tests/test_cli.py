@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import hgpoly
 from hgpoly import cli
-from hgpoly.cli import RunConfig, main
+from hgpoly.cli import build_parser, main
 from hgpoly.corpus import complete_graph, cycle_graph
 from hgpoly.enumeration import check_sweep_limits
 from hgpoly.errors import InternalMismatch, LimitExceeded
@@ -215,6 +215,13 @@ class TestDeckRoundtrip:
                 "the input is not a genuine deck\n",
             ), target
 
+    def test_invalid_card_named_for_every_target(self, chord_deck, capsys):
+        card = chord_deck / "card_02.json"
+        card.write_text(json.dumps({"vertices": ["b", "c"], "edges": [["b"], ["b", "c"]]}))
+        for target in TARGETS:
+            assert main(["reconstruct", "--deck", str(chord_deck), "--target", target]) == 2, target
+            assert capsys.readouterr() == ("", f"error: {card}: edge {{b}} is contained in edge {{b, c}}\n"), target
+
     def test_mixed_width_deck_reconstructs_as_padded(self, tmp_path, chord_deck, capsys):
         mixed = shutil.copytree(chord_deck, tmp_path / "mixed")
         for k in (1, 3, 4, 8):
@@ -364,11 +371,23 @@ class TestReport:
         captured = capsys.readouterr()
         assert captured.out == "" and "bad.json" in captured.err
 
+    def test_directory_names_every_invalid_member(self, tmp_path, k3, capsys):
+        # members that parse but fail validation are each named once, and
+        # one bad member does not hide a later one
+        (tmp_path / "a_nested.json").write_text(json.dumps({"vertices": ["a", "b"], "edges": [["a"], ["a", "b"]]}))
+        (tmp_path / "b_unknown.json").write_text(json.dumps({"vertices": ["a", "b"], "edges": [["a", "z"]]}))
+        (tmp_path / "c_k3.json").write_text(dump_hypergraph_json(k3))
+        assert main(["report", "--input", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("a_nested.json") == 1 and err.count("b_unknown.json") == 1
+        assert "c_k3.json" not in err
+
     def test_directory_member_over_limit_named(self, tmp_path, k3, capsys, monkeypatch):
         # the member over the limit sorts last, and is refused before any
         # member's report is built
         calls = []
-        monkeypatch.setattr(cli, "_report_for", lambda h, cfg: calls.append(h))
+        monkeypatch.setattr(cli, "_report_for", lambda h, args: calls.append(h))
         (tmp_path / "a_k3.json").write_text(dump_hypergraph_json(k3))
         (tmp_path / "k8.json").write_text(dump_hypergraph_json(complete_graph(8)))
         assert main(["report", "--input", str(tmp_path)]) == 3
@@ -386,10 +405,10 @@ class TestReport:
         (tmp_path / "b.json").write_text(dump_hypergraph_json(path3))
         report_for = cli._report_for
 
-        def fail_on_second(h, cfg):
+        def fail_on_second(h, args):
             if h == path3:
                 raise InternalMismatch("routes disagree")
-            return report_for(h, cfg)
+            return report_for(h, args)
 
         monkeypatch.setattr(cli, "_report_for", fail_on_second)
         assert main(["report", "--input", str(tmp_path)]) == 1
@@ -430,11 +449,11 @@ class TestReport:
         report_for = cli._report_for
         drawn = []
 
-        def report_after_freeing(h, cfg):
+        def report_after_freeing(h, args):
             # every earlier member's report has been written when the next member is drawn
             assert [ref() for ref in drawn] == [None] * len(drawn)
             drawn.append(weakref.ref(h))
-            return report_for(h, cfg)
+            return report_for(h, args)
 
         monkeypatch.setattr(cli, "_report_for", report_after_freeing)
         assert main(["report", "--input", str(tmp_path)]) == 0
@@ -487,4 +506,5 @@ def test_sweep_limit_check_agrees_with_report(h, n_max):
         return None
 
     checked = refusal(lambda: check_sweep_limits(h, n_max))
-    assert checked == refusal(lambda: cli._report_for(h, RunConfig(n_max=n_max)))
+    args = build_parser().parse_args(["report", "--n-max", str(n_max), "--input", "-"])
+    assert checked == refusal(lambda: cli._report_for(h, args))

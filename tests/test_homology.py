@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgpoly import homology
-from hgpoly.cli import RunConfig, _report_for
-from hgpoly.errors import InternalMismatch, LimitExceeded
+from hgpoly.cli import _report_for, build_parser
+from hgpoly.errors import InternalMismatch, LimitExceeded, check_limit
 from hgpoly.homology import (
     DEFAULT_HOMOLOGY_LIMIT,
-    _check_homology_limit,
     _edge_union_closure,
     _exact_homology_dims,
     _faces_by_dim,
@@ -130,12 +129,13 @@ class TestComplex:
         assert len(_restriction_faces(0b011, edgeless3.edges)) == 4
 
     def test_limit(self):
-        _check_homology_limit(5, 5)
+        check_limit("n", 5, "homology", 5)
         with pytest.raises(LimitExceeded):
-            _check_homology_limit(6, 5)
-        _check_homology_limit(DEFAULT_HOMOLOGY_LIMIT, None)
+            check_limit("n", 6, "homology", 5)
+        # an edgeless hypergraph has no B to walk, so only the limit costs
+        hochster_betti(validate([f"v{k}" for k in range(DEFAULT_HOMOLOGY_LIMIT)], []))
         with pytest.raises(LimitExceeded):
-            _check_homology_limit(DEFAULT_HOMOLOGY_LIMIT + 1, None)
+            hochster_betti(validate([f"v{k}" for k in range(DEFAULT_HOMOLOGY_LIMIT + 1)], []))
 
 
 @settings(max_examples=50, deadline=None)
@@ -401,7 +401,7 @@ def test_alternating_sum_identity(h):
     assert betti_alternating_sum(hochster_betti(h)) == SRInvariants(h).k_polynomial
 
 
-def _assert_signed_sums_are_mu(h: Hypergraph, limit: int | None = None) -> None:
+def _assert_signed_sums_are_mu(h: Hypergraph, limit: int = DEFAULT_HOMOLOGY_LIMIT) -> None:
     """Per B, sum_i (-1)^i b[i, B] equals the Taylor complex's mu(B), and
     no entry lies outside the union closure."""
     mu = oracles.signed_union_closure(h)
@@ -476,8 +476,11 @@ class TestDerivedInvariants:
         assert pd_reg_depth(table) == (2, 2, 2)
 
 
+REPORT_ARGS = build_parser().parse_args(["report", "--input", "-"])
+
+
 def recovery(h: Hypergraph) -> dict:
-    return _report_for(h, RunConfig())["antidiagonal_recovery"]
+    return _report_for(h, REPORT_ARGS)["antidiagonal_recovery"]
 
 
 class TestAntidiagonalRecovery:

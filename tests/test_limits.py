@@ -10,10 +10,14 @@ where a command reports identity 4.3 instead, the same message follows
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import json
+import pkgutil
 
 import pytest
 
+import hgpoly
 from hgpoly.cli import main
 from hgpoly.corpus import cycle_graph
 from hgpoly.formats import dump_hypergraph_json
@@ -122,3 +126,40 @@ def test_zero_limit_is_an_input_error(capsys, tmp_path, c6_file, flag, command):
 def test_terms_refusals_come_before_the_limits(capsys, c6_file, terms, expected):
     # --terms is read first, and no flag raises its bound
     assert _run(capsys, ["hilbert", "--terms", terms, "--n-max", "0", "--input", c6_file]) == expected
+
+
+def test_one_message_for_every_homology_refusal(capsys, c6_file):
+    # the report's betti_skipped, identity 4.3's skip and the betti
+    # command's exit-3 message are one text, raised by the engine
+    flags = ["--homology-n-max", "5", "--input", c6_file]
+    code, out, _ = _run(capsys, ["report"] + flags)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["betti_skipped"] == HOMOLOGY_REFUSAL
+    assert doc["identities"]["4.3"] == f"skipped: {doc['betti_skipped']}"
+    assert _run(capsys, ["betti"] + flags) == (3, "", f"error: {doc['betti_skipped']}\n")
+
+
+def _public_callables():
+    for info in pkgutil.iter_modules(hgpoly.__path__):
+        module = importlib.import_module(f"hgpoly.{info.name}")
+        for name, obj in vars(module).items():
+            if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj)):
+                if obj.__module__ == module.__name__:
+                    yield f"{module.__name__}.{name}", obj
+
+
+def test_every_limit_parameter_defaults_to_an_int():
+    # a None default meaning "the default limit" has to be resolved in
+    # every callee; an int default is the limit itself
+    defaults = {}
+    for name, obj in _public_callables():
+        try:
+            params = inspect.signature(obj).parameters
+        except ValueError:  # a class with no introspectable constructor
+            continue
+        for param in params.values():
+            if param.name in ("limit", "homology_limit") and param.default is not param.empty:
+                defaults[f"{name}({param.name})"] = param.default
+    assert len(defaults) >= 12, sorted(defaults)
+    assert {key: value for key, value in defaults.items() if type(value) is not int} == {}

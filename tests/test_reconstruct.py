@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from hgpoly.bipoly import BiPoly
-from hgpoly.cli import RunConfig, _report_for
+from hgpoly.cli import _report_for, build_parser
 from hgpoly.enumeration import edge_family_poly, edge_induced_poly, vertex_family_poly, vertex_induced_poly
 from hgpoly.errors import (
     InconsistentDeck,
@@ -188,8 +188,11 @@ class TestReconstructBetti:
             reconstruct_multigraded_betti(Deck(genuine.labels, tuple(cards)))
 
 
+REPORT_ARGS = build_parser().parse_args(["report", "--input", "-"])
+
+
 def top_betti(h: Hypergraph) -> dict:
-    return _report_for(h, RunConfig())["top_betti"]
+    return _report_for(h, REPORT_ARGS)["top_betti"]
 
 
 class TestTopBettiReport:

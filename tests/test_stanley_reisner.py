@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from hgpoly.bipoly import UniPoly
-from hgpoly.cli import RunConfig, _report_for
+from hgpoly.cli import _report_for, build_parser
 from hgpoly.enumeration import vertex_induced_poly
 from hgpoly.errors import LengthMismatch
 from hgpoly.hypergraph import validate
@@ -93,11 +93,14 @@ class TestHilbert:
             hilbert_function(k3, -1)
 
 
+REPORT_ARGS = build_parser().parse_args(["report", "--input", "-"])
+
+
 class TestReducedSeries:
     """The report's Hilbert series over (1-t)^n and in lowest terms."""
 
     def test_k3_reduced(self, k3):
-        series = _report_for(k3, RunConfig())["hilbert_series"]
+        series = _report_for(k3, REPORT_ARGS)["hilbert_series"]
         assert series == {
             "numerator": ["1", "0", "-3", "2"],
             "denominator_power": 3,
@@ -107,7 +110,7 @@ class TestReducedSeries:
         assert sum(map(int, series["reduced_numerator"])) == SRInvariants(k3).multiplicity
 
     def test_edgeless_reduced(self, edgeless3):
-        series = _report_for(edgeless3, RunConfig())["hilbert_series"]
+        series = _report_for(edgeless3, REPORT_ARGS)["hilbert_series"]
         assert series["reduced_numerator"] == ["1"] and series["reduced_denominator_power"] == 3
 
 
