@@ -4,7 +4,8 @@ Three top-level branches matter for exit-code mapping in the CLI:
 input problems (bad files, malformed hypergraphs, excluded reconstruction
 inputs, corrupted decks), size-limit refusals, and internal consistency
 failures (two independent computation paths disagreeing, which indicates
-a bug rather than bad input).
+a bug rather than bad input). ``check_limit`` raises every size-limit
+refusal.
 """
 
 from __future__ import annotations
