@@ -83,6 +83,20 @@ class TestTransforms:
         with pytest.raises(DegreeExceedsN):
             to_vertex_form(BiPoly({(3, 1): 1}), 2)
 
+    @pytest.mark.parametrize("transform", [to_edge_form, to_vertex_form])
+    @pytest.mark.parametrize(
+        "p, n, message",
+        [
+            (BiPoly({(0, 0): 1, (5, 2): 3}), 4, r"x-degree 5, which exceeds n=4$"),
+            (ONE, -1, r"^vertex count n=-1 is negative$"),
+            (BiPoly(), -2, r"^vertex count n=-2 is negative$"),
+        ],
+        ids=["degree-above-n", "negative-n", "zero-poly-negative-n"],
+    )
+    def test_refusals(self, transform, p, n, message):
+        with pytest.raises(DegreeExceedsN, match=message):
+            transform(p, n)
+
 
 SIGNS = (-1, 0, 1)
 

@@ -21,10 +21,10 @@ from hgpoly.corpus import complete_graph, cycle_graph
 from hgpoly.enumeration import check_sweep_limits
 from hgpoly.errors import InternalMismatch, LimitExceeded
 from hgpoly.formats import dump_hypergraph_json
-from hgpoly.hypergraph import validate
+from hgpoly.hypergraph import Hypergraph, validate
 
 from .strategies import hypergraphs
-from .test_reconstruct import cycle_chord
+from .test_reconstruct import EXCLUDED_DECKS, cycle_chord
 
 TARGETS = ("S", "P", "fvector", "hilbert", "betti")
 
@@ -265,6 +265,38 @@ class TestDeckRoundtrip:
                 assert main(["reconstruct", "--deck", str(chord_deck), "--target", target, "--format", "json"] + extra) == 0
                 outs.append(capsys.readouterr().out.encode())
             assert outs[0] == outs[1], target
+
+
+def _write_deck(tmp_path, h: Hypergraph, capsys) -> str:
+    (tmp_path / "parent.json").write_text(dump_hypergraph_json(h))
+    deck = str(tmp_path / "cards")
+    assert main(["deck", "--input", str(tmp_path / "parent.json"), "--out-dir", deck]) == 0
+    capsys.readouterr()
+    return deck
+
+
+@pytest.mark.parametrize("target", TARGETS)
+@pytest.mark.parametrize("parent", sorted(EXCLUDED_DECKS))
+def test_excluded_deck_refused_by_every_target(tmp_path, capsys, parent, target):
+    h, _, message = EXCLUDED_DECKS[parent]
+    deck = _write_deck(tmp_path, h, capsys)
+    assert main(["reconstruct", "--deck", deck, "--target", target]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("n_max, over", [("4", {"P"}), ("5", set())])
+@pytest.mark.parametrize("target", TARGETS[:4])
+def test_edgeless_deck_with_cards_over_the_limit(tmp_path, capsys, target, n_max, over):
+    # the cards have 5 vertices and no edges, so only the vertex sweeps
+    # can pass the limit
+    deck = _write_deck(tmp_path, validate(list("abcdef"), []), capsys)
+    code = main(["reconstruct", "--deck", deck, "--target", target, "--n-max", n_max])
+    if target in over:
+        message = f"n=5 exceeds the enumeration limit {n_max}; raise the limit explicitly to run anyway"
+        assert (code, capsys.readouterr()) == (3, ("", f"error: {message}\n"))
+    else:
+        assert (code, capsys.readouterr()) == (2, ("", f"error: {EXCLUDED_DECKS['edgeless3'][2]}\n"))
+
 
 def test_cli_import_adds_no_heavy_modules():
     # the difference ignores whatever site preloads; dataclasses would

@@ -78,7 +78,7 @@ class TestValidate:
             validate(["a", "b"], [["a", "b"], ["b", "a"]])
 
     def test_empty_edge(self):
-        with pytest.raises(EmptyEdge):
+        with pytest.raises(EmptyEdge, match="^edge with no vertices$"):
             validate(["a"], [[]])
 
     def test_unknown_vertex_label(self):

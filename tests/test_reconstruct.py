@@ -18,6 +18,7 @@ from hgpoly.errors import (
 from hgpoly.homology import hochster_betti
 from hgpoly.hypergraph import Deck, Hypergraph, validate
 from hgpoly.reconstruct import (
+    _EDGELESS_DECK,
     check_reconstructible,
     reconstruct_edge_poly,
     reconstruct_f_vector,
@@ -159,6 +160,28 @@ class TestReconstructHilbert:
         h = validate(["a", "b"], [["a", "b"]])
         with pytest.raises(TooFewVertices):
             reconstruct_hilbert_function(h.deck(), 4)
+
+
+EXCLUDED_DECKS = {
+    "edgeless3": (validate(list("abc"), []), NoEdges, _EDGELESS_DECK),
+    "two-vertex": (validate(["a", "b"], [["a", "b"]]), TooFewVertices, "reconstruction needs n >= 3, got n=2"),
+}
+
+POLY_TARGETS = {
+    "S": lambda deck: reconstruct_edge_poly(edge_family_poly(deck.cards), deck.origin_n),
+    "P": lambda deck: reconstruct_vertex_poly(vertex_family_poly(deck.cards), deck.origin_n),
+    "fvector": reconstruct_f_vector,
+    "hilbert": lambda deck: reconstruct_hilbert_function(deck, 4),
+}
+
+
+@pytest.mark.parametrize("target", sorted(POLY_TARGETS))
+@pytest.mark.parametrize("parent", sorted(EXCLUDED_DECKS))
+def test_excluded_deck_refused_by_every_polynomial_target(parent, target):
+    h, error, message = EXCLUDED_DECKS[parent]
+    with pytest.raises(error) as exc:
+        POLY_TARGETS[target](h.deck())
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 class TestReconstructBetti:

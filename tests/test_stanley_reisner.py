@@ -89,8 +89,8 @@ class TestHilbert:
         assert hilbert_function(h, 3) == [1, 0, 0, 0]
 
     def test_rejects_negative(self, k3):
-        with pytest.raises(ValueError):
-            hilbert_function(k3, -1)
+        with pytest.raises(ValueError, match="^k_max must be nonnegative, got -1$"):
+            SRInvariants(k3).hilbert_function(-1)
 
 
 REPORT_ARGS = build_parser().parse_args(["report", "--input", "-"])
