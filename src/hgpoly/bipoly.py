@@ -56,10 +56,6 @@ class BiPoly:
         for e in sorted(self._terms):
             yield e, self._terms[e]
 
-    def deg_x(self) -> int:
-        """Largest x-exponent, or -1 for the zero polynomial."""
-        return max((i for i, _ in self._terms), default=-1)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BiPoly):
             return NotImplemented
@@ -160,9 +156,12 @@ def substitute(terms: Mapping[tuple[int, int], int], n: int, a: int, b: int) -> 
     """Expand sum c * x^i (1+a*x)^(n-i) (y+b)^j over the terms c*x^i*y^j,
     for a and b in {-1, 0, 1}; the result is a term map without zeros.
 
-    Raises DegreeExceedsN for a term with i > n when a != 0, whose
-    negative power of (1+a*x) is no polynomial.
+    Raises DegreeExceedsN when n < 0, whatever the terms, and for a
+    term with i > n when a != 0, whose negative power of (1+a*x) is no
+    polynomial.
     """
+    if n < 0:
+        raise DegreeExceedsN(f"vertex count n={n} is negative")
     out: dict[tuple[int, int], int] = {}
     for (i, j), c in terms.items():
         if a and i > n:
@@ -188,9 +187,8 @@ def to_edge_form(p: BiPoly, n: int) -> BiPoly:
     c * x^i (1-x)^(n-i) (1+y)^j, expanded binomially, so the result is
     an exact polynomial identity.
 
-    Raises DegreeExceedsN if the x-degree of p exceeds n.
+    Raises DegreeExceedsN if n < 0 or the x-degree of p exceeds n.
     """
-    _check_deg(p, n)
     return BiPoly(substitute(p._terms, n, -1, 1))
 
 
@@ -198,18 +196,9 @@ def to_vertex_form(s: BiPoly, n: int) -> BiPoly:
     """Inverse of :func:`to_edge_form`: each term c*x^i*y^j contributes
     c * x^i (1+x)^(n-i) (y-1)^j expanded binomially.
 
-    Raises DegreeExceedsN if the x-degree of s exceeds n.
+    Raises DegreeExceedsN if n < 0 or the x-degree of s exceeds n.
     """
-    _check_deg(s, n)
     return BiPoly(substitute(s._terms, n, 1, -1))
-
-
-def _check_deg(p: BiPoly, n: int) -> None:
-    if n < 0:
-        raise DegreeExceedsN(f"vertex count n={n} is negative")
-    d = p.deg_x()
-    if d > n:
-        raise DegreeExceedsN(f"polynomial has x-degree {d}, which exceeds n={n}")
 
 
 def expand_series(num: UniPoly, denom_power: int, k_max: int) -> list[int]:

@@ -6,7 +6,10 @@ Two hypergraph file formats are accepted. JSON:
 
 and a line format whose first line lists the vertex labels separated by
 spaces, with each following nonempty line giving one edge the same way.
-Both parsers reject trailing garbage and unknown structure.
+Both parsers reject trailing garbage and unknown structure, and JSON
+rejects a repeated key instead of keeping its last value. The parsers
+name no file: ``load_hypergraph`` puts the path in front of every input
+error, for a single file, a directory member and a deck card alike.
 
 Polynomials are written (never read) as ``[[i, j, "coeff"], ...]`` with
 coefficients as decimal strings, so arbitrarily large integers survive
@@ -29,66 +32,73 @@ from .errors import InputError, ParseError
 from .hypergraph import Deck, Hypergraph, validate
 
 
-def parse_hypergraph_text(text: str, source: str = "<string>") -> Hypergraph:
+def parse_hypergraph_text(text: str) -> Hypergraph:
     """Parse either supported format; JSON when the first nonspace
     character is '{', the line format otherwise."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return _parse_json(text, source)
-    return _parse_lines(text, source)
+        return _parse_json(text)
+    return _parse_lines(text)
 
 
-def _parse_json(text: str, source: str) -> Hypergraph:
+def _object_without_repeats(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ParseError(f"repeated key {next(key for key in keys if keys.count(key) > 1)!r}")
+    return obj
+
+
+# built once: json.loads with a hook builds a decoder per call
+_DECODER = json.JSONDecoder(object_pairs_hook=_object_without_repeats)
+
+
+def _parse_json(text: str) -> Hypergraph:
     try:
-        data = json.loads(text)
+        data = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{source}: invalid JSON: {exc}") from exc
+        raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise ParseError(f"{source}: expected a JSON object")
+        raise ParseError("expected a JSON object")
     extra = set(data) - {"vertices", "edges"}
     if extra:
-        raise ParseError(f"{source}: unexpected keys {sorted(extra)}")
+        raise ParseError(f"unexpected keys {sorted(extra)}")
     if "vertices" not in data or "edges" not in data:
-        raise ParseError(f"{source}: need both 'vertices' and 'edges'")
+        raise ParseError("need both 'vertices' and 'edges'")
     vertices = data["vertices"]
     edges = data["edges"]
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
-        raise ParseError(f"{source}: 'vertices' must be a list of strings")
+        raise ParseError("'vertices' must be a list of strings")
     if not isinstance(edges, list) or not all(
         isinstance(e, list) and all(isinstance(v, str) for v in e) for e in edges
     ):
-        raise ParseError(f"{source}: 'edges' must be a list of lists of strings")
+        raise ParseError("'edges' must be a list of lists of strings")
     return validate(vertices, edges)
 
 
-def _parse_lines(text: str, source: str) -> Hypergraph:
+def _parse_lines(text: str) -> Hypergraph:
     lines = [line.strip() for line in text.splitlines()]
     lines = [line for line in lines if line]
     if not lines:
-        raise ParseError(f"{source}: empty input")
+        raise ParseError("empty input")
     vertices = lines[0].split()
     edges = [line.split() for line in lines[1:]]
     return validate(vertices, edges)
 
 
 def load_hypergraph(path: str) -> Hypergraph:
+    """Read and parse one hypergraph file, UTF-8 with or without a
+    byte-order mark. Every InputError from parsing or validation is
+    raised again, of the same type, with the path leading its message."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
-    return parse_hypergraph_text(text, str(path))
-
-
-def _load_named(path: str) -> Hypergraph:
-    """``load_hypergraph`` for one file of several: a validation error's
-    message is led by the path, as a parse error's already is."""
     try:
-        return load_hypergraph(path)
-    except ParseError:
-        raise
+        return parse_hypergraph_text(text)
     except InputError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
@@ -191,7 +201,7 @@ def read_deck(deck_dir: str) -> Deck:
         files[k] = name
     if not files:
         raise ParseError(f"no card_*.json files in {deck_dir}")
-    return Deck.from_cards([_load_named(os.path.join(deck_dir, files[k])) for k in sorted(files)])
+    return Deck.from_cards([load_hypergraph(os.path.join(deck_dir, files[k])) for k in sorted(files)])
 
 
 def load_corpus(directory: str) -> list[tuple[str, Hypergraph]]:
@@ -209,7 +219,7 @@ def load_corpus(directory: str) -> list[tuple[str, Hypergraph]]:
         if not os.path.isfile(path):
             continue
         try:
-            loaded.append((name, _load_named(path)))
+            loaded.append((name, load_hypergraph(path)))
         except InputError as exc:
             failures.append(str(exc))
     if failures:

@@ -175,8 +175,6 @@ def validate(raw_vertices: Sequence[str], raw_edges: Iterable[Iterable[str]]) ->
     masks = []
     for raw in raw_edges:
         edge_labels = list(raw)
-        if not edge_labels:
-            raise EmptyEdge("edge with no vertices")
         mask = 0
         for lbl in edge_labels:
             v = index.get(lbl)

@@ -13,7 +13,9 @@ because the excluded inputs guarantee every edge misses some vertex.
 
 Excluded inputs: fewer than three vertices, no edges, and the single
 edge covering every vertex. The latter two have identical decks, which
-is exactly why they are excluded.
+is exactly why they are excluded. S, P, f and the Hilbert function
+decide the exclusion from the card sum, where the exact division is
+made; the Betti table reads the cards' edges and checks them itself.
 """
 
 from __future__ import annotations
@@ -81,7 +83,8 @@ def verify_deck_sum_identity(inv: SRInvariants, which: str = "edge") -> bool:
 def _divide_card_sum(card_sum: BiPoly, n: int) -> dict[tuple[int, int], int]:
     """The parent's terms below the full vertex set: each (i, j) term of
     the summed card polynomial divided exactly by n - i. Every card holds
-    the empty subset once, so the constant term must be n."""
+    the empty subset once, so the constant term must be n. Refuses the
+    excluded decks: n < 3, and a sum with no term holding an edge."""
     _check_n(n)
     total = card_sum.terms
     const = total.pop((0, 0), 0)
@@ -103,6 +106,8 @@ def _divide_card_sum(card_sum: BiPoly, n: int) -> dict[tuple[int, int], int]:
             )
         if q:
             out[(i, j)] = q
+    if not any(j for _, j in out):
+        raise NoEdges(_EDGELESS_DECK)
     return out
 
 
@@ -112,8 +117,6 @@ def reconstruct_edge_poly(card_sum: BiPoly, n: int) -> BiPoly:
     from the single-edge column, and the i = n row from the column sums."""
     theta = _divide_card_sum(card_sum, n)
     m = sum(c for (i, j), c in theta.items() if j == 1)
-    if m == 0:
-        raise NoEdges(_EDGELESS_DECK)
     max_j = max(m, max(j for _, j in theta))
     for j in range(1, max_j + 1):
         col = sum(c for (i, jj), c in theta.items() if jj == j and i < n)
@@ -155,9 +158,6 @@ def reconstruct_f_vector(deck: Deck, limit: int = DEFAULT_LIMIT) -> tuple[int, .
     j = 0 terms of the cards' summed vertex polynomial, divided exactly
     like the other terms."""
     n = deck.origin_n
-    _check_n(n)
-    if all(card.m == 0 for card in deck.cards):
-        raise NoEdges(_EDGELESS_DECK)
     faces = {i: c for (i, j), c in _divide_card_sum(vertex_family_poly(deck.cards, limit), n).items() if not j}
     return tuple(faces.get(l, 0) for l in range(max(faces) + 1))
 

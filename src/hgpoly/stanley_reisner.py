@@ -91,8 +91,6 @@ class SRInvariants(Frozen):
         dim R_k = sum_i f[i] * C(k-1, i-1) for k >= 1. InternalMismatch
         is raised if they disagree.
         """
-        if k_max < 0:
-            raise ValueError(f"k_max must be nonnegative, got {k_max}")
         via_series = expand_series(self.k_polynomial, self.n, k_max)
         f = self.f
         via_faces = [1] + [

@@ -284,11 +284,12 @@ def test_excluded_deck_refused_by_every_target(tmp_path, capsys, parent, target)
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("n_max, over", [("4", {"P"}), ("5", set())])
+@pytest.mark.parametrize("n_max, over", [("4", {"P", "fvector"}), ("5", set())])
 @pytest.mark.parametrize("target", TARGETS[:4])
 def test_edgeless_deck_with_cards_over_the_limit(tmp_path, capsys, target, n_max, over):
     # the cards have 5 vertices and no edges, so only the vertex sweeps
-    # can pass the limit
+    # can pass the limit; the edgeless deck is refused from the card sum,
+    # after the sweep
     deck = _write_deck(tmp_path, validate(list("abcdef"), []), capsys)
     code = main(["reconstruct", "--deck", deck, "--target", target, "--n-max", n_max])
     if target in over:
@@ -296,6 +297,63 @@ def test_edgeless_deck_with_cards_over_the_limit(tmp_path, capsys, target, n_max
         assert (code, capsys.readouterr()) == (3, ("", f"error: {message}\n"))
     else:
         assert (code, capsys.readouterr()) == (2, ("", f"error: {EXCLUDED_DECKS['edgeless3'][2]}\n"))
+
+
+# one bad file per kind of input error, parse and validation alike
+BAD_FILES = {
+    "invalid_json.json": "{broken",
+    "wrong_type.json": json.dumps({"vertices": ["a"], "edges": "a"}),
+    "antichain.json": json.dumps({"vertices": ["a", "b"], "edges": [["a"], ["a", "b"]]}),
+    "unknown_vertex.json": json.dumps({"vertices": ["a", "b"], "edges": [["a", "z"]]}),
+    "empty_edge.json": json.dumps({"vertices": ["a", "b"], "edges": [["a"], []]}),
+    "repeated_key.json": '{"vertices": ["a"], "vertices": ["a", "b"], "edges": [["a", "b"]]}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_FILES))
+def test_every_reader_names_the_file(tmp_path, capsys, k3, name):
+    single = tmp_path / name
+    members = tmp_path / "members"
+    members.mkdir()
+    (members / "good.json").write_text(dump_hypergraph_json(k3))
+    deck = _write_deck(tmp_path, cycle_graph(4), capsys)
+    card = os.path.join(deck, "card_00.json")
+    details = []
+    for path, argv, lead in (
+        (single, ["fvector", "--input", str(single)], "error: "),
+        (members / name, ["report", "--input", str(members)], "error: corpus errors:\n"),
+        (card, ["reconstruct", "--deck", deck, "--target", "S"], "error: "),
+    ):
+        with open(path, "w") as fh:
+            fh.write(BAD_FILES[name])
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"{lead}{path}: "), (argv, err)
+        details.append(err.removeprefix(f"{lead}{path}: "))
+    assert details[0] == details[1] == details[2]
+
+
+def _line_format(h: Hypergraph) -> str:
+    return "\n".join(" ".join(labels) for labels in (h.labels, *h.edge_label_sets())) + "\n"
+
+
+@pytest.mark.parametrize("write", [dump_hypergraph_json, _line_format], ids=["json", "lines"])
+def test_byte_order_mark_read_as_plain_utf8(tmp_path, capsys, write):
+    c4 = cycle_graph(4)
+    outs = []
+    for bom in ("", "\ufeff"):
+        single = tmp_path / f"c4{len(bom)}.txt"
+        single.write_text(bom + write(c4), encoding="utf-8")
+        (tmp_path / f"d{len(bom)}").mkdir()
+        deck = _write_deck(tmp_path / f"d{len(bom)}", c4, capsys)
+        with open(os.path.join(deck, "card_00.json"), "w", encoding="utf-8") as fh:
+            fh.write(bom + write(c4.card(0)))
+        got = [(main(["report", "--input", str(single)]), capsys.readouterr())]
+        for target in TARGETS:
+            got.append((main(["reconstruct", "--deck", deck, "--target", target]), capsys.readouterr()))
+        outs.append(got)
+    assert outs[0] == outs[1]
+    assert all(code == 0 and err == "" for code, (_, err) in outs[0])
 
 
 def test_cli_import_adds_no_heavy_modules():

@@ -68,6 +68,11 @@ class TestHypergraphJson:
         with pytest.raises(ParseError):
             parse_hypergraph_text('{"vertices": [], "edges": [], "comment": "hi"}')
 
+    def test_repeated_key_rejected(self):
+        # keeping the last value would read a 2-vertex hypergraph
+        with pytest.raises(ParseError, match="^repeated key 'vertices'$"):
+            parse_hypergraph_text('{"vertices": ["a"], "vertices": ["a", "b"], "edges": [["a", "b"]]}')
+
     def test_missing_keys_rejected(self):
         with pytest.raises(ParseError):
             parse_hypergraph_text('{"vertices": []}')
