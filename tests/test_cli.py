@@ -307,6 +307,13 @@ BAD_FILES = {
     "unknown_vertex.json": json.dumps({"vertices": ["a", "b"], "edges": [["a", "z"]]}),
     "empty_edge.json": json.dumps({"vertices": ["a", "b"], "edges": [["a"], []]}),
     "repeated_key.json": '{"vertices": ["a"], "vertices": ["a", "b"], "edges": [["a", "b"]]}',
+    # raw structure of the right JSON object
+    "vertices_string.json": json.dumps({"vertices": "ab", "edges": []}),
+    "vertices_object.json": json.dumps({"vertices": {"a": 1}, "edges": []}),
+    "edge_string.json": json.dumps({"vertices": ["a", "b"], "edges": ["ab"]}),
+    "edge_object.json": json.dumps({"vertices": ["a"], "edges": [{"a": 1}]}),
+    "label_number.json": json.dumps({"vertices": ["a", 1], "edges": []}),
+    "label_list.json": json.dumps({"vertices": ["a"], "edges": [["a", ["a"]]]}),
 }
 
 
@@ -331,6 +338,7 @@ def test_every_reader_names_the_file(tmp_path, capsys, k3, name):
         assert out == "" and err.startswith(f"{lead}{path}: "), (argv, err)
         details.append(err.removeprefix(f"{lead}{path}: "))
     assert details[0] == details[1] == details[2]
+    assert details[0].count("\n") == 1 and details[0].endswith("\n")
 
 
 def _line_format(h: Hypergraph) -> str:

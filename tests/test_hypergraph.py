@@ -15,6 +15,7 @@ from hgpoly.errors import (
     InconsistentDeck,
     IndexOutOfRange,
     InvalidDeck,
+    ParseError,
     UnknownVertex,
 )
 from hgpoly.homology import (
@@ -92,6 +93,17 @@ class TestValidate:
     def test_repeated_vertex_in_edge(self):
         with pytest.raises(DuplicateVertexLabel):
             validate(["a", "b"], [["a", "a"]])
+
+    @pytest.mark.parametrize(
+        "vertices, edges, message",
+        [
+            (["a", 1], [], "vertex labels must be strings, got 1"),
+        ],
+    )
+    def test_raw_structure_refused(self, vertices, edges, message):
+        with pytest.raises(ParseError) as exc:
+            validate(vertices, edges)
+        assert str(exc.value) == message
 
     def test_empty_hypergraph(self):
         h = validate([], [])
