@@ -15,7 +15,7 @@ with (a, b) in {-1, 0, 1}^2, so no rational function ever appears:
     to_vertex_form(S, n)   (+1, -1)   S -> P, exact inverse at x-degree <= n
     identity 2.3           (0, +1) on P against (+1, 0) on S
     identity 3.2           (-1, 0) on f against the terms of K(t)
-    h_vector(f, d)         (-1, 0) at d
+    h_vector(f)            (-1, 0) at d = len(f) - 1
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Subcommands: compute, hilbert, fvector, hvector, betti, deck,
 reconstruct, verify, report. Exit codes: 0 success, 1 verification
 failure (or an internal consistency failure), 2 input error, 3 size
-limit exceeded.
+limit exceeded, 141 stdout closed by its reader before the end.
 
 There is one output path. Each subcommand handler returns its result
 as a (JSON value, text) pair built by the value renderers (polynomial,
@@ -13,10 +13,11 @@ always prints JSON. A directory ``report`` parses and limit-checks every
 member before any output, then returns a lazy list that ``main`` writes
 one member's report at a time, so peak memory follows the largest
 member; only an internal consistency failure (exit 1) can leave a
-partial document. compute, hilbert, fvector, hvector and betti are one
-handler over views of the hypergraph's ``SRInvariants`` bundle, and the
-five reconstruct targets go through the same renderers, so a value
-rebuilt from a deck prints exactly as the value computed directly.
+partial document. compute, hilbert, fvector, hvector, betti and
+verify are one handler over views of the hypergraph's ``SRInvariants``
+bundle, and the five reconstruct targets go through the same
+renderers, so a value rebuilt from a deck prints exactly as the value
+computed directly.
 
 Every integer that can grow beyond machine size (coefficients, Hilbert
 values, face counts) is emitted as a decimal string in JSON output;
@@ -103,6 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="run exact identity checks; nonzero exit on failure")
     p.add_argument("--identity", choices=IDENTITY_IDS + ("all",), default="all")
     p.add_argument("--input", required=True)
+    p.set_defaults(view="verify")
 
     p = sub.add_parser("report", parents=[common], help="bundle every invariant into one JSON document")
     p.add_argument("--input", required=True, help="a hypergraph file, or a directory of them")
@@ -251,7 +253,7 @@ def _report_for(h: Hypergraph, args) -> dict:
 
 # -- subcommand handlers: text None means the output is JSON only --
 
-# compute --poly and the four invariant commands, as views of the bundle
+# compute --poly, the four invariant commands and verify, as views of the bundle
 _VIEWS = {
     "S": lambda inv, args: _poly(inv.S),
     "P": lambda inv, args: _poly(inv.P),
@@ -260,6 +262,9 @@ _VIEWS = {
     "fvector": lambda inv, args: _vector(inv.f),
     "hvector": lambda inv, args: _vector(inv.h),
     "betti": lambda inv, args: _betti(inv.betti),
+    "verify": lambda inv, args: _identities(
+        run_all(inv) if args.identity == "all" else {args.identity: run_identity(args.identity, inv)}
+    ),
 }
 
 _TARGETS = {
@@ -284,13 +289,6 @@ def _cmd_reconstruct(args) -> Output:
     return _TARGETS[args.target](read_deck(args.deck), args)
 
 
-def _cmd_verify(args) -> Output:
-    inv = SRInvariants(load_hypergraph(args.input), args.n_max, args.homology_n_max)
-    if args.identity == "all":
-        return _identities(run_all(inv))
-    return _identities({args.identity: run_identity(args.identity, inv)})
-
-
 def _cmd_report(args) -> Output:
     if not os.path.isdir(args.input):
         return _report_for(load_hypergraph(args.input), args), None
@@ -311,10 +309,9 @@ def _cmd_report(args) -> Output:
 
 
 _HANDLERS = {
-    **dict.fromkeys(("compute", "hilbert", "fvector", "hvector", "betti"), _cmd_view),
+    **dict.fromkeys(("compute", "hilbert", "fvector", "hvector", "betti", "verify"), _cmd_view),
     "deck": _cmd_deck,
     "reconstruct": _cmd_reconstruct,
-    "verify": _cmd_verify,
     "report": _cmd_report,
 }
 
@@ -359,9 +356,11 @@ def entry() -> None:
     leaves buffered files unflushed, so nothing the CLI runs may register
     an ``atexit`` hook (``tests/test_entry.py`` checks every subcommand)
     or leave a file open when ``main`` returns. argparse's exits for
-    ``--help`` and usage errors take the same path. A flush that fails
-    leaves by ``sys.exit``, so the interpreter reports it and exits 120;
-    an uncaught exception keeps its traceback and exit 1.
+    ``--help`` and usage errors take the same path. A reader that closed
+    the pipe early ends the process at once, silently, with exit 141
+    (128 + SIGPIPE, as a shell reports it); any other flush that fails
+    leaves by ``sys.exit``, so the interpreter reports it and exits 120.
+    An uncaught exception keeps its traceback and exit 1.
     """
     try:
         code = main()
@@ -369,10 +368,14 @@ def entry() -> None:
         if not isinstance(exc.code, int):
             raise
         code = exc.code
+    except BrokenPipeError:
+        os._exit(141)
     try:
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:  # None when the process started with that descriptor closed
                 stream.flush()
+    except BrokenPipeError:
+        os._exit(141)
     except OSError:
         sys.exit(code)
     os._exit(code)

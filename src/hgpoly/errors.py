@@ -72,10 +72,6 @@ class DegreeExceedsN(InputError):
     declared vertex count."""
 
 
-class LengthMismatch(InputError):
-    """A vector argument has the wrong length for the stated dimension."""
-
-
 class NotReconstructible(InputError):
     """The hypergraph is one of the excluded inputs for which deck
     reconstruction is impossible or degenerate."""

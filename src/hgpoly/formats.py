@@ -6,10 +6,13 @@ Two hypergraph file formats are accepted. JSON:
 
 and a line format whose first line lists the vertex labels separated by
 spaces, with each following nonempty line giving one edge the same way.
-Both parsers reject trailing garbage and unknown structure, and JSON
-rejects a repeated key instead of keeping its last value. The parsers
-name no file: ``load_hypergraph`` puts the path in front of every input
-error, for a single file, a directory member and a deck card alike.
+Text whose first nonspace character is '{' or '[' is JSON. The JSON
+parser checks only what is JSON's own: one object, exactly the keys
+``vertices`` and ``edges``, no repeated key, nothing its decoder refuses.
+The types of the vertices, edges and labels are checked, as for library
+input, by ``hypergraph.validate``. The parsers name no file:
+``load_hypergraph`` puts the path in front of every input error, for a
+single file, a directory member and a deck card alike.
 
 Polynomials are written (never read) as ``[[i, j, "coeff"], ...]`` with
 coefficients as decimal strings, so arbitrarily large integers survive
@@ -34,9 +37,8 @@ from .hypergraph import Deck, Hypergraph, validate
 
 def parse_hypergraph_text(text: str) -> Hypergraph:
     """Parse either supported format; JSON when the first nonspace
-    character is '{', the line format otherwise."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    character is '{' or '[', the line format otherwise."""
+    if text.lstrip().startswith(("{", "[")):
         return _parse_json(text)
     return _parse_lines(text)
 
@@ -56,7 +58,7 @@ _DECODER = json.JSONDecoder(object_pairs_hook=_object_without_repeats)
 def _parse_json(text: str) -> Hypergraph:
     try:
         data = _DECODER.decode(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an overlong integer or too deep a nesting
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("expected a JSON object")
@@ -65,15 +67,7 @@ def _parse_json(text: str) -> Hypergraph:
         raise ParseError(f"unexpected keys {sorted(extra)}")
     if "vertices" not in data or "edges" not in data:
         raise ParseError("need both 'vertices' and 'edges'")
-    vertices = data["vertices"]
-    edges = data["edges"]
-    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
-        raise ParseError("'vertices' must be a list of strings")
-    if not isinstance(edges, list) or not all(
-        isinstance(e, list) and all(isinstance(v, str) for v in e) for e in edges
-    ):
-        raise ParseError("'edges' must be a list of lists of strings")
-    return validate(vertices, edges)
+    return validate(data["vertices"], data["edges"])
 
 
 def _parse_lines(text: str) -> Hypergraph:

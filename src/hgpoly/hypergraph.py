@@ -156,32 +156,41 @@ class Hypergraph(Frozen):
         return f"Hypergraph(vertices=[{', '.join(self.labels)}], edges=[{edges}])"
 
 
-def validate(raw_vertices: Sequence[str], raw_edges: Iterable[Iterable[str]]) -> Hypergraph:
-    """Checked construction from raw label data.
+def validate(raw_vertices: Sequence[str], raw_edges: Sequence[Sequence[str]]) -> Hypergraph:
+    """Checked construction from raw label data: the one check of its
+    structure, for library input and parsed files alike.
 
-    Rejects duplicate vertex labels, empty edges, repeated labels inside
+    Raises ParseError, naming the first offender, unless the vertices,
+    the edges and each edge are lists or tuples of str labels; then
+    rejects duplicate vertex labels, empty edges, repeated labels inside
     an edge, unknown labels, byte-identical duplicate edges, and
     containment between distinct edges (reporting the witnessing pair).
     """
+    if not isinstance(raw_vertices, (list, tuple)):
+        raise ParseError(f"vertices must be a list of strings, not {type(raw_vertices).__name__}")
+    if not isinstance(raw_edges, (list, tuple)):
+        raise ParseError(f"edges must be a list of lists of strings, not {type(raw_edges).__name__}")
     labels = tuple(raw_vertices)
-    seen: set[str] = set()
+    index: dict[str, int] = {}
     for lbl in labels:
         if not isinstance(lbl, str):
-            raise ParseError(f"vertex labels must be strings, got {lbl!r}")
-        if lbl in seen:
+            raise ParseError(f"vertex label {lbl!r} is not a string")
+        if lbl in index:
             raise DuplicateVertexLabel(f"vertex label {lbl!r} appears twice")
-        seen.add(lbl)
-    index = {lbl: k for k, lbl in enumerate(labels)}
+        index[lbl] = len(index)
     masks = []
-    for raw in raw_edges:
-        edge_labels = list(raw)
+    for edge in raw_edges:
+        if not isinstance(edge, (list, tuple)):
+            raise ParseError(f"edge {edge!r} is not a list of strings")
         mask = 0
-        for lbl in edge_labels:
+        for lbl in edge:
+            if not isinstance(lbl, str):
+                raise ParseError(f"edge {edge!r} holds {lbl!r}, which is not a string")
             v = index.get(lbl)
             if v is None:
-                raise UnknownVertex(f"edge {edge_labels!r} references unknown vertex {lbl!r}")
+                raise UnknownVertex(f"edge {edge!r} references unknown vertex {lbl!r}")
             if mask >> v & 1:
-                raise DuplicateVertexLabel(f"edge {edge_labels!r} repeats vertex {lbl!r}")
+                raise DuplicateVertexLabel(f"edge {edge!r} repeats vertex {lbl!r}")
             mask |= 1 << v
         masks.append(mask)
     return Hypergraph.from_masks(labels, masks)

@@ -23,7 +23,7 @@ from math import comb
 
 from .bipoly import BiPoly, UniPoly, expand_series, substitute
 from .enumeration import DEFAULT_LIMIT, edge_induced_poly, vertex_induced_poly
-from .errors import InternalMismatch, LengthMismatch
+from .errors import InternalMismatch
 from .homology import DEFAULT_HOMOLOGY_LIMIT, BettiTable, hochster_betti
 from .hypergraph import Deck, Frozen, Hypergraph
 
@@ -58,7 +58,7 @@ class SRInvariants(Frozen):
 
     @cached_property
     def h(self) -> tuple[int, ...]:
-        return h_vector(self.f, self.krull_dim)
+        return h_vector(self.f)
 
     @property
     def krull_dim(self) -> int:
@@ -110,14 +110,10 @@ def f_vector(h: Hypergraph, limit: int = DEFAULT_LIMIT) -> tuple[int, ...]:
     return SRInvariants(h, limit).f
 
 
-def h_vector(f: tuple[int, ...] | list[int], d: int) -> tuple[int, ...]:
-    """Binomial transform of a face vector of a (d-1)-dimensional
-    complex: the coefficients of sum_i f[i] t^i (1-t)^(d-i).
-
-    Raises LengthMismatch unless len(f) == d + 1.
-    """
-    if len(f) != d + 1:
-        raise LengthMismatch(f"f-vector of length {len(f)} does not match dimension argument d={d}")
+def h_vector(f: tuple[int, ...] | list[int]) -> tuple[int, ...]:
+    """Binomial transform of the face vector of a (d-1)-dimensional
+    complex, d = len(f) - 1: the coefficients of sum_i f[i] t^i (1-t)^(d-i)."""
+    d = len(f) - 1
     out = substitute({(i, 0): fi for i, fi in enumerate(f)}, d, -1, 0)
     return tuple(out.get((k, 0), 0) for k in range(d + 1))
 

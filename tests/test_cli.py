@@ -314,6 +314,11 @@ BAD_FILES = {
     "edge_object.json": json.dumps({"vertices": ["a"], "edges": [{"a": 1}]}),
     "label_number.json": json.dumps({"vertices": ["a", 1], "edges": []}),
     "label_list.json": json.dumps({"vertices": ["a"], "edges": [["a", ["a"]]]}),
+    # JSON that the decoder itself refuses, or text that starts like JSON
+    "top_level_array.json": '["a", "b"]',
+    "deep_nesting.json": '{"vertices": ' + "[" * 200_000 + "]" * 200_000 + ', "edges": []}',
+    "long_integer.json": '{"vertices": [' + "7" * 5000 + '], "edges": []}',
+    "bracket_label.txt": "[a b\n[a b\n",
 }
 
 

@@ -3,9 +3,9 @@
 `entry` ends the process with `os._exit` once stdout and stderr are
 flushed, so these tests check what only a real process shows: the exit
 code, every byte on stdout and stderr (equal to an in-process `main`),
-output larger than a pipe's buffer, the interpreter's own report of a
-failed final flush, and that nothing registers an `atexit` hook that
-`os._exit` would skip.
+output larger than a pipe's buffer, a reader that closes the pipe
+early, the interpreter's own report of a failed final flush, and that
+nothing registers an `atexit` hook that `os._exit` would skip.
 
 PYTHONUNBUFFERED is dropped from the child's environment, so stdout is
 block-buffered and reaches the reader only through the final flush.
@@ -92,6 +92,19 @@ def test_piped_directory_report_beyond_the_pipe_buffer(tmp_path, monkeypatch):
     got = _process(argv)
     assert len(got[1]) > 64 * 1024  # more than a Linux pipe holds, so the child blocks while the reader drains
     assert got == _in_process(argv, monkeypatch)
+
+
+def test_reader_closing_the_pipe_ends_the_process_with_exit_141(tmp_path):
+    text = dump_hypergraph_json(cycle_graph(8))
+    for k in range(8):
+        (tmp_path / f"c{k}.json").write_text(text)
+    child = subprocess.Popen([sys.executable, "-m", "hgpoly.cli", "report", "--input", str(tmp_path)], env=_env(),
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    # the report is more than the pipe holds, so the child is still writing when the pipe closes
+    assert child.stdout.read(1) == b"["
+    child.stdout.close()
+    assert child.communicate(timeout=120)[1] == b""
+    assert child.returncode == 141
 
 
 def test_deck_then_every_reconstruct_target(tmp_path, monkeypatch):

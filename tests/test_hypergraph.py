@@ -97,7 +97,14 @@ class TestValidate:
     @pytest.mark.parametrize(
         "vertices, edges, message",
         [
-            (["a", 1], [], "vertex labels must be strings, got 1"),
+            (["a", 1], [], "vertex label 1 is not a string"),
+            ("ab", [["a", "b"]], "vertices must be a list of strings, not str"),
+            ({"a", "b"}, [], "vertices must be a list of strings, not set"),
+            (["a", "b"], iter([["a", "b"]]), "edges must be a list of lists of strings, not list_iterator"),
+            (["a", "b"], ["ab"], "edge 'ab' is not a list of strings"),
+            (["a"], [{"a"}], "edge {'a'} is not a list of strings"),
+            (["a"], [[["a"]]], "edge [['a']] holds ['a'], which is not a string"),
+            (["a"], [("a", 1)], "edge ('a', 1) holds 1, which is not a string"),
         ],
     )
     def test_raw_structure_refused(self, vertices, edges, message):

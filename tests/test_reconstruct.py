@@ -247,10 +247,9 @@ def test_derived_invariants_from_reconstructed_f(h):
 
     inv = SRInvariants(h)
     rec_f = reconstruct_f_vector(h.deck())
-    d = len(rec_f) - 1
-    assert d == inv.krull_dim
+    assert len(rec_f) - 1 == inv.krull_dim
     assert rec_f[-1] == inv.multiplicity
-    assert h_vector(rec_f, d) == inv.h
+    assert h_vector(rec_f) == inv.h
 
 
 @settings(max_examples=40, deadline=None)

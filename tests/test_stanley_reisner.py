@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hgpoly.bipoly import UniPoly
 from hgpoly.cli import _report_for, build_parser
 from hgpoly.enumeration import vertex_induced_poly
-from hgpoly.errors import LengthMismatch
 from hgpoly.hypergraph import validate
 from hgpoly.stanley_reisner import (
     SRInvariants,
@@ -46,19 +45,15 @@ class TestFVector:
 
 class TestHVector:
     def test_k3(self):
-        assert h_vector((1, 3), 1) == (1, 2)
+        assert h_vector((1, 3)) == (1, 2)
 
     def test_full_simplex_collapses(self):
         for n in range(6):
             f = tuple(comb(n, i) for i in range(n + 1))
-            assert h_vector(f, n) == (1,) + (0,) * n
+            assert h_vector(f) == (1,) + (0,) * n
 
     def test_path3(self):
-        assert h_vector((1, 3, 1), 2) == (1, 1, -1)
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            h_vector((1, 3), 2)
+        assert h_vector((1, 3, 1)) == (1, 1, -1)
 
 
 class TestKPolynomial:
