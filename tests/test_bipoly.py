@@ -156,6 +156,10 @@ class TestSeries:
         with pytest.raises(ValueError):
             expand_series(UniPoly([1]), 1, -1)
 
+    def test_rejects_negative_denominator_power(self):
+        with pytest.raises(ValueError, match="^denominator power must be nonnegative, got -1$"):
+            expand_series(UniPoly([1]), -1, 3)
+
 
 class TestRendering:
     def test_bipoly_text(self):

@@ -191,3 +191,13 @@ class TestFiles:
 
     def test_load_corpus_empty_dir(self, tmp_path):
         assert load_corpus(tmp_path) == []
+
+    @pytest.mark.parametrize("reader", [load_corpus, read_deck], ids=["load_corpus", "read_deck"])
+    def test_readers_refuse_a_path_that_is_not_a_directory(self, tmp_path, k3, reader):
+        path = os.path.join(tmp_path, "k3.json")
+        with open(path, "w") as fh:
+            fh.write(dump_hypergraph_json(k3))
+        for missing in (path, os.path.join(tmp_path, "nosuch")):
+            with pytest.raises(ParseError) as exc:
+                reader(missing)
+            assert str(exc.value) == f"{missing} is not a directory"

@@ -86,6 +86,10 @@ class TestValidate:
         with pytest.raises(UnknownVertex):
             validate(["a", "b"], [["a", "z"]])
 
+    def test_edge_mask_outside_the_vertex_range(self):
+        with pytest.raises(UnknownVertex, match="^edge mask 0x5 has bits outside the 2-vertex range$"):
+            Hypergraph.from_masks(("a", "b"), [0b101])
+
     def test_duplicate_vertex_label(self):
         with pytest.raises(DuplicateVertexLabel):
             validate(["a", "a"], [])
@@ -186,6 +190,14 @@ class TestDeck:
             "edge ['a', 'f'] is on card 1 but not on card 3, whose deleted vertex it avoids; "
             "the input is not a genuine deck"
         )
+
+    def test_from_cards_needs_two_cards(self, k3):
+        with pytest.raises(InvalidDeck, match="^need at least two cards to recover the vertex order$"):
+            Deck.from_cards([k3.card(0)])
+
+    def test_from_cards_needs_cards_0_and_1_to_differ_in_one_label(self, k3):
+        with pytest.raises(InvalidDeck, match="^cards 0 and 1 do not differ in exactly one label$"):
+            Deck.from_cards([k3.card(0), k3.card(0), k3.card(2)])
 
     def test_deck_constructor_validates_card_count(self, k3):
         with pytest.raises(InvalidDeck):

@@ -118,6 +118,12 @@ class TestReconstructEdgePoly:
         with pytest.raises(InconsistentDeck):
             reconstruct_edge_poly(card_sum, 3)
 
+    def test_term_on_every_vertex_refused(self, k3):
+        # no card has n vertices, so no card subset can span n of them
+        card_sum = BiPoly([*edge_family_poly(k3.deck().cards).terms.items(), ((3, 1), 1)])
+        with pytest.raises(InconsistentDeck, match="^cards carry an x-degree 3 term, impossible for cards on 2 vertices$"):
+            reconstruct_edge_poly(card_sum, 3)
+
     def test_overfull_column_goes_negative(self):
         # each fake card claims far more 2-edge subsets than m=3 edges allow
         fake = BiPoly({(0, 0): 1, (2, 1): 1, (2, 2): 7})
