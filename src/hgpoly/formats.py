@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring_ascii
 
@@ -51,14 +52,22 @@ def _object_without_repeats(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # the literal is well formed, so only its length is refused
+        digits, limit = len(text.lstrip("-")), sys.get_int_max_str_digits()
+        raise ParseError(f"invalid JSON: a number has {digits} digits; more than {limit} are refused") from None
+
+
 # built once: json.loads with a hook builds a decoder per call
-_DECODER = json.JSONDecoder(object_pairs_hook=_object_without_repeats)
+_DECODER = json.JSONDecoder(object_pairs_hook=_object_without_repeats, parse_int=_integer)
 
 
 def _parse_json(text: str) -> Hypergraph:
     try:
         data = _DECODER.decode(text)
-    except (ValueError, RecursionError) as exc:  # also an overlong integer or too deep a nesting
+    except (ValueError, RecursionError) as exc:  # also too deep a nesting
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("expected a JSON object")
@@ -181,7 +190,7 @@ def write_deck(deck: Deck, out_dir: str) -> list[str]:
 
 def read_deck(deck_dir: str) -> Deck:
     """Read the card_<k>.json files in order of the integer k, whatever
-    its zero padding, and recover the deck."""
+    its zero padding, and recover the deck; its own errors name deck_dir."""
     if not os.path.isdir(deck_dir):
         raise ParseError(f"{deck_dir} is not a directory")
     files: dict[int, str] = {}
@@ -195,7 +204,11 @@ def read_deck(deck_dir: str) -> Deck:
         files[k] = name
     if not files:
         raise ParseError(f"no card_*.json files in {deck_dir}")
-    return Deck.from_cards([load_hypergraph(os.path.join(deck_dir, files[k])) for k in sorted(files)])
+    cards = [load_hypergraph(os.path.join(deck_dir, files[k])) for k in sorted(files)]
+    try:
+        return Deck.from_cards(cards)
+    except InputError as exc:
+        raise type(exc)(f"{deck_dir}: {exc}") from exc
 
 
 def load_corpus(directory: str) -> list[tuple[str, Hypergraph]]:

@@ -63,7 +63,8 @@ class Hypergraph(Frozen):
     """Labeled hypergraph with an antichain edge set.
 
     Construct through :func:`validate` (label-level input) or
-    :meth:`from_masks` (index-level input); both enforce the invariants.
+    :meth:`from_masks` (index-level input); both enforce the invariants,
+    and :meth:`card` keeps them.
     """
 
     def __init__(self, labels: tuple[str, ...], edges: tuple[int, ...]) -> None:
@@ -126,20 +127,13 @@ class Hypergraph(Frozen):
         return tuple(self.labels_of(e) for e in self.edges)
 
     def card(self, l: int) -> "Hypergraph":
-        """Vertex-deleted card: drop vertex l and every edge containing it."""
+        """Vertex-deleted card: drop vertex l and every edge containing it.
+        The other edges, shifted down past l, stay a checked antichain."""
         if not 0 <= l < self.n:
             raise IndexOutOfRange(f"vertex index {l} out of range 0..{self.n - 1}")
-        keep = [v for v in range(self.n) if v != l]
-        new_labels = tuple(self.labels[v] for v in keep)
-        bit = 1 << l
-        new_edges = []
-        for e in self.edges:
-            if e & bit:
-                continue
-            low = e & (bit - 1)
-            high = e >> (l + 1)
-            new_edges.append(low | high << l)
-        return Hypergraph.from_masks(new_labels, new_edges)
+        low = (1 << l) - 1
+        edges = tuple(e & low | e >> 1 & ~low for e in self.edges if not e >> l & 1)
+        return Hypergraph(self.labels[:l] + self.labels[l + 1 :], edges)
 
     def deck(self) -> "Deck":
         """All n vertex-deleted cards, in vertex order."""

@@ -63,10 +63,10 @@ def check_reconstructible(h: Hypergraph) -> None:
 
 def verify_deck_sum_identity(inv: SRInvariants, which: str = "edge") -> bool:
     """Check n*F = x*dF/dx + sum of card polynomials, for F the bundle's
-    edge-subset polynomial S or vertex-subset polynomial P. The cards
-    of the bundle's deck, with their own relabelled edge masks, are
-    swept afresh as one family under its limit, and their summed terms
-    must be (n - i)*F[i, j] at every (i, j)."""
+    edge-subset polynomial S or vertex-subset polynomial P. The bundle's
+    cards, with their own relabelled edge masks, are swept afresh as one
+    family under its limit (no Deck checks them: they are cut from the
+    parent), and their summed terms must be (n - i)*F[i, j] at every (i, j)."""
     h = inv.hypergraph
     check_reconstructible(h)
     if which == "edge":
@@ -77,7 +77,7 @@ def verify_deck_sum_identity(inv: SRInvariants, which: str = "edge") -> bool:
         raise ValueError(f"which must be 'edge' or 'vertex', got {which!r}")
     n = h.n
     expected = {(i, j): (n - i) * c for (i, j), c in f.terms.items() if i < n}
-    return sweep(inv.deck.cards, inv.limit).terms == expected
+    return sweep(inv.cards, inv.limit).terms == expected
 
 
 def _divide_card_sum(card_sum: BiPoly, n: int) -> dict[tuple[int, int], int]:

@@ -9,23 +9,20 @@ The h-vector is the reduced numerator: K(t) = h(t) (1-t)^(n-d) with d
 the Krull dimension, so the series in lowest terms is h(t) / (1-t)^d
 (identity 3.2 checks the expansion this rests on). ``SRInvariants``
 computes each quantity on first use and keeps it, so a consumer that
-reads the same bundle never sweeps or builds a Betti table twice.
-
-The Hilbert function is computed along two independent routes and the
-results are compared; a disagreement raises InternalMismatch because it
-can only come from a bug.
+reads the same bundle never sweeps, cuts the cards, checks identity 3.2
+or builds a Betti table twice. The Hilbert function raises
+InternalMismatch, which only a bug can cause, unless 3.2 holds.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from math import comb
 
 from .bipoly import BiPoly, UniPoly, expand_series, substitute
 from .enumeration import DEFAULT_LIMIT, edge_induced_poly, vertex_induced_poly
 from .errors import InternalMismatch
 from .homology import DEFAULT_HOMOLOGY_LIMIT, BettiTable, hochster_betti
-from .hypergraph import Deck, Frozen, Hypergraph
+from .hypergraph import Frozen, Hypergraph
 
 
 class SRInvariants(Frozen):
@@ -35,7 +32,8 @@ class SRInvariants(Frozen):
     derived from one another), the face vector f = P(x, 0) with a leading
     1 for the empty face, its binomial transform h, the Krull dimension,
     the multiplicity, the Hilbert series numerator K(t) = S(t, -1), the
-    vertex-deleted deck, and the multigraded Betti table."""
+    outcome of identity 3.2, the n vertex-deleted cards (never checked
+    again as a Deck), and the multigraded Betti table."""
 
     def __init__(self, hypergraph: Hypergraph, limit: int = DEFAULT_LIMIT, homology_limit: int = DEFAULT_HOMOLOGY_LIMIT):
         self._freeze(hypergraph=hypergraph, limit=limit, homology_limit=homology_limit)
@@ -75,8 +73,15 @@ class SRInvariants(Frozen):
         return self.S.eval_y(-1)
 
     @cached_property
-    def deck(self) -> Deck:
-        return self.hypergraph.deck()
+    def series_numerator_holds(self) -> bool:
+        """Identity 3.2: K(t) = S(t, -1) equals sum_i f[i] t^i (1-t)^(n-i),
+        each power of (1-t) expanded by the binomial theorem."""
+        faces = {(i, 0): fi for i, fi in enumerate(self.f)}
+        return substitute(faces, self.n, -1, 0) == {(k, 0): c for k, c in enumerate(self.k_polynomial.coeffs) if c}
+
+    @cached_property
+    def cards(self) -> tuple[Hypergraph, ...]:
+        return tuple(self.hypergraph.card(l) for l in range(self.n))
 
     @cached_property
     def betti(self) -> BettiTable:
@@ -84,24 +89,13 @@ class SRInvariants(Frozen):
 
     def hilbert_function(self, k_max: int) -> list[int]:
         """Graded dimensions dim R_k for k = 0..k_max, where R is the
-        quotient of the n-variable polynomial ring by the edge ideal.
-
-        Two independent routes are used: series expansion of K(t) over
-        (1-t)^n, and the face-count formula
-        dim R_k = sum_i f[i] * C(k-1, i-1) for k >= 1. InternalMismatch
-        is raised if they disagree.
+        quotient of the n-variable polynomial ring by the edge ideal: K(t)
+        expanded over (1-t)^n. Raises InternalMismatch unless identity 3.2
+        holds, which implies dim R_k = sum_i f[i] * C(k-1, i-1) for k >= 1.
         """
-        via_series = expand_series(self.k_polynomial, self.n, k_max)
-        f = self.f
-        via_faces = [1] + [
-            sum(f[i] * comb(k - 1, i - 1) for i in range(1, len(f)))
-            for k in range(1, k_max + 1)
-        ]
-        if via_series != via_faces:
-            raise InternalMismatch(
-                f"Hilbert function routes disagree: series {via_series} vs face counts {via_faces}"
-            )
-        return via_series
+        if not self.series_numerator_holds:
+            raise InternalMismatch(f"identity 3.2 fails: K(t) = {self.k_polynomial!r} is not the expansion of f = {self.f}")
+        return expand_series(self.k_polynomial, self.n, k_max)
 
 
 def f_vector(h: Hypergraph, limit: int = DEFAULT_LIMIT) -> tuple[int, ...]:

@@ -5,11 +5,12 @@ independent routes, and returns True only on coefficientwise equality.
 The checks read one invariant bundle (``SRInvariants``), whose vertex
 and edge sweeps both run directly, so no side is derived from the
 other. 2.1, 2.3 and 3.2 expand through ``bipoly.substitute``, one
-call per side over that side's own terms, and compare term maps; 4.2
-sweeps the deck's cards afresh, as one family per side. The CLI binds
-them to the identity ids ``2.1``, ``2.3``, ``3.2``, ``4.2``, ``4.3``;
-a False from any of them on a valid input means a bug somewhere, which
-is the point of running them.
+call per side over its own terms, and compare term maps (3.2 is kept
+in the bundle); 4.2 sweeps the bundle's cards, one family per side,
+and builds no ``Deck``. The CLI binds them to the identity ids
+``2.1``, ``2.3``, ``3.2``, ``4.2``, ``4.3``; a False from any of them
+on a valid input means a bug somewhere, which is the point of running
+them.
 """
 
 from __future__ import annotations
@@ -47,11 +48,8 @@ def verify_coefficient_relation(inv: SRInvariants) -> bool:
 
 
 def verify_series_numerator(inv: SRInvariants) -> bool:
-    """The edge polynomial at y = -1 equals the face-count expansion
-    sum_i f[i] t^i (1-t)^(n-i), with f read off the vertex polynomial
-    and each power of (1-t) expanded by the binomial theorem."""
-    faces = {(i, 0): fi for i, fi in enumerate(inv.f)}
-    return substitute(faces, inv.n, -1, 0) == {(k, 0): c for k, c in enumerate(inv.k_polynomial.coeffs) if c}
+    """Identity 3.2, as the bundle evaluated it for its Hilbert function."""
+    return inv.series_numerator_holds
 
 
 def verify_deck_sums(inv: SRInvariants) -> bool:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from hgpoly.hypergraph import Hypergraph
+from hgpoly.hypergraph import Hypergraph, validate
 
 
 def naive_vertex_poly(h: Hypergraph) -> dict[tuple[int, int], int]:
@@ -151,6 +151,38 @@ def naive_betti_table(h: Hypergraph) -> dict[tuple[int, tuple[str, ...]], int]:
                 deg = size - i - 1
                 if 0 <= deg + 1 < len(dims) and dims[deg + 1]:
                     table[(i, tuple(combo))] = dims[deg + 1]
+    return table
+
+
+def transversal(h: Hypergraph) -> Hypergraph:
+    """tr(H) on the same labels: its edges are the minimal vertex covers
+    of H, the complements of the maximal independent sets. H needs an
+    edge, or its one cover would be empty. tr(tr H) = H (Berge,
+    Hypergraphs, 1989), and Ind(tr H) is the Alexander dual of Ind(H)."""
+    faces = set(naive_independence_faces(h))
+    maximal = [f for f in faces if not any(f | {v} in faces for v in h.labels if v not in f)]
+    return validate(list(h.labels), [[v for v in h.labels if v not in f] for f in maximal])
+
+
+def dual_betti(h: Hypergraph, rank=rank_over_rationals) -> dict[tuple[int, tuple[str, ...]], int]:
+    """Multigraded table of R/I(H), keyed like naive_betti_table, by the
+    dual form of Hochster's formula (Miller & Sturmfels, GTM 227, ch. 1
+    and 5): b[i, B] = dim H~_(i-2)(lk_D(V - B)) for D = Ind(tr H), the
+    link lk_D(s) being {f - s : f in D, s inside f} and void when s is
+    not a face. It reads links of one complex on a different hypergraph,
+    not restrictions of Ind(H), and ranks with the given rank."""
+    dual = naive_independence_faces(transversal(h))
+    faces = set(dual)
+    table: dict[tuple[int, tuple[str, ...]], int] = {(0, ()): 1}
+    for size in range(1, h.n + 1):
+        for combo in combinations(h.labels, size):
+            rest = frozenset(h.labels) - set(combo)
+            if rest not in faces:
+                continue
+            dims = naive_reduced_homology([f - rest for f in dual if rest <= f], rank)
+            for k, d in enumerate(dims):  # index k holds degree k - 1 = i - 2
+                if d:
+                    table[(k + 1, combo)] = d
     return table
 
 

@@ -168,7 +168,7 @@ class TestDeckRoundtrip:
         (deck_dir / "card_02.json").unlink()
         capsys.readouterr()
         assert main(["reconstruct", "--deck", str(deck_dir), "--target", "S"]) == 2
-        assert capsys.readouterr().err == "error: expected 3 cards, got 2\n"
+        assert capsys.readouterr().err == f"error: {deck_dir}: expected 3 cards, got 2\n"
 
     def test_corrupted_deck_exit_2(self, tmp_path, capsys):
         # parent: path on 4 vertices; an edge added to card 0 that avoids
@@ -211,9 +211,28 @@ class TestDeckRoundtrip:
             assert main(["reconstruct", "--deck", str(chord_deck), "--target", target]) == 2, target
             assert capsys.readouterr() == (
                 "",
-                "error: edge ['a', 'f'] is on card 1 but not on card 3, whose deleted vertex it avoids; "
+                f"error: {chord_deck}: edge ['a', 'f'] is on card 1 but not on card 3, whose deleted vertex it avoids; "
                 "the input is not a genuine deck\n",
             ), target
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ("one_card", "need at least two cards to recover the vertex order"),
+            ("same_labels", "cards 0 and 1 do not differ in exactly one label"),
+        ],
+    )
+    def test_deck_refusal_names_the_directory(self, chord_deck, capsys, change, message):
+        # every card parses, so the refusal is about the deck as a whole (a
+        # card copied from another deck is the test above)
+        if change == "one_card":
+            for card in chord_deck.glob("card_*.json"):
+                if card.name != "card_00.json":
+                    card.unlink()
+        else:
+            shutil.copy(chord_deck / "card_00.json", chord_deck / "card_01.json")
+        assert main(["reconstruct", "--deck", str(chord_deck), "--target", "S"]) == 2
+        assert capsys.readouterr() == ("", f"error: {chord_deck}: {message}\n")
 
     def test_invalid_card_named_for_every_target(self, chord_deck, capsys):
         card = chord_deck / "card_02.json"
@@ -344,6 +363,18 @@ def test_every_reader_names_the_file(tmp_path, capsys, k3, name):
         details.append(err.removeprefix(f"{lead}{path}: "))
     assert details[0] == details[1] == details[2]
     assert details[0].count("\n") == 1 and details[0].endswith("\n")
+
+
+def test_overlong_integer_refused_in_the_readers_terms(tmp_path, capsys):
+    # Python's own message tells the reader to call sys.set_int_max_str_digits()
+    path = tmp_path / "long_integer.json"
+    path.write_text(BAD_FILES["long_integer.json"])
+    assert main(["fvector", "--input", str(path)]) == 2
+    out, err = capsys.readouterr()
+    limit = sys.get_int_max_str_digits()
+    assert (out, err) == ("", f"error: {path}: invalid JSON: a number has 5000 digits; more than {limit} are refused\n")
+    detail = err.removeprefix(f"error: {path}: ")
+    assert "sys." not in detail and "()" not in detail
 
 
 def _line_format(h: Hypergraph) -> str:

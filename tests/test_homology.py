@@ -526,3 +526,40 @@ class TestBettiColumns:
         multigraded = {key: b for key, b in {**table.multigraded, **change}.items() if b}
         with pytest.raises(InternalMismatch):
             betti_columns(BettiTable(table.labels, multigraded), SRInvariants(k3).k_polynomial)
+
+
+class TestAlexanderDuality:
+    """Ind(tr H) is the Alexander dual of Ind(H), so the table can be read
+    from the links of a complex on another hypergraph, and its pd and
+    Cohen-Macaulayness from the transversal's regularity and linearity.
+    The dual route shares only exact_rank with the engine."""
+
+    @pytest.fixture(scope="class")
+    def duals(self, corpus) -> list[tuple[Hypergraph, Hypergraph, BettiTable, BettiTable]]:
+        """(H, tr H, and their tables) for every member with edges and RP^2."""
+        out = []
+        for h in [h for _, h in corpus if h.m] + [_rp2()]:
+            tr = oracles.transversal(h)
+            out.append((h, tr, hochster_betti(h), hochster_betti(tr)))
+        return out
+
+    def test_dual_hochster_formula_gives_the_whole_table(self, duals):
+        for h, _, table, _ in duals:
+            engine = {(i, labels): b for i, labels, b in table.multigraded_entries()}
+            assert oracles.dual_betti(h, lambda rows: exact_rank(_sparse(rows))) == engine, h
+
+    def test_transversal_is_an_involution(self, duals):
+        for h, tr, _, _ in duals:
+            assert oracles.transversal(tr) == h
+
+    def test_terai_pd_is_the_transversal_regularity_plus_one(self, duals):
+        for h, _, table, dual in duals:
+            assert pd_reg_depth(table)[0] == pd_reg_depth(dual)[1] + 1, h
+
+    def test_eagon_reiner_cohen_macaulay_exactly_when_the_transversal_is_linear(self, duals):
+        cohen_macaulay = []
+        for h, _, table, dual in duals:
+            cohen_macaulay.append(pd_reg_depth(table)[2] == len(oracles.naive_independent_sizes(h)) - 1)
+            # linear: every entry of the transversal's ideal lies on one diagonal j - i
+            assert cohen_macaulay[-1] == (len({j - i for i, j in dual.graded if i}) == 1), h
+        assert 0 < sum(cohen_macaulay) < len(duals)

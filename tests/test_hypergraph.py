@@ -151,6 +151,14 @@ class TestDeck:
         with pytest.raises(IndexOutOfRange):
             k3.card(3)
 
+    def test_card_is_what_from_masks_would_build(self, corpus):
+        # card skips the checks and the sorting, so its edges must already
+        # be a checked antichain in canonical order
+        for _, h in corpus:
+            for l in range(h.n):
+                card = h.card(l)
+                assert card == Hypergraph.from_masks(card.labels, card.edges)
+
     def test_edgeless_deck(self, edgeless3):
         deck = edgeless3.deck()
         assert deck.origin_n == 3

@@ -5,9 +5,11 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 
-from hgpoly.bipoly import UniPoly
+from hgpoly import stanley_reisner
+from hgpoly.bipoly import BiPoly, UniPoly
 from hgpoly.cli import _report_for, build_parser
 from hgpoly.enumeration import vertex_induced_poly
+from hgpoly.errors import InternalMismatch
 from hgpoly.hypergraph import validate
 from hgpoly.stanley_reisner import (
     SRInvariants,
@@ -149,6 +151,19 @@ def test_numerator_divisible_by_codimension_power(h):
         for t in range(h.n + 1)
     ]
     assert UniPoly(product) == inv.k_polynomial
+
+
+def test_perturbed_face_count_fails_identity_3_2(k3, monkeypatch):
+    # one more independent vertex than K3 has: f = (1, 4) against K(t) = 1 - 3t^2 + 2t^3
+    def perturbed(h, limit):
+        return BiPoly([*vertex_induced_poly(h, limit).terms.items(), ((1, 0), 1)])
+
+    monkeypatch.setattr(stanley_reisner, "vertex_induced_poly", perturbed)
+    inv = SRInvariants(k3)
+    assert inv.f == (1, 4)
+    with pytest.raises(InternalMismatch, match=r"^identity 3\.2 fails: "):
+        inv.hilbert_function(4)
+    assert verify_series_numerator(inv) is False
 
 
 @settings(max_examples=40, deadline=None)

@@ -22,6 +22,7 @@ from hgpoly.formats import dump_hypergraph_json
 from hgpoly.hypergraph import Hypergraph
 from hgpoly.reconstruct import reconstruct_multigraded_betti
 from hgpoly.stanley_reisner import SRInvariants
+from hgpoly.verify import verify_series_numerator
 
 COUNTED = (
     (enumeration, "vertex_induced_poly"),
@@ -133,25 +134,49 @@ def test_verify_single_identity_builds_no_table(calls, tmp_path, capsys):
 
 def test_bundle_computes_each_member_once(calls):
     inv = SRInvariants(cycle_graph(6))
-    members = ("P", "S", "f", "h", "k_polynomial", "deck", "betti")
+    members = ("P", "S", "f", "h", "k_polynomial", "cards", "betti")
     first = [getattr(inv, name) for name in members]
     assert all(getattr(inv, name) is value for name, value in zip(members, first))
     assert sorted(name for name, _ in calls) == ["edge_induced_poly", "hochster_betti", "vertex_induced_poly"]
 
 
-def test_report_builds_the_deck_once(monkeypatch, tmp_path, capsys):
-    built: list[tuple[str, ...]] = []
-    deck = Hypergraph.deck
+@pytest.mark.parametrize("command", ["report", "verify"])
+def test_cuts_each_card_once_and_builds_no_deck(command, monkeypatch, tmp_path, capsys):
+    cut: list[int] = []
+    decks: list[tuple[str, ...]] = []
+    card, deck = Hypergraph.card, Hypergraph.deck
 
-    def counted(self):
-        built.append(self.labels)
+    def counted_card(self, l):
+        cut.append(l)
+        return card(self, l)
+
+    def counted_deck(self):
+        decks.append(self.labels)
         return deck(self)
 
-    monkeypatch.setattr(Hypergraph, "deck", counted)
+    monkeypatch.setattr(Hypergraph, "card", counted_card)
+    monkeypatch.setattr(Hypergraph, "deck", counted_deck)
     h = cycle_graph(10)
-    assert main(["report", "--input", _write(tmp_path, h)]) == 0
+    assert main([command, "--input", _write(tmp_path, h)]) == 0
     capsys.readouterr()
-    assert built.count(h.labels) == 1
+    assert sorted(cut) == list(range(h.n))
+    assert decks == []
+
+
+def test_identity_3_2_evaluated_once_per_bundle(monkeypatch):
+    # the report's Hilbert function and its identity 3.2 read one result
+    calls: list[int] = []
+    substitute = bipoly.substitute
+
+    def counted(terms, n, a, b):
+        calls.append(n)
+        return substitute(terms, n, a, b)
+
+    _rebind(monkeypatch, bipoly, "substitute", lambda fn: counted)
+    inv = SRInvariants(cycle_graph(7))
+    assert inv.hilbert_function(5) == inv.hilbert_function(9)[:6]
+    assert verify_series_numerator(inv)
+    assert calls == [7]
 
 
 def test_independent_sets_enumerated_once_per_edge_set(monkeypatch):
