@@ -62,9 +62,8 @@ class Frozen:
 class Hypergraph(Frozen):
     """Labeled hypergraph with an antichain edge set.
 
-    Construct through :func:`validate` (label-level input) or
-    :meth:`from_masks` (index-level input); both enforce the invariants,
-    and :meth:`card` keeps them.
+    Construct through :func:`validate` (labels), :meth:`from_masks`
+    (masks) or :meth:`card`; each enforces or keeps the invariants.
     """
 
     def __init__(self, labels: tuple[str, ...], edges: tuple[int, ...]) -> None:

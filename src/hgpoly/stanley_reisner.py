@@ -93,9 +93,10 @@ class SRInvariants(Frozen):
         expanded over (1-t)^n. Raises InternalMismatch unless identity 3.2
         holds, which implies dim R_k = sum_i f[i] * C(k-1, i-1) for k >= 1.
         """
+        values = expand_series(self.k_polynomial, self.n, k_max)  # K before f: over both limits, m is refused
         if not self.series_numerator_holds:
             raise InternalMismatch(f"identity 3.2 fails: K(t) = {self.k_polynomial!r} is not the expansion of f = {self.f}")
-        return expand_series(self.k_polynomial, self.n, k_max)
+        return values
 
 
 def f_vector(h: Hypergraph, limit: int = DEFAULT_LIMIT) -> tuple[int, ...]:

@@ -92,6 +92,18 @@ def test_report_reports_the_skip(capsys, c6_file, limit, status):
 
 
 @pytest.mark.parametrize(
+    "argv, kind",
+    [(["hilbert"], "m"), (["verify", "--identity", "3.2"], "n"), (["report"], "n")],
+    ids=["hilbert", "verify-3.2", "report"],
+)
+def test_first_sweep_refused_over_both_limits(capsys, c6_file, argv, kind):
+    # the 6-cycle has n = m = 6, so the side a command sweeps first names the refusal
+    got = _run(capsys, argv + ["--n-max", "5", "--input", c6_file])
+    message = f"{kind}=6 exceeds the enumeration limit 5; raise the limit explicitly to run anyway"
+    assert got == (3, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "target, refused, kind, value",
     [
         ("S", "3", "m", 4),
