@@ -15,9 +15,9 @@ one member's report at a time, so peak memory follows the largest
 member; only an internal consistency failure (exit 1) can leave a
 partial document. compute, hilbert, fvector, hvector, betti and
 verify are one handler over views of the hypergraph's ``SRInvariants``
-bundle, and the five reconstruct targets go through the same
-renderers, so a value rebuilt from a deck prints exactly as the value
-computed directly.
+bundle, and the five reconstruct targets are the same views of a
+deck's ``DeckInvariants`` bundle, so a value rebuilt from a deck prints
+exactly as the value computed directly.
 
 Every integer that can grow beyond machine size (coefficients, Hilbert
 values, face counts) is emitted as a decimal string in JSON output;
@@ -33,7 +33,7 @@ import sys
 from collections.abc import Iterator
 
 from .bipoly import BiPoly, UniPoly
-from .enumeration import DEFAULT_LIMIT, check_sweep_limits, edge_family_poly, vertex_family_poly
+from .enumeration import DEFAULT_LIMIT, check_sweep_limits
 from .errors import InputError, InternalMismatch, LimitExceeded
 from .formats import (
     bipoly_to_json_terms,
@@ -47,13 +47,7 @@ from .formats import (
 )
 from .homology import DEFAULT_HOMOLOGY_LIMIT, BettiTable, betti_columns, pd_reg_depth
 from .hypergraph import Hypergraph
-from .reconstruct import (
-    reconstruct_edge_poly,
-    reconstruct_f_vector,
-    reconstruct_hilbert_function,
-    reconstruct_multigraded_betti,
-    reconstruct_vertex_poly,
-)
+from .reconstruct import DeckInvariants
 from .stanley_reisner import SRInvariants
 from .verify import IDENTITY_IDS, run_all, run_identity
 
@@ -253,7 +247,7 @@ def _report_for(h: Hypergraph, args) -> dict:
 
 # -- subcommand handlers: text None means the output is JSON only --
 
-# compute --poly, the four invariant commands and verify, as views of the bundle
+# compute --poly, the invariant commands, verify and the reconstruct targets, as views of a bundle
 _VIEWS = {
     "S": lambda inv, args: _poly(inv.S),
     "P": lambda inv, args: _poly(inv.P),
@@ -267,14 +261,6 @@ _VIEWS = {
     ),
 }
 
-_TARGETS = {
-    "S": lambda deck, args: _poly(reconstruct_edge_poly(edge_family_poly(deck.cards, args.n_max), deck.origin_n)),
-    "P": lambda deck, args: _poly(reconstruct_vertex_poly(vertex_family_poly(deck.cards, args.n_max), deck.origin_n)),
-    "fvector": lambda deck, args: _vector(reconstruct_f_vector(deck, args.n_max)),
-    "hilbert": lambda deck, args: _value_list(reconstruct_hilbert_function(deck, args.terms, args.n_max)),
-    "betti": lambda deck, args: _betti(reconstruct_multigraded_betti(deck, args.homology_n_max)),
-}
-
 
 def _cmd_view(args) -> Output:
     return _VIEWS[args.view](SRInvariants(load_hypergraph(args.input), args.n_max, args.homology_n_max), args)
@@ -286,7 +272,7 @@ def _cmd_deck(args) -> Output:
 
 
 def _cmd_reconstruct(args) -> Output:
-    return _TARGETS[args.target](read_deck(args.deck), args)
+    return _VIEWS[args.target](DeckInvariants(read_deck(args.deck), args.n_max, args.homology_n_max), args)
 
 
 def _cmd_report(args) -> Output:

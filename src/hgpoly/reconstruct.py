@@ -2,27 +2,29 @@
 
 A subhypergraph spanning i < n vertices survives in exactly n - i of
 the n cards, so summing a coefficient over the deck and dividing by
-n - i recovers it. S, P, the f-vector and the Hilbert function are
-therefore read from the sum of the card polynomials alone, which one
-family sweep over the cards computes and which does not depend on the
-cards' labels or order. The divisions must come out exact: a remainder
-certifies that the input is not a genuine deck. The full-vertex row of
-the edge-subset polynomial is not visible on any card; it is completed
-from the column-sum identity (column j sums to C(m, j)), which is valid
-because the excluded inputs guarantee every edge misses some vertex.
+n - i recovers it. S and P are therefore read from the sum of the
+card polynomials alone, which one family sweep over the cards computes
+and which does not depend on the cards' labels or order; the
+``DeckInvariants`` bundle derives the rest from them as ``SRInvariants``
+does. The divisions must come out exact: a remainder certifies that the
+input is not a genuine deck. The full-vertex row of the edge-subset
+polynomial is not visible on any card; it is completed from the
+column-sum identity (column j sums to C(m, j)), which is valid because
+the excluded inputs guarantee every edge misses some vertex.
 
 Excluded inputs: fewer than three vertices, no edges, and the single
 edge covering every vertex. The latter two have identical decks, which
-is exactly why they are excluded. S, P, f and the Hilbert function
-decide the exclusion from the card sum, where the exact division is
-made; the Betti table reads the cards' edges and checks them itself.
+is exactly why they are excluded. S and P decide the exclusion from
+the card sum, where the exact division is made; the Betti table reads
+the cards' edges and checks them itself.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import comb
 
-from .bipoly import BiPoly, expand_series, to_edge_form, to_vertex_form
+from .bipoly import BiPoly, to_edge_form, to_vertex_form
 from .enumeration import DEFAULT_LIMIT, edge_family_poly, vertex_family_poly
 from .errors import (
     InconsistentDeck,
@@ -152,42 +154,6 @@ def reconstruct_vertex_poly(card_sum: BiPoly, n: int) -> BiPoly:
     return direct
 
 
-def reconstruct_f_vector(deck: Deck, limit: int = DEFAULT_LIMIT) -> tuple[int, ...]:
-    """Face counts of the parent's independence complex from the cards:
-    an independent l-set survives in n - l cards, so the counts are the
-    j = 0 terms of the cards' summed vertex polynomial, divided exactly
-    like the other terms."""
-    n = deck.origin_n
-    faces = {i: c for (i, j), c in _divide_card_sum(vertex_family_poly(deck.cards, limit), n).items() if not j}
-    return tuple(faces.get(l, 0) for l in range(max(faces) + 1))
-
-
-def reconstruct_hilbert_function(deck: Deck, k_max: int, limit: int = DEFAULT_LIMIT) -> list[int]:
-    """Hilbert function of the parent's quotient ring from the deck.
-
-    Primary route: reconstruct the edge-subset polynomial from the cards'
-    summed one, specialize at y = -1, expand over (1-t)^n. Verification
-    route: the deck identity n*H(t) = t(1-t)H'(t) + sum of card Hilbert
-    series, checked coefficientwise to k_max; the expansion is linear, so
-    the cards' series sum to that of the summed polynomial. The routes
-    must agree.
-    """
-    n = deck.origin_n
-    card_sum = edge_family_poly(deck.cards, limit)
-    values = expand_series(reconstruct_edge_poly(card_sum, n).eval_y(-1), n, k_max)
-    card_values = expand_series(card_sum.eval_y(-1), n - 1, k_max)
-    for k in range(k_max + 1):
-        lhs = n * values[k]
-        deriv = k * values[k] - (k - 1) * values[k - 1] if k else 0
-        rhs = deriv + card_values[k]
-        if lhs != rhs:
-            raise PathsDisagree(
-                f"reconstructed Hilbert values fail the deck differential identity "
-                f"at degree {k}: {lhs} vs {rhs}"
-            )
-    return values
-
-
 def reconstruct_multigraded_betti(deck: Deck, limit: int = DEFAULT_HOMOLOGY_LIMIT) -> BettiTable:
     """Partial multigraded Betti table from the deck: every entry with
     B a proper vertex subset, computed on one edge set, the union of
@@ -209,3 +175,32 @@ def reconstruct_multigraded_betti(deck: Deck, limit: int = DEFAULT_HOMOLOGY_LIMI
     full = (1 << n) - 1
     bmasks = [bmask for bmask in _edge_union_closure(edges) if bmask and bmask != full]
     return BettiTable(deck.parent_labels, restriction_betti(edges, bmasks), top_complete=False)
+
+
+class DeckInvariants(SRInvariants):
+    """The bundle of a deck's parent: P and S rebuilt from the summed
+    cards and the Betti table below the top row; all else is derived as
+    for a hypergraph, so identity 3.2 guards the Hilbert function."""
+
+    def __init__(self, deck: Deck, limit: int = DEFAULT_LIMIT, homology_limit: int = DEFAULT_HOMOLOGY_LIMIT):
+        self._freeze(deck=deck, limit=limit, homology_limit=homology_limit)
+
+    @property
+    def n(self) -> int:
+        return self.deck.origin_n
+
+    @property
+    def cards(self) -> tuple[Hypergraph, ...]:
+        return self.deck.cards
+
+    @cached_property
+    def P(self) -> BiPoly:
+        return reconstruct_vertex_poly(vertex_family_poly(self.cards, self.limit), self.n)
+
+    @cached_property
+    def S(self) -> BiPoly:
+        return reconstruct_edge_poly(edge_family_poly(self.cards, self.limit), self.n)
+
+    @cached_property
+    def betti(self) -> BettiTable:
+        return reconstruct_multigraded_betti(self.deck, self.homology_limit)

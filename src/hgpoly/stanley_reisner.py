@@ -12,6 +12,8 @@ computes each quantity on first use and keeps it, so a consumer that
 reads the same bundle never sweeps, cuts the cards, checks identity 3.2
 or builds a Betti table twice. The Hilbert function raises
 InternalMismatch, which only a bug can cause, unless 3.2 holds.
+``reconstruct.DeckInvariants`` swaps in P, S, the cards and the Betti
+table rebuilt from a deck, so ``reconstruct`` views a bundle too.
 """
 
 from __future__ import annotations

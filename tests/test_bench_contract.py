@@ -46,6 +46,8 @@ DEAD_TRACER_NAMES = {
     "homology._is_cone": "ROADMAP item 1: homology.dims_self_s",
     "parallel.map_ordered": "ROADMAP item 1: parallel.*",
     "bipoly.divide_by_one_minus_t": "ROADMAP item 1: bipoly.series_calls, bipoly.series_s",
+    "reconstruct.reconstruct_f_vector": "ROADMAP item 1: reconstruct.poly_s",
+    "reconstruct.reconstruct_hilbert_function": "ROADMAP item 1: reconstruct.poly_s",
 }
 
 

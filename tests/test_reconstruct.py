@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 
 from hgpoly.bipoly import BiPoly
-from hgpoly.cli import _report_for, build_parser
+from hgpoly import reconstruct
+from hgpoly.cli import _report_for, build_parser, main
 from hgpoly.enumeration import edge_family_poly, edge_induced_poly, vertex_family_poly, vertex_induced_poly
 from hgpoly.errors import (
     InconsistentDeck,
@@ -15,19 +16,19 @@ from hgpoly.errors import (
     SingleSpanningEdge,
     TooFewVertices,
 )
+from hgpoly.formats import dump_hypergraph_json
 from hgpoly.homology import hochster_betti
 from hgpoly.hypergraph import Deck, Hypergraph, validate
 from hgpoly.reconstruct import (
     _EDGELESS_DECK,
+    DeckInvariants,
     check_reconstructible,
     reconstruct_edge_poly,
-    reconstruct_f_vector,
-    reconstruct_hilbert_function,
     reconstruct_multigraded_betti,
     reconstruct_vertex_poly,
     verify_deck_sum_identity,
 )
-from hgpoly.stanley_reisner import SRInvariants, f_vector, hilbert_function
+from hgpoly.stanley_reisner import SRInvariants
 from hgpoly.corpus import cycle_graph, wheel
 
 from .strategies import reconstructible_hypergraphs
@@ -144,28 +145,44 @@ class TestReconstructVertexPoly:
 
 class TestReconstructFVector:
     def test_k3(self, k3):
-        assert reconstruct_f_vector(k3.deck()) == (1, 3)
+        assert DeckInvariants(k3.deck()).f == (1, 3)
 
     def test_path3(self, path3):
-        assert reconstruct_f_vector(path3.deck()) == (1, 3, 1)
+        assert DeckInvariants(path3.deck()).f == (1, 3, 1)
 
     def test_edgeless_deck_rejected(self, edgeless3):
         with pytest.raises(NoEdges):
-            reconstruct_f_vector(edgeless3.deck())
+            DeckInvariants(edgeless3.deck()).f
 
     def test_vertex_count_checked_before_edges(self):
         with pytest.raises(TooFewVertices):
-            reconstruct_f_vector(validate(["a", "b"], []).deck())
+            DeckInvariants(validate(["a", "b"], []).deck()).f
 
 
 class TestReconstructHilbert:
     def test_k3(self, k3):
-        assert reconstruct_hilbert_function(k3.deck(), 4) == [1, 3, 3, 3, 3]
+        assert DeckInvariants(k3.deck()).hilbert_function(4) == [1, 3, 3, 3, 3]
 
     def test_small_deck_rejected(self):
         h = validate(["a", "b"], [["a", "b"]])
         with pytest.raises(TooFewVertices):
-            reconstruct_hilbert_function(h.deck(), 4)
+            DeckInvariants(h.deck()).hilbert_function(4)
+
+
+def test_perturbed_face_count_fails_identity_3_2_on_a_deck(k3, monkeypatch, tmp_path, capsys):
+    # identity 3.2 guards a deck's Hilbert function as it guards a parent's:
+    # one more independent vertex than K3 has, f = (1, 4) against K(t) = 1 - 3t^2 + 2t^3
+    def perturbed(card_sum, n):
+        return BiPoly([*reconstruct_vertex_poly(card_sum, n).terms.items(), ((1, 0), 1)])
+
+    monkeypatch.setattr(reconstruct, "reconstruct_vertex_poly", perturbed)
+    path, cards = tmp_path / "k3.json", str(tmp_path / "cards")
+    path.write_text(dump_hypergraph_json(k3))
+    assert main(["deck", "--input", str(path), "--out-dir", cards]) == 0
+    capsys.readouterr()
+    assert main(["reconstruct", "--deck", cards, "--target", "hilbert"]) == 1
+    message = "identity 3.2 fails: K(t) = UniPoly(1 - 3*t^2 + 2*t^3) is not the expansion of f = (1, 4)"
+    assert capsys.readouterr() == ("", f"internal consistency failure: {message}\n")
 
 
 EXCLUDED_DECKS = {
@@ -174,10 +191,10 @@ EXCLUDED_DECKS = {
 }
 
 POLY_TARGETS = {
-    "S": lambda deck: reconstruct_edge_poly(edge_family_poly(deck.cards), deck.origin_n),
-    "P": lambda deck: reconstruct_vertex_poly(vertex_family_poly(deck.cards), deck.origin_n),
-    "fvector": reconstruct_f_vector,
-    "hilbert": lambda deck: reconstruct_hilbert_function(deck, 4),
+    "S": lambda deck: DeckInvariants(deck).S,
+    "P": lambda deck: DeckInvariants(deck).P,
+    "fvector": lambda deck: DeckInvariants(deck).f,
+    "hilbert": lambda deck: DeckInvariants(deck).hilbert_function(4),
 }
 
 
@@ -236,26 +253,23 @@ class TestTopBettiReport:
         assert top_betti(wheel(5)) == {"top_coefficient": "0", "entries": [[4, 1], [5, 1]], "determined": False}
 
 
+def deck_bundle_mismatches(h: Hypergraph) -> list[str]:
+    """The fields on which DeckInvariants(h.deck()) differs from
+    SRInvariants(h): the polynomials, f, h, Krull dimension, multiplicity,
+    K, the Hilbert function to 2n and the Betti table below the top row."""
+    rec, inv = DeckInvariants(h.deck()), SRInvariants(h)
+    fields = ("P", "S", "f", "h", "krull_dim", "multiplicity", "k_polynomial")
+    pairs = {name: (getattr(rec, name), getattr(inv, name)) for name in fields}
+    pairs["hilbert_function"] = (rec.hilbert_function(2 * h.n), inv.hilbert_function(2 * h.n))
+    full = (1 << h.n) - 1
+    pairs["betti"] = (rec.betti.multigraded, {k: b for k, b in inv.betti.multigraded.items() if k[1] != full})
+    return [name for name, (got, want) in pairs.items() if got != want]
+
+
 @settings(max_examples=40, deadline=None)
 @given(reconstructible_hypergraphs(max_n=5, max_m=5))
 def test_roundtrip_properties(h):
-    deck = h.deck()
-    assert reconstruct_edge_poly(edge_family_poly(deck.cards), h.n) == edge_induced_poly(h)
-    assert reconstruct_vertex_poly(vertex_family_poly(deck.cards), h.n) == vertex_induced_poly(h)
-    assert reconstruct_f_vector(deck) == f_vector(h)
-    assert reconstruct_hilbert_function(deck, h.n + 2) == hilbert_function(h, h.n + 2)
-
-
-@settings(max_examples=40, deadline=None)
-@given(reconstructible_hypergraphs(max_n=5, max_m=5))
-def test_derived_invariants_from_reconstructed_f(h):
-    from hgpoly.stanley_reisner import h_vector
-
-    inv = SRInvariants(h)
-    rec_f = reconstruct_f_vector(h.deck())
-    assert len(rec_f) - 1 == inv.krull_dim
-    assert rec_f[-1] == inv.multiplicity
-    assert h_vector(rec_f) == inv.h
+    assert deck_bundle_mismatches(h) == []
 
 
 @settings(max_examples=40, deadline=None)

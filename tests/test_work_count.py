@@ -116,14 +116,16 @@ def test_reconstruct_sweeps_the_deck_once(h, target, side, calls, families, monk
     assert main(["deck", "--input", _write(tmp_path, h), "--out-dir", cards_dir]) == 0
     assert main(["reconstruct", "--deck", cards_dir, "--target", target]) == 0
     capsys.readouterr()
-    # one family sweep over the n cards, on the side the target reads,
-    # and no hypergraph swept on its own
+    # one family sweep over the n cards on the side the target reads, both
+    # sides for hilbert (K from S, identity 3.2 from f), and no hypergraph
+    # swept on its own
     cards = tuple(card.labels for card in h.deck().cards)
     assert len(cards) == h.n
-    assert families == {"vertex": [], "edge": [], side: [cards]}
+    sides = ("vertex", "edge") if target == "hilbert" else (side,)
+    assert families == {"vertex": [], "edge": [], **{s: [cards] for s in sides}}
     assert calls == []
-    # P checks its direct route against one transform of the summed cards
-    assert transforms == ([h.n - 1] if target == "P" else [])
+    # P, and so f, checks its direct route against one transform of the summed cards
+    assert transforms == ([] if target == "S" else [h.n - 1])
 
 
 def test_verify_single_identity_builds_no_table(calls, tmp_path, capsys):
