@@ -15,29 +15,7 @@ from .enumeration import (
     edge_induced_poly,
     vertex_induced_poly,
 )
-from .errors import (
-    AntichainViolation,
-    DegreeExceedsN,
-    DuplicateEdge,
-    DuplicateVertexLabel,
-    EmptyEdge,
-    HgpolyError,
-    InconsistentDeck,
-    IndexOutOfRange,
-    InputError,
-    InternalMismatch,
-    InvalidDeck,
-    LimitExceeded,
-    NegativeTopCoefficient,
-    NoEdges,
-    NonIntegerCoefficient,
-    NotReconstructible,
-    ParseError,
-    PathsDisagree,
-    SingleSpanningEdge,
-    TooFewVertices,
-    UnknownVertex,
-)
+from .errors import HgpolyError, InputError, InternalMismatch, LimitExceeded, NotReconstructible
 from .homology import (
     DEFAULT_HOMOLOGY_LIMIT,
     BettiTable,
@@ -67,36 +45,20 @@ from .stanley_reisner import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AntichainViolation",
     "BettiTable",
     "BiPoly",
     "DEFAULT_HOMOLOGY_LIMIT",
     "DEFAULT_LIMIT",
     "Deck",
     "DeckInvariants",
-    "DegreeExceedsN",
-    "DuplicateEdge",
-    "DuplicateVertexLabel",
-    "EmptyEdge",
     "HgpolyError",
     "Hypergraph",
-    "InconsistentDeck",
-    "IndexOutOfRange",
     "InputError",
     "InternalMismatch",
-    "InvalidDeck",
     "LimitExceeded",
-    "NegativeTopCoefficient",
-    "NoEdges",
-    "NonIntegerCoefficient",
     "NotReconstructible",
-    "ParseError",
-    "PathsDisagree",
     "SRInvariants",
-    "SingleSpanningEdge",
-    "TooFewVertices",
     "UniPoly",
-    "UnknownVertex",
     "betti_columns",
     "check_reconstructible",
     "disjoint_union",

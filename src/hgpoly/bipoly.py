@@ -24,7 +24,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from functools import cache
 from math import comb
 
-from .errors import DegreeExceedsN
+from .errors import InputError
 
 
 class BiPoly:
@@ -156,16 +156,16 @@ def substitute(terms: Mapping[tuple[int, int], int], n: int, a: int, b: int) -> 
     """Expand sum c * x^i (1+a*x)^(n-i) (y+b)^j over the terms c*x^i*y^j,
     for a and b in {-1, 0, 1}; the result is a term map without zeros.
 
-    Raises DegreeExceedsN when n < 0, whatever the terms, and for a
+    Raises InputError when n < 0, whatever the terms, and for a
     term with i > n when a != 0, whose negative power of (1+a*x) is no
     polynomial.
     """
     if n < 0:
-        raise DegreeExceedsN(f"vertex count n={n} is negative")
+        raise InputError(f"vertex count n={n} is negative")
     out: dict[tuple[int, int], int] = {}
     for (i, j), c in terms.items():
         if a and i > n:
-            raise DegreeExceedsN(f"term x^{i}*y^{j} has x-degree {i}, which exceeds n={n}")
+            raise InputError(f"term x^{i}*y^{j} has x-degree {i}, which exceeds n={n}")
         ys = _binomial_row(j, b)
         for l, cx in _binomial_row(n - i, a):
             cx *= c
@@ -187,7 +187,7 @@ def to_edge_form(p: BiPoly, n: int) -> BiPoly:
     c * x^i (1-x)^(n-i) (1+y)^j, expanded binomially, so the result is
     an exact polynomial identity.
 
-    Raises DegreeExceedsN if n < 0 or the x-degree of p exceeds n.
+    Raises InputError if n < 0 or the x-degree of p exceeds n.
     """
     return BiPoly(substitute(p._terms, n, -1, 1))
 
@@ -196,7 +196,7 @@ def to_vertex_form(s: BiPoly, n: int) -> BiPoly:
     """Inverse of :func:`to_edge_form`: each term c*x^i*y^j contributes
     c * x^i (1+x)^(n-i) (y-1)^j expanded binomially.
 
-    Raises DegreeExceedsN if n < 0 or the x-degree of s exceeds n.
+    Raises InputError if n < 0 or the x-degree of s exceeds n.
     """
     return BiPoly(substitute(s._terms, n, 1, -1))
 

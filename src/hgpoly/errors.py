@@ -1,11 +1,18 @@
-"""Exception hierarchy for hgpoly.
+"""Exception hierarchy for hgpoly: one class per way the program handles
+an error, each raise site telling its check apart by its message.
 
-Three top-level branches matter for exit-code mapping in the CLI:
-input problems (bad files, malformed hypergraphs, excluded reconstruction
-inputs, corrupted decks), size-limit refusals, and internal consistency
-failures (two independent computation paths disagreeing, which indicates
-a bug rather than bad input). ``check_limit`` raises every size-limit
-refusal.
+- ``InputError`` (CLI exit 2): a bad file, a malformed hypergraph,
+  polynomial or deck, or card data no genuine deck can produce.
+- ``NotReconstructible`` (an ``InputError``, exit 2): one of the inputs
+  the reconstruction theorems leave out (fewer than three vertices, no
+  edges, or a single spanning edge).
+- ``LimitExceeded`` (exit 3): the instance is above a size limit;
+  ``check_limit`` raises every such refusal.
+- ``InternalMismatch`` (exit 1): two independent routes disagreed on a
+  valid input, which only a bug can cause.
+
+``verify --identity all`` and ``report`` record ``NotReconstructible``
+and ``LimitExceeded`` as ``skipped: ...`` instead of failing.
 """
 
 from __future__ import annotations
@@ -19,37 +26,10 @@ class InputError(HgpolyError):
     """The input data is malformed or violates a precondition."""
 
 
-class ParseError(InputError):
-    """A file or string could not be parsed into a hypergraph or polynomial."""
-
-
-class EmptyEdge(InputError):
-    """An edge with no vertices was supplied."""
-
-
-class DuplicateEdge(InputError):
-    """The same edge was supplied twice; duplicates are rejected, not merged."""
-
-
-class DuplicateVertexLabel(InputError):
-    """A vertex label appears twice where uniqueness is required
-    (in the vertex list, or inside a single edge)."""
-
-
-class AntichainViolation(InputError):
-    """One edge contains another; the witnessing pair is reported."""
-
-
-class UnknownVertex(InputError):
-    """A vertex label outside the hypergraph's vertex set was referenced."""
-
-
-class IndexOutOfRange(InputError):
-    """A vertex index argument is outside 0..n-1."""
-
-
-class InvalidDeck(InputError):
-    """A collection of cards does not fit together as a vertex-deleted deck."""
+class NotReconstructible(InputError):
+    """The hypergraph, or the parent a deck implies, is one of the
+    excluded inputs for which deck reconstruction is impossible or
+    degenerate."""
 
 
 class LimitExceeded(HgpolyError):
@@ -67,47 +47,6 @@ def check_limit(kind: str, value: int, name: str, limit: int) -> None:
         )
 
 
-class DegreeExceedsN(InputError):
-    """A polynomial transform was asked for with x-degree above the
-    declared vertex count."""
-
-
-class NotReconstructible(InputError):
-    """The hypergraph is one of the excluded inputs for which deck
-    reconstruction is impossible or degenerate."""
-
-
-class TooFewVertices(NotReconstructible):
-    """Reconstruction requires at least 3 vertices."""
-
-
-class NoEdges(NotReconstructible):
-    """An edgeless hypergraph (or a deck indistinguishable from one)
-    cannot be reconstructed."""
-
-
-class SingleSpanningEdge(NotReconstructible):
-    """A hypergraph whose only edge covers every vertex cannot be
-    reconstructed: its deck equals the edgeless deck."""
-
-
-class InconsistentDeck(InputError):
-    """The supplied card data cannot come from any genuine deck."""
-
-
-class NonIntegerCoefficient(InconsistentDeck):
-    """A reconstruction division left a remainder; the input is not a
-    genuine deck."""
-
-
-class NegativeTopCoefficient(InconsistentDeck):
-    """Binomial completion of the top coefficient row went negative."""
-
-
 class InternalMismatch(HgpolyError):
     """Two independent computation paths disagreed. This is a bug, not
     an input problem."""
-
-
-class PathsDisagree(InternalMismatch):
-    """The primary and verification reconstruction paths disagree."""

@@ -32,7 +32,7 @@ from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring_ascii
 
 from .bipoly import BiPoly, UniPoly
-from .errors import InputError, ParseError
+from .errors import InputError
 from .hypergraph import Deck, Hypergraph, validate
 
 
@@ -48,7 +48,7 @@ def _object_without_repeats(pairs: list[tuple[str, object]]) -> dict:
     obj = dict(pairs)
     if len(obj) < len(pairs):
         keys = [key for key, _ in pairs]
-        raise ParseError(f"repeated key {next(key for key in keys if keys.count(key) > 1)!r}")
+        raise InputError(f"repeated key {next(key for key in keys if keys.count(key) > 1)!r}")
     return obj
 
 
@@ -57,7 +57,7 @@ def _integer(text: str) -> int:
         return int(text)
     except ValueError:  # the literal is well formed, so only its length is refused
         digits, limit = len(text.lstrip("-")), sys.get_int_max_str_digits()
-        raise ParseError(f"invalid JSON: a number has {digits} digits; more than {limit} are refused") from None
+        raise InputError(f"invalid JSON: a number has {digits} digits; more than {limit} are refused") from None
 
 
 # built once: json.loads with a hook builds a decoder per call
@@ -68,14 +68,14 @@ def _parse_json(text: str) -> Hypergraph:
     try:
         data = _DECODER.decode(text)
     except (ValueError, RecursionError) as exc:  # also too deep a nesting
-        raise ParseError(f"invalid JSON: {exc}") from exc
+        raise InputError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise ParseError("expected a JSON object")
+        raise InputError("expected a JSON object")
     extra = set(data) - {"vertices", "edges"}
     if extra:
-        raise ParseError(f"unexpected keys {sorted(extra)}")
+        raise InputError(f"unexpected keys {sorted(extra)}")
     if "vertices" not in data or "edges" not in data:
-        raise ParseError("need both 'vertices' and 'edges'")
+        raise InputError("need both 'vertices' and 'edges'")
     return validate(data["vertices"], data["edges"])
 
 
@@ -83,7 +83,7 @@ def _parse_lines(text: str) -> Hypergraph:
     lines = [line.strip() for line in text.splitlines()]
     lines = [line for line in lines if line]
     if not lines:
-        raise ParseError("empty input")
+        raise InputError("empty input")
     vertices = lines[0].split()
     edges = [line.split() for line in lines[1:]]
     return validate(vertices, edges)
@@ -97,9 +97,9 @@ def load_hypergraph(path: str) -> Hypergraph:
         with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         return parse_hypergraph_text(text)
     except InputError as exc:
@@ -192,18 +192,18 @@ def read_deck(deck_dir: str) -> Deck:
     """Read the card_<k>.json files in order of the integer k, whatever
     its zero padding, and recover the deck; its own errors name deck_dir."""
     if not os.path.isdir(deck_dir):
-        raise ParseError(f"{deck_dir} is not a directory")
+        raise InputError(f"{deck_dir} is not a directory")
     files: dict[int, str] = {}
     for name in _card_names(deck_dir):
         digits = name[len("card_") : -len(".json")]
         if not (digits.isascii() and digits.isdigit()):
-            raise ParseError(f"{os.path.join(deck_dir, name)}: card file name is not card_<integer>.json")
+            raise InputError(f"{os.path.join(deck_dir, name)}: card file name is not card_<integer>.json")
         k = int(digits)
         if k in files:
-            raise ParseError(f"{os.path.join(deck_dir, name)}: card index {k} repeats {files[k]}")
+            raise InputError(f"{os.path.join(deck_dir, name)}: card index {k} repeats {files[k]}")
         files[k] = name
     if not files:
-        raise ParseError(f"no card_*.json files in {deck_dir}")
+        raise InputError(f"no card_*.json files in {deck_dir}")
     cards = [load_hypergraph(os.path.join(deck_dir, files[k])) for k in sorted(files)]
     try:
         return Deck.from_cards(cards)
@@ -215,10 +215,10 @@ def load_corpus(directory: str) -> list[tuple[str, Hypergraph]]:
     """Parse every regular file in a directory, in sorted name order.
 
     Per-file input errors, of parsing or of validation, are aggregated
-    into a single ParseError naming each offending file once.
+    into a single InputError naming each offending file once.
     """
     if not os.path.isdir(directory):
-        raise ParseError(f"{directory} is not a directory")
+        raise InputError(f"{directory} is not a directory")
     loaded: list[tuple[str, Hypergraph]] = []
     failures: list[str] = []
     for name in sorted(os.listdir(directory)):
@@ -230,7 +230,7 @@ def load_corpus(directory: str) -> list[tuple[str, Hypergraph]]:
         except InputError as exc:
             failures.append(str(exc))
     if failures:
-        raise ParseError("corpus errors:\n" + "\n".join(failures))
+        raise InputError("corpus errors:\n" + "\n".join(failures))
     return loaded
 
 

@@ -12,17 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from functools import cached_property
 
-from .errors import (
-    AntichainViolation,
-    DuplicateEdge,
-    DuplicateVertexLabel,
-    EmptyEdge,
-    InconsistentDeck,
-    IndexOutOfRange,
-    InvalidDeck,
-    ParseError,
-    UnknownVertex,
-)
+from .errors import InputError
 
 
 def mask_indices(mask: int) -> tuple[int, ...]:
@@ -90,15 +80,15 @@ class Hypergraph(Frozen):
         masks = list(edge_masks)
         for e in masks:
             if e == 0:
-                raise EmptyEdge("edge with no vertices")
+                raise InputError("edge with no vertices")
             if e >> n:
-                raise UnknownVertex(f"edge mask {e:#x} has bits outside the {n}-vertex range")
+                raise InputError(f"edge mask {e:#x} has bits outside the {n}-vertex range")
         keyed = sorted((mask_indices(e), e) for e in masks)
         masks = [e for _, e in keyed]
         verts = [vs for vs, _ in keyed]
         for k in range(1, len(masks)):
             if masks[k] == masks[k - 1]:
-                raise DuplicateEdge(f"duplicate edge {{{', '.join(labels[v] for v in verts[k])}}}")
+                raise InputError(f"duplicate edge {{{', '.join(labels[v] for v in verts[k])}}}")
         # bit k of holders[v] is set when edge k holds vertex v, so the
         # edges holding all of edge a's vertices are the AND over them
         holders = [0] * n
@@ -113,7 +103,7 @@ class Hypergraph(Frozen):
             if inside:
                 small = ", ".join(labels[v] for v in vs)
                 big = ", ".join(labels[v] for v in verts[mask_indices(inside)[0]])
-                raise AntichainViolation(
+                raise InputError(
                     f"edge {{{small}}} is contained in edge {{{big}}}"
                 )
         return cls(labels, tuple(masks))
@@ -129,7 +119,7 @@ class Hypergraph(Frozen):
         """Vertex-deleted card: drop vertex l and every edge containing it.
         The other edges, shifted down past l, stay a checked antichain."""
         if not 0 <= l < self.n:
-            raise IndexOutOfRange(f"vertex index {l} out of range 0..{self.n - 1}")
+            raise InputError(f"vertex index {l} out of range 0..{self.n - 1}")
         low = (1 << l) - 1
         edges = tuple(e & low | e >> 1 & ~low for e in self.edges if not e >> l & 1)
         return Hypergraph(self.labels[:l] + self.labels[l + 1 :], edges)
@@ -153,37 +143,37 @@ def validate(raw_vertices: Sequence[str], raw_edges: Sequence[Sequence[str]]) ->
     """Checked construction from raw label data: the one check of its
     structure, for library input and parsed files alike.
 
-    Raises ParseError, naming the first offender, unless the vertices,
+    Raises InputError, naming the first offender, unless the vertices,
     the edges and each edge are lists or tuples of str labels; then
     rejects duplicate vertex labels, empty edges, repeated labels inside
     an edge, unknown labels, byte-identical duplicate edges, and
     containment between distinct edges (reporting the witnessing pair).
     """
     if not isinstance(raw_vertices, (list, tuple)):
-        raise ParseError(f"vertices must be a list of strings, not {type(raw_vertices).__name__}")
+        raise InputError(f"vertices must be a list of strings, not {type(raw_vertices).__name__}")
     if not isinstance(raw_edges, (list, tuple)):
-        raise ParseError(f"edges must be a list of lists of strings, not {type(raw_edges).__name__}")
+        raise InputError(f"edges must be a list of lists of strings, not {type(raw_edges).__name__}")
     labels = tuple(raw_vertices)
     index: dict[str, int] = {}
     for lbl in labels:
         if not isinstance(lbl, str):
-            raise ParseError(f"vertex label {lbl!r} is not a string")
+            raise InputError(f"vertex label {lbl!r} is not a string")
         if lbl in index:
-            raise DuplicateVertexLabel(f"vertex label {lbl!r} appears twice")
+            raise InputError(f"vertex label {lbl!r} appears twice")
         index[lbl] = len(index)
     masks = []
     for edge in raw_edges:
         if not isinstance(edge, (list, tuple)):
-            raise ParseError(f"edge {edge!r} is not a list of strings")
+            raise InputError(f"edge {edge!r} is not a list of strings")
         mask = 0
         for lbl in edge:
             if not isinstance(lbl, str):
-                raise ParseError(f"edge {edge!r} holds {lbl!r}, which is not a string")
+                raise InputError(f"edge {edge!r} holds {lbl!r}, which is not a string")
             v = index.get(lbl)
             if v is None:
-                raise UnknownVertex(f"edge {edge!r} references unknown vertex {lbl!r}")
+                raise InputError(f"edge {edge!r} references unknown vertex {lbl!r}")
             if mask >> v & 1:
-                raise DuplicateVertexLabel(f"edge {edge!r} repeats vertex {lbl!r}")
+                raise InputError(f"edge {edge!r} repeats vertex {lbl!r}")
             mask |= 1 << v
         masks.append(mask)
     return Hypergraph.from_masks(labels, masks)
@@ -195,19 +185,19 @@ class Deck(Frozen):
     Cards keep the parent's labels (minus the deleted one), which is
     what makes the reconstruction identities checkable without any
     isomorphism search. Construction rejects cards that disagree with
-    each other (InconsistentDeck): card l must hold exactly the edges
-    of the other cards that avoid vertex l.
+    each other: card l must hold exactly the edges of the other cards
+    that avoid vertex l.
     """
 
     def __init__(self, parent_labels: tuple[str, ...], cards: tuple[Hypergraph, ...]) -> None:
         self._freeze(parent_labels=parent_labels, cards=cards)
         n = len(self.parent_labels)
         if len(self.cards) != n:
-            raise InvalidDeck(f"expected {n} cards, got {len(self.cards)}")
+            raise InputError(f"expected {n} cards, got {len(self.cards)}")
         for l, card in enumerate(self.cards):
             expected = self.parent_labels[:l] + self.parent_labels[l + 1 :]
             if card.labels != expected:
-                raise InvalidDeck(
+                raise InputError(
                     f"card {l} has labels {card.labels}, expected {expected}"
                 )
         # a genuine card l holds exactly the parent's edges avoiding vertex l
@@ -219,7 +209,7 @@ class Deck(Frozen):
             missing = ((1 << n) - 1) & ~e & ~holders[e]
             if missing:
                 labels = [self.parent_labels[v] for v in mask_indices(e)]
-                raise InconsistentDeck(
+                raise InputError(
                     f"edge {labels} is on card {mask_indices(holders[e])[0]} but not on card "
                     f"{mask_indices(missing)[0]}, whose deleted vertex it avoids; the input is not a genuine deck"
                 )
@@ -247,10 +237,10 @@ class Deck(Frozen):
         Requires at least two cards.
         """
         if len(cards) < 2:
-            raise InvalidDeck("need at least two cards to recover the vertex order")
+            raise InputError("need at least two cards to recover the vertex order")
         first_missing = set(cards[1].labels) - set(cards[0].labels)
         if len(first_missing) != 1:
-            raise InvalidDeck("cards 0 and 1 do not differ in exactly one label")
+            raise InputError("cards 0 and 1 do not differ in exactly one label")
         parent = (next(iter(first_missing)),) + cards[0].labels
         return cls(parent, tuple(cards))
 
@@ -258,11 +248,11 @@ class Deck(Frozen):
 def disjoint_union(a: Hypergraph, b: Hypergraph) -> Hypergraph:
     """Disjoint union on label-disjoint hypergraphs.
 
-    Raises DuplicateVertexLabel if the label sets overlap.
+    Raises InputError if the label sets overlap.
     """
     overlap = set(a.labels) & set(b.labels)
     if overlap:
-        raise DuplicateVertexLabel(f"label sets overlap: {sorted(overlap)}")
+        raise InputError(f"label sets overlap: {sorted(overlap)}")
     labels = a.labels + b.labels
     edges = list(a.edges) + [e << a.n for e in b.edges]
     return Hypergraph.from_masks(labels, edges)

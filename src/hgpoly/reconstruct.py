@@ -26,16 +26,7 @@ from math import comb
 
 from .bipoly import BiPoly, to_edge_form, to_vertex_form
 from .enumeration import DEFAULT_LIMIT, edge_family_poly, vertex_family_poly
-from .errors import (
-    InconsistentDeck,
-    NegativeTopCoefficient,
-    NoEdges,
-    NonIntegerCoefficient,
-    PathsDisagree,
-    SingleSpanningEdge,
-    TooFewVertices,
-    check_limit,
-)
+from .errors import InputError, NotReconstructible, check_limit
 from .homology import DEFAULT_HOMOLOGY_LIMIT, BettiTable, _edge_union_closure, restriction_betti
 from .hypergraph import Deck, Hypergraph
 from .stanley_reisner import SRInvariants
@@ -48,7 +39,7 @@ _EDGELESS_DECK = (
 
 def _check_n(n: int) -> None:
     if n < 3:
-        raise TooFewVertices(f"reconstruction needs n >= 3, got n={n}")
+        raise NotReconstructible(f"reconstruction needs n >= 3, got n={n}")
 
 
 def check_reconstructible(h: Hypergraph) -> None:
@@ -56,30 +47,28 @@ def check_reconstructible(h: Hypergraph) -> None:
     three vertices, no edges, or one edge covering every vertex."""
     _check_n(h.n)
     if h.m == 0:
-        raise NoEdges("an edgeless hypergraph is not reconstructible")
+        raise NotReconstructible("an edgeless hypergraph is not reconstructible")
     if h.m == 1 and h.edges[0] == h.full_mask:
-        raise SingleSpanningEdge(
+        raise NotReconstructible(
             "a single edge covering all vertices is not reconstructible"
         )
 
 
-def verify_deck_sum_identity(inv: SRInvariants, which: str = "edge") -> bool:
-    """Check n*F = x*dF/dx + sum of card polynomials, for F the bundle's
-    edge-subset polynomial S or vertex-subset polynomial P. The bundle's
-    cards, with their own relabelled edge masks, are swept afresh as one
-    family under its limit (no Deck checks them: they are cut from the
-    parent), and their summed terms must be (n - i)*F[i, j] at every (i, j)."""
+def verify_deck_sum_identity(inv: SRInvariants) -> bool:
+    """Check n*F = x*dF/dx + sum of card polynomials for both of the
+    bundle's polynomials, the edge-subset S first and then the
+    vertex-subset P. The bundle's cards, with their own relabelled edge
+    masks, are swept afresh as one family per side under its limit (no
+    Deck checks them: they are cut from the parent), and their summed
+    terms must be (n - i)*F[i, j] at every (i, j)."""
     h = inv.hypergraph
     check_reconstructible(h)
-    if which == "edge":
-        f, sweep = inv.S, edge_family_poly
-    elif which == "vertex":
-        f, sweep = inv.P, vertex_family_poly
-    else:
-        raise ValueError(f"which must be 'edge' or 'vertex', got {which!r}")
     n = h.n
-    expected = {(i, j): (n - i) * c for (i, j), c in f.terms.items() if i < n}
-    return sweep(inv.cards, inv.limit).terms == expected
+    for f, sweep in ((inv.S, edge_family_poly), (inv.P, vertex_family_poly)):
+        expected = {(i, j): (n - i) * c for (i, j), c in f.terms.items() if i < n}
+        if sweep(inv.cards, inv.limit).terms != expected:
+            return False
+    return True
 
 
 def _divide_card_sum(card_sum: BiPoly, n: int) -> dict[tuple[int, int], int]:
@@ -91,25 +80,25 @@ def _divide_card_sum(card_sum: BiPoly, n: int) -> dict[tuple[int, int], int]:
     total = card_sum.terms
     const = total.pop((0, 0), 0)
     if const != n:
-        raise InconsistentDeck(
+        raise InputError(
             f"card constant terms sum to {const}, but a genuine {n}-card deck sums to {n}"
         )
     out: dict[tuple[int, int], int] = {(0, 0): 1}
     for (i, j), s in sorted(total.items()):
         if i >= n:
-            raise InconsistentDeck(
+            raise InputError(
                 f"cards carry an x-degree {i} term, impossible for cards on {n - 1} vertices"
             )
         q, r = divmod(s, n - i)
         if r:
-            raise NonIntegerCoefficient(
+            raise InputError(
                 f"coefficient sum {s} at (i={i}, j={j}) is not divisible by n-i={n - i}; "
                 f"the input is not a genuine deck"
             )
         if q:
             out[(i, j)] = q
     if not any(j for _, j in out):
-        raise NoEdges(_EDGELESS_DECK)
+        raise NotReconstructible(_EDGELESS_DECK)
     return out
 
 
@@ -124,7 +113,7 @@ def reconstruct_edge_poly(card_sum: BiPoly, n: int) -> BiPoly:
         col = sum(c for (i, jj), c in theta.items() if jj == j and i < n)
         top = comb(m, j) - col
         if top < 0:
-            raise NegativeTopCoefficient(
+            raise InputError(
                 f"column j={j} sums to {col}, above its total {comb(m, j)}; "
                 f"the input is not a genuine deck"
             )
@@ -139,7 +128,7 @@ def reconstruct_vertex_poly(card_sum: BiPoly, n: int) -> BiPoly:
     the whole vertex set inducing all m edges, with m taken from the
     edge-route reconstruction; the result must agree with transforming
     the sum to edge form (the transform is linear), reconstructing there,
-    and transforming back."""
+    and transforming back, or the sum is not a genuine deck's."""
     beta = _divide_card_sum(card_sum, n)
     edge_rec = reconstruct_edge_poly(to_edge_form(card_sum, n - 1), n)
     m = sum(c for (i, j), c in edge_rec.terms.items() if j == 1)
@@ -147,9 +136,9 @@ def reconstruct_vertex_poly(card_sum: BiPoly, n: int) -> BiPoly:
     direct = BiPoly(beta)
     via_transform = to_vertex_form(edge_rec, n)
     if direct != via_transform:
-        raise PathsDisagree(
+        raise InputError(
             "vertex-polynomial reconstruction differs between the direct route "
-            f"and the transform route: {direct!r} vs {via_transform!r}"
+            f"and the transform route: {direct!r} vs {via_transform!r}; the input is not a genuine deck"
         )
     return direct
 
@@ -171,7 +160,7 @@ def reconstruct_multigraded_betti(deck: Deck, limit: int = DEFAULT_HOMOLOGY_LIMI
     check_limit("n", n, "homology", limit)
     edges = tuple(sorted(set().union(*deck.parent_edges)))
     if not edges:
-        raise NoEdges(_EDGELESS_DECK)
+        raise NotReconstructible(_EDGELESS_DECK)
     full = (1 << n) - 1
     bmasks = [bmask for bmask in _edge_union_closure(edges) if bmask and bmask != full]
     return BettiTable(deck.parent_labels, restriction_betti(edges, bmasks), top_complete=False)

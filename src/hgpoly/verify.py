@@ -55,7 +55,7 @@ def verify_series_numerator(inv: SRInvariants) -> bool:
 def verify_deck_sums(inv: SRInvariants) -> bool:
     """Deck-sum identity for both polynomials; raises NotReconstructible
     on excluded inputs."""
-    return verify_deck_sum_identity(inv, "edge") and verify_deck_sum_identity(inv, "vertex")
+    return verify_deck_sum_identity(inv)
 
 
 def run_identity(identity: str, inv: SRInvariants) -> bool:

@@ -297,7 +297,7 @@ def _write_deck(tmp_path, h: Hypergraph, capsys) -> str:
 @pytest.mark.parametrize("target", TARGETS)
 @pytest.mark.parametrize("parent", sorted(EXCLUDED_DECKS))
 def test_excluded_deck_refused_by_every_target(tmp_path, capsys, parent, target):
-    h, _, message = EXCLUDED_DECKS[parent]
+    h, message = EXCLUDED_DECKS[parent]
     deck = _write_deck(tmp_path, h, capsys)
     assert main(["reconstruct", "--deck", deck, "--target", target]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
@@ -315,7 +315,7 @@ def test_edgeless_deck_with_cards_over_the_limit(tmp_path, capsys, target, n_max
         message = f"n=5 exceeds the enumeration limit {n_max}; raise the limit explicitly to run anyway"
         assert (code, capsys.readouterr()) == (3, ("", f"error: {message}\n"))
     else:
-        assert (code, capsys.readouterr()) == (2, ("", f"error: {EXCLUDED_DECKS['edgeless3'][2]}\n"))
+        assert (code, capsys.readouterr()) == (2, ("", f"error: {EXCLUDED_DECKS['edgeless3'][1]}\n"))
 
 
 # one bad file per kind of input error, parse and validation alike

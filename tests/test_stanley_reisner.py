@@ -169,7 +169,7 @@ def test_perturbed_face_count_fails_identity_3_2(k3, monkeypatch):
 @settings(max_examples=40, deadline=None)
 @given(hypergraphs(max_n=5, max_m=5))
 def test_hilbert_routes_agree_out_to_2n(h):
-    # hilbert_function raises InternalMismatch if its two routes differ
+    # hilbert_function expands K(t) once and raises InternalMismatch unless identity 3.2 holds
     values = hilbert_function(h, 2 * h.n)
     assert len(values) == 2 * h.n + 1
     assert values[0] == 1
