@@ -181,7 +181,7 @@ def write_deck(deck: Deck, out_dir: str) -> list[str]:
                 f"would not overwrite; write the deck to an empty directory"
             )
         for path, card in zip(paths, deck.cards):
-            with open(path, "w") as fh:
+            with open(path, "w", encoding="utf-8") as fh:
                 fh.write(dump_hypergraph_json(card))
     except OSError as exc:
         raise InputError(f"cannot write the deck to {out_dir}: {exc}") from exc

@@ -49,6 +49,19 @@ class Frozen:
         return hash(self._values)
 
 
+def _label_index(labels: tuple) -> dict[str, int]:
+    """Each label's vertex index, refusing the first label that is not
+    a str or that repeats an earlier one."""
+    index: dict[str, int] = {}
+    for lbl in labels:
+        if not isinstance(lbl, str):
+            raise InputError(f"vertex label {lbl!r} is not a string")
+        if lbl in index:
+            raise InputError(f"vertex label {lbl!r} appears twice")
+        index[lbl] = len(index)
+    return index
+
+
 class Hypergraph(Frozen):
     """Labeled hypergraph with an antichain edge set.
 
@@ -73,9 +86,10 @@ class Hypergraph(Frozen):
 
     @classmethod
     def from_masks(cls, labels: Sequence[str], edge_masks: Iterable[int]) -> "Hypergraph":
-        """Build from edge bitmasks, canonicalizing order and checking
-        the nonempty / duplicate-free / antichain invariants."""
+        """Build from edge bitmasks, canonicalizing order and checking the
+        label, nonempty, duplicate-free and antichain invariants."""
         labels = tuple(labels)
+        _label_index(labels)
         n = len(labels)
         masks = list(edge_masks)
         for e in masks:
@@ -154,13 +168,7 @@ def validate(raw_vertices: Sequence[str], raw_edges: Sequence[Sequence[str]]) ->
     if not isinstance(raw_edges, (list, tuple)):
         raise InputError(f"edges must be a list of lists of strings, not {type(raw_edges).__name__}")
     labels = tuple(raw_vertices)
-    index: dict[str, int] = {}
-    for lbl in labels:
-        if not isinstance(lbl, str):
-            raise InputError(f"vertex label {lbl!r} is not a string")
-        if lbl in index:
-            raise InputError(f"vertex label {lbl!r} appears twice")
-        index[lbl] = len(index)
+    index = _label_index(labels)
     masks = []
     for edge in raw_edges:
         if not isinstance(edge, (list, tuple)):

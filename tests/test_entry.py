@@ -39,8 +39,8 @@ def _env() -> dict[str, str]:
     return env
 
 
-def _process(argv: list[str], stdout=subprocess.PIPE) -> tuple[int, bytes, bytes]:
-    done = subprocess.run([sys.executable, "-m", "hgpoly.cli", *argv], env=_env(), stdout=stdout,
+def _process(argv: list[str], stdout=subprocess.PIPE, flags: tuple[str, ...] = ()) -> tuple[int, bytes, bytes]:
+    done = subprocess.run([sys.executable, *flags, "-m", "hgpoly.cli", *argv], env=_env(), stdout=stdout,
                           stderr=subprocess.PIPE, timeout=120)
     return done.returncode, done.stdout, done.stderr
 
@@ -153,15 +153,15 @@ print(json.dumps(added))
 """
 
 
-def test_no_subcommand_registers_an_atexit_hook(tmp_path, k3_file):
-    # os._exit skips atexit hooks, so a pool or temp-file finalizer added
-    # later would be dropped silently; this counts the hooks added by the
-    # import and by each subcommand, in a fresh interpreter without site
+def _every_subcommand(tmp_path, k3_file) -> list[list[str]]:
+    """One argv per subcommand, compute per polynomial and reconstruct
+    per target, report on a file and on a directory; deck comes before
+    the reconstructs that read its cards."""
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     (corpus / "c.json").write_text(dump_hypergraph_json(cycle_graph(5)))
     cards = str(tmp_path / "cards")
-    argvs = [
+    return [
         *(["compute", "--poly", p, "--input", k3_file] for p in ("S", "P", "independence")),
         *([view, "--input", k3_file] for view in ("hilbert", "fvector", "hvector", "betti")),
         ["verify", "--input", k3_file],
@@ -170,7 +170,22 @@ def test_no_subcommand_registers_an_atexit_hook(tmp_path, k3_file):
         ["deck", "--input", k3_file, "--out-dir", cards],
         *(["reconstruct", "--deck", cards, "--target", t, "--parallel"] for t in TARGETS),
     ]
+
+
+def test_no_subcommand_registers_an_atexit_hook(tmp_path, k3_file):
+    # os._exit skips atexit hooks, so a pool or temp-file finalizer added
+    # later would be dropped silently; this counts the hooks added by the
+    # import and by each subcommand, in a fresh interpreter without site
+    argvs = _every_subcommand(tmp_path, k3_file)
     done = subprocess.run([sys.executable, "-S", "-c", _ATEXIT_PROBE, json.dumps(argvs)], env=_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == [0] * (len(argvs) + 1)
+
+
+def test_no_subcommand_opens_a_file_in_the_locale_encoding(tmp_path, k3_file):
+    # the interpreter emits EncodingWarning only under -X warn_default_encoding,
+    # so pytest's filterwarnings cannot see an open() without an encoding
+    for argv in _every_subcommand(tmp_path, k3_file):
+        code, _, err = _process(argv, flags=("-X", "warn_default_encoding", "-W", "error::EncodingWarning"))
+        assert code == 0, (argv, err.decode())

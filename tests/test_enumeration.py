@@ -161,8 +161,9 @@ def test_family_sweeps_sum_the_members(family):
 
 
 class TestFamilies:
-    """Members are packed several to a block; one with more than 12
-    vertices (or edges) is swept alone, block by block."""
+    """Each member is swept in its own blocks: one block when it has at
+    most 12 vertices (or edges), else one per value of its index bits
+    above the low 12."""
 
     def _check(self, family):
         assert vertex_family_poly(family).terms == _naive_sum(oracles.naive_vertex_poly, family)
@@ -178,12 +179,23 @@ class TestFamilies:
         assert [h.m for h in family] == [14, 15, 5]
         self._check(family)
 
+    def test_a_member_with_exactly_12_edges(self):
+        # m = 12: the largest member whose edge side is one block
+        family = [_clutter(10, 12, seed=12), path_graph(3)]
+        assert [h.m for h in family] == [12, 2]
+        self._check(family)
+
+    def test_a_member_over_one_block_among_edgeless_and_tiny_ones(self):
+        family = [validate([], []), _clutter(10, 13, seed=13), validate(["a"], [["a"]]), path_graph(3), validate(["a", "b"], [])]
+        assert [(h.n, h.m) for h in family] == [(0, 0), (10, 13), (1, 1), (3, 2), (2, 0)]
+        self._check(family)
+
     def test_edgeless_members(self):
         family = [validate([], []), validate(["a", "b", "c"], []), cycle_graph(5), validate(list("abcdefg"), [])]
         self._check(family)
 
     def test_members_that_fill_several_blocks(self):
-        # 2^9 vertex subsets each: eight to a block, so 20 members take three
+        # 20 members of 2^9 vertex subsets each, one block apiece
         family = [random_antichain(random.Random(seed), 9, 8) for seed in range(20)]
         assert {h.n for h in family} == {9}
         self._check(family)

@@ -528,6 +528,11 @@ class TestBettiColumns:
             betti_columns(BettiTable(table.labels, multigraded), SRInvariants(k3).k_polynomial)
 
 
+def _assert_dual_route_gives(h: Hypergraph, table: BettiTable) -> None:
+    engine = {(i, labels): b for i, labels, b in table.multigraded_entries()}
+    assert oracles.dual_betti(h, lambda rows: exact_rank(_sparse(rows))) == engine, h
+
+
 class TestAlexanderDuality:
     """Ind(tr H) is the Alexander dual of Ind(H), so the table can be read
     from the links of a complex on another hypergraph, and its pd and
@@ -545,8 +550,18 @@ class TestAlexanderDuality:
 
     def test_dual_hochster_formula_gives_the_whole_table(self, duals):
         for h, _, table, _ in duals:
-            engine = {(i, labels): b for i, labels, b in table.multigraded_entries()}
-            assert oracles.dual_betti(h, lambda rows: exact_rank(_sparse(rows))) == engine, h
+            _assert_dual_route_gives(h, table)
+
+    @settings(max_examples=40, deadline=None)
+    @given(hypergraphs().filter(lambda h: h.m))
+    def test_dual_hochster_formula_on_the_strategy(self, h):
+        _assert_dual_route_gives(h, hochster_betti(h))
+
+    # 2^n links per input: n = 11 already takes about 0.4 s
+    @pytest.mark.parametrize("n, m, seed", [(8, 8, 0), (8, 10, 1), (9, 9, 2), (9, 12, 3), (10, 10, 4)])
+    def test_dual_hochster_formula_on_random_3_uniform(self, n, m, seed):
+        h = _seeded(n, 3, m, seed)
+        _assert_dual_route_gives(h, hochster_betti(h))
 
     def test_transversal_is_an_involution(self, duals):
         for h, tr, _, _ in duals:

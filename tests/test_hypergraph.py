@@ -85,6 +85,18 @@ class TestValidate:
         with pytest.raises(InputError, match="^vertex label 'a' appears twice$"):
             validate(["a", "a"], [])
 
+    @pytest.mark.parametrize(
+        "labels, masks, message",
+        [
+            (["a", "a", "b"], [0b011, 0b110], "vertex label 'a' appears twice"),
+            ([1, 2], [0b11], "vertex label 1 is not a string"),
+        ],
+    )
+    def test_from_masks_refuses_the_labels_validate_refuses(self, labels, masks, message):
+        # such a hypergraph would be written as JSON that load_hypergraph refuses
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            Hypergraph.from_masks(labels, masks)
+
     def test_repeated_vertex_in_edge(self):
         with pytest.raises(InputError, match=r"^edge \['a', 'a'\] repeats vertex 'a'$"):
             validate(["a", "b"], [["a", "a"]])
