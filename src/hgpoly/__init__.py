@@ -31,7 +31,6 @@ from .reconstruct import (
     DeckInvariants,
     check_reconstructible,
     reconstruct_edge_poly,
-    reconstruct_multigraded_betti,
     reconstruct_vertex_poly,
     verify_deck_sum_identity,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "hochster_betti",
     "pd_reg_depth",
     "reconstruct_edge_poly",
-    "reconstruct_multigraded_betti",
     "reconstruct_vertex_poly",
     "to_edge_form",
     "to_vertex_form",

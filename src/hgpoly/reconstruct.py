@@ -15,8 +15,8 @@ the excluded inputs guarantee every edge misses some vertex.
 Excluded inputs: fewer than three vertices, no edges, and the single
 edge covering every vertex. The latter two have identical decks, which
 is exactly why they are excluded. S and P decide the exclusion from
-the card sum, where the exact division is made; the Betti table reads
-the cards' edges and checks them itself.
+the card sum, where the exact division is made; the Betti table, read
+off the union of the cards' edges, checks the exclusion itself.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from math import comb
 
 from .bipoly import BiPoly, to_edge_form, to_vertex_form
 from .enumeration import DEFAULT_LIMIT, edge_family_poly, vertex_family_poly
-from .errors import InputError, NotReconstructible, check_limit
-from .homology import DEFAULT_HOMOLOGY_LIMIT, BettiTable, _edge_union_closure, restriction_betti
+from .errors import InputError, NotReconstructible
+from .homology import DEFAULT_HOMOLOGY_LIMIT, BettiTable, hochster_betti
 from .hypergraph import Deck, Hypergraph
 from .stanley_reisner import SRInvariants
 
@@ -143,29 +143,6 @@ def reconstruct_vertex_poly(card_sum: BiPoly, n: int) -> BiPoly:
     return direct
 
 
-def reconstruct_multigraded_betti(deck: Deck, limit: int = DEFAULT_HOMOLOGY_LIMIT) -> BettiTable:
-    """Partial multigraded Betti table from the deck: every entry with
-    B a proper vertex subset, computed on one edge set, the union of
-    all cards' edges.
-
-    That union is enough: B misses some vertex l, and card l holds
-    exactly the edges of the other cards that avoid l (the deck was
-    checked for consistency when it was built), so card l's edges
-    inside B, like the parent's, are exactly the union's edges inside
-    B. The independent sets are thus enumerated once, not once per
-    card. Entries with B the full vertex set are not deck-visible, so
-    the returned table has top_complete False."""
-    n = deck.origin_n
-    _check_n(n)
-    check_limit("n", n, "homology", limit)
-    edges = tuple(sorted(set().union(*deck.parent_edges)))
-    if not edges:
-        raise NotReconstructible(_EDGELESS_DECK)
-    full = (1 << n) - 1
-    bmasks = [bmask for bmask in _edge_union_closure(edges) if bmask and bmask != full]
-    return BettiTable(deck.parent_labels, restriction_betti(edges, bmasks), top_complete=False)
-
-
 class DeckInvariants(SRInvariants):
     """The bundle of a deck's parent: P and S rebuilt from the summed
     cards and the Betti table below the top row; all else is derived as
@@ -192,4 +169,14 @@ class DeckInvariants(SRInvariants):
 
     @cached_property
     def betti(self) -> BettiTable:
-        return reconstruct_multigraded_betti(self.deck, self.homology_limit)
+        """The table of the parent the cards imply (the union of their
+        edges) less its B = V entries, which no card sees. Any other B
+        misses some vertex l, and the union's edges inside B are card l's,
+        which the Deck checked are the parent's."""
+        _check_n(self.n)
+        parent = Hypergraph.from_masks(self.deck.parent_labels, set().union(*self.deck.parent_edges))
+        table = hochster_betti(parent, self.homology_limit)
+        if not parent.edges:
+            raise NotReconstructible(_EDGELESS_DECK)
+        below = {key: b for key, b in table.multigraded.items() if key[1] != parent.full_mask}
+        return BettiTable(parent.labels, below, top_complete=False)

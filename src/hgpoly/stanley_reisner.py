@@ -11,7 +11,8 @@ the Krull dimension, so the series in lowest terms is h(t) / (1-t)^d
 computes each quantity on first use and keeps it, so a consumer that
 reads the same bundle never sweeps, cuts the cards, checks identity 3.2
 or builds a Betti table twice. The Hilbert function raises
-InternalMismatch, which only a bug can cause, unless 3.2 holds.
+InternalMismatch, which only a bug can cause, unless 3.2 holds and it
+equals the face-count sums; h raises it unless it transforms back to f.
 ``reconstruct.DeckInvariants`` swaps in P, S, the cards and the Betti
 table rebuilt from a deck, so ``reconstruct`` views a bundle too.
 """
@@ -19,6 +20,8 @@ table rebuilt from a deck, so ``reconstruct`` views a bundle too.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import accumulate
+from math import comb
 
 from .bipoly import BiPoly, UniPoly, expand_series, substitute
 from .enumeration import DEFAULT_LIMIT, edge_induced_poly, vertex_induced_poly
@@ -58,7 +61,11 @@ class SRInvariants(Frozen):
 
     @cached_property
     def h(self) -> tuple[int, ...]:
-        return h_vector(self.f)
+        h, d = h_vector(self.f), self.krull_dim
+        # InternalMismatch unless f[j] = sum_(k <= j) C(d-k, j-k) h[k] for j = 0..d
+        if [sum(comb(d - k, j - k) * h[k] for k in range(j + 1)) for j in range(d + 1)] != list(self.f):
+            raise InternalMismatch(f"h = {h} does not transform back to f = {self.f}")
+        return h
 
     @property
     def krull_dim(self) -> int:
@@ -93,11 +100,18 @@ class SRInvariants(Frozen):
         """Graded dimensions dim R_k for k = 0..k_max, where R is the
         quotient of the n-variable polynomial ring by the edge ideal: K(t)
         expanded over (1-t)^n. Raises InternalMismatch unless identity 3.2
-        holds, which implies dim R_k = sum_i f[i] * C(k-1, i-1) for k >= 1.
+        holds and every value is its face-count sum, 1 at k = 0, else
+        sum_i f[i] * C(k-1, i-1), summed with no step of the expansion.
         """
         values = expand_series(self.k_polynomial, self.n, k_max)  # K before f: over both limits, m is refused
         if not self.series_numerator_holds:
             raise InternalMismatch(f"identity 3.2 fails: K(t) = {self.k_polynomial!r} is not the expansion of f = {self.f}")
+        # sum_k dim R_(k+1) t^k = sum_i f[i] t^(i-1) / (1-t)^i, by Horner: per face size, times t, then a running sum
+        series = [0] * k_max
+        for fi in reversed(self.f[1:]):
+            series = list(accumulate([fi, *series[:-1]]))
+        if values != [1, *series][: k_max + 1]:
+            raise InternalMismatch(f"the expansion of K(t) differs from the face-count sums of f = {self.f}")
         return values
 
 

@@ -48,6 +48,7 @@ DEAD_TRACER_NAMES = {
     "bipoly.divide_by_one_minus_t": "ROADMAP item 1: bipoly.series_calls, bipoly.series_s",
     "reconstruct.reconstruct_f_vector": "ROADMAP item 1: reconstruct.poly_s",
     "reconstruct.reconstruct_hilbert_function": "ROADMAP item 1: reconstruct.poly_s",
+    "reconstruct.reconstruct_multigraded_betti": "ROADMAP item 1: reconstruct.betti_s, reconstruct.betti_self_s",
 }
 
 

@@ -318,6 +318,23 @@ def test_edgeless_deck_with_cards_over_the_limit(tmp_path, capsys, target, n_max
         assert (code, capsys.readouterr()) == (2, ("", f"error: {EXCLUDED_DECKS['edgeless3'][1]}\n"))
 
 
+@pytest.mark.parametrize(
+    "labels, limit, expected",
+    [
+        ("ab", "1", (2, "reconstruction needs n >= 3, got n=2")),
+        ("abcdef", "5", (3, "n=6 exceeds the homology limit 5; raise the limit explicitly to run anyway")),
+        ("abcdef", "6", (2, EXCLUDED_DECKS["edgeless3"][1])),
+    ],
+    ids=["n-below-3", "over-the-limit", "edgeless"],
+)
+def test_betti_refusal_order_on_edgeless_decks(tmp_path, capsys, labels, limit, expected):
+    # the deck's table refuses n < 3 first, then the homology limit, then
+    # the edgeless union of the cards' edges
+    deck = _write_deck(tmp_path, validate(list(labels), []), capsys)
+    code = main(["reconstruct", "--deck", deck, "--target", "betti", "--homology-n-max", limit])
+    assert (code, capsys.readouterr()) == (expected[0], ("", f"error: {expected[1]}\n"))
+
+
 # one bad file per kind of input error, parse and validation alike
 BAD_FILES = {
     "invalid_json.json": "{broken",

@@ -50,3 +50,48 @@ def test_every_error_class_is_raised_or_caught_by_the_program():
     }
     assert "HgpolyError" in classes
     assert sorted(classes - {"HgpolyError"} - used) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _package_source(node: ast.ImportFrom) -> str | None:
+    """The package module an import reads from: "" for the package
+    itself, None for anything outside it."""
+    module = node.module or ""
+    if node.level == 1:
+        return module
+    if node.level == 0 and (module == "hgpoly" or module.startswith("hgpoly.")):
+        return module.removeprefix("hgpoly").lstrip(".")
+    return None
+
+
+def test_no_module_reaches_a_sibling_private_name():
+    # a private name belongs to its module: a sibling that needs it needs
+    # a public name, so neither an import nor an attribute may reach it
+    package = os.path.dirname(hgpoly.__file__)
+    siblings = {filename[:-3] for filename in os.listdir(package) if filename.endswith(".py")}
+    reached = []
+    for filename in sorted(os.listdir(package)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(package, filename), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename)
+        modules: set[str] = set()  # the local names bound to sibling modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (source := _package_source(node)) is not None:
+                for alias in node.names:
+                    if not source and alias.name in siblings:
+                        modules.add(alias.asname or alias.name)
+                    elif _private(alias.name):
+                        reached.append(f"{filename}: {source or 'hgpoly'}.{alias.name}")
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.removeprefix("hgpoly.") in siblings and alias.asname:
+                        modules.add(alias.asname)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in modules and _private(node.attr):
+                    reached.append(f"{filename}: {node.value.id}.{node.attr}")
+    assert reached == []

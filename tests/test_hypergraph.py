@@ -254,8 +254,8 @@ class TestValueSemantics:
 def test_card_commutes_with_vertex_induced(h):
     # card l holds exactly the parent's edges inside any B avoiding
     # vertex l, so for B a union of edges (the only supports of nonzero
-    # entries) its restriction homology is the parent's:
-    # reconstruct_multigraded_betti reads every b[i, B] off such a card.
+    # entries) its restriction homology is the parent's, and so is the
+    # deck's table, read off the union of the cards' edges, at every such B.
     # Building the deck also rebuilds every card through from_masks,
     # whose antichain check must pass.
     deck = h.deck()

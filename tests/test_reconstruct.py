@@ -18,7 +18,6 @@ from hgpoly.reconstruct import (
     DeckInvariants,
     check_reconstructible,
     reconstruct_edge_poly,
-    reconstruct_multigraded_betti,
     reconstruct_vertex_poly,
     verify_deck_sum_identity,
 )
@@ -212,7 +211,7 @@ def test_excluded_deck_refused_by_every_polynomial_target(parent, target):
 
 class TestReconstructBetti:
     def test_k3_partial_table(self, k3):
-        table = reconstruct_multigraded_betti(k3.deck())
+        table = DeckInvariants(k3.deck()).betti
         assert not table.top_complete
         assert table.graded == {(0, 0): 1, (1, 2): 3}  # the (2,3) top entry is unknowable
 
@@ -223,7 +222,7 @@ class TestReconstructBetti:
             except NotReconstructible:
                 continue
             direct = hochster_betti(h)
-            rec = reconstruct_multigraded_betti(h.deck())
+            rec = DeckInvariants(h.deck()).betti
             full = (1 << h.n) - 1
             expected = {k: v for k, v in direct.multigraded.items() if k[1] != full}
             assert rec.multigraded == expected
@@ -234,7 +233,7 @@ class TestReconstructBetti:
         cards = list(genuine.deck().cards)
         cards[5] = other.deck().cards[5]
         with pytest.raises(InputError, match="on card 5 but not on card 0"):
-            reconstruct_multigraded_betti(Deck(genuine.labels, tuple(cards)))
+            DeckInvariants(Deck(genuine.labels, tuple(cards))).betti
 
 
 REPORT_ARGS = build_parser().parse_args(["report", "--input", "-"])

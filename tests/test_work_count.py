@@ -20,7 +20,7 @@ from hgpoly.cli import main
 from hgpoly.corpus import complete_graph, cycle_graph, path_graph, star, wheel
 from hgpoly.formats import dump_hypergraph_json
 from hgpoly.hypergraph import Hypergraph
-from hgpoly.reconstruct import reconstruct_multigraded_betti
+from hgpoly.reconstruct import DeckInvariants
 from hgpoly.stanley_reisner import SRInvariants
 from hgpoly.verify import verify_series_numerator
 
@@ -196,7 +196,7 @@ def test_independent_sets_enumerated_once_per_edge_set(monkeypatch):
     # the reconstruction's one edge set is the union of the cards' edges
     seen.clear()
     h = cycle_graph(10)
-    reconstruct_multigraded_betti(h.deck())
+    DeckInvariants(h.deck()).betti
     assert seen == [h.full_mask]
 
 
