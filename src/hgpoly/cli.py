@@ -10,14 +10,17 @@ as a (JSON value, text) pair built by the value renderers (polynomial,
 vector, value list, Betti table, identity results), and ``main`` alone
 reads ``--format`` and writes to stdout; ``report`` has no text form and
 always prints JSON. A directory ``report`` parses and limit-checks every
-member before any output, then returns a lazy list that ``main`` writes
-one member's report at a time, so peak memory follows the largest
-member; only an internal consistency failure (exit 1) can leave a
-partial document. compute, hilbert, fvector, hvector, betti and
-verify are one handler over views of the hypergraph's ``SRInvariants``
-bundle, and the five reconstruct targets are the same views of a
-deck's ``DeckInvariants`` bundle, so a value rebuilt from a deck prints
-exactly as the value computed directly.
+member before any output, then returns a lazy list of the members'
+report texts that ``main`` writes one at a time, so peak memory follows
+the largest member; only an internal consistency failure (exit 1) can
+leave a partial document. The members are built round-robin by this
+process and one forked worker per extra usable core, and written in
+member order, so the output does not depend on the core count.
+compute, hilbert, fvector, hvector, betti and verify are one handler
+over views of the hypergraph's ``SRInvariants`` bundle, and the five
+reconstruct targets are the same views of a deck's ``DeckInvariants``
+bundle, so a value rebuilt from a deck prints exactly as the value
+computed directly.
 
 Every integer that can grow beyond machine size (coefficients, Hilbert
 values, face counts) is emitted as a decimal string in JSON output;
@@ -38,6 +41,7 @@ from .errors import InputError, InternalMismatch, LimitExceeded
 from .formats import (
     bipoly_to_json_terms,
     dump_json,
+    dump_json_item,
     dump_json_list,
     load_corpus,
     load_hypergraph,
@@ -45,7 +49,7 @@ from .formats import (
     unipoly_to_json,
     write_deck,
 )
-from .homology import DEFAULT_HOMOLOGY_LIMIT, BettiTable, betti_columns, pd_reg_depth
+from .homology import DEFAULT_HOMOLOGY_LIMIT, BettiTable, betti_alternating_sum, betti_columns, pd_reg_depth
 from .hypergraph import Hypergraph
 from .reconstruct import DeckInvariants
 from .stanley_reisner import SRInvariants
@@ -67,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--n-max", type=int, default=DEFAULT_LIMIT, help=f"enumeration size limit (default {DEFAULT_LIMIT})")
     common.add_argument("--homology-n-max", type=int, default=DEFAULT_HOMOLOGY_LIMIT,
                         help=f"homology size limit (default {DEFAULT_HOMOLOGY_LIMIT})")
-    common.add_argument("--parallel", action="store_true", help="does nothing (all work runs in-process); to be removed")
+    common.add_argument("--parallel", action="store_true", help="does nothing; to be removed")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -247,6 +251,21 @@ def _report_for(h: Hypergraph, args) -> dict:
 
 # -- subcommand handlers: text None means the output is JSON only --
 
+def _checked_betti(inv: SRInvariants) -> BettiTable:
+    """The bundle's Betti table, once the signed sum of each column j
+    equals [t^j] of K(t) expanded from f (``face_numerator``, which sweeps
+    no edges): every column of a parent's table, the columns j < n of a
+    deck's, whose top row no card sees. InternalMismatch otherwise."""
+    table = inv.betti  # before f: over both limits, the homology refusal is the one printed
+    sums, k_poly = betti_alternating_sum(table), inv.face_numerator
+    for j in range(inv.n + table.top_complete):
+        if sums.coeff(j) != k_poly.coeff(j):
+            raise InternalMismatch(
+                f"Betti column {j} has signed sum {sums.coeff(j)}, but K(t) from f = {inv.f} has {k_poly.coeff(j)}"
+            )
+    return table
+
+
 # compute --poly, the invariant commands, verify and the reconstruct targets, as views of a bundle
 _VIEWS = {
     "S": lambda inv, args: _poly(inv.S),
@@ -255,7 +274,7 @@ _VIEWS = {
     "hilbert": lambda inv, args: _value_list(inv.hilbert_function(args.terms)),
     "fvector": lambda inv, args: _vector(inv.f),
     "hvector": lambda inv, args: _vector(inv.h),
-    "betti": lambda inv, args: _betti(inv.betti),
+    "betti": lambda inv, args: _betti(_checked_betti(inv)),
     "verify": lambda inv, args: _identities(
         run_all(inv) if args.identity == "all" else {args.identity: run_identity(args.identity, inv)}
     ),
@@ -284,14 +303,138 @@ def _cmd_report(args) -> Output:
             check_sweep_limits(h, args.n_max)
         except LimitExceeded as exc:
             raise LimitExceeded(f"{name}: {exc}") from exc
+    return _member_texts(corpus, args), None
 
-    def reports() -> Iterator[dict]:
-        corpus.reverse()
-        while corpus:  # popped, so a member is freed as soon as the next one is drawn
-            name, h = corpus.pop()
-            yield {"name": name, "report": _report_for(h, args)}
 
-    return reports(), None
+# -- a directory report, split across the usable cores --
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _workers(members: int) -> int:
+    """Processes that share a directory report: one per usable core and at
+    most one per member, or the caller alone where it cannot fork safely
+    (no ``os.fork``, or another thread is running)."""
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
+        return 1
+    return max(1, min(_usable_cores(), members))
+
+
+def _drawn(corpus: list) -> Iterator:
+    corpus.reverse()
+    while corpus:  # popped, so a member is freed as soon as the next one is drawn
+        yield corpus.pop()
+
+
+def _member_text(name: str, h: Hypergraph, args) -> str:
+    return dump_json_item({"name": name, "report": _report_for(h, args)})
+
+
+def _member_texts(corpus: list, args) -> Iterator[str]:
+    """Each member's report text, in member order, for ``main`` to write.
+
+    With w workers, member k is built by worker k mod w. Worker 0 is this
+    process; the others are forked on the first draw, each sending its
+    members' texts through its own pipe, and a text is read only when its
+    turn to be written comes. If no process or pipe can be had, this
+    process builds every member. Every worker is killed and reaped when
+    the report ends, early or not: on success each has sent its last
+    text by then."""
+    workers = _workers(len(corpus))
+    children: list = []  # (pid, the read end of its pipe)
+    try:
+        try:
+            for worker in range(1, workers):
+                children.append(_fork(corpus, worker, workers, children, args))
+        except OSError:
+            _stop(children)
+            workers = 1
+        for k, (name, h) in enumerate(_drawn(corpus)):
+            yield _receive(children[k % workers - 1][1], name) if k % workers else _member_text(name, h, args)
+    finally:
+        _stop(children)
+
+
+def _fork(corpus: list, worker: int, workers: int, children: list, args) -> tuple:
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        _work(corpus, worker, workers, write_fd, [read_fd] + [reader.fileno() for _, reader in children], args)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
+def _stop(children: list) -> None:
+    """Kill and reap every worker in children, emptying it."""
+    if not children:
+        return
+    from signal import SIGKILL  # signal costs every CLI process a millisecond to import
+
+    while children:
+        pid, reader = children.pop()
+        os.kill(pid, SIGKILL)
+        os.waitpid(pid, 0)
+        reader.close()
+
+
+# a record: one kind byte, the payload's length in 8 bytes, the payload in UTF-8
+_TEXT, _MISMATCH, _FAILURE = b"T", b"M", b"F"
+
+
+def _work(corpus: list, worker: int, workers: int, write_fd: int, inherited: list[int], args) -> None:
+    """A forked worker's whole life: send one record per member k with
+    k mod workers == worker, its text, or the message of its
+    InternalMismatch or the traceback of any other exception, after
+    which it sends no more. It writes nothing else anywhere and never
+    returns: it leaves by ``os._exit`` whatever happens."""
+    code = 1
+    try:
+        for fd in inherited:  # the read ends of this and earlier pipes
+            os.close(fd)
+        with os.fdopen(write_fd, "wb") as out:
+            for k, (name, h) in enumerate(_drawn(corpus)):
+                if k % workers != worker:
+                    continue
+                kind = _TEXT
+                try:
+                    text = _member_text(name, h, args)
+                except InternalMismatch as exc:
+                    kind, text = _MISMATCH, str(exc)
+                except Exception:  # reported by the parent, as the serial path would raise it
+                    import traceback
+
+                    kind, text = _FAILURE, traceback.format_exc()
+                data = text.encode()
+                out.write(kind + len(data).to_bytes(8, "big") + data)
+                out.flush()
+                if kind != _TEXT:
+                    break
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _receive(reader, name: str) -> str:
+    head = reader.read(9)
+    size = int.from_bytes(head[1:], "big")
+    data = reader.read(size)
+    if len(head) < 9 or len(data) < size:
+        raise RuntimeError(f"the worker building the report of {name} ended before sending it")
+    kind, text = head[:1], data.decode()
+    if kind == _MISMATCH:
+        raise InternalMismatch(text)
+    if kind == _FAILURE:
+        raise RuntimeError(f"the worker building the report of {name} failed:\n{text}")
+    return text
 
 
 _HANDLERS = {
@@ -316,12 +459,16 @@ def main(argv: list[str] | None = None) -> int:
         if args.n_max <= 0 or args.homology_n_max <= 0:
             raise InputError("size limits must be positive")
         value, text = _HANDLERS[args.command](args)
-        pieces = (text,) if text else None  # the deck of an empty hypergraph lists no paths
-        if args.format == "json" or text is None:  # a directory report is a lazy list, built as it is written
-            pieces = dump_json_list(value) if isinstance(value, Iterator) else (dump_json(value),)
-        if pieces is not None:
-            sys.stdout.writelines(pieces)  # not joined with the newline: a report can be megabytes
-            sys.stdout.write("\n")
+        try:
+            pieces = (text,) if text else None  # the deck of an empty hypergraph lists no paths
+            if args.format == "json" or text is None:  # a directory report is a lazy list, built as it is written
+                pieces = dump_json_list(value) if isinstance(value, Iterator) else (dump_json(value),)
+            if pieces is not None:
+                sys.stdout.writelines(pieces)  # not joined with the newline: a report can be megabytes
+                sys.stdout.write("\n")
+        finally:
+            if isinstance(value, Iterator):  # a directory report that stopped early stops its workers here
+                value.close()
     except LimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -346,7 +493,10 @@ def entry() -> None:
     the pipe early ends the process at once, silently, with exit 141
     (128 + SIGPIPE, as a shell reports it); any other flush that fails
     leaves by ``sys.exit``, so the interpreter reports it and exits 120.
-    An uncaught exception keeps its traceback and exit 1.
+    An uncaught exception keeps its traceback and exit 1. The workers a
+    directory ``report`` forks never get here: each leaves by
+    ``os._exit`` whatever happens, never writes to stdout or stderr, and
+    is reaped by ``main`` before it returns.
     """
     try:
         code = main()

@@ -19,8 +19,9 @@ coefficients as decimal strings, so arbitrarily large integers survive
 any JSON reader.
 
 JSON is rendered here and written to stdout by ``cli.main`` alone, a
-lazy list (``dump_json_list``) one item at a time. Paths are strings
-handled by ``os``, so this module loads neither pathlib nor fnmatch.
+lazy list (``dump_json_list``) one item's text (``dump_json_item``) at
+a time. Paths are strings handled by ``os``, so this module loads
+neither pathlib nor fnmatch.
 """
 
 from __future__ import annotations
@@ -117,12 +118,18 @@ def dump_json(value: object) -> str:
     return _json_text(value, "\n")
 
 
-def dump_json_list(items: Iterable) -> Iterator[str]:
-    """``dump_json(list(items))`` in pieces, each item drawn from items
-    and rendered only when its piece is asked for."""
+def dump_json_item(value: object) -> str:
+    """The text of value as one item of the list ``dump_json_list`` writes."""
+    return _json_text(value, "\n  ")
+
+
+def dump_json_list(texts: Iterable[str]) -> Iterator[str]:
+    """``dump_json(items)`` in pieces, given each item's
+    ``dump_json_item`` text; each text is drawn only when its piece is
+    asked for."""
     sep = "[\n  "
-    for item in items:
-        yield sep + _json_text(item, "\n  ")
+    for text in texts:
+        yield sep + text
         sep = ",\n  "
     yield "[]" if sep == "[\n  " else "\n]"
 

@@ -11,6 +11,12 @@ and builds no ``Deck``. The CLI binds them to the identity ids
 ``2.1``, ``2.3``, ``3.2``, ``4.2``, ``4.3``; a False from any of them
 on a valid input means a bug somewhere, which is the point of running
 them.
+
+The rule for every check, these identities and the guards that raise
+InternalMismatch alike: a check stays only if it catches a fault that
+no other check catches, and ``tests/test_faults.py`` injects the faults
+that show which; a check that catches none is deleted, as the deck
+differential check was.
 """
 
 from __future__ import annotations

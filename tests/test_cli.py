@@ -459,6 +459,11 @@ class TestLimitsAndConfig:
         assert exc.value.code == 2
 
 
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestReport:
     def test_single_report_structure(self, k3_file, capsys):
         assert main(["report", "--terms", "6", "--input", k3_file]) == 0
@@ -508,12 +513,14 @@ class TestReport:
         assert doc["betti"] is None and "betti_skipped" in doc
         assert doc["identities"]["4.3"].startswith("skipped")
 
-    def test_directory_report(self, tmp_path, k3, path3, capsys):
+    def test_directory_report(self, tmp_path, k3, path3, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
         (tmp_path / "k3.json").write_text(dump_hypergraph_json(k3))
         (tmp_path / "p3.json").write_text(dump_hypergraph_json(path3))
         assert main(["report", "--terms", "4", "--input", str(tmp_path)]) == 0
         docs = json.loads(capsys.readouterr().out)
         assert [d["name"] for d in docs] == ["k3.json", "p3.json"]
+        _assert_no_child_left()
 
     def test_directory_with_bad_file_exit_2(self, tmp_path, k3, capsys):
         (tmp_path / "k3.json").write_text(dump_hypergraph_json(k3))
@@ -550,6 +557,8 @@ class TestReport:
         assert calls == []
 
     def test_directory_internal_failure_midway_exit_1(self, tmp_path, k3, path3, capsys, monkeypatch):
+        # with two workers the failing member 1 is the forked worker's
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
         (tmp_path / "a.json").write_text(dump_hypergraph_json(k3))
         assert main(["report", "--input", str(tmp_path)]) == 0
         first = capsys.readouterr().out
@@ -567,6 +576,69 @@ class TestReport:
         assert captured.err == "internal consistency failure: routes disagree\n"
         # the first member's document was written before the failure
         assert captured.out.startswith(first[: -len("\n]\n")])
+        _assert_no_child_left()
+
+    def test_directory_internal_failure_in_this_process_exit_1(self, tmp_path, k3, path3, capsys, monkeypatch):
+        # with two workers member 2 of 3 is the calling process's, and member 1 the forked worker's
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        for name in ("a", "b"):
+            (tmp_path / f"{name}.json").write_text(dump_hypergraph_json(k3))
+        assert main(["report", "--input", str(tmp_path)]) == 0
+        first_two = capsys.readouterr().out
+        (tmp_path / "c.json").write_text(dump_hypergraph_json(path3))
+        report_for = cli._report_for
+
+        def fail_on_third(h, args):
+            if h == path3:
+                raise InternalMismatch("routes disagree")
+            return report_for(h, args)
+
+        monkeypatch.setattr(cli, "_report_for", fail_on_third)
+        assert main(["report", "--input", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "internal consistency failure: routes disagree\n"
+        assert captured.out.startswith(first_two[: -len("\n]\n")])
+        _assert_no_child_left()
+
+    def test_directory_report_with_no_process_to_fork(self, tmp_path, k3, path3, capsys, monkeypatch):
+        # the second fork fails: the first worker is stopped and this process builds every member
+        for name, h in (("a", k3), ("b", path3), ("c", k3)):
+            (tmp_path / f"{name}.json").write_text(dump_hypergraph_json(h))
+        assert main(["report", "--input", str(tmp_path)]) == 0
+        expected = capsys.readouterr()
+        fork = os.fork
+        forks = []
+
+        def fork_once():
+            forks.append(None)
+            if len(forks) > 1:
+                raise BlockingIOError("no process to be had")
+            return fork()
+
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 3)
+        monkeypatch.setattr(os, "fork", fork_once)
+        assert main(["report", "--input", str(tmp_path)]) == 0
+        assert capsys.readouterr() == expected
+        assert len(forks) == 2
+        _assert_no_child_left()
+
+    def test_directory_report_worker_failure_keeps_its_traceback(self, tmp_path, k3, path3, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        (tmp_path / "a.json").write_text(dump_hypergraph_json(k3))
+        (tmp_path / "b.json").write_text(dump_hypergraph_json(path3))
+        report_for = cli._report_for
+
+        def fail_on_second(h, args):
+            if h == path3:
+                raise ValueError("a bug")
+            return report_for(h, args)
+
+        monkeypatch.setattr(cli, "_report_for", fail_on_second)
+        with pytest.raises(RuntimeError, match="the worker building the report of b.json failed") as exc:
+            main(["report", "--input", str(tmp_path)])
+        assert "ValueError: a bug" in str(exc.value)
+        assert capsys.readouterr().err == ""
+        _assert_no_child_left()
 
     def test_directory_report_memory_follows_the_largest_member(self, tmp_path):
         text = dump_hypergraph_json(cycle_graph(8))
@@ -594,21 +666,28 @@ class TestReport:
         assert peak < 0.5 * sink.written, (peak, sink.written)
 
     def test_directory_report_frees_each_member_once_written(self, tmp_path, monkeypatch):
+        members = tmp_path / "members"
+        members.mkdir()
         text = dump_hypergraph_json(cycle_graph(5))
         for k in range(4):
-            (tmp_path / f"c{k}.json").write_text(text)
+            (members / f"c{k}.json").write_text(text)
         report_for = cli._report_for
-        drawn = []
+        drawn = []  # in the process that draws: a forked worker starts with it empty
+        log = tmp_path / "draws"
 
         def report_after_freeing(h, args):
-            # every earlier member's report has been written when the next member is drawn
+            # in every process, each earlier member is freed when the next member is drawn
             assert [ref() for ref in drawn] == [None] * len(drawn)
             drawn.append(weakref.ref(h))
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
             return report_for(h, args)
 
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
         monkeypatch.setattr(cli, "_report_for", report_after_freeing)
-        assert main(["report", "--input", str(tmp_path)]) == 0
-        assert len(drawn) == 4
+        assert main(["report", "--input", str(members)]) == 0
+        pids = log.read_text().split()
+        assert len(pids) == 4 and len(set(pids)) == 2
 
     def test_ten_thousand_edges_refused_without_pairwise_check(self, tmp_path, capsys):
         # every edge pair would be compared before the vertex limit is read

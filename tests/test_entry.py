@@ -4,8 +4,9 @@
 flushed, so these tests check what only a real process shows: the exit
 code, every byte on stdout and stderr (equal to an in-process `main`),
 output larger than a pipe's buffer, a reader that closes the pipe
-early, the interpreter's own report of a failed final flush, and that
-nothing registers an `atexit` hook that `os._exit` would skip.
+early (and that no forked worker outlives the report then), the
+interpreter's own report of a failed final flush, and that nothing
+registers an `atexit` hook that `os._exit` would skip.
 
 PYTHONUNBUFFERED is dropped from the child's environment, so stdout is
 block-buffered and reaches the reader only through the final flush.
@@ -17,8 +18,10 @@ import contextlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -105,6 +108,50 @@ def test_reader_closing_the_pipe_ends_the_process_with_exit_141(tmp_path):
     child.stdout.close()
     assert child.communicate(timeout=120)[1] == b""
     assert child.returncode == 141
+
+
+# a directory report on two workers; members 0 and 7 are the 9-cycles. Member 0, this
+# process's, takes 0.5 s, ample time for the forked worker to send members 1, 3 and 5 (39 kB,
+# which its pipe holds) and stall on member 7. The reader closes stdout once member 0 is
+# written, and members 1 to 6 are more than a pipe holds, so the report stops before member 7
+# is due: only a kill ends that worker within 2 s
+_STALLING_WORKER = """
+import os, time
+import hgpoly.cli as cli
+caller, report_for = os.getpid(), cli._report_for
+def report_or_stall(h, args):
+    if h.n == 9:
+        time.sleep(0.5 if os.getpid() == caller else 10)
+    return report_for(h, args)
+cli._usable_cores, cli._report_for = (lambda: 2), report_or_stall
+cli.entry()
+"""
+
+
+def test_reader_closing_the_pipe_leaves_no_worker_behind(tmp_path):
+    text = dump_hypergraph_json(cycle_graph(8))
+    for k in range(20):
+        (tmp_path / f"c{k:02d}.json").write_text(dump_hypergraph_json(cycle_graph(9)) if k in (0, 7) else text)
+    # its own session, so the report and every worker it forks are in the process group whose id is its pid
+    child = subprocess.Popen([sys.executable, "-c", _STALLING_WORKER, "report", "--input", str(tmp_path)],
+                             env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
+    try:
+        assert child.stdout.read(1) == b"["
+        child.stdout.close()
+        assert child.wait(timeout=120) == 141  # not communicate: a worker left behind would hold stderr open
+        deadline = time.monotonic() + 2
+        while True:
+            try:
+                os.killpg(child.pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "a report worker outlived the report"
+            time.sleep(0.01)
+        assert child.stderr.read() == b""
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(child.pid, signal.SIGKILL)
+        child.stderr.close()
 
 
 def test_deck_then_every_reconstruct_target(tmp_path, monkeypatch):

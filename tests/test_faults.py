@@ -8,7 +8,10 @@ each of its commands and on every input of the slice. A fault that no
 shipped check can catch goes in KNOWN_BLIND instead, with the reason;
 the test asserts that it stays blind, so a check that starts catching
 it moves it to FAULTS, and that ``oracles.dual_betti`` catches it.
-Every new route adds its fault here.
+A command that some slice member gives no way to show a fault (the
+fault leaves everything it prints right) is left out of that fault's
+commands, with the reason beside it. Every new route adds its fault
+here.
 """
 
 from __future__ import annotations
@@ -94,6 +97,8 @@ HILBERT = ("hilbert",)
 HVECTOR = ("hvector",)
 REPORT = ("report",)
 RECONSTRUCT_HILBERT = ("reconstruct", "--target", "hilbert")
+BETTI = ("betti",)
+RECONSTRUCT_BETTI = ("reconstruct", "--target", "betti")
 
 # name -> (module, function, what the fault does to its result, commands that must catch it)
 FAULTS = {
@@ -106,7 +111,9 @@ FAULTS = {
         reconstruct, "edge_family_poly", _plus_one_at_x2, (REPORT, ("verify", "--identity", "4.2")),
     ),
     "_fold drops a vertex that is not dominated": (
-        homology, "_fold", _drop_one_more, (REPORT, ("verify", "--identity", "4.3")),
+        # not RECONSTRUCT_BETTI: on C5 the fault changes only B = V, which no card sees, so the
+        # deck's table is printed right (test_deck_betti_guard_where_the_fold_fault_shows)
+        homology, "_fold", _drop_one_more, (REPORT, ("verify", "--identity", "4.3"), BETTI),
     ),
 }
 
@@ -199,3 +206,24 @@ def test_h_guard_sweeps_no_edges(tmp_path, capsys):
     path.write_text(dump_hypergraph_json(complete_graph(8)))
     assert main(["hvector", "--input", str(path)]) == 0
     assert capsys.readouterr() == ("(1, 7)\n", "")
+
+
+def test_deck_betti_guard_where_the_fold_fault_shows(tmp_path, capsys, monkeypatch):
+    # below the top row the fault shows on the wheel and the tight cycle, and the guard
+    # catches it there; on C5 it moves only B = V, so the deck's table prints unchanged
+    inputs = _inputs(tmp_path, capsys)
+    clean = {member: _run(capsys, RECONSTRUCT_BETTI, path, deck) for member, (path, deck) in inputs.items()}
+    _install(monkeypatch, homology, "_fold", _drop_one_more)
+    got = {member: _run(capsys, RECONSTRUCT_BETTI, path, deck) for member, (path, deck) in inputs.items()}
+    assert got["C5"] == clean["C5"] and clean["C5"][0] == 0
+    assert got["wheel5"][0] == got["tight6"][0] == 1
+
+
+def test_betti_guard_sweeps_no_edges(tmp_path, capsys):
+    # the guard expands K(t) from f; S(t, -1) would sweep the 28 edges of K8,
+    # over the enumeration limit
+    path = tmp_path / "k8.json"
+    path.write_text(dump_hypergraph_json(complete_graph(8)))
+    assert main(["betti", "--input", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "total:   1  28 112 210 224 140  48   7\n" in out

@@ -124,6 +124,20 @@ def test_card_sweep_refused_above_the_limit(capsys, c6_deck, target, refused, ki
     assert (code, err) == (0, "") and out
 
 
+@pytest.mark.parametrize(
+    "source, refused, value",
+    [("file", "5", 6), ("deck", "4", 5)],
+)
+def test_betti_guard_sweep_refused_above_the_limit(capsys, c6_file, c6_deck, source, refused, value):
+    # the printed table is checked against K(t) expanded from f, so the vertex side
+    # (the parent's, or the 5-vertex cards') is swept under the enumeration limit
+    argv = ["betti", "--input", c6_file] if source == "file" else ["reconstruct", "--deck", c6_deck, "--target", "betti"]
+    message = f"n={value} exceeds the enumeration limit {refused}; raise the limit explicitly to run anyway"
+    assert _run(capsys, argv + ["--n-max", refused]) == (3, "", f"error: {message}\n")
+    code, out, err = _run(capsys, argv + ["--n-max", str(value)])
+    assert (code, err) == (0, "") and out
+
+
 @pytest.mark.parametrize("flag", ["--n-max", "--homology-n-max"])
 @pytest.mark.parametrize("command", ["betti", "report", "deck"])
 def test_zero_limit_is_an_input_error(capsys, tmp_path, c6_file, flag, command):

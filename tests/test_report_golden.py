@@ -4,8 +4,8 @@
 every `default_corpus()` member, run through `cli.main` with default
 options. `golden/report_dir_sha256.json` holds the sha256 of one
 `report --input DIR` over a directory holding all of them, which the
-directory runner streams member by member. Any change to what `report`
-prints, however small, fails here.
+directory runner streams member by member, split across any number of
+cores. Any change to what `report` prints, however small, fails here.
 
 Regenerate both (only when an output change is intended) with
 
@@ -18,11 +18,13 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
 import pytest
 
+from hgpoly import cli
 from hgpoly.cli import main
 from hgpoly.corpus import complete_graph, default_corpus
 from hgpoly.formats import dump_hypergraph_json
@@ -89,6 +91,23 @@ def test_directory_report_matches_golden(corpus_dir):
     expected = json.loads(DIR_GOLDEN.read_text())
     assert expected["members"] == len(corpus_dir[1]) == 281
     assert _sha256(directory_output(corpus_dir[0])) == expected["sha256"]
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_directory_report_is_the_same_on_any_number_of_cores(corpus_dir, monkeypatch, cores):
+    # one worker per usable core, each building every cores-th member
+    fork = os.fork
+    forks = []
+
+    def counted_fork():
+        forks.append(None)  # before the fork, so only the caller counts
+        return fork()
+
+    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    expected = json.loads(DIR_GOLDEN.read_text())
+    assert _sha256(directory_output(corpus_dir[0])) == expected["sha256"]
+    assert len(forks) == cores - 1
 
 
 def test_directory_report_matches_stdlib_oracle(corpus_dir, singles):
