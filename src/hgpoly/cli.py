@@ -15,7 +15,9 @@ report texts that ``main`` writes one at a time, so peak memory follows
 the largest member; only an internal consistency failure (exit 1) can
 leave a partial document. The members are built round-robin by this
 process and one forked worker per extra usable core, and written in
-member order, so the output does not depend on the core count.
+member order, so the output does not depend on the core count; a
+member a worker did not send is built by this process, so a failure
+reads as it would on one core.
 compute, hilbert, fvector, hvector, betti and verify are one handler
 over views of the hypergraph's ``SRInvariants`` bundle, and the five
 reconstruct targets are the same views of a deck's ``DeckInvariants``
@@ -218,13 +220,13 @@ def _report_for(h: Hypergraph, args) -> dict:
         "hilbert_function": _strs(inv.hilbert_function(args.terms)),
     }
     try:
-        table = inv.betti
+        table = _checked_betti(inv)
     except LimitExceeded as exc:
         report["betti"] = None
         report["betti_skipped"] = str(exc)
     else:
         pd, reg, depth = pd_reg_depth(table)
-        columns = betti_columns(table, inv.k_polynomial)
+        columns = betti_columns(table)
         # column n is the row no card sees: K_n pins it down when it holds at most one entry
         top = columns.get(h.n, {})
         crowded = [j for j, column in columns.items() if len(column) > 1]
@@ -340,21 +342,23 @@ def _member_texts(corpus: list, args) -> Iterator[str]:
     With w workers, member k is built by worker k mod w. Worker 0 is this
     process; the others are forked on the first draw, each sending its
     members' texts through its own pipe, and a text is read only when its
-    turn to be written comes. If no process or pipe can be had, this
-    process builds every member. Every worker is killed and reaped when
-    the report ends, early or not: on success each has sent its last
-    text by then."""
+    turn to be written comes. A member no worker sent (its worker could
+    not be forked, or it failed on that member or an earlier one) is
+    built here, so it fails as it would on one core. Every worker is
+    killed and reaped when the report ends, early or not: on success
+    each has sent its last text by then."""
     workers = _workers(len(corpus))
     children: list = []  # (pid, the read end of its pipe)
     try:
         try:
             for worker in range(1, workers):
                 children.append(_fork(corpus, worker, workers, children, args))
-        except OSError:
-            _stop(children)
-            workers = 1
+        except OSError:  # no process or pipe to be had: the workers not forked send nothing
+            pass
         for k, (name, h) in enumerate(_drawn(corpus)):
-            yield _receive(children[k % workers - 1][1], name) if k % workers else _member_text(name, h, args)
+            worker = k % workers
+            text = _receive(children[worker - 1][1]) if 0 < worker <= len(children) else None
+            yield _member_text(name, h, args) if text is None else text
     finally:
         _stop(children)
 
@@ -386,55 +390,34 @@ def _stop(children: list) -> None:
         reader.close()
 
 
-# a record: one kind byte, the payload's length in 8 bytes, the payload in UTF-8
-_TEXT, _MISMATCH, _FAILURE = b"T", b"M", b"F"
-
-
 def _work(corpus: list, worker: int, workers: int, write_fd: int, inherited: list[int], args) -> None:
-    """A forked worker's whole life: send one record per member k with
-    k mod workers == worker, its text, or the message of its
-    InternalMismatch or the traceback of any other exception, after
-    which it sends no more. It writes nothing else anywhere and never
-    returns: it leaves by ``os._exit`` whatever happens."""
-    code = 1
+    """A forked worker's whole life: send the text of each member k with
+    k mod workers == worker, as its length in 8 bytes and then its UTF-8
+    bytes, until the members end or one raises. It writes nothing else
+    anywhere and never returns: it leaves by ``os._exit`` whatever
+    happens, and the calling process builds every member it did not send."""
     try:
         for fd in inherited:  # the read ends of this and earlier pipes
             os.close(fd)
         with os.fdopen(write_fd, "wb") as out:
             for k, (name, h) in enumerate(_drawn(corpus)):
-                if k % workers != worker:
-                    continue
-                kind = _TEXT
-                try:
-                    text = _member_text(name, h, args)
-                except InternalMismatch as exc:
-                    kind, text = _MISMATCH, str(exc)
-                except Exception:  # reported by the parent, as the serial path would raise it
-                    import traceback
-
-                    kind, text = _FAILURE, traceback.format_exc()
-                data = text.encode()
-                out.write(kind + len(data).to_bytes(8, "big") + data)
-                out.flush()
-                if kind != _TEXT:
-                    break
-        code = 0
+                if k % workers == worker:
+                    data = _member_text(name, h, args).encode()
+                    out.write(len(data).to_bytes(8, "big") + data)
+                    out.flush()
     finally:
-        os._exit(code)
+        os._exit(0)  # never read: the calling process kills and reaps every worker
 
 
-def _receive(reader, name: str) -> str:
-    head = reader.read(9)
-    size = int.from_bytes(head[1:], "big")
-    data = reader.read(size)
-    if len(head) < 9 or len(data) < size:
-        raise RuntimeError(f"the worker building the report of {name} ended before sending it")
-    kind, text = head[:1], data.decode()
-    if kind == _MISMATCH:
-        raise InternalMismatch(text)
-    if kind == _FAILURE:
-        raise RuntimeError(f"the worker building the report of {name} failed:\n{text}")
-    return text
+def _receive(reader) -> str | None:
+    """The next text a worker sent, or None once it has ended without sending it whole."""
+    head = reader.read(8)
+    if len(head) == 8:
+        size = int.from_bytes(head, "big")
+        data = reader.read(size)
+        if len(data) == size:
+            return data.decode()
+    return None
 
 
 _HANDLERS = {
@@ -496,7 +479,9 @@ def entry() -> None:
     An uncaught exception keeps its traceback and exit 1. The workers a
     directory ``report`` forks never get here: each leaves by
     ``os._exit`` whatever happens, never writes to stdout or stderr, and
-    is reaped by ``main`` before it returns.
+    is reaped by ``main`` before it returns. A member a worker did not
+    send is built by this process, so a worker's failure ends it as on
+    one core, with the same exception and exit code.
     """
     try:
         code = main()

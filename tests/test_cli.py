@@ -459,9 +459,16 @@ class TestLimitsAndConfig:
         assert exc.value.code == 2
 
 
-def _assert_no_child_left():
+def _descriptors() -> list[str] | None:
+    """This process's open descriptors, or None where /proc/self/fd is absent."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def _assert_no_child_left(descriptors: list[str] | None) -> None:
+    """No child is left to reap, and no descriptor opened since ``descriptors`` was taken is left open."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert _descriptors() == descriptors
 
 
 class TestReport:
@@ -517,10 +524,11 @@ class TestReport:
         monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
         (tmp_path / "k3.json").write_text(dump_hypergraph_json(k3))
         (tmp_path / "p3.json").write_text(dump_hypergraph_json(path3))
+        descriptors = _descriptors()
         assert main(["report", "--terms", "4", "--input", str(tmp_path)]) == 0
         docs = json.loads(capsys.readouterr().out)
         assert [d["name"] for d in docs] == ["k3.json", "p3.json"]
-        _assert_no_child_left()
+        _assert_no_child_left(descriptors)
 
     def test_directory_with_bad_file_exit_2(self, tmp_path, k3, capsys):
         (tmp_path / "k3.json").write_text(dump_hypergraph_json(k3))
@@ -571,12 +579,13 @@ class TestReport:
             return report_for(h, args)
 
         monkeypatch.setattr(cli, "_report_for", fail_on_second)
+        descriptors = _descriptors()
         assert main(["report", "--input", str(tmp_path)]) == 1
         captured = capsys.readouterr()
         assert captured.err == "internal consistency failure: routes disagree\n"
         # the first member's document was written before the failure
         assert captured.out.startswith(first[: -len("\n]\n")])
-        _assert_no_child_left()
+        _assert_no_child_left(descriptors)
 
     def test_directory_internal_failure_in_this_process_exit_1(self, tmp_path, k3, path3, capsys, monkeypatch):
         # with two workers member 2 of 3 is the calling process's, and member 1 the forked worker's
@@ -594,17 +603,21 @@ class TestReport:
             return report_for(h, args)
 
         monkeypatch.setattr(cli, "_report_for", fail_on_third)
+        descriptors = _descriptors()
         assert main(["report", "--input", str(tmp_path)]) == 1
         captured = capsys.readouterr()
         assert captured.err == "internal consistency failure: routes disagree\n"
         assert captured.out.startswith(first_two[: -len("\n]\n")])
-        _assert_no_child_left()
+        _assert_no_child_left(descriptors)
 
     def test_directory_report_with_no_process_to_fork(self, tmp_path, k3, path3, capsys, monkeypatch):
-        # the second fork fails: the first worker is stopped and this process builds every member
+        # the second fork fails: the first worker still builds member 1, and this
+        # process builds members 0 and 2, the second worker's among them
+        members = tmp_path / "members"
+        members.mkdir()
         for name, h in (("a", k3), ("b", path3), ("c", k3)):
-            (tmp_path / f"{name}.json").write_text(dump_hypergraph_json(h))
-        assert main(["report", "--input", str(tmp_path)]) == 0
+            (members / f"{name}.json").write_text(dump_hypergraph_json(h))
+        assert main(["report", "--input", str(members)]) == 0
         expected = capsys.readouterr()
         fork = os.fork
         forks = []
@@ -615,14 +628,28 @@ class TestReport:
                 raise BlockingIOError("no process to be had")
             return fork()
 
+        report_for = cli._report_for
+        log = tmp_path / "builders"
+
+        def logged_report(h, args):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return report_for(h, args)
+
         monkeypatch.setattr(cli, "_usable_cores", lambda: 3)
+        monkeypatch.setattr(cli, "_report_for", logged_report)
         monkeypatch.setattr(os, "fork", fork_once)
-        assert main(["report", "--input", str(tmp_path)]) == 0
+        descriptors = _descriptors()
+        assert main(["report", "--input", str(members)]) == 0
         assert capsys.readouterr() == expected
         assert len(forks) == 2
-        _assert_no_child_left()
+        pids = log.read_text().split()
+        assert len(pids) == 3 and pids.count(str(os.getpid())) == 2
+        _assert_no_child_left(descriptors)
 
-    def test_directory_report_worker_failure_keeps_its_traceback(self, tmp_path, k3, path3, capsys, monkeypatch):
+    def test_directory_report_worker_failure_raises_as_on_one_core(self, tmp_path, k3, path3, capsys, monkeypatch):
+        # member 1 is the forked worker's: it sends nothing for it, and this process
+        # builds it again and raises the same exception
         monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
         (tmp_path / "a.json").write_text(dump_hypergraph_json(k3))
         (tmp_path / "b.json").write_text(dump_hypergraph_json(path3))
@@ -634,11 +661,33 @@ class TestReport:
             return report_for(h, args)
 
         monkeypatch.setattr(cli, "_report_for", fail_on_second)
-        with pytest.raises(RuntimeError, match="the worker building the report of b.json failed") as exc:
+        descriptors = _descriptors()
+        with pytest.raises(ValueError, match="^a bug$"):
             main(["report", "--input", str(tmp_path)])
-        assert "ValueError: a bug" in str(exc.value)
         assert capsys.readouterr().err == ""
-        _assert_no_child_left()
+        _assert_no_child_left(descriptors)
+
+    def test_directory_report_worker_that_dies_changes_nothing(self, tmp_path, k3, path3, capsys, monkeypatch):
+        # the forked worker leaves on its first member, sending nothing: this process
+        # builds every member, and the output is that of one core
+        for name, h in (("a", k3), ("b", path3), ("c", k3), ("d", path3)):
+            (tmp_path / f"{name}.json").write_text(dump_hypergraph_json(h))
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
+        assert main(["report", "--input", str(tmp_path)]) == 0
+        expected = capsys.readouterr()
+        parent, report_for = os.getpid(), cli._report_for
+
+        def die_in_a_worker(h, args):
+            if os.getpid() != parent:
+                os._exit(0)
+            return report_for(h, args)
+
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(cli, "_report_for", die_in_a_worker)
+        descriptors = _descriptors()
+        assert main(["report", "--input", str(tmp_path)]) == 0
+        assert capsys.readouterr() == expected
+        _assert_no_child_left(descriptors)
 
     def test_directory_report_memory_follows_the_largest_member(self, tmp_path):
         text = dump_hypergraph_json(cycle_graph(8))
@@ -656,6 +705,7 @@ class TestReport:
                     self.write(piece)
 
         sink = Sink()
+        descriptors = _descriptors()
         tracemalloc.start()
         try:
             with contextlib.redirect_stdout(sink):
@@ -664,6 +714,7 @@ class TestReport:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * sink.written, (peak, sink.written)
+        _assert_no_child_left(descriptors)
 
     def test_directory_report_frees_each_member_once_written(self, tmp_path, monkeypatch):
         members = tmp_path / "members"
@@ -685,9 +736,11 @@ class TestReport:
 
         monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
         monkeypatch.setattr(cli, "_report_for", report_after_freeing)
+        descriptors = _descriptors()
         assert main(["report", "--input", str(members)]) == 0
         pids = log.read_text().split()
         assert len(pids) == 4 and len(set(pids)) == 2
+        _assert_no_child_left(descriptors)
 
     def test_ten_thousand_edges_refused_without_pairwise_check(self, tmp_path, capsys):
         # every edge pair would be compared before the vertex limit is read

@@ -121,7 +121,7 @@ FAULTS = {
 KNOWN_BLIND = {
     "one Betti entry moved to another B of the same size": (
         _move_entry,
-        "4.3 and betti_columns read only the graded table, which the move keeps; "
+        "4.3 and the Betti guard read only the graded table, which the move keeps; "
         "mu per B (ROADMAP item 4) would catch it",
     ),
     "+1 at two adjacent degrees of one B": (

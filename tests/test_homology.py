@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgpoly import homology
-from hgpoly.cli import _report_for, build_parser
+from hgpoly import homology, stanley_reisner
+from hgpoly.cli import _checked_betti, _report_for, build_parser, main
 from hgpoly.errors import InternalMismatch, LimitExceeded, check_limit
+from hgpoly.formats import dump_hypergraph_json
 from hgpoly.homology import (
     DEFAULT_HOMOLOGY_LIMIT,
     _edge_union_closure,
@@ -493,7 +494,7 @@ class TestAntidiagonalRecovery:
     def test_wheel_not_applicable(self):
         # two nonzero entries share a column: (3, 5) and (4, 5)
         assert recovery(wheel(5)) == {"applicable": False, "violating_degree": 5}
-        assert betti_columns(hochster_betti(wheel(5)), SRInvariants(wheel(5)).k_polynomial)[5] == {3: 1, 4: 5}
+        assert betti_columns(hochster_betti(wheel(5)))[5] == {3: 1, 4: 5}
 
     def test_recovered_values_match_table(self, corpus):
         for _, h in corpus[:80]:
@@ -509,8 +510,8 @@ class TestAntidiagonalRecovery:
 
 class TestBettiColumns:
     def test_complete_tables_pass(self, k3):
-        assert betti_columns(hochster_betti(k3), SRInvariants(k3).k_polynomial) == {0: {0: 1}, 2: {1: 3}, 3: {2: 2}}
-        columns = betti_columns(hochster_betti(wheel(5)), SRInvariants(wheel(5)).k_polynomial)
+        assert betti_columns(hochster_betti(k3)) == {0: {0: 1}, 2: {1: 3}, 3: {2: 2}}
+        columns = betti_columns(hochster_betti(wheel(5)))
         assert columns[6] == {4: 1, 5: 1}
 
     @pytest.mark.parametrize(
@@ -521,11 +522,28 @@ class TestBettiColumns:
             {(2, 0b111): 0},  # column 3 emptied, where K_3 = 2
         ],
     )
-    def test_a_disagreeing_column_is_an_internal_mismatch(self, k3, change):
+    def test_a_disagreeing_column_is_an_internal_mismatch(self, k3, change, monkeypatch):
+        # betti_columns only groups: the guard every printed table passes checks each column
         table = hochster_betti(k3)
         multigraded = {key: b for key, b in {**table.multigraded, **change}.items() if b}
+        monkeypatch.setattr(stanley_reisner, "hochster_betti", lambda h, limit: BettiTable(table.labels, multigraded))
         with pytest.raises(InternalMismatch):
-            betti_columns(BettiTable(table.labels, multigraded), SRInvariants(k3).k_polynomial)
+            _checked_betti(SRInvariants(k3))
+
+    def test_report_refuses_a_crowded_column_that_disagrees(self, tmp_path, capsys, monkeypatch):
+        # column 5 of the wheel holds b[3, 5] and b[4, 5]; a change to one of them
+        # printed "4.3": false before the report read its table through the guard
+        def bumped(h, limit):
+            table = hochster_betti(h, limit)
+            key = min(key for key in table.multigraded if key[0] == 3 and key[1].bit_count() == 5)
+            return BettiTable(table.labels, {**table.multigraded, key: table.multigraded[key] + 1})
+
+        path = tmp_path / "wheel5.json"
+        path.write_text(dump_hypergraph_json(wheel(5)))
+        monkeypatch.setattr(stanley_reisner, "hochster_betti", bumped)
+        assert main(["report", "--input", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("internal consistency failure: Betti column 5 has signed sum")
 
 
 def _assert_dual_route_gives(h: Hypergraph, table: BettiTable) -> None:

@@ -29,6 +29,8 @@ from hgpoly.cli import main
 from hgpoly.corpus import complete_graph, default_corpus
 from hgpoly.formats import dump_hypergraph_json
 
+from .test_cli import _assert_no_child_left, _descriptors
+
 GOLDEN = Path(__file__).parent / "golden" / "report_sha256.json"
 DIR_GOLDEN = Path(__file__).parent / "golden" / "report_dir_sha256.json"
 
@@ -106,8 +108,10 @@ def test_directory_report_is_the_same_on_any_number_of_cores(corpus_dir, monkeyp
     monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
     monkeypatch.setattr(os, "fork", counted_fork)
     expected = json.loads(DIR_GOLDEN.read_text())
+    descriptors = _descriptors()
     assert _sha256(directory_output(corpus_dir[0])) == expected["sha256"]
     assert len(forks) == cores - 1
+    _assert_no_child_left(descriptors)
 
 
 def test_directory_report_matches_stdlib_oracle(corpus_dir, singles):
