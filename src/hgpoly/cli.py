@@ -51,7 +51,7 @@ from .formats import (
     unipoly_to_json,
     write_deck,
 )
-from .homology import DEFAULT_HOMOLOGY_LIMIT, BettiTable, betti_alternating_sum, betti_columns, pd_reg_depth
+from .homology import DEFAULT_HOMOLOGY_LIMIT, BettiTable, betti_columns, pd_reg_depth
 from .hypergraph import Hypergraph
 from .reconstruct import DeckInvariants
 from .stanley_reisner import SRInvariants
@@ -220,7 +220,7 @@ def _report_for(h: Hypergraph, args) -> dict:
         "hilbert_function": _strs(inv.hilbert_function(args.terms)),
     }
     try:
-        table = _checked_betti(inv)
+        table = inv.betti
     except LimitExceeded as exc:
         report["betti"] = None
         report["betti_skipped"] = str(exc)
@@ -253,21 +253,6 @@ def _report_for(h: Hypergraph, args) -> dict:
 
 # -- subcommand handlers: text None means the output is JSON only --
 
-def _checked_betti(inv: SRInvariants) -> BettiTable:
-    """The bundle's Betti table, once the signed sum of each column j
-    equals [t^j] of K(t) expanded from f (``face_numerator``, which sweeps
-    no edges): every column of a parent's table, the columns j < n of a
-    deck's, whose top row no card sees. InternalMismatch otherwise."""
-    table = inv.betti  # before f: over both limits, the homology refusal is the one printed
-    sums, k_poly = betti_alternating_sum(table), inv.face_numerator
-    for j in range(inv.n + table.top_complete):
-        if sums.coeff(j) != k_poly.coeff(j):
-            raise InternalMismatch(
-                f"Betti column {j} has signed sum {sums.coeff(j)}, but K(t) from f = {inv.f} has {k_poly.coeff(j)}"
-            )
-    return table
-
-
 # compute --poly, the invariant commands, verify and the reconstruct targets, as views of a bundle
 _VIEWS = {
     "S": lambda inv, args: _poly(inv.S),
@@ -276,7 +261,7 @@ _VIEWS = {
     "hilbert": lambda inv, args: _value_list(inv.hilbert_function(args.terms)),
     "fvector": lambda inv, args: _vector(inv.f),
     "hvector": lambda inv, args: _vector(inv.h),
-    "betti": lambda inv, args: _betti(_checked_betti(inv)),
+    "betti": lambda inv, args: _betti(inv.betti),
     "verify": lambda inv, args: _identities(
         run_all(inv) if args.identity == "all" else {args.identity: run_identity(args.identity, inv)}
     ),

@@ -40,6 +40,12 @@ The multigraded table b[i, B] comes from the complex Ind(H|B), which
 - Memo: each piece's p is computed once per table, from its faces
   filtered out of the independent sets of the edges' union, which are
   enumerated at most once.
+- Check: the Taylor complex also resolves the quotient, graded by the
+  unions of edge subsets, so sum_i (-1)^i b[i, B] = mu(B), the sum of
+  (-1)^|F| over the edge subsets F whose union is B (Miller and
+  Sturmfels, GTM 227). One pass (``_edge_union_closure``) gives the Bs
+  to walk and their mu, and ``hochster_betti`` raises InternalMismatch
+  unless every B's signed sum is mu(B) and the mu sum to (1 - 1)^m.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from functools import cached_property
 from math import gcd
 
 from .bipoly import UniPoly
-from .errors import check_limit
+from .errors import InternalMismatch, check_limit
 from .hypergraph import Frozen, Hypergraph, mask_indices
 
 DEFAULT_HOMOLOGY_LIMIT = 14
@@ -231,12 +237,15 @@ class BettiTable(Frozen):
         return [(i, j, self.graded[(i, j)]) for i, j in sorted(self.graded)]
 
 
-def _edge_union_closure(edges: tuple[int, ...]) -> list[int]:
-    """All unions of edge subsets, including the empty union."""
-    unions = {0}
+def _edge_union_closure(edges: tuple[int, ...]) -> dict[int, int]:
+    """{B: mu(B)} for every union B of edge subsets, the empty union and
+    zeros included: mu(B) sums (-1)^|F| over the edge subsets F with union
+    B, and each edge either joins a subset or does not."""
+    mu = {0: 1}
     for e in edges:
-        unions |= {u | e for u in unions}
-    return sorted(unions)
+        for u, c in list(mu.items()):
+            mu[u | e] = mu.get(u | e, 0) - c
+    return mu
 
 
 def _restriction_faces(bmask: int, edges: tuple[int, ...]) -> list[int]:
@@ -370,10 +379,23 @@ def hochster_betti(h: Hypergraph, limit: int = DEFAULT_HOMOLOGY_LIMIT) -> BettiT
     """Full multigraded Betti table of the quotient by the edge ideal,
     over the rationals: b[i, B] is the reduced homology dimension of the
     independence complex restricted to B, in degree |B| - i - 1, and
-    b[0, empty] = 1."""
+    b[0, empty] = 1. Raises InternalMismatch unless every B's signed sum
+    sum_i (-1)^i b[i, B] is mu(B) and the mu sum to (1 - 1)^m."""
     check_limit("n", h.n, "homology", limit)
-    bmasks = [bmask for bmask in _edge_union_closure(h.edges) if bmask]
-    return BettiTable(h.labels, restriction_betti(h.edges, bmasks))
+    mu = _edge_union_closure(h.edges)
+    table = restriction_betti(h.edges, [bmask for bmask in sorted(mu) if bmask])
+    sums = dict.fromkeys(mu, 0)
+    for (i, bmask), b in table.items():
+        sums[bmask] = sums.get(bmask, 0) + (-b if i & 1 else b)
+    for bmask, s in sums.items():
+        if s != mu.get(bmask, 0):
+            raise InternalMismatch(
+                f"Betti entries at B = {{{', '.join(h.labels_of(bmask))}}} have signed sum {s}, "
+                f"but the Taylor complex gives mu(B) = {mu.get(bmask, 0)}"
+            )
+    if sum(mu.values()) != (h.m == 0):
+        raise InternalMismatch(f"mu sums to {sum(mu.values())} over the union closure of m={h.m} edges, not (1 - 1)^m")
+    return BettiTable(h.labels, table)
 
 
 def pd_reg_depth(table: BettiTable) -> tuple[int, int, int]:
@@ -406,8 +428,7 @@ def verify_betti_alternating_sum(table: BettiTable, kpoly: UniPoly) -> bool:
 def betti_columns(table: BettiTable) -> dict[int, dict[int, int]]:
     """The graded entries of a table grouped by total degree,
     j -> {i: b[i, j]}, for each nonempty column j. It checks nothing:
-    the CLI groups only tables whose every column ``cli._checked_betti``
-    has held against K(t)."""
+    ``hochster_betti`` checked the table against mu per B as it built it."""
     columns: dict[int, dict[int, int]] = {}
     for (i, j), b in table.graded.items():
         columns.setdefault(j, {})[i] = b

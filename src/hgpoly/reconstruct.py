@@ -7,10 +7,12 @@ card polynomials alone, which one family sweep over the cards computes
 and which does not depend on the cards' labels or order; the
 ``DeckInvariants`` bundle derives the rest from them as ``SRInvariants``
 does. The divisions must come out exact: a remainder certifies that the
-input is not a genuine deck. The full-vertex row of the edge-subset
-polynomial is not visible on any card; it is completed from the
-column-sum identity (column j sums to C(m, j)), which is valid because
-the excluded inputs guarantee every edge misses some vertex.
+summed polynomial is not a genuine deck's. A checked ``Deck`` always is,
+so there ``DeckInvariants`` raises InternalMismatch instead. The
+full-vertex row of the edge-subset polynomial is not visible on any
+card; it is completed from the column-sum identity (column j sums to
+C(m, j)), which is valid because the excluded inputs guarantee every
+edge misses some vertex.
 
 Excluded inputs: fewer than three vertices, no edges, and the single
 edge covering every vertex. The latter two have identical decks, which
@@ -26,7 +28,7 @@ from math import comb
 
 from .bipoly import BiPoly, to_edge_form, to_vertex_form
 from .enumeration import DEFAULT_LIMIT, edge_family_poly, vertex_family_poly
-from .errors import InputError, NotReconstructible
+from .errors import InputError, InternalMismatch, NotReconstructible
 from .homology import DEFAULT_HOMOLOGY_LIMIT, BettiTable, hochster_betti
 from .hypergraph import Deck, Hypergraph
 from .stanley_reisner import SRInvariants
@@ -143,6 +145,18 @@ def reconstruct_vertex_poly(card_sum: BiPoly, n: int) -> BiPoly:
     return direct
 
 
+def _rebuilt(rebuild, card_sum: BiPoly, n: int) -> BiPoly:
+    """rebuild(card_sum, n) for the cards of a checked Deck, which are the
+    deck of their edges' union, an antichain (an edge inside another would
+    share a card with it): any other refusal than NotReconstructible is a bug."""
+    try:
+        return rebuild(card_sum, n)
+    except NotReconstructible:
+        raise
+    except InputError as exc:
+        raise InternalMismatch(f"the sum of a checked deck's cards is refused: {exc}") from exc
+
+
 class DeckInvariants(SRInvariants):
     """The bundle of a deck's parent: P and S rebuilt from the summed
     cards and the Betti table below the top row; all else is derived as
@@ -161,18 +175,19 @@ class DeckInvariants(SRInvariants):
 
     @cached_property
     def P(self) -> BiPoly:
-        return reconstruct_vertex_poly(vertex_family_poly(self.cards, self.limit), self.n)
+        return _rebuilt(reconstruct_vertex_poly, vertex_family_poly(self.cards, self.limit), self.n)
 
     @cached_property
     def S(self) -> BiPoly:
-        return reconstruct_edge_poly(edge_family_poly(self.cards, self.limit), self.n)
+        return _rebuilt(reconstruct_edge_poly, edge_family_poly(self.cards, self.limit), self.n)
 
     @cached_property
     def betti(self) -> BettiTable:
         """The table of the parent the cards imply (the union of their
-        edges) less its B = V entries, which no card sees. Any other B
-        misses some vertex l, and the union's edges inside B are card l's,
-        which the Deck checked are the parent's."""
+        edges), checked whole by hochster_betti, less its B = V entries,
+        which no card sees. Any other B misses some vertex l, and the
+        union's edges inside B are card l's, which the Deck checked are
+        the parent's."""
         _check_n(self.n)
         parent = Hypergraph.from_masks(self.deck.parent_labels, set().union(*self.deck.parent_edges))
         table = hochster_betti(parent, self.homology_limit)

@@ -12,7 +12,8 @@ computes each quantity on first use and keeps it, so a consumer that
 reads the same bundle never sweeps, cuts the cards, checks identity 3.2
 or builds a Betti table twice. The Hilbert function raises
 InternalMismatch, which only a bug can cause, unless 3.2 holds and it
-equals the face-count sums; h raises it unless it transforms back to f.
+equals the face-count sums; h raises it unless it transforms back to f;
+the Betti table is checked where ``hochster_betti`` builds it.
 ``reconstruct.DeckInvariants`` swaps in P, S, the cards and the Betti
 table rebuilt from a deck, so ``reconstruct`` views a bundle too.
 """
@@ -37,7 +38,7 @@ class SRInvariants(Frozen):
     derived from one another), the face vector f = P(x, 0) with a leading
     1 for the empty face, its binomial transform h, the Krull dimension,
     the multiplicity, the Hilbert series numerator K(t) = S(t, -1), the
-    same numerator expanded from f, the outcome of identity 3.2, the n
+    outcome of identity 3.2 (K(t) against its expansion from f), the n
     vertex-deleted cards (never checked again as a Deck), and the
     multigraded Betti table."""
 
@@ -83,17 +84,11 @@ class SRInvariants(Frozen):
         return self.S.eval_y(-1)
 
     @cached_property
-    def face_numerator(self) -> UniPoly:
-        """K(t) by the vertex route, which sweeps no edges:
-        sum_i f[i] t^i (1-t)^(n-i), each power of (1-t) expanded by the
-        binomial theorem."""
-        terms = substitute({(i, 0): fi for i, fi in enumerate(self.f)}, self.n, -1, 0)
-        return UniPoly([terms.get((k, 0), 0) for k in range(self.n + 1)])
-
-    @cached_property
     def series_numerator_holds(self) -> bool:
-        """Identity 3.2: K(t) = S(t, -1) equals the face numerator."""
-        return self.face_numerator == self.k_polynomial
+        """Identity 3.2: K(t) = S(t, -1) equals sum_i f[i] t^i (1-t)^(n-i),
+        each power of (1-t) expanded by the binomial theorem."""
+        terms = substitute({(i, 0): fi for i, fi in enumerate(self.f)}, self.n, -1, 0)
+        return UniPoly([terms.get((k, 0), 0) for k in range(self.n + 1)]) == self.k_polynomial
 
     @cached_property
     def cards(self) -> tuple[Hypergraph, ...]:

@@ -4,10 +4,12 @@ Each fault is a monkeypatch of one engine function that makes some
 printed value wrong. Run through ``main`` on a small fixed slice of
 inputs, every fault in FAULTS must end in exit 1 (an InternalMismatch)
 or a failed identity (FAIL from ``verify``, false in a report), under
-each of its commands and on every input of the slice. A fault that no
-shipped check can catch goes in KNOWN_BLIND instead, with the reason;
-the test asserts that it stays blind, so a check that starts catching
-it moves it to FAULTS, and that ``oracles.dual_betti`` catches it.
+each of its commands and on every input of the slice; a fault in
+``homology`` must end in exit 1, since the table builder checks its
+own table. A fault that no shipped check can catch goes in KNOWN_BLIND
+instead, with the reason; the test asserts that it stays blind, so a
+check that starts catching it moves it to FAULTS, and that
+``oracles.dual_betti`` catches it.
 A command that some slice member gives no way to show a fault (the
 fault leaves everything it prints right) is left out of that fault's
 commands, with the reason beside it. Every new route adds its fault
@@ -93,12 +95,26 @@ def _bump_adjacent(table: dict[tuple[int, int], int]) -> dict[tuple[int, int], i
     return out
 
 
+def _plus_one_on_largest(mu: dict[int, int]) -> dict[int, int]:
+    """+1 on mu of the largest union of edges."""
+    top = max(mu)
+    return {**mu, top: mu[top] + 1}
+
+
+def _drop_largest(mu: dict[int, int]) -> dict[int, int]:
+    """The closure less its largest union, which the table then never walks."""
+    top = max(mu)
+    return {bmask: c for bmask, c in mu.items() if bmask != top}
+
+
 HILBERT = ("hilbert",)
 HVECTOR = ("hvector",)
 REPORT = ("report",)
 RECONSTRUCT_HILBERT = ("reconstruct", "--target", "hilbert")
 BETTI = ("betti",)
 RECONSTRUCT_BETTI = ("reconstruct", "--target", "betti")
+VERIFY_43 = ("verify", "--identity", "4.3")
+TABLES = (REPORT, BETTI, RECONSTRUCT_BETTI, VERIFY_43)
 
 # name -> (module, function, what the fault does to its result, commands that must catch it)
 FAULTS = {
@@ -108,26 +124,29 @@ FAULTS = {
         stanley_reisner, "vertex_induced_poly", _plus_one_at_x2, (REPORT, ("verify", "--identity", "2.1")),
     ),
     "card edge family sweep +1 at x^2": (
-        reconstruct, "edge_family_poly", _plus_one_at_x2, (REPORT, ("verify", "--identity", "4.2")),
+        reconstruct, "edge_family_poly", _plus_one_at_x2,
+        (REPORT, ("verify", "--identity", "4.2"), ("reconstruct", "--target", "S"), RECONSTRUCT_HILBERT),
     ),
-    "_fold drops a vertex that is not dominated": (
-        # not RECONSTRUCT_BETTI: on C5 the fault changes only B = V, which no card sees, so the
-        # deck's table is printed right (test_deck_betti_guard_where_the_fold_fault_shows)
-        homology, "_fold", _drop_one_more, (REPORT, ("verify", "--identity", "4.3"), BETTI),
+    "card vertex family sweep +1 at x^2": (
+        reconstruct, "vertex_family_poly", _plus_one_at_x2,
+        (
+            REPORT, ("verify", "--identity", "4.2"), ("reconstruct", "--target", "P"),
+            ("reconstruct", "--target", "fvector"), RECONSTRUCT_HILBERT,
+        ),
     ),
+    # the table builder checks each B against the Taylor complex's mu(B), so each of
+    # these ends in exit 1 wherever a table is built, verify --identity 4.3 included
+    "_fold drops a vertex that is not dominated": (homology, "_fold", _drop_one_more, TABLES),
+    "one Betti entry moved to another B of the same size": (homology, "restriction_betti", _move_entry, TABLES),
+    "+1 on mu of the largest union": (homology, "_edge_union_closure", _plus_one_on_largest, TABLES),
 }
 
 # name -> (what the fault does to the table, why no shipped check sees it)
 KNOWN_BLIND = {
-    "one Betti entry moved to another B of the same size": (
-        _move_entry,
-        "4.3 and the Betti guard read only the graded table, which the move keeps; "
-        "mu per B (ROADMAP item 4) would catch it",
-    ),
     "+1 at two adjacent degrees of one B": (
         _bump_adjacent,
-        "the signed sum over i of every B, so 4.3 and mu, stay the same; "
-        "only a route that computes each degree sees it",
+        "the signed sum over i of every B stays mu(B), so the table builder's check "
+        "and 4.3 pass; only a route that computes each degree sees it",
     ),
 }
 
@@ -177,6 +196,7 @@ def test_fault_is_caught_on_every_input(fault, command, tmp_path, capsys, monkey
     for member, (path, deck) in inputs.items():
         code, out = _run(capsys, command, path, deck)
         assert _caught(command, code, out), f"{fault} passes {' '.join(command)} on {member}"
+        assert code == 1 or module is not homology, f"{fault} fails only an identity on {member}"
 
 
 @pytest.mark.parametrize("fault", sorted(KNOWN_BLIND))
@@ -209,19 +229,31 @@ def test_h_guard_sweeps_no_edges(tmp_path, capsys):
 
 
 def test_deck_betti_guard_where_the_fold_fault_shows(tmp_path, capsys, monkeypatch):
-    # below the top row the fault shows on the wheel and the tight cycle, and the guard
-    # catches it there; on C5 it moves only B = V, so the deck's table prints unchanged
-    inputs = _inputs(tmp_path, capsys)
-    clean = {member: _run(capsys, RECONSTRUCT_BETTI, path, deck) for member, (path, deck) in inputs.items()}
+    # on C5 the fault changes only the B = V entries, which the deck's printed table
+    # drops; the implied parent is checked whole, so the deck's route still exits 1
+    h = SLICE["C5"]
+    bmasks = [bmask for bmask in sorted(homology._edge_union_closure(h.edges)) if bmask]
+    clean = homology.restriction_betti(h.edges, bmasks)
+    path, deck = _inputs(tmp_path, capsys)["C5"]
     _install(monkeypatch, homology, "_fold", _drop_one_more)
-    got = {member: _run(capsys, RECONSTRUCT_BETTI, path, deck) for member, (path, deck) in inputs.items()}
-    assert got["C5"] == clean["C5"] and clean["C5"][0] == 0
-    assert got["wheel5"][0] == got["tight6"][0] == 1
+    faulty = homology.restriction_betti(h.edges, bmasks)
+    changed = {bmask for i, bmask in clean.keys() | faulty.keys() if clean.get((i, bmask)) != faulty.get((i, bmask))}
+    assert changed == {h.full_mask}
+    assert _run(capsys, RECONSTRUCT_BETTI, path, deck)[0] == 1
+
+
+def test_mu_sum_sees_a_dropped_union_whose_mu_is_not_0(tmp_path, capsys, monkeypatch):
+    # a union the closure drops has no entries and no mu, so only the mu sum (1 - 1)^m
+    # sees it; on the wheel B = V has mu 0, so the sum keeps and its B = V entries go unprinted
+    inputs = _inputs(tmp_path, capsys)
+    _install(monkeypatch, homology, "_edge_union_closure", _drop_largest)
+    got = {member: _run(capsys, BETTI, path, deck)[0] for member, (path, deck) in inputs.items()}
+    assert got == {"C5": 1, "wheel5": 0, "tight6": 1}
 
 
 def test_betti_guard_sweeps_no_edges(tmp_path, capsys):
-    # the guard expands K(t) from f; S(t, -1) would sweep the 28 edges of K8,
-    # over the enumeration limit
+    # the table's check reads mu from the union closure of the 28 edges of K8;
+    # it sweeps neither side, and S would be over the enumeration limit
     path = tmp_path / "k8.json"
     path.write_text(dump_hypergraph_json(complete_graph(8)))
     assert main(["betti", "--input", str(path)]) == 0

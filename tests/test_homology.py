@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgpoly import homology, stanley_reisner
-from hgpoly.cli import _checked_betti, _report_for, build_parser, main
+from hgpoly import homology
+from hgpoly.cli import _report_for, build_parser, main
 from hgpoly.errors import InternalMismatch, LimitExceeded, check_limit
 from hgpoly.formats import dump_hypergraph_json
 from hgpoly.homology import (
@@ -420,6 +420,25 @@ def test_signed_sums_are_mu(h):
     _assert_signed_sums_are_mu(h)
 
 
+def _assert_closure_is_signed(h: Hypergraph) -> None:
+    """The table builder's closure pass is the oracle's mu, keyed by
+    labels, and its values sum to (1 - 1)^m."""
+    mu = _edge_union_closure(h.edges)
+    assert {frozenset(h.labels_of(bmask)): c for bmask, c in mu.items()} == oracles.signed_union_closure(h)
+    assert sum(mu.values()) == (1 if h.m == 0 else 0)
+
+
+def test_union_closure_is_signed_on_the_corpus(corpus):
+    for _, h in corpus:
+        _assert_closure_is_signed(h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hypergraphs())
+def test_union_closure_is_signed_on_the_strategy(h):
+    _assert_closure_is_signed(h)
+
+
 def _seeded(n: int, size: int, m: int, seed: int) -> Hypergraph:
     pool = [sum(1 << v for v in c) for c in combinations(range(n), size)]
     return Hypergraph.from_masks(tuple(f"v{k}" for k in range(n)), random.Random(seed).sample(pool, m))
@@ -523,27 +542,30 @@ class TestBettiColumns:
         ],
     )
     def test_a_disagreeing_column_is_an_internal_mismatch(self, k3, change, monkeypatch):
-        # betti_columns only groups: the guard every printed table passes checks each column
+        # betti_columns only groups: the table builder checks every B against mu(B)
         table = hochster_betti(k3)
         multigraded = {key: b for key, b in {**table.multigraded, **change}.items() if b}
-        monkeypatch.setattr(stanley_reisner, "hochster_betti", lambda h, limit: BettiTable(table.labels, multigraded))
-        with pytest.raises(InternalMismatch):
-            _checked_betti(SRInvariants(k3))
+        monkeypatch.setattr(homology, "restriction_betti", lambda edges, bmasks: multigraded)
+        with pytest.raises(InternalMismatch, match="signed sum"):
+            hochster_betti(k3)
 
     def test_report_refuses_a_crowded_column_that_disagrees(self, tmp_path, capsys, monkeypatch):
         # column 5 of the wheel holds b[3, 5] and b[4, 5]; a change to one of them
-        # printed "4.3": false before the report read its table through the guard
-        def bumped(h, limit):
-            table = hochster_betti(h, limit)
-            key = min(key for key in table.multigraded if key[0] == 3 and key[1].bit_count() == 5)
-            return BettiTable(table.labels, {**table.multigraded, key: table.multigraded[key] + 1})
+        # printed "4.3": false before every printed table was checked
+        real = homology.restriction_betti
+
+        def bumped(edges, bmasks):
+            table = real(edges, bmasks)
+            key = min(key for key in table if key[0] == 3 and key[1].bit_count() == 5)
+            return {**table, key: table[key] + 1}
 
         path = tmp_path / "wheel5.json"
         path.write_text(dump_hypergraph_json(wheel(5)))
-        monkeypatch.setattr(stanley_reisner, "hochster_betti", bumped)
+        monkeypatch.setattr(homology, "restriction_betti", bumped)
         assert main(["report", "--input", str(path)]) == 1
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("internal consistency failure: Betti column 5 has signed sum")
+        assert out == "" and err.startswith("internal consistency failure: Betti entries at B = {")
+        assert "have signed sum" in err and "but the Taylor complex gives mu(B) = " in err
 
 
 def _assert_dual_route_gives(h: Hypergraph, table: BettiTable) -> None:
