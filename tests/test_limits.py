@@ -124,16 +124,21 @@ def test_card_sweep_refused_above_the_limit(capsys, c6_deck, target, refused, ki
     assert (code, err) == (0, "") and out
 
 
-def test_betti_is_refused_only_by_the_homology_limit(capsys, c6_file, c6_deck):
+@pytest.mark.parametrize(
+    "source, refused, value",
+    [("file", "5", 6), ("deck", "4", 5)],
+)
+def test_betti_guard_sweep_refused_above_the_limit(capsys, c6_file, c6_deck, source, refused, value):
     # the printed table is checked against mu per B, read from the edges' union closure,
-    # so neither the parent's nor a card's sweep runs, and the enumeration limit is not held
-    for argv, below in (
-        (["betti", "--input", c6_file], "5"),
-        (["reconstruct", "--deck", c6_deck, "--target", "betti"], "4"),
-    ):
-        code, out, err = _run(capsys, argv)
-        assert (code, err) == (0, "") and out
-        assert _run(capsys, argv + ["--n-max", below]) == (0, out, "")
+    # so the guard sweeps neither the parent's nor a card's vertex side: an enumeration
+    # limit below that side's n (`value`) leaves the output unchanged, and only the
+    # homology limit refuses betti
+    argv = ["betti", "--input", c6_file] if source == "file" else ["reconstruct", "--deck", c6_deck, "--target", "betti"]
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "") and out
+    assert int(refused) < value
+    assert _run(capsys, argv + ["--n-max", refused]) == (0, out, "")
+    assert _run(capsys, argv + ["--homology-n-max", "5"]) == (3, "", f"error: {HOMOLOGY_REFUSAL}\n")
 
 
 @pytest.mark.parametrize("flag", ["--n-max", "--homology-n-max"])
