@@ -5,7 +5,6 @@ it, in exact integer arithmetic throughout."""
 
 from .bipoly import (
     BiPoly,
-    UniPoly,
     expand_series,
     to_edge_form,
     to_vertex_form,
@@ -57,7 +56,6 @@ __all__ = [
     "LimitExceeded",
     "NotReconstructible",
     "SRInvariants",
-    "UniPoly",
     "betti_columns",
     "check_reconstructible",
     "disjoint_union",

@@ -1,10 +1,11 @@
-"""Exact sparse bivariate and dense univariate integer polynomials.
+"""Exact sparse bivariate integer polynomials.
 
 A BiPoly is a map from exponent pairs ``(i, j)`` (the x- and y-degrees)
 to nonzero Python integers, so every coefficient is exact at any size.
-The zero polynomial is the empty map.  A UniPoly is a dense coefficient
-tuple indexed by degree with trailing zeros trimmed; the zero polynomial
-is the empty tuple.  The engine builds, transforms, evaluates and
+The zero polynomial is the empty map.  A univariate result, such as
+K(t) = S(t, -1) or the face counts f = P(t, 0), is a BiPoly in x alone
+(every j = 0), printed densely by :meth:`BiPoly.coefficients` and as
+text by ``to_text("t")``.  The engine builds, transforms, evaluates and
 renders these polynomials but never multiplies or adds them, so there
 is no ring arithmetic.
 
@@ -64,17 +65,15 @@ class BiPoly:
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
-    def eval_y(self, c: int) -> "UniPoly":
-        """Substitute y = c and collect in x."""
-        out: dict[int, int] = {}
-        for (i, j), v in self._terms.items():
-            out[i] = out.get(i, 0) + v * c**j
-        if not out:
-            return UniPoly()
-        coeffs = [0] * (max(out) + 1)
-        for i, v in out.items():
-            coeffs[i] = v
-        return UniPoly(coeffs)
+    def eval_y(self, c: int) -> BiPoly:
+        """Substitute y = c and collect in x: a BiPoly in x alone."""
+        return BiPoly(((i, 0), v * c**j) for (i, j), v in self._terms.items())
+
+    def coefficients(self) -> tuple[int, ...]:
+        """The dense coefficients of x^0 y^0 up to the highest nonzero
+        x^i y^0, index = x-degree; () for the zero polynomial."""
+        top = max((i for i, j in self._terms if j == 0), default=-1)
+        return tuple(self.coeff(i, 0) for i in range(top + 1))
 
     def to_text(self, x: str = "x", y: str = "y") -> str:
         """Render with terms sorted by (i, j) ascending, e.g.
@@ -83,44 +82,6 @@ class BiPoly:
 
     def __repr__(self) -> str:
         return f"BiPoly({self.to_text()})"
-
-
-class UniPoly:
-    """Dense univariate polynomial over the integers; index = degree.
-    Trailing zeros are trimmed and the zero polynomial is empty."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs = tuple(cs)
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self._coeffs
-
-    def coeff(self, k: int) -> int:
-        return self._coeffs[k] if 0 <= k < len(self._coeffs) else 0
-
-    def degree(self) -> int:
-        """Degree, or -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    def to_text(self, var: str = "t") -> str:
-        return _sum_text((c, ((var, k),)) for k, c in enumerate(self._coeffs) if c)
-
-    def __repr__(self) -> str:
-        return f"UniPoly({self.to_text()})"
 
 
 def _sum_text(terms: Iterable[tuple[int, tuple[tuple[str, int], ...]]]) -> str:
@@ -201,14 +162,14 @@ def to_vertex_form(s: BiPoly, n: int) -> BiPoly:
     return BiPoly(substitute(s._terms, n, 1, -1))
 
 
-def expand_series(num: UniPoly, denom_power: int, k_max: int) -> list[int]:
-    """First k_max+1 coefficients of num(t) / (1-t)^denom_power as an
-    exact integer power series (repeated prefix sums)."""
+def expand_series(num: BiPoly, denom_power: int, k_max: int) -> list[int]:
+    """First k_max+1 coefficients of num(t) / (1-t)^denom_power, for num
+    in x alone, as an exact integer power series (repeated prefix sums)."""
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
     if denom_power < 0:
         raise ValueError(f"denominator power must be nonnegative, got {denom_power}")
-    out = [num.coeff(k) for k in range(k_max + 1)]
+    out = [num.coeff(k, 0) for k in range(k_max + 1)]
     for _ in range(denom_power):
         acc = 0
         for k in range(k_max + 1):

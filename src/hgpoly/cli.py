@@ -37,7 +37,7 @@ import os
 import sys
 from collections.abc import Iterator
 
-from .bipoly import BiPoly, UniPoly
+from .bipoly import BiPoly
 from .enumeration import DEFAULT_LIMIT, check_sweep_limits
 from .errors import InputError, InternalMismatch, LimitExceeded
 from .formats import (
@@ -48,7 +48,6 @@ from .formats import (
     load_corpus,
     load_hypergraph,
     read_deck,
-    unipoly_to_json,
     write_deck,
 )
 from .homology import DEFAULT_HOMOLOGY_LIMIT, BettiTable, betti_columns, pd_reg_depth
@@ -121,9 +120,13 @@ def _strs(values) -> list[str]:
     return [str(v) for v in values]
 
 
-def _poly(p: BiPoly | UniPoly) -> tuple[list, str]:
-    terms = bipoly_to_json_terms(p) if isinstance(p, BiPoly) else unipoly_to_json(p)
-    return terms, p.to_text()
+def _poly(p: BiPoly) -> tuple[list, str]:
+    return bipoly_to_json_terms(p), p.to_text()
+
+
+def _in_t(values) -> BiPoly:
+    """The polynomial sum_i values[i] t^i, as a BiPoly in x alone."""
+    return BiPoly(((i, 0), c) for i, c in enumerate(values))
 
 
 def _vector(values) -> tuple[list[str], str]:
@@ -210,11 +213,11 @@ def _report_for(h: Hypergraph, args) -> dict:
         "h_vector": _strs(inv.h),
         "krull_dim": inv.krull_dim,
         "multiplicity": str(inv.multiplicity),
-        "k_polynomial": {"text": inv.k_polynomial.to_text(), "coefficients": unipoly_to_json(inv.k_polynomial)},
+        "k_polynomial": {"text": inv.k_polynomial.to_text("t"), "coefficients": _strs(inv.k_polynomial.coefficients())},
         "hilbert_series": {
-            "numerator": unipoly_to_json(inv.k_polynomial),
+            "numerator": _strs(inv.k_polynomial.coefficients()),
             "denominator_power": h.n,
-            "reduced_numerator": unipoly_to_json(UniPoly(inv.h)),
+            "reduced_numerator": _strs(_in_t(inv.h).coefficients()),
             "reduced_denominator_power": inv.krull_dim,
         },
         "hilbert_function": _strs(inv.hilbert_function(args.terms)),
@@ -238,14 +241,14 @@ def _report_for(h: Hypergraph, args) -> dict:
             "depth": depth,
         }
         report["top_betti"] = {
-            "top_coefficient": str(inv.k_polynomial.coeff(h.n)),
+            "top_coefficient": str(inv.k_polynomial.coeff(h.n, 0)),
             "entries": [[i, b] for i, b in sorted(top.items())],
             "determined": len(top) <= 1,
         }
         report["antidiagonal_recovery"] = (
             {"applicable": False, "violating_degree": min(crowded)}
             if crowded
-            else {"applicable": True, "entries": [[j, abs(c)] for j, c in enumerate(inv.k_polynomial.coeffs) if j and c]}
+            else {"applicable": True, "entries": [[j, abs(c)] for (j, _), c in inv.k_polynomial.iter_sorted() if j]}
         )
     report["identities"] = run_all(inv)
     return report
@@ -257,7 +260,7 @@ def _report_for(h: Hypergraph, args) -> dict:
 _VIEWS = {
     "S": lambda inv, args: _poly(inv.S),
     "P": lambda inv, args: _poly(inv.P),
-    "independence": lambda inv, args: _poly(UniPoly(inv.f)),
+    "independence": lambda inv, args: (_strs(inv.f), _in_t(inv.f).to_text("t")),
     "hilbert": lambda inv, args: _value_list(inv.hilbert_function(args.terms)),
     "fvector": lambda inv, args: _vector(inv.f),
     "hvector": lambda inv, args: _vector(inv.h),

@@ -32,7 +32,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring_ascii
 
-from .bipoly import BiPoly, UniPoly
+from .bipoly import BiPoly
 from .errors import InputError
 from .hypergraph import Deck, Hypergraph, validate
 
@@ -243,8 +243,4 @@ def load_corpus(directory: str) -> list[tuple[str, Hypergraph]]:
 
 def bipoly_to_json_terms(p: BiPoly) -> list[list]:
     return [[i, j, str(c)] for (i, j), c in p.iter_sorted()]
-
-
-def unipoly_to_json(p: UniPoly) -> list[str]:
-    return [str(c) for c in p.coeffs]
 

@@ -46,6 +46,8 @@ The multigraded table b[i, B] comes from the complex Ind(H|B), which
   Sturmfels, GTM 227). One pass (``_edge_union_closure``) gives the Bs
   to walk and their mu, and ``hochster_betti`` raises InternalMismatch
   unless every B's signed sum is mu(B) and the mu sum to (1 - 1)^m.
+  Identity 4.3 sums the same signs over each total degree j and compares
+  those sums, as a term map, with the terms of K(t) = S(t, -1).
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from collections.abc import Iterable
 from functools import cached_property
 from math import gcd
 
-from .bipoly import UniPoly
+from .bipoly import BiPoly
 from .errors import InternalMismatch, check_limit
 from .hypergraph import Frozen, Hypergraph, mask_indices
 
@@ -408,21 +410,21 @@ def pd_reg_depth(table: BettiTable) -> tuple[int, int, int]:
     return pd, reg, table.n - pd
 
 
-def betti_alternating_sum(table: BettiTable) -> UniPoly:
-    """The signed column sums sum_i (-1)^i b[i, j] t^j."""
-    acc: dict[int, int] = {}
+def betti_alternating_sum(table: BettiTable) -> dict[tuple[int, int], int]:
+    """The signed column sums sum_i (-1)^i b[i, j] t^j as a term map
+    {(j, 0): sum}, the zero sums left out."""
+    acc: dict[tuple[int, int], int] = {}
     for (i, j), b in table.graded.items():
-        acc[j] = acc.get(j, 0) + (-b if i & 1 else b)
-    coeffs = [0] * (max(acc, default=-1) + 1)
-    for j, c in acc.items():
-        coeffs[j] = c
-    return UniPoly(coeffs)
+        acc[(j, 0)] = acc.get((j, 0), 0) + (-b if i & 1 else b)
+    return {key: c for key, c in acc.items() if c}
 
 
-def verify_betti_alternating_sum(table: BettiTable, kpoly: UniPoly) -> bool:
-    """Check that the signed column sums of the Betti table equal the
-    Hilbert series numerator kpoly, coefficient by coefficient."""
-    return betti_alternating_sum(table) == kpoly
+def verify_betti_alternating_sum(table: BettiTable, kpoly: BiPoly) -> bool:
+    """Identity 4.3: the signed column sums of the Betti table equal the
+    Hilbert series numerator kpoly = S(t, -1), compared term by term.
+    The sums are built here from the table, never by ``eval_y``, so no
+    step is shared with the route to kpoly."""
+    return betti_alternating_sum(table) == kpoly.terms
 
 
 def betti_columns(table: BettiTable) -> dict[int, dict[int, int]]:

@@ -24,7 +24,7 @@ from functools import cached_property
 from itertools import accumulate
 from math import comb
 
-from .bipoly import BiPoly, UniPoly, expand_series, substitute
+from .bipoly import BiPoly, expand_series, substitute
 from .enumeration import DEFAULT_LIMIT, edge_induced_poly, vertex_induced_poly
 from .errors import InternalMismatch
 from .homology import DEFAULT_HOMOLOGY_LIMIT, BettiTable, hochster_betti
@@ -59,7 +59,7 @@ class SRInvariants(Frozen):
 
     @cached_property
     def f(self) -> tuple[int, ...]:
-        return self.P.eval_y(0).coeffs
+        return self.P.eval_y(0).coefficients()
 
     @cached_property
     def h(self) -> tuple[int, ...]:
@@ -80,15 +80,15 @@ class SRInvariants(Frozen):
         return self.f[-1]
 
     @cached_property
-    def k_polynomial(self) -> UniPoly:
+    def k_polynomial(self) -> BiPoly:
         return self.S.eval_y(-1)
 
     @cached_property
     def series_numerator_holds(self) -> bool:
         """Identity 3.2: K(t) = S(t, -1) equals sum_i f[i] t^i (1-t)^(n-i),
-        each power of (1-t) expanded by the binomial theorem."""
-        terms = substitute({(i, 0): fi for i, fi in enumerate(self.f)}, self.n, -1, 0)
-        return UniPoly([terms.get((k, 0), 0) for k in range(self.n + 1)]) == self.k_polynomial
+        each power of (1-t) expanded by the binomial theorem; the term
+        maps are compared, each side having dropped its own zeros."""
+        return substitute({(i, 0): fi for i, fi in enumerate(self.f)}, self.n, -1, 0) == self.k_polynomial.terms
 
     @cached_property
     def cards(self) -> tuple[Hypergraph, ...]:
@@ -107,7 +107,7 @@ class SRInvariants(Frozen):
         """
         values = expand_series(self.k_polynomial, self.n, k_max)  # K before f: over both limits, m is refused
         if not self.series_numerator_holds:
-            raise InternalMismatch(f"identity 3.2 fails: K(t) = {self.k_polynomial!r} is not the expansion of f = {self.f}")
+            raise InternalMismatch(f"identity 3.2 fails: K(t) = {self.k_polynomial.to_text('t')} is not the expansion of f = {self.f}")
         # sum_k dim R_(k+1) t^k = sum_i f[i] t^(i-1) / (1-t)^i, by Horner: per face size, times t, then a running sum
         series = [0] * k_max
         for fi in reversed(self.f[1:]):

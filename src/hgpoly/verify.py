@@ -6,11 +6,13 @@ The checks read one invariant bundle (``SRInvariants``), whose vertex
 and edge sweeps both run directly, so no side is derived from the
 other. 2.1, 2.3 and 3.2 expand through ``bipoly.substitute``, one
 call per side over its own terms, and compare term maps (3.2 is kept
-in the bundle); 4.2 sweeps the bundle's cards, one family per side,
-and builds no ``Deck``. The CLI binds them to the identity ids
-``2.1``, ``2.3``, ``3.2``, ``4.2``, ``4.3``; a False from any of them
-on a valid input means a bug somewhere, which is the point of running
-them.
+in the bundle); 4.3 compares the Betti table's signed column sums, a
+term map of its own, with the terms of K(t), so no identity drops
+zeros or trims in a step both sides share; 4.2 sweeps the bundle's
+cards, one family per side, and builds no ``Deck``. The CLI binds
+them to the identity ids ``2.1``, ``2.3``, ``3.2``, ``4.2``, ``4.3``;
+a False from any of them on a valid input means a bug somewhere,
+which is the point of running them.
 
 The rule for every check, these identities and the guards that raise
 InternalMismatch alike: a check stays only if it catches a fault that

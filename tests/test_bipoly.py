@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from hgpoly.bipoly import (
     BiPoly,
-    UniPoly,
     expand_series,
     substitute,
     to_edge_form,
@@ -32,27 +31,32 @@ class TestArithmetic:
 
     def test_eval_y(self):
         p = BiPoly({(0, 0): 1, (2, 1): 3, (3, 2): 3, (3, 3): 1})
-        assert p.eval_y(-1) == UniPoly([1, 0, -3, 2])
-        assert p.eval_y(0) == UniPoly([1])
+        assert p.eval_y(-1) == BiPoly({(0, 0): 1, (2, 0): -3, (3, 0): 2})
+        assert p.eval_y(0) == BiPoly({(0, 0): 1})
 
     def test_eval_y_no_y_terms(self):
         p = BiPoly({(0, 0): 1, (1, 0): 4, (2, 0): 6, (3, 0): 4, (4, 0): 1})
-        assert p.eval_y(-1).coeffs == (1, 4, 6, 4, 1)
+        assert p.eval_y(-1).coefficients() == (1, 4, 6, 4, 1)
 
 
 @settings(max_examples=100, deadline=None)
 @given(bipolys(), bipolys(), st.integers(-3, 3))
 def test_eval_y_is_ring_map(p, q, c):
-    def table(u):  # a UniPoly as a convolve2d table keyed (i, 0)
-        return {(i, 0): v for i, v in enumerate(u.coeffs) if v}
-
     for (i, j), v in p.terms.items():
-        assert BiPoly({(i, j): v}).eval_y(c) == UniPoly([0] * i + [v * c**j])
+        assert BiPoly({(i, j): v}).eval_y(c) == BiPoly({(i, 0): v * c**j})
     pc, qc = p.eval_y(c), q.eval_y(c)
     total = BiPoly([*p.terms.items(), *q.terms.items()])
-    assert total.eval_y(c) == UniPoly(pc.coeff(i) + qc.coeff(i) for i in range(max(pc.degree(), qc.degree()) + 1))
+    assert total.eval_y(c) == BiPoly([*pc.terms.items(), *qc.terms.items()])
     product = BiPoly(oracles.convolve2d(p.terms, q.terms))
-    assert table(product.eval_y(c)) == oracles.convolve2d(table(pc), table(qc))
+    assert product.eval_y(c).terms == oracles.convolve2d(pc.terms, qc.terms)
+
+
+def test_coefficients_are_dense_up_to_the_top_nonzero_term():
+    assert BiPoly({(0, 0): 1, (3, 0): -2}).coefficients() == (1, 0, 0, -2)
+    assert BiPoly([((0, 0), 1), ((2, 0), 5), ((2, 0), -5)]).coefficients() == (1,)
+    assert BiPoly({(0, 0): 1, (2, 1): 3}).coefficients() == (1,)
+    assert BiPoly({(1, 0): 7}).coefficients() == (0, 7)
+    assert BiPoly().coefficients() == ()
 
 
 class TestTransforms:
@@ -130,35 +134,25 @@ def test_transform_roundtrip(p, n):
     assert to_edge_form(to_vertex_form(p, n), n) == p
 
 
-class TestUniPoly:
-    def test_trailing_zeros_trimmed(self):
-        assert UniPoly([1, 2, 0, 0]).coeffs == (1, 2)
-        assert UniPoly([0, 0]).coeffs == ()
-
-    def test_degree_and_eval(self):
-        p = UniPoly([1, -3, 2])
-        assert p.degree() == 2
-
-
 class TestSeries:
     def test_geometric(self):
-        assert expand_series(UniPoly([1]), 1, 3) == [1, 1, 1, 1]
+        assert expand_series(ONE, 1, 3) == [1, 1, 1, 1]
 
     def test_triangle_numerator(self):
-        assert expand_series(UniPoly([1, 0, -3, 2]), 3, 4) == [1, 3, 3, 3, 3]
+        assert expand_series(BiPoly({(0, 0): 1, (2, 0): -3, (3, 0): 2}), 3, 4) == [1, 3, 3, 3, 3]
 
     def test_cancellation(self):
         for n in range(5):
-            num = UniPoly([(-1) ** k * _comb(n, k) for k in range(n + 1)])  # (1-t)^n
+            num = BiPoly({(k, 0): (-1) ** k * _comb(n, k) for k in range(n + 1)})  # (1-t)^n
             assert expand_series(num, n, 6) == [1, 0, 0, 0, 0, 0, 0]
 
     def test_rejects_negative_terms_count(self):
         with pytest.raises(ValueError):
-            expand_series(UniPoly([1]), 1, -1)
+            expand_series(ONE, 1, -1)
 
     def test_rejects_negative_denominator_power(self):
         with pytest.raises(ValueError, match="^denominator power must be nonnegative, got -1$"):
-            expand_series(UniPoly([1]), -1, 3)
+            expand_series(ONE, -1, 3)
 
 
 class TestRendering:
@@ -172,10 +166,10 @@ class TestRendering:
 
     def test_zero_text(self):
         assert BiPoly().to_text() == "0"
-        assert UniPoly().to_text() == "0"
+        assert BiPoly().to_text("t") == "0"
 
-    def test_unipoly_text(self):
-        assert UniPoly([1, 0, -3, 2]).to_text() == "1 - 3*t^2 + 2*t^3"
+    def test_univariate_text(self):
+        assert BiPoly({(0, 0): 1, (2, 0): -3, (3, 0): 2}).to_text("t") == "1 - 3*t^2 + 2*t^3"
 
 
 def _comb(n, k):

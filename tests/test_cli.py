@@ -493,6 +493,23 @@ class TestReport:
         assert doc["antidiagonal_recovery"]["applicable"] is True
         assert all(v is True for v in doc["identities"].values())
 
+    def test_dense_coefficients_keep_inner_zeros_and_trim_trailing_ones(self, tmp_path, capsys):
+        # the path a-b-c beside the isolated d: h runs to d = 3 and ends in 0, the reduced
+        # numerator drops that 0, K(t) keeps its 0 at t, and K has no t^n term
+        path = tmp_path / "p3k1.json"
+        path.write_text(dump_hypergraph_json(validate(list("abcd"), [["a", "b"], ["b", "c"]])))
+        assert main(["report", "--input", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["h_vector"] == ["1", "1", "-1", "0"]
+        assert doc["hilbert_series"]["reduced_numerator"] == ["1", "1", "-1"]
+        assert doc["k_polynomial"] == {"text": "1 - 2*t^2 + t^3", "coefficients": ["1", "0", "-2", "1"]}
+        assert doc["hilbert_series"]["numerator"] == ["1", "0", "-2", "1"]
+        assert doc["top_betti"]["top_coefficient"] == "0"
+        assert main(["compute", "--poly", "independence", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == "1 + 4*t + 4*t^2 + t^3\n"
+        assert main(["compute", "--poly", "independence", "--format", "json", "--input", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == ["1", "4", "4", "1"]
+
     def test_report_with_m_above_homology_limit(self, tmp_path, capsys):
         # K6 has m=15 edges, above the homology limit of 14; only n may be
         # held against that limit, and the numerator K(t) is swept under

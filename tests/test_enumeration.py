@@ -49,17 +49,17 @@ class TestFrozenValues:
             assert edge_induced_poly(h) == expected
 
     def test_independence_poly_k3(self, k3):
-        assert vertex_induced_poly(k3).eval_y(0).coeffs == (1, 3)
+        assert vertex_induced_poly(k3).eval_y(0).coefficients() == (1, 3)
 
     def test_independence_poly_blocked_singleton(self):
         h = validate(["a"], [["a"]])
-        assert vertex_induced_poly(h).eval_y(0).coeffs == (1,)
+        assert vertex_induced_poly(h).eval_y(0).coefficients() == (1,)
 
     def test_empty_hypergraph(self):
         h = validate([], [])
         assert vertex_induced_poly(h) == BiPoly({(0, 0): 1})
         assert edge_induced_poly(h) == BiPoly({(0, 0): 1})
-        assert vertex_induced_poly(h).eval_y(0).coeffs == (1,)
+        assert vertex_induced_poly(h).eval_y(0).coefficients() == (1,)
 
 
 @settings(max_examples=80, deadline=None)
@@ -77,7 +77,7 @@ def test_edge_poly_matches_naive(h):
 @settings(max_examples=80, deadline=None)
 @given(hypergraphs())
 def test_independence_poly_matches_naive(h):
-    assert list(vertex_induced_poly(h).eval_y(0).coeffs) == oracles.naive_independent_sizes(h)
+    assert list(vertex_induced_poly(h).eval_y(0).coefficients()) == oracles.naive_independent_sizes(h)
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgpoly.bipoly import BiPoly, UniPoly
+from hgpoly.bipoly import BiPoly
 from hgpoly.corpus import cycle_graph
 from hgpoly.errors import InputError
 from hgpoly.formats import (
@@ -18,7 +18,6 @@ from hgpoly.formats import (
     load_hypergraph,
     parse_hypergraph_text,
     read_deck,
-    unipoly_to_json,
     write_deck,
 )
 
@@ -128,10 +127,12 @@ def test_bipoly_json_big_coefficients_survive():
     assert bipoly_to_json_terms(p) == [[1, 1, str(10**40)]]
 
 
-def test_unipoly_json_roundtrip():
-    p = UniPoly([1, 0, -(10**30)])
-    encoded = json.loads(json.dumps(unipoly_to_json(p)))
-    assert UniPoly([int(c) for c in encoded]) == p
+def test_coefficients_json_roundtrip():
+    # f, K(t) and h are written as dense lists of decimal strings
+    p = BiPoly({(0, 0): 1, (2, 0): -(10**30)})
+    encoded = json.loads(json.dumps([str(c) for c in p.coefficients()]))
+    assert encoded == ["1", "0", str(-(10**30))]
+    assert BiPoly(((i, 0), int(c)) for i, c in enumerate(encoded)) == p
 
 
 class TestFiles:
