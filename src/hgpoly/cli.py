@@ -5,6 +5,12 @@ reconstruct, verify, report. Exit codes: 0 success, 1 verification
 failure (or an internal consistency failure), 2 input error, 3 size
 limit exceeded, 141 stdout closed by its reader before the end.
 
+Each option is declared once, in one table of argparse keywords. ``main``
+reads a well-formed argv from it with ``_parse``, without argparse; any
+other argv (help, a usage error, an abbreviated or joined option) goes
+to the parser ``build_parser`` makes from the same table, so argparse
+loads only then and its messages and exit codes are its own.
+
 There is one output path. Each subcommand handler returns its result
 as a (JSON value, text) pair built by the value renderers (polynomial,
 vector, value list, Betti table, identity results), and ``main`` alone
@@ -32,10 +38,10 @@ outputs are byte-stable and safe for golden files.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from collections.abc import Iterator
+from types import SimpleNamespace
 
 from .bipoly import BiPoly
 from .enumeration import DEFAULT_LIMIT, check_sweep_limits
@@ -60,55 +66,93 @@ from .verify import IDENTITY_IDS, run_all, run_identity
 MAX_TERMS = 10_000
 
 
-def build_parser() -> argparse.ArgumentParser:
+# -- the option table: each option's flag and add_argument keywords, of which _parse
+# reads dest (else the flag's name), choices, type (int, else str), action (store_true
+# only: a flag), default and required --
+_COMMON = (
+    ("--format", {"choices": ("text", "json"), "default": "text", "help": "output format"}),
+    ("--terms", {"type": int, "default": 20, "metavar": "K", "help": "series terms to expand (default 20)"}),
+    ("--n-max", {"type": int, "default": DEFAULT_LIMIT, "help": f"enumeration size limit (default {DEFAULT_LIMIT})"}),
+    ("--homology-n-max", {"type": int, "default": DEFAULT_HOMOLOGY_LIMIT,
+                          "help": f"homology size limit (default {DEFAULT_HOMOLOGY_LIMIT})"}),
+    ("--parallel", {"action": "store_true", "help": "does nothing; to be removed"}),
+)
+_INPUT = ("--input", {"required": True})
+
+# subcommand -> (its help, its options after the common ones, the fields it sets itself)
+_COMMANDS = {
+    "compute": ("print a subhypergraph polynomial", (
+        ("--poly", {"dest": "view", "choices": ("S", "P", "independence"), "required": True,
+                    "help": "S: edge-subset polynomial; P: vertex-subset polynomial; "
+                            "independence: independent-set counts by size"}),
+        _INPUT,
+    ), {}),
+    **{name: (text, (_INPUT,), {"view": name}) for name, text in (
+        ("hilbert", "graded dimensions of the edge-ideal quotient"),
+        ("fvector", "face counts of the independence complex"),
+        ("hvector", "binomial transform of the face counts"),
+        ("betti", "multigraded Betti table via restriction homology"),
+    )},
+    "deck": ("write the vertex-deleted cards as JSON files", (_INPUT, ("--out-dir", {"required": True})), {}),
+    "reconstruct": ("rebuild an invariant from a deck directory", (
+        ("--deck", {"required": True, "metavar": "DIR"}),
+        ("--target", {"choices": ("S", "P", "fvector", "hilbert", "betti"), "required": True}),
+    ), {}),
+    "verify": ("run exact identity checks; nonzero exit on failure", (
+        ("--identity", {"choices": IDENTITY_IDS + ("all",), "default": "all"}), _INPUT,
+    ), {"view": "verify"}),
+    "report": ("bundle every invariant into one JSON document", (
+        ("--input", {"required": True, "help": "a hypergraph file, or a directory of them"}),
+    ), {}),
+}
+
+
+def build_parser():
+    """The argparse parser of the option table, for an argv ``_parse`` leaves to it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="hgpoly",
         description="Subhypergraph polynomials, ring invariants of edge ideals, "
         "and deck reconstruction, all in exact integer arithmetic.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text", help="output format")
-    common.add_argument("--terms", type=int, default=20, metavar="K", help="series terms to expand (default 20)")
-    common.add_argument("--n-max", type=int, default=DEFAULT_LIMIT, help=f"enumeration size limit (default {DEFAULT_LIMIT})")
-    common.add_argument("--homology-n-max", type=int, default=DEFAULT_HOMOLOGY_LIMIT,
-                        help=f"homology size limit (default {DEFAULT_HOMOLOGY_LIMIT})")
-    common.add_argument("--parallel", action="store_true", help="does nothing; to be removed")
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("compute", parents=[common], help="print a subhypergraph polynomial")
-    p.add_argument("--poly", dest="view", choices=("S", "P", "independence"), required=True,
-                   help="S: edge-subset polynomial; P: vertex-subset polynomial; "
-                        "independence: independent-set counts by size")
-    p.add_argument("--input", required=True)
-
-    for name, text in (
-        ("hilbert", "graded dimensions of the edge-ideal quotient"),
-        ("fvector", "face counts of the independence complex"),
-        ("hvector", "binomial transform of the face counts"),
-        ("betti", "multigraded Betti table via restriction homology"),
-    ):
-        p = sub.add_parser(name, parents=[common], help=text)
-        p.add_argument("--input", required=True)
-        p.set_defaults(view=name)
-
-    p = sub.add_parser("deck", parents=[common], help="write the vertex-deleted cards as JSON files")
-    p.add_argument("--input", required=True)
-    p.add_argument("--out-dir", required=True)
-
-    p = sub.add_parser("reconstruct", parents=[common], help="rebuild an invariant from a deck directory")
-    p.add_argument("--deck", required=True, metavar="DIR")
-    p.add_argument("--target", choices=("S", "P", "fvector", "hilbert", "betti"), required=True)
-
-    p = sub.add_parser("verify", parents=[common], help="run exact identity checks; nonzero exit on failure")
-    p.add_argument("--identity", choices=IDENTITY_IDS + ("all",), default="all")
-    p.add_argument("--input", required=True)
-    p.set_defaults(view="verify")
-
-    p = sub.add_parser("report", parents=[common], help="bundle every invariant into one JSON document")
-    p.add_argument("--input", required=True, help="a hypergraph file, or a directory of them")
-
+    for name, (text, options, fields) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flag, keywords in _COMMON + options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(**fields)
     return parser
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """argparse's fields for argv, read without argparse; None unless argv
+    is a subcommand followed by its options spelled in full, every
+    required one given, each value valid and not starting with "-" (but
+    "-" alone). The last repeat of an option wins, as in argparse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, options, fields = _COMMANDS[argv[0]]
+    table = {flag: (keywords.get("dest", flag[2:].replace("-", "_")), keywords) for flag, keywords in _COMMON + options}
+    args = {dest: keywords.get("default", False if "action" in keywords else None)
+            for dest, keywords in table.values() if not keywords.get("required")}
+    args.update(command=argv[0], **fields)
+    words = iter(argv[1:])
+    try:  # KeyError: no such option; StopIteration: no value left; ValueError: not an int
+        for word in words:
+            dest, keywords = table[word]
+            if "action" in keywords:
+                args[dest] = True
+                continue
+            value = next(words)
+            if value.startswith("-") and value != "-":
+                return None
+            args[dest] = value = keywords.get("type", str)(value)
+            if value not in keywords.get("choices", (value,)):
+                return None
+    except (KeyError, StopIteration, ValueError):
+        return None
+    return SimpleNamespace(**args) if all(dest in args for dest, _ in table.values()) else None
 
 
 # -- value renderers: each returns the (JSON value, text) pair of one value --
@@ -416,12 +460,9 @@ _HANDLERS = {
 }
 
 
-# built once: in-process callers run main many times
-_PARSER = build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse(argv) or build_parser().parse_args(argv)
     try:
         if args.terms < 0:
             raise InputError(f"--terms must be nonnegative, got {args.terms}")

@@ -12,7 +12,8 @@ computes each quantity on first use and keeps it, so a consumer that
 reads the same bundle never sweeps, cuts the cards, checks identity 3.2
 or builds a Betti table twice. The Hilbert function raises
 InternalMismatch, which only a bug can cause, unless 3.2 holds and it
-equals the face-count sums; h raises it unless it transforms back to f;
+equals the face-count sums; f raises it unless its last entry is
+nonzero; h raises it unless it transforms back to f;
 the Betti table is checked where ``hochster_betti`` builds it.
 ``reconstruct.DeckInvariants`` swaps in P, S, the cards and the Betti
 table rebuilt from a deck, so ``reconstruct`` views a bundle too.
@@ -59,7 +60,11 @@ class SRInvariants(Frozen):
 
     @cached_property
     def f(self) -> tuple[int, ...]:
-        return self.P.eval_y(0).coefficients()
+        f = self.P.eval_y(0).coefficients()
+        # the last entry counts the largest independent sets, so it is at least 1 (the empty set at n = 0)
+        if not f or not f[-1]:
+            raise InternalMismatch(f"f = {f} does not end in a count of largest independent sets")
+        return f
 
     @cached_property
     def h(self) -> tuple[int, ...]:

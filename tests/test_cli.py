@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import os
 import shutil
@@ -24,6 +25,7 @@ from hgpoly.formats import dump_hypergraph_json
 from hgpoly.hypergraph import Hypergraph, validate
 
 from .strategies import hypergraphs
+from .test_entry import _in_process
 from .test_reconstruct import EXCLUDED_DECKS, cycle_chord
 
 TARGETS = ("S", "P", "fvector", "hilbert", "betti")
@@ -808,3 +810,106 @@ def test_sweep_limit_check_agrees_with_report(h, n_max):
     checked = refusal(lambda: check_sweep_limits(h, n_max))
     args = build_parser().parse_args(["report", "--n-max", str(n_max), "--input", "-"])
     assert checked == refusal(lambda: cli._report_for(h, args))
+
+
+# -- argv: _parse over the option table, and argparse for everything it leaves --
+
+# option values by kind: _parse reads the good ones; it leaves the bad ones to
+# argparse, which reads -1 and refuses the others
+_GOOD = {int: ("5_0", " 7", "3"), str: ("p", "-", "a b")}
+_BAD = {int: ("-1", "x"), str: ("-p",)}
+_ODD = ("-h", "--help", "--", "--bogus", "report")
+
+
+def _argparse(argv: list[str]):
+    """argparse's namespace fields for argv, or None where it exits: help or a usage error."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _values(keywords: dict) -> tuple[list[list[str]], list[list[str]]]:
+    """The good and the bad value words of an option."""
+    if "action" in keywords:
+        return [[]], []
+    if "choices" in keywords:
+        return [[choice] for choice in keywords["choices"]], [["bogus"]]
+    kind = keywords.get("type", str)
+    return [[v] for v in _GOOD[kind]], [[v] for v in _BAD[kind]]
+
+
+@st.composite
+def _argvs(draw) -> tuple[list[str], bool]:
+    """An argv over the option table, and whether it is well formed: a
+    subcommand, then every required option and any optional ones in any
+    order, repeats allowed, each spelled in full with a good value. Up to
+    two defects may follow: a required option dropped, a bad value, an
+    abbreviated or joined spelling, or an odd word."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    table = dict(cli._COMMON + cli._COMMANDS[command][1])
+    pieces = []
+    for flag, keywords in table.items():
+        for _ in range(draw(st.integers(1 if keywords.get("required") else 0, 2))):
+            pieces.append([flag, *draw(st.sampled_from(_values(keywords)[0]))])
+    defects = draw(st.lists(st.sampled_from(("missing", "bad value", "abbreviated", "joined", "odd word")), max_size=2))
+    for defect in defects:
+        if defect == "missing":
+            dropped = draw(st.sampled_from([flag for flag, keywords in table.items() if keywords.get("required")]))
+            pieces = [piece for piece in pieces if piece[0] != dropped]
+        elif defect == "odd word":
+            pieces.append([draw(st.sampled_from(_ODD))])
+        elif pieces:
+            k = draw(st.integers(0, len(pieces) - 1))
+            flag, *value = pieces[k]
+            if defect == "abbreviated":
+                pieces[k] = [flag[:5], *value]
+            elif defect == "joined":
+                pieces[k] = [f"{flag}={''.join(value)}"]
+            elif flag in table and _values(table[flag])[1]:
+                pieces[k] = [flag, *draw(st.sampled_from(_values(table[flag])[1]))]
+    argv = [command] + [word for piece in draw(st.permutations(pieces)) for word in piece]
+    return argv, not defects
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs())
+def test_parse_agrees_with_argparse(drawn):
+    argv, well_formed = drawn
+    parsed, expected = cli._parse(argv), _argparse(argv)
+    if parsed is not None:
+        assert vars(parsed) == expected  # never accepts what argparse refuses
+    assert parsed is not None or not well_formed
+
+
+def _argparse_exit(argv: list[str]) -> tuple[object, bytes, bytes]:
+    """argparse's exit code, stdout and stderr for help or a usage error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    return exc.value.code, out.getvalue().encode(), err.getvalue().encode()
+
+
+FALLBACK_ARGVS = {
+    "help": ["--help"],
+    **{f"{command} --help": [command, "--help"] for command in cli._COMMANDS},
+    "bad choice": ["compute", "--poly", "Q", "--input", "x.json"],
+    "missing required option": ["reconstruct", "--deck", "cards"],
+    "unknown option": ["fvector", "--input", "x.json", "--bogus"],
+    "bad int": ["hilbert", "--terms", "x", "--input", "x.json"],
+}
+
+
+@pytest.mark.parametrize("argv", FALLBACK_ARGVS.values(), ids=FALLBACK_ARGVS.keys())
+def test_help_and_usage_errors_are_argparse_own(argv, monkeypatch):
+    assert cli._parse(argv) is None
+    assert _in_process(argv, monkeypatch) == _argparse_exit(argv)  # COLUMNS=80 on both sides
+
+
+@pytest.mark.parametrize("spelling", [["--inp", "{}"], ["--input={}"]], ids=["abbreviated", "joined"])
+def test_other_spellings_run_as_argparse_reads_them(spelling, k3_file, monkeypatch):
+    argv = ["report", *(word.format(k3_file) for word in spelling)]
+    assert cli._parse(argv) is None
+    assert _argparse(argv) == vars(cli._parse(["report", "--input", k3_file]))
+    assert _in_process(argv, monkeypatch) == _in_process(["report", "--input", k3_file], monkeypatch)

@@ -26,7 +26,7 @@ import time
 import pytest
 
 import hgpoly
-from hgpoly.cli import main
+from hgpoly.cli import _COMMANDS, main
 from hgpoly.corpus import cycle_graph
 from hgpoly.formats import dump_hypergraph_json
 
@@ -75,8 +75,19 @@ def k3_file(tmp_path, k3):
         (["compute", "--poly", "S", "--n-max", "2", "--input", "{k3}"], 3),
         (["--help"], 0),
         (["bogus"], 2),
+        *(([command, "--help"], 0) for command in _COMMANDS),
+        (["compute", "--poly", "Q", "--input", "{k3}"], 2),
+        (["reconstruct", "--deck", "cards"], 2),
+        (["fvector", "--input", "{k3}", "--bogus"], 2),
+        (["hilbert", "--terms", "x", "--input", "{k3}"], 2),
+        (["report", "--inp", "{k3}"], 0),
+        (["report", "--input={k3}"], 0),
     ],
-    ids=["success", "success-json", "missing-input", "n-max-exceeded", "help", "unknown-subcommand"],
+    ids=[
+        "success", "success-json", "missing-input", "n-max-exceeded", "help", "unknown-subcommand",
+        *(f"{command}-help" for command in _COMMANDS),
+        "bad-choice", "missing-required-option", "unknown-option", "bad-int", "abbreviated-option", "joined-value",
+    ],
 )
 def test_process_matches_main(argv, code, k3_file, tmp_path, monkeypatch):
     argv = [a.format(k3=k3_file, missing=str(tmp_path / "missing.json")) for a in argv]

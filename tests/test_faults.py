@@ -56,6 +56,11 @@ def _plus_one_on_last(h: tuple[int, ...]) -> tuple[int, ...]:
     return h[:-1] + (h[-1] + 1,)
 
 
+def _pad_with_0(values: tuple[int, ...]) -> tuple[int, ...]:
+    """One dense coefficient past the top nonzero one."""
+    return values + (0,)
+
+
 def _drop_one_more(folded):
     """Drop the lowest vertex of a folded B of three or more vertices,
     though the real fold left no dominated vertex in it."""
@@ -125,6 +130,11 @@ FAULTS = {
     # other, and 4.3 compares K with the table's own column sums. fvector is left out: it
     # prints f and checks nothing, so the wrong f prints with exit 0
     "BiPoly.eval_y +1 at x^2": (BiPoly, "eval_y", _plus_one_at_x2, (REPORT, ("verify", "--identity", "3.2"), VERIFY_43, HILBERT)),
+    # f is printed densely; a trailing 0 would read as a larger Krull dimension with multiplicity 0
+    "BiPoly.coefficients pads a 0": (
+        BiPoly, "coefficients", _pad_with_0,
+        (REPORT, ("fvector",), HVECTOR, ("compute", "--poly", "independence"), ("reconstruct", "--target", "fvector")),
+    ),
     "parent vertex sweep +1 at x^2": (
         stanley_reisner, "vertex_induced_poly", _plus_one_at_x2, (REPORT, ("verify", "--identity", "2.1")),
     ),
@@ -265,6 +275,14 @@ def test_mu_sum_sees_a_dropped_union_whose_mu_is_not_0(tmp_path, capsys, monkeyp
     _install(monkeypatch, homology, "_edge_union_closure", _drop_largest)
     got = {member: _run(capsys, BETTI, path, deck)[0] for member, (path, deck) in inputs.items() if member != "wheel5"}
     assert got == {"C5": 1, "tight6": 1}
+
+
+def test_f_guard_sweeps_no_edges(tmp_path, capsys):
+    # the guard reads f alone; S of K8 (m = 28) is over the enumeration limit
+    path = tmp_path / "k8.json"
+    path.write_text(dump_hypergraph_json(complete_graph(8)))
+    assert main(["fvector", "--input", str(path)]) == 0
+    assert capsys.readouterr() == ("(1, 8)\n", "")
 
 
 def test_betti_guard_sweeps_no_edges(tmp_path, capsys):

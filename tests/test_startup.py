@@ -1,4 +1,4 @@
-"""Modules that importing the CLI must not load.
+"""Modules that importing and running the CLI must not load.
 
 The imports run in a fresh `python -S`, so `site` preloads nothing and
 every module counted was loaded by hgpoly itself. `pathlib` (with
@@ -7,10 +7,11 @@ every module counted was loaded by hgpoly itself. `pathlib` (with
 time in every CLI process. A directory `report` shares its members
 among forked workers through `os` alone, so it loads none of them either.
 
-`fnmatch` is checked on `hgpoly.formats`, the package with every path
-and directory listing, but not on `hgpoly.cli`: argparse imports
-`shutil`, and with it `fnmatch`, to read the terminal width as soon as
-a parser gets its help option, and the CLI builds its parser on import.
+The CLI reads a well-formed argv from its option table without
+argparse, and builds the argparse parser only for `--help` and usage
+errors. So a command that runs loads neither argparse nor what argparse
+brings: `gettext` and `locale` for its messages, and `shutil`, with
+`fnmatch`, for the terminal width of its help.
 """
 
 from __future__ import annotations
@@ -36,8 +37,12 @@ HEAVY = (
 )
 
 
-def _loaded_after(module: str, then: str = "") -> list[str]:
-    code = f"import sys\nimport {module}\n{then}\nprint(' '.join(m for m in {HEAVY!r} if m in sys.modules))"
+# argparse and the modules it brings
+ARGPARSE = ("argparse", "gettext", "locale", "shutil", "fnmatch")
+
+
+def _loaded_after(module: str, then: str = "", watched: tuple[str, ...] = HEAVY) -> list[str]:
+    code = f"import sys\nimport {module}\n{then}\nprint(' '.join(m for m in {watched!r} if m in sys.modules))"
     src = os.path.dirname(os.path.dirname(hgpoly.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
@@ -48,8 +53,8 @@ def test_formats_import_loads_no_heavy_module():
     assert _loaded_after("hgpoly.formats") == []
 
 
-def test_cli_import_loads_no_heavy_module_but_argparse_fnmatch():
-    assert set(_loaded_after("hgpoly.cli")) <= {"fnmatch"}
+def test_cli_import_loads_no_heavy_module():
+    assert _loaded_after("hgpoly.cli") == []
 
 
 def test_directory_report_split_loads_no_heavy_module(tmp_path):
@@ -62,4 +67,23 @@ def test_directory_report_split_loads_no_heavy_module(tmp_path):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert hgpoly.cli.main(['report', '--input', {str(tmp_path)!r}]) == 0"
     )
-    assert set(_loaded_after("hgpoly.cli", run)) <= {"fnmatch"}
+    assert _loaded_after("hgpoly.cli", run) == []
+
+
+def test_commands_that_run_load_no_argparse(tmp_path):
+    path = tmp_path / "c5.json"
+    path.write_text(dump_hypergraph_json(cycle_graph(5)))
+    cards = str(tmp_path / "cards")
+    argvs = [
+        ["report", "--input", str(path)],
+        ["deck", "--input", str(path), "--out-dir", cards, "--format", "json"],
+        ["reconstruct", "--deck", cards, "--target", "betti", "--parallel", "--format", "json"],
+        ["compute", "--poly", "S", "--input", str(path)],
+        ["verify", "--input", str(path)],
+    ]
+    run = (
+        "import contextlib, io\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert all(hgpoly.cli.main(argv) == 0 for argv in {argvs!r})"
+    )
+    assert _loaded_after("hgpoly.cli", run, ARGPARSE) == []
