@@ -14,16 +14,18 @@ loads only then and its messages and exit codes are its own.
 There is one output path. Each subcommand handler returns its result
 as a (JSON value, text) pair built by the value renderers (polynomial,
 vector, value list, Betti table, identity results), and ``main`` alone
-reads ``--format`` and writes to stdout; ``report`` has no text form and
-always prints JSON. A directory ``report`` parses and limit-checks every
-member before any output, then returns a lazy list of the members'
-report texts that ``main`` writes one at a time, so peak memory follows
-the largest member; only an internal consistency failure (exit 1) can
-leave a partial document. The members are built round-robin by this
-process and one forked worker per extra usable core, and written in
-member order, so the output does not depend on the core count; a
-member a worker did not send is built by this process, so a failure
-reads as it would on one core.
+reads ``--format`` and writes to stdout, JSON in pieces; ``report`` has
+no text form. A multigraded Betti table is a lazy list, drawn entry by
+entry from the checked table as it is written, so peak memory follows
+the table, not the document, and every check has run by the first byte.
+A directory ``report`` parses and limit-checks every member before any
+output, then returns a lazy list of the members' report texts, so peak
+memory follows the largest member; only an internal consistency failure
+(exit 1) can leave a partial document. The members are built
+round-robin by this process and one forked worker per extra usable
+core, and written in member order, so the output does not depend on
+the core count; a member a worker did not send is built by this
+process, so a failure reads as it would on one core.
 compute, hilbert, fvector, hvector, betti and verify are one handler
 over views of the hypergraph's ``SRInvariants`` bundle, and the five
 reconstruct targets are the same views of a deck's ``DeckInvariants``
@@ -48,9 +50,9 @@ from .enumeration import DEFAULT_LIMIT, check_sweep_limits
 from .errors import InputError, InternalMismatch, LimitExceeded
 from .formats import (
     bipoly_to_json_terms,
-    dump_json,
     dump_json_item,
     dump_json_list,
+    dump_json_pieces,
     load_corpus,
     load_hypergraph,
     read_deck,
@@ -183,7 +185,7 @@ def _value_list(values) -> tuple[list[str], str]:
 
 def _betti_json(table: BettiTable) -> dict:
     payload = {
-        "multigraded": [[i, list(verts), b] for i, verts, b in table.multigraded_entries()],
+        "multigraded": table.multigraded_entries(),
         "graded": [[i, j, b] for i, j, b in table.graded_entries()],
     }
     if not table.top_complete:
@@ -473,10 +475,10 @@ def main(argv: list[str] | None = None) -> int:
         value, text = _HANDLERS[args.command](args)
         try:
             pieces = (text,) if text else None  # the deck of an empty hypergraph lists no paths
-            if args.format == "json" or text is None:  # a directory report is a lazy list, built as it is written
-                pieces = dump_json_list(value) if isinstance(value, Iterator) else (dump_json(value),)
+            if args.format == "json" or text is None:  # a directory report is a lazy list of member texts
+                pieces = dump_json_list(value) if isinstance(value, Iterator) else dump_json_pieces(value)
             if pieces is not None:
-                sys.stdout.writelines(pieces)  # not joined with the newline: a report can be megabytes
+                sys.stdout.writelines(pieces)  # never joined: a report can be megabytes
                 sys.stdout.write("\n")
         finally:
             if isinstance(value, Iterator):  # a directory report that stopped early stops its workers here

@@ -18,10 +18,12 @@ Polynomials are written (never read) as ``[[i, j, "coeff"], ...]`` with
 coefficients as decimal strings, so arbitrarily large integers survive
 any JSON reader.
 
-JSON is rendered here and written to stdout by ``cli.main`` alone, a
-lazy list (``dump_json_list``) one item's text (``dump_json_item``) at
-a time. Paths are strings handled by ``os``, so this module loads
-neither pathlib nor fnmatch.
+JSON is rendered here and written to stdout by ``cli.main`` alone, in
+pieces: a document a member at a time, where an iterator stands for a
+list and is drawn only as its items are written (``dump_json_pieces``),
+and a directory report one member's text (``dump_json_item``) at a time
+(``dump_json_list``). Paths are strings handled by ``os``, so this
+module loads neither pathlib nor fnmatch.
 """
 
 from __future__ import annotations
@@ -109,13 +111,19 @@ def load_hypergraph(path: str) -> Hypergraph:
 
 def dump_json(value: object) -> str:
     """``json.dumps(value, indent=2)``, byte for byte, for values built
-    of str, int, bool, None, lists, tuples and dicts with str keys; any
-    other type, a subclass of these included, raises TypeError. With an
-    indent the standard library falls back to its pure-Python encoder,
-    which this writer outruns. Each container is joined from its items'
-    texts as soon as they are written, so the text is never held as one
-    piece per token."""
+    of str, int, bool, None, lists or iterators, tuples and dicts with
+    str keys; any other type, a subclass of these included, raises
+    TypeError. With an indent the standard library falls back to its
+    pure-Python encoder, which this writer outruns. Each container is
+    joined from its items' texts, never held as one piece per token."""
     return _json_text(value, "\n")
+
+
+def dump_json_pieces(value: object) -> Iterator[str]:
+    """``dump_json(value)`` in pieces: a dict or an iterator one member
+    at a time, each drawn only when its piece is asked for, and any other
+    value whole, so a lazy list is never held as text."""
+    return _json_pieces(value, "\n")
 
 
 def dump_json_item(value: object) -> str:
@@ -124,14 +132,31 @@ def dump_json_item(value: object) -> str:
 
 
 def dump_json_list(texts: Iterable[str]) -> Iterator[str]:
-    """``dump_json(items)`` in pieces, given each item's
-    ``dump_json_item`` text; each text is drawn only when its piece is
-    asked for."""
-    sep = "[\n  "
-    for text in texts:
-        yield sep + text
-        sep = ",\n  "
-    yield "[]" if sep == "[\n  " else "\n]"
+    """``dump_json(items)`` in pieces, given each item's ``dump_json_item``
+    text; each text is drawn only when its piece is asked for."""
+    return _json_pieces(iter(texts), "\n", lambda text, _: text)
+
+
+def _json_pieces(value: object, newline: str, render=None) -> Iterator[str]:
+    """The pieces of ``dump_json_pieces``, with each member that is not a
+    dict or an iterator rendered by render (``_json_text`` if None)."""
+    if type(value) is dict:
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        members, brackets = ((encode_basestring_ascii(key) + ": ", item) for key, item in value.items()), "{}"
+    elif isinstance(value, Iterator):
+        members, brackets = (("", item) for item in value), "[]"
+    else:
+        yield _json_text(value, newline)
+        return
+    inner, sep, render = newline + "  ", brackets[0], render or _json_text
+    for head, item in members:
+        if type(item) is dict or isinstance(item, Iterator):
+            yield sep + inner + head
+            yield from _json_pieces(item, inner)
+        else:
+            yield sep + inner + head + render(item, inner)
+        sep = ","
+    yield newline + brackets[1] if sep == "," else brackets
 
 
 def _json_text(value: object, newline: str) -> str:
@@ -158,6 +183,8 @@ def _json_text(value: object, newline: str) -> str:
         return "true"
     if value is False:
         return "false"
+    if isinstance(value, Iterator):
+        return "".join(_json_pieces(value, newline))
     raise TypeError(f"cannot write {kind.__name__} as JSON")
 
 

@@ -52,7 +52,7 @@ The multigraded table b[i, B] comes from the complex Ind(H|B), which
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from functools import cached_property
 from math import gcd
 
@@ -228,12 +228,12 @@ class BettiTable(Frozen):
             out[key] = out.get(key, 0) + b
         return out
 
-    def multigraded_entries(self) -> list[tuple[int, tuple[str, ...], int]]:
-        """Sorted (i, vertex labels, value) triples."""
-        out = []
-        for (i, bmask), b in sorted(self.multigraded.items()):
-            out.append((i, tuple(self.labels[v] for v in mask_indices(bmask)), b))
-        return out
+    def multigraded_entries(self) -> Iterator[tuple[int, tuple[str, ...], int]]:
+        """(i, vertex labels, value) triples in sorted order, each built
+        only when drawn: the sort holds the keys alone."""
+        labels, multigraded = self.labels, self.multigraded
+        for i, bmask in sorted(multigraded):
+            yield i, tuple([labels[v] for v in mask_indices(bmask)]), multigraded[i, bmask]
 
     def graded_entries(self) -> list[tuple[int, int, int]]:
         return [(i, j, self.graded[(i, j)]) for i, j in sorted(self.graded)]

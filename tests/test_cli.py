@@ -473,6 +473,32 @@ def _assert_no_child_left(descriptors: list[str] | None) -> None:
     assert _descriptors() == descriptors
 
 
+class Sink:
+    """A stdout that counts what is written to it and keeps none of it."""
+
+    written = 0
+
+    def write(self, piece):
+        self.written += len(piece)
+
+    def writelines(self, pieces):
+        for piece in pieces:
+            self.write(piece)
+
+
+def _traced_peak(argv: list[str]) -> tuple[int, int]:
+    """(tracemalloc's peak in bytes, characters written) of ``main(argv)``, which must exit 0."""
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, sink.written
+
+
 class TestReport:
     def test_single_report_structure(self, k3_file, capsys):
         assert main(["report", "--terms", "6", "--input", k3_file]) == 0
@@ -713,27 +739,19 @@ class TestReport:
         for k in range(128):
             (tmp_path / f"c{k:03d}.json").write_text(text)
 
-        class Sink:
-            written = 0
-
-            def write(self, piece):
-                self.written += len(piece)
-
-            def writelines(self, pieces):
-                for piece in pieces:
-                    self.write(piece)
-
-        sink = Sink()
         descriptors = _descriptors()
-        tracemalloc.start()
-        try:
-            with contextlib.redirect_stdout(sink):
-                assert main(["report", "--input", str(tmp_path)]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.5 * sink.written, (peak, sink.written)
+        peak, written = _traced_peak(["report", "--input", str(tmp_path)])
+        assert peak < 0.25 * written, (peak, written)
         _assert_no_child_left(descriptors)
+
+    @pytest.mark.parametrize("command", [["report"], ["betti", "--format", "json"]], ids=" ".join)
+    def test_single_document_memory_follows_the_table(self, tmp_path, command):
+        # the multigraded table is drawn entry by entry as it is written, so
+        # neither the document nor a list of its entries is ever held whole
+        path = tmp_path / "c14.json"
+        path.write_text(dump_hypergraph_json(cycle_graph(14)))
+        peak, written = _traced_peak([*command, "--input", str(path)])
+        assert peak < 2.5 * written, (peak, written)
 
     def test_directory_report_frees_each_member_once_written(self, tmp_path, monkeypatch):
         members = tmp_path / "members"

@@ -196,10 +196,10 @@ def _inputs(tmp_path, capsys) -> dict[str, tuple[str, str]]:
     return out
 
 
-def _run(capsys, command: tuple[str, ...], path: str, deck: str) -> tuple[int, str]:
+def _run(capsys, command: tuple[str, ...], path: str, deck: str) -> tuple[int, str, str]:
     source = ["--deck", deck] if command[0] == "reconstruct" else ["--input", path]
     code = main([*command, *source])
-    return code, capsys.readouterr().out
+    return code, *capsys.readouterr()
 
 
 def _caught(command: tuple[str, ...], code: int, out: str) -> bool:
@@ -220,9 +220,12 @@ def test_fault_is_caught_on_every_input(fault, command, tmp_path, capsys, monkey
     module, name, after, _ = FAULTS[fault]
     _install(monkeypatch, module, name, after)
     for member, (path, deck) in inputs.items():
-        code, out = _run(capsys, command, path, deck)
+        code, out, err = _run(capsys, command, path, deck)
         assert _caught(command, code, out), f"{fault} passes {' '.join(command)} on {member}"
         assert code == 1 or module is not homology, f"{fault} fails only an identity on {member}"
+        if code == 1 and err.startswith("internal consistency failure: "):
+            # every check runs before the first byte of a single document
+            assert out == "", f"{fault} printed part of {' '.join(command)} on {member}"
 
 
 @pytest.mark.parametrize("fault", sorted(KNOWN_BLIND))
@@ -232,7 +235,7 @@ def test_known_blind_fault_passes_every_check_and_fails_the_dual_oracle(fault, t
     clean = {member: _run(capsys, REPORT, path, deck) for member, (path, deck) in inputs.items()}
     _install(monkeypatch, homology, name, after)
     for member, (path, deck) in inputs.items():
-        code, out = _run(capsys, REPORT, path, deck)
+        code, out, _ = _run(capsys, REPORT, path, deck)
         assert code == 0 and not _caught(REPORT, code, out), f"{fault} is caught on {member}: move it to FAULTS"
         assert out != clean[member][1]  # a wrong value was printed
         h = SLICE[member]

@@ -14,6 +14,7 @@ from hgpoly.formats import (
     bipoly_to_json_terms,
     dump_hypergraph_json,
     dump_json,
+    dump_json_pieces,
     load_corpus,
     load_hypergraph,
     parse_hypergraph_text,
@@ -33,22 +34,65 @@ _json_values = st.recursive(
 )
 
 
+def _lazily(value):
+    """value with every list, at any depth, given as an iterator over its items."""
+    if type(value) is list:
+        return iter([_lazily(item) for item in value])
+    if type(value) is tuple:
+        return tuple(_lazily(item) for item in value)
+    if type(value) is dict:
+        return {key: _lazily(item) for key, item in value.items()}
+    return value
+
+
+# each writer's whole text of a value; the lazy ones are given its lists as iterators
+WRITERS = {
+    "whole": dump_json,
+    "pieces": lambda value: "".join(dump_json_pieces(value)),
+    "lazy pieces": lambda value: "".join(dump_json_pieces(_lazily(value))),
+    "lazy whole": lambda value: dump_json(_lazily(value)),
+}
+
+
 class TestDumpJson:
     @settings(max_examples=60, deadline=None)
     @given(_json_values)
     def test_matches_the_standard_library(self, value):
-        assert dump_json(value) == json.dumps(value, indent=2)
+        for name, write in WRITERS.items():
+            assert write(value) == json.dumps(value, indent=2), name
 
     def test_escapes_like_the_standard_library(self):
         value = {"\u00e9\n\"\\": ["\ud83d\ude00", "\x00\x1f\x7f", 10**30, -1, True, None, [], {}, ()]}
-        assert dump_json(value) == json.dumps(value, indent=2)
+        for name, write in WRITERS.items():
+            assert write(value) == json.dumps(value, indent=2), name
 
     @pytest.mark.parametrize(
         "value", [1.5, {1: "a"}, {("a",): 1}, {"a"}, b"a", object(), [1, 2.0], {"a": {"b": float("nan")}}]
     )
     def test_other_types_raise(self, value):
-        with pytest.raises(TypeError):
-            dump_json(value)
+        for write in WRITERS.values():
+            with pytest.raises(TypeError):
+                write(value)
+
+    def test_pieces_draw_an_iterator_only_as_they_are_consumed(self):
+        drawn = []
+
+        def rows(name, count):
+            for k in range(count):
+                drawn.append(f"{name}{k}")
+                yield [k, f"{name}{k}"]
+
+        value = {"n": 3, "rows": rows("r", 3), "nested": {"none": rows("x", 0), "more": rows("m", 2)}}
+        pieces = dump_json_pieces(value)
+        assert drawn == []
+        written = ""
+        for piece in pieces:
+            written += piece
+            # every row drawn so far is in the text written so far
+            assert all(f'"{name}"' in written for name in drawn), (drawn, written)
+        assert drawn == ["r0", "r1", "r2", "m0", "m1"]
+        value.update(rows=[[k, f"r{k}"] for k in range(3)], nested={"none": [], "more": [[0, "m0"], [1, "m1"]]})
+        assert written == json.dumps(value, indent=2)
 
 
 class TestHypergraphJson:
