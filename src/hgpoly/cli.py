@@ -21,11 +21,9 @@ the table, not the document, and every check has run by the first byte.
 A directory ``report`` parses and limit-checks every member before any
 output, then returns a lazy list of the members' report texts, so peak
 memory follows the largest member; only an internal consistency failure
-(exit 1) can leave a partial document. The members are built
-round-robin by this process and one forked worker per extra usable
-core, and written in member order, so the output does not depend on
-the core count; a member a worker did not send is built by this
-process, so a failure reads as it would on one core.
+(exit 1) can leave a partial document. The members are shared among
+the usable cores by ``parallel.ordered_texts`` and written in member
+order, so the output and any failure read as on one core.
 compute, hilbert, fvector, hvector, betti and verify are one handler
 over views of the hypergraph's ``SRInvariants`` bundle, and the five
 reconstruct targets are the same views of a deck's ``DeckInvariants``
@@ -60,101 +58,13 @@ from .formats import (
 )
 from .homology import DEFAULT_HOMOLOGY_LIMIT, BettiTable, betti_columns, pd_reg_depth
 from .hypergraph import Hypergraph
+from .parallel import ordered_texts
 from .reconstruct import DeckInvariants
 from .stanley_reisner import SRInvariants
 from .verify import IDENTITY_IDS, run_all, run_identity
 
 # expand_series holds k_max + 1 big ints per pass, so --terms is bounded
 MAX_TERMS = 10_000
-
-
-# -- the option table: each option's flag and add_argument keywords, of which _parse
-# reads dest (else the flag's name), choices, type (int, else str), action (store_true
-# only: a flag), default and required --
-_COMMON = (
-    ("--format", {"choices": ("text", "json"), "default": "text", "help": "output format"}),
-    ("--terms", {"type": int, "default": 20, "metavar": "K", "help": "series terms to expand (default 20)"}),
-    ("--n-max", {"type": int, "default": DEFAULT_LIMIT, "help": f"enumeration size limit (default {DEFAULT_LIMIT})"}),
-    ("--homology-n-max", {"type": int, "default": DEFAULT_HOMOLOGY_LIMIT,
-                          "help": f"homology size limit (default {DEFAULT_HOMOLOGY_LIMIT})"}),
-    ("--parallel", {"action": "store_true", "help": "does nothing; to be removed"}),
-)
-_INPUT = ("--input", {"required": True})
-
-# subcommand -> (its help, its options after the common ones, the fields it sets itself)
-_COMMANDS = {
-    "compute": ("print a subhypergraph polynomial", (
-        ("--poly", {"dest": "view", "choices": ("S", "P", "independence"), "required": True,
-                    "help": "S: edge-subset polynomial; P: vertex-subset polynomial; "
-                            "independence: independent-set counts by size"}),
-        _INPUT,
-    ), {}),
-    **{name: (text, (_INPUT,), {"view": name}) for name, text in (
-        ("hilbert", "graded dimensions of the edge-ideal quotient"),
-        ("fvector", "face counts of the independence complex"),
-        ("hvector", "binomial transform of the face counts"),
-        ("betti", "multigraded Betti table via restriction homology"),
-    )},
-    "deck": ("write the vertex-deleted cards as JSON files", (_INPUT, ("--out-dir", {"required": True})), {}),
-    "reconstruct": ("rebuild an invariant from a deck directory", (
-        ("--deck", {"required": True, "metavar": "DIR"}),
-        ("--target", {"choices": ("S", "P", "fvector", "hilbert", "betti"), "required": True}),
-    ), {}),
-    "verify": ("run exact identity checks; nonzero exit on failure", (
-        ("--identity", {"choices": IDENTITY_IDS + ("all",), "default": "all"}), _INPUT,
-    ), {"view": "verify"}),
-    "report": ("bundle every invariant into one JSON document", (
-        ("--input", {"required": True, "help": "a hypergraph file, or a directory of them"}),
-    ), {}),
-}
-
-
-def build_parser():
-    """The argparse parser of the option table, for an argv ``_parse`` leaves to it."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="hgpoly",
-        description="Subhypergraph polynomials, ring invariants of edge ideals, "
-        "and deck reconstruction, all in exact integer arithmetic.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, options, fields) in _COMMANDS.items():
-        p = sub.add_parser(name, help=text)
-        for flag, keywords in _COMMON + options:
-            p.add_argument(flag, **keywords)
-        p.set_defaults(**fields)
-    return parser
-
-
-def _parse(argv: list[str]) -> SimpleNamespace | None:
-    """argparse's fields for argv, read without argparse; None unless argv
-    is a subcommand followed by its options spelled in full, every
-    required one given, each value valid and not starting with "-" (but
-    "-" alone). The last repeat of an option wins, as in argparse."""
-    if not argv or argv[0] not in _COMMANDS:
-        return None
-    _, options, fields = _COMMANDS[argv[0]]
-    table = {flag: (keywords.get("dest", flag[2:].replace("-", "_")), keywords) for flag, keywords in _COMMON + options}
-    args = {dest: keywords.get("default", False if "action" in keywords else None)
-            for dest, keywords in table.values() if not keywords.get("required")}
-    args.update(command=argv[0], **fields)
-    words = iter(argv[1:])
-    try:  # KeyError: no such option; StopIteration: no value left; ValueError: not an int
-        for word in words:
-            dest, keywords = table[word]
-            if "action" in keywords:
-                args[dest] = True
-                continue
-            value = next(words)
-            if value.startswith("-") and value != "-":
-                return None
-            args[dest] = value = keywords.get("type", str)(value)
-            if value not in keywords.get("choices", (value,)):
-                return None
-    except (KeyError, StopIteration, ValueError):
-        return None
-    return SimpleNamespace(**args) if all(dest in args for dest, _ in table.values()) else None
 
 
 # -- value renderers: each returns the (JSON value, text) pair of one value --
@@ -339,10 +249,10 @@ def _cmd_report(args) -> Output:
             check_sweep_limits(h, args.n_max)
         except LimitExceeded as exc:
             raise LimitExceeded(f"{name}: {exc}") from exc
-    return _member_texts(corpus, args), None
+    # one process per usable core, and at most one per member
+    workers = min(_usable_cores(), len(corpus))
+    return ordered_texts(lambda member: _member_text(*member, args), corpus, workers), None
 
-
-# -- a directory report, split across the usable cores --
 
 def _usable_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
@@ -350,116 +260,98 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _workers(members: int) -> int:
-    """Processes that share a directory report: one per usable core and at
-    most one per member, or the caller alone where it cannot fork safely
-    (no ``os.fork``, or another thread is running)."""
-    threading = sys.modules.get("threading")
-    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
-        return 1
-    return max(1, min(_usable_cores(), members))
-
-
-def _drawn(corpus: list) -> Iterator:
-    corpus.reverse()
-    while corpus:  # popped, so a member is freed as soon as the next one is drawn
-        yield corpus.pop()
-
-
 def _member_text(name: str, h: Hypergraph, args) -> str:
     return dump_json_item({"name": name, "report": _report_for(h, args)})
 
 
-def _member_texts(corpus: list, args) -> Iterator[str]:
-    """Each member's report text, in member order, for ``main`` to write.
+# -- the option table: each option's flag and add_argument keywords, of which _parse
+# reads dest (else the flag's name), choices, type (int, else str), action (store_true
+# only: a flag), default and required --
+_COMMON = (
+    ("--format", {"choices": ("text", "json"), "default": "text", "help": "output format"}),
+    ("--terms", {"type": int, "default": 20, "metavar": "K", "help": "series terms to expand (default 20)"}),
+    ("--n-max", {"type": int, "default": DEFAULT_LIMIT, "help": f"enumeration size limit (default {DEFAULT_LIMIT})"}),
+    ("--homology-n-max", {"type": int, "default": DEFAULT_HOMOLOGY_LIMIT,
+                          "help": f"homology size limit (default {DEFAULT_HOMOLOGY_LIMIT})"}),
+    ("--parallel", {"action": "store_true", "help": "does nothing; to be removed"}),
+)
+_INPUT = ("--input", {"required": True})
 
-    With w workers, member k is built by worker k mod w. Worker 0 is this
-    process; the others are forked on the first draw, each sending its
-    members' texts through its own pipe, and a text is read only when its
-    turn to be written comes. A member no worker sent (its worker could
-    not be forked, or it failed on that member or an earlier one) is
-    built here, so it fails as it would on one core. Every worker is
-    killed and reaped when the report ends, early or not: on success
-    each has sent its last text by then."""
-    workers = _workers(len(corpus))
-    children: list = []  # (pid, the read end of its pipe)
-    try:
-        try:
-            for worker in range(1, workers):
-                children.append(_fork(corpus, worker, workers, children, args))
-        except OSError:  # no process or pipe to be had: the workers not forked send nothing
-            pass
-        for k, (name, h) in enumerate(_drawn(corpus)):
-            worker = k % workers
-            text = _receive(children[worker - 1][1]) if 0 < worker <= len(children) else None
-            yield _member_text(name, h, args) if text is None else text
-    finally:
-        _stop(children)
-
-
-def _fork(corpus: list, worker: int, workers: int, children: list, args) -> tuple:
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        _work(corpus, worker, workers, write_fd, [read_fd] + [reader.fileno() for _, reader in children], args)
-    os.close(write_fd)
-    return pid, os.fdopen(read_fd, "rb")
-
-
-def _stop(children: list) -> None:
-    """Kill and reap every worker in children, emptying it."""
-    if not children:
-        return
-    from signal import SIGKILL  # signal costs every CLI process a millisecond to import
-
-    while children:
-        pid, reader = children.pop()
-        os.kill(pid, SIGKILL)
-        os.waitpid(pid, 0)
-        reader.close()
-
-
-def _work(corpus: list, worker: int, workers: int, write_fd: int, inherited: list[int], args) -> None:
-    """A forked worker's whole life: send the text of each member k with
-    k mod workers == worker, as its length in 8 bytes and then its UTF-8
-    bytes, until the members end or one raises. It writes nothing else
-    anywhere and never returns: it leaves by ``os._exit`` whatever
-    happens, and the calling process builds every member it did not send."""
-    try:
-        for fd in inherited:  # the read ends of this and earlier pipes
-            os.close(fd)
-        with os.fdopen(write_fd, "wb") as out:
-            for k, (name, h) in enumerate(_drawn(corpus)):
-                if k % workers == worker:
-                    data = _member_text(name, h, args).encode()
-                    out.write(len(data).to_bytes(8, "big") + data)
-                    out.flush()
-    finally:
-        os._exit(0)  # never read: the calling process kills and reaps every worker
-
-
-def _receive(reader) -> str | None:
-    """The next text a worker sent, or None once it has ended without sending it whole."""
-    head = reader.read(8)
-    if len(head) == 8:
-        size = int.from_bytes(head, "big")
-        data = reader.read(size)
-        if len(data) == size:
-            return data.decode()
-    return None
-
-
-_HANDLERS = {
-    **dict.fromkeys(("compute", "hilbert", "fvector", "hvector", "betti", "verify"), _cmd_view),
-    "deck": _cmd_deck,
-    "reconstruct": _cmd_reconstruct,
-    "report": _cmd_report,
+# subcommand -> (its help, its options after the common ones, the fields it sets itself, its handler)
+_COMMANDS = {
+    "compute": ("print a subhypergraph polynomial", (
+        ("--poly", {"dest": "view", "choices": ("S", "P", "independence"), "required": True,
+                    "help": "S: edge-subset polynomial; P: vertex-subset polynomial; "
+                            "independence: independent-set counts by size"}),
+        _INPUT,
+    ), {}, _cmd_view),
+    **{name: (text, (_INPUT,), {"view": name}, _cmd_view) for name, text in (
+        ("hilbert", "graded dimensions of the edge-ideal quotient"),
+        ("fvector", "face counts of the independence complex"),
+        ("hvector", "binomial transform of the face counts"),
+        ("betti", "multigraded Betti table via restriction homology"),
+    )},
+    "deck": ("write the vertex-deleted cards as JSON files",
+             (_INPUT, ("--out-dir", {"required": True})), {}, _cmd_deck),
+    "reconstruct": ("rebuild an invariant from a deck directory", (
+        ("--deck", {"required": True, "metavar": "DIR"}),
+        ("--target", {"choices": ("S", "P", "fvector", "hilbert", "betti"), "required": True}),
+    ), {}, _cmd_reconstruct),
+    "verify": ("run exact identity checks; nonzero exit on failure", (
+        ("--identity", {"choices": IDENTITY_IDS + ("all",), "default": "all"}), _INPUT,
+    ), {"view": "verify"}, _cmd_view),
+    "report": ("bundle every invariant into one JSON document", (
+        ("--input", {"required": True, "help": "a hypergraph file, or a directory of them"}),
+    ), {}, _cmd_report),
 }
+
+
+def build_parser():
+    """The argparse parser of the option table, for an argv ``_parse`` leaves to it."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="hgpoly",
+        description="Subhypergraph polynomials, ring invariants of edge ideals, "
+        "and deck reconstruction, all in exact integer arithmetic.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, options, fields, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flag, keywords in _COMMON + options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(**fields)
+    return parser
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """argparse's fields for argv, read without argparse; None unless argv
+    is a subcommand followed by its options spelled in full, every
+    required one given, each value valid and not starting with "-" (but
+    "-" alone). The last repeat of an option wins, as in argparse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, options, fields, _ = _COMMANDS[argv[0]]
+    table = {flag: (keywords.get("dest", flag[2:].replace("-", "_")), keywords) for flag, keywords in _COMMON + options}
+    args = {dest: keywords.get("default", False if "action" in keywords else None)
+            for dest, keywords in table.values() if not keywords.get("required")}
+    args.update(command=argv[0], **fields)
+    words = iter(argv[1:])
+    try:  # KeyError: no such option; StopIteration: no value left; ValueError: not an int
+        for word in words:
+            dest, keywords = table[word]
+            if "action" in keywords:
+                args[dest] = True
+                continue
+            value = next(words)
+            if value.startswith("-") and value != "-":
+                return None
+            args[dest] = value = keywords.get("type", str)(value)
+            if value not in keywords.get("choices", (value,)):
+                return None
+    except (KeyError, StopIteration, ValueError):
+        return None
+    return SimpleNamespace(**args) if all(dest in args for dest, _ in table.values()) else None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -472,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
             raise LimitExceeded(f"--terms={args.terms} exceeds the series limit {MAX_TERMS}")
         if args.n_max <= 0 or args.homology_n_max <= 0:
             raise InputError("size limits must be positive")
-        value, text = _HANDLERS[args.command](args)
+        value, text = _COMMANDS[args.command][3](args)
         try:
             pieces = (text,) if text else None  # the deck of an empty hypergraph lists no paths
             if args.format == "json" or text is None:  # a directory report is a lazy list of member texts
@@ -508,11 +400,9 @@ def entry() -> None:
     (128 + SIGPIPE, as a shell reports it); any other flush that fails
     leaves by ``sys.exit``, so the interpreter reports it and exits 120.
     An uncaught exception keeps its traceback and exit 1. The workers a
-    directory ``report`` forks never get here: each leaves by
-    ``os._exit`` whatever happens, never writes to stdout or stderr, and
-    is reaped by ``main`` before it returns. A member a worker did not
-    send is built by this process, so a worker's failure ends it as on
-    one core, with the same exception and exit code.
+    directory ``report`` forks never get here (see ``parallel.py``): they
+    write nothing to stdout or stderr and are reaped before ``main``
+    returns.
     """
     try:
         code = main()

@@ -11,12 +11,14 @@ from __future__ import annotations
 import importlib.util
 import inspect
 import json
+import os
 import re
 from pathlib import Path
 
 import pytest
 
 import hgpoly
+from hgpoly import cli
 from hgpoly.cli import main
 from hgpoly.corpus import cycle_graph, path_graph
 from hgpoly.formats import dump_hypergraph_json
@@ -122,3 +124,36 @@ def test_deck_then_reconstruct_parallel_exits_0(tmp_path, capsys):
         assert main(argv) == 0, target
     assert hgpoly.parallel._executor is None
     capsys.readouterr()
+
+
+def test_traced_directory_report_forks_and_restores(tmp_path, capsys, monkeypatch):
+    # the traced corpus run forks a worker per extra core: under the tracer
+    # it prints what it prints untraced and leaves every binding as it was
+    for k in range(3):
+        (tmp_path / f"c{k}.json").write_text(dump_hypergraph_json(cycle_graph(5 + k)))
+    argv = ["report", "--input", str(tmp_path)]
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    assert main(argv) == 0
+    untraced = capsys.readouterr().out
+    tracer_mod = _load_tracer()
+    modules = [hgpoly, *(importlib.import_module(f"hgpoly.{short}") for short in tracer_mod.MODULES)]
+
+    def bindings():
+        return [dict(vars(mod)) for mod in modules] + [dict(vars(hgpoly.Hypergraph))]
+
+    before = bindings()
+    fork, forks = os.fork, []
+
+    def counted_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    tracer = tracer_mod.Tracer(hgpoly)
+    tracer.install()
+    try:
+        code = main(argv)
+    finally:
+        tracer.uninstall()
+    assert (code, capsys.readouterr().out, len(forks)) == (0, untraced, 1)
+    assert bindings() == before

@@ -95,3 +95,22 @@ def test_no_module_reaches_a_sibling_private_name():
                 if node.value.id in modules and _private(node.attr):
                     reached.append(f"{filename}: {node.value.id}.{node.attr}")
     assert reached == []
+
+
+def test_only_parallel_forks():
+    # the fork, pipe, kill and reap of worker processes live in one module
+    process_calls = {"fork", "pipe", "kill", "waitpid"}
+    package = os.path.dirname(hgpoly.__file__)
+    calls = []
+    for filename in sorted(os.listdir(package)):
+        if not filename.endswith(".py") or filename == "parallel.py":
+            continue
+        with open(os.path.join(package, filename), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                calls += [f"{filename}: os.{alias.name}" for alias in node.names if alias.name in process_calls]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os":
+                if node.attr in process_calls:
+                    calls.append(f"{filename}: os.{node.attr}")
+    assert calls == []

@@ -395,6 +395,18 @@ def test_graded_collapse_consistent(h):
     assert collapsed == table.graded
 
 
+def test_multigraded_entries_builds_each_entry_when_drawn(monkeypatch):
+    # drawing C14's first entry builds one label tuple, not one per entry of the table
+    table = hochster_betti(cycle_graph(14))
+    built = []
+    mask_indices = homology.mask_indices
+    monkeypatch.setattr(homology, "mask_indices", lambda mask: built.append(mask) or mask_indices(mask))
+    entries = table.multigraded_entries()
+    assert next(entries) == (0, (), 1)
+    assert len(built) == 1
+    assert len(list(entries)) == len(table.multigraded) - 1 and len(built) == len(table.multigraded)
+
+
 @settings(max_examples=40, deadline=None)
 @given(hypergraphs(max_n=6, max_m=6))
 def test_alternating_sum_identity(h):
