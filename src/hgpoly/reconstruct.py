@@ -57,20 +57,18 @@ def check_reconstructible(h: Hypergraph) -> None:
 
 
 def verify_deck_sum_identity(inv: SRInvariants) -> bool:
-    """Check n*F = x*dF/dx + sum of card polynomials for both of the
-    bundle's polynomials, the edge-subset S first and then the
-    vertex-subset P. The bundle's cards, with their own relabelled edge
-    masks, are swept afresh as one family per side under its limit (no
-    Deck checks them: they are cut from the parent), and their summed
-    terms must be (n - i)*F[i, j] at every (i, j)."""
-    h = inv.hypergraph
-    check_reconstructible(h)
-    n = h.n
-    for f, sweep in ((inv.S, edge_family_poly), (inv.P, vertex_family_poly)):
-        expected = {(i, j): (n - i) * c for (i, j), c in f.terms.items() if i < n}
-        if sweep(inv.cards, inv.limit).terms != expected:
-            return False
-    return True
+    """Check n*F = x*dF/dx + sum of card polynomials for S, then P, both
+    read before any card, so a size limit refuses the parent first. The
+    bundle's cards (cut from the parent: no Deck checks them) are swept
+    once, as one edge-side family under its limit. Their summed terms
+    must be (n - i)*S[i, j]; only then is their summed P, the linear
+    transform of that sum on n - 1 vertices, held to (n - i)*P[i, j],
+    so a sum too wide for n - 1 vertices fails as S, not in the transform."""
+    check_reconstructible(inv.hypergraph)
+    n = inv.n
+    want_s, want_p = ({(i, j): (n - i) * c for (i, j), c in f.terms.items() if i < n} for f in (inv.S, inv.P))
+    card_s = edge_family_poly(inv.cards, inv.limit)
+    return card_s.terms == want_s and to_vertex_form(card_s, n - 1).terms == want_p
 
 
 def _divide_card_sum(card_sum: BiPoly, n: int) -> dict[tuple[int, int], int]:

@@ -48,6 +48,14 @@ def _plus_one_at_x2(poly: BiPoly) -> BiPoly:
     return BiPoly(terms)
 
 
+def _plus_one_above_top(poly: BiPoly) -> BiPoly:
+    """+1 one x-degree above the top one: a term no sum of cards with
+    that many vertices holds, which the transform to P refuses."""
+    terms = dict(poly.terms)
+    terms[(max(i for i, _ in terms) + 1, 0)] = 1
+    return BiPoly(terms)
+
+
 def _plus_one_at_t3(values: list[int]) -> list[int]:
     return values[:3] + [values[3] + 1] + values[4:]
 
@@ -142,12 +150,19 @@ FAULTS = {
         reconstruct, "edge_family_poly", _plus_one_at_x2,
         (REPORT, ("verify", "--identity", "4.2"), ("reconstruct", "--target", "S"), RECONSTRUCT_HILBERT),
     ),
+    # 4.2 compares the summed card S before it transforms it, so this fails 4.2, not the transform's input check
+    "card edge family sweep +1 above its top x-degree": (
+        reconstruct, "edge_family_poly", _plus_one_above_top,
+        (REPORT, ("verify", "--identity", "4.2"), ("reconstruct", "--target", "S"), RECONSTRUCT_HILBERT),
+    ),
+    # report and verify sweep the cards on the edge side only; their summed P is that sum's transform
     "card vertex family sweep +1 at x^2": (
         reconstruct, "vertex_family_poly", _plus_one_at_x2,
-        (
-            REPORT, ("verify", "--identity", "4.2"), ("reconstruct", "--target", "P"),
-            ("reconstruct", "--target", "fvector"), RECONSTRUCT_HILBERT,
-        ),
+        (("reconstruct", "--target", "P"), ("reconstruct", "--target", "fvector"), RECONSTRUCT_HILBERT),
+    ),
+    "to_vertex_form +1 at x^2": (
+        reconstruct, "to_vertex_form", _plus_one_at_x2,
+        (REPORT, ("verify", "--identity", "4.2"), ("reconstruct", "--target", "P"), ("reconstruct", "--target", "fvector")),
     ),
     # the table builder checks each B against the Taylor complex's mu(B), so each of
     # these ends in exit 1 wherever a table is built, verify --identity 4.3 included

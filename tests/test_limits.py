@@ -6,6 +6,8 @@ sweep below n-max 4, and the parent's Betti table below homology-n-max
 6. Refusals exit 3 with the message on stderr and nothing on stdout;
 where a command reports identity 4.3 instead, the same message follows
 "skipped: ".
+K5 (m = 10, cards K4 with m = 6) pins which size a refusal names where
+the parent and its cards are both over the limit.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import pytest
 
 import hgpoly
 from hgpoly.cli import main
-from hgpoly.corpus import cycle_graph
+from hgpoly.corpus import complete_graph, cycle_graph
 from hgpoly.formats import dump_hypergraph_json
 
 HOMOLOGY_REFUSAL = "n=6 exceeds the homology limit 5; raise the limit explicitly to run anyway"
@@ -101,6 +103,19 @@ def test_first_sweep_refused_over_both_limits(capsys, c6_file, argv, kind):
     got = _run(capsys, argv + ["--n-max", "5", "--input", c6_file])
     message = f"{kind}=6 exceeds the enumeration limit 5; raise the limit explicitly to run anyway"
     assert got == (3, "", f"error: {message}\n")
+
+
+def test_deck_sum_identity_refusal_names_the_parent(capsys, tmp_path):
+    # identity 4.2 reads the parent's S before it sweeps any card, so the
+    # refusal names K5's m = 10, not a K4 card's m = 6
+    path = tmp_path / "k5.json"
+    path.write_text(dump_hypergraph_json(complete_graph(5)))
+    message = "m=10 exceeds the enumeration limit 5; raise the limit explicitly to run anyway"
+    flags = ["--n-max", "5", "--input", str(path)]
+    assert _run(capsys, ["verify", "--identity", "4.2"] + flags) == (3, "", f"error: {message}\n")
+    code, out, err = _run(capsys, ["verify", "--identity", "all"] + flags)
+    assert (code, err) == (0, "")
+    assert f"identity 4.2: skipped: {message}" in out.splitlines()
 
 
 @pytest.mark.parametrize(

@@ -83,18 +83,30 @@ def families(monkeypatch) -> dict[str, list[tuple[tuple[str, ...], ...]]]:
 @pytest.mark.parametrize(
     "h", [cycle_graph(10), complete_graph(6), wheel(5)], ids=["cycle10", "K6", "wheel5"]
 )
-def test_report_sweeps_and_tables_once(h, calls, families, tmp_path, capsys):
+def test_report_sweeps_and_tables_once(h, calls, families, monkeypatch, tmp_path, capsys):
+    transforms: list[int] = []
+
+    def wrap(fn):
+        def counted(s, n):
+            transforms.append(n)
+            return fn(s, n)
+
+        return counted
+
+    _rebind(monkeypatch, bipoly, "to_vertex_form", wrap)
     assert main(["report", "--input", _write(tmp_path, h)]) == 0
     capsys.readouterr()
     # the parent is swept once per side and no card is swept on its own
     assert sorted(name for name, _ in calls) == ["edge_induced_poly", "hochster_betti", "vertex_induced_poly"]
     assert all(labels == h.labels for _, labels in calls)
-    # beside the parent's family of one, the deck-sum identity 4.2 makes
-    # one family sweep per side, whose members are the n cards in order
+    # the deck-sum identity 4.2 makes one family sweep of the n cards, in
+    # order, on the edge side, and reads their summed P as one transform
+    # of that sum on n - 1 vertices
     cards = tuple(card.labels for card in h.deck().cards)
     assert len(cards) == h.n
-    for side in ("vertex", "edge"):
-        assert sorted(families[side]) == sorted([(h.labels,), cards])
+    assert families["vertex"] == [(h.labels,)]
+    assert sorted(families["edge"]) == sorted([(h.labels,), cards])
+    assert transforms == [h.n - 1]
 
 
 @pytest.mark.parametrize(
