@@ -410,21 +410,16 @@ def pd_reg_depth(table: BettiTable) -> tuple[int, int, int]:
     return pd, reg, table.n - pd
 
 
-def betti_alternating_sum(table: BettiTable) -> dict[tuple[int, int], int]:
-    """The signed column sums sum_i (-1)^i b[i, j] t^j as a term map
-    {(j, 0): sum}, the zero sums left out."""
-    acc: dict[tuple[int, int], int] = {}
-    for (i, j), b in table.graded.items():
-        acc[(j, 0)] = acc.get((j, 0), 0) + (-b if i & 1 else b)
-    return {key: c for key, c in acc.items() if c}
-
-
 def verify_betti_alternating_sum(table: BettiTable, kpoly: BiPoly) -> bool:
-    """Identity 4.3: the signed column sums of the Betti table equal the
-    Hilbert series numerator kpoly = S(t, -1), compared term by term.
+    """Identity 4.3: the signed column sums sum_i (-1)^i b[i, j] t^j of
+    the Betti table equal the Hilbert series numerator kpoly = S(t, -1),
+    compared as term maps {(j, 0): sum} with the zero sums left out.
     The sums are built here from the table, never by ``eval_y``, so no
     step is shared with the route to kpoly."""
-    return betti_alternating_sum(table) == kpoly.terms
+    sums: dict[tuple[int, int], int] = {}
+    for (i, j), b in table.graded.items():
+        sums[(j, 0)] = sums.get((j, 0), 0) + (-b if i & 1 else b)
+    return {key: c for key, c in sums.items() if c} == kpoly.terms
 
 
 def betti_columns(table: BettiTable) -> dict[int, dict[int, int]]:

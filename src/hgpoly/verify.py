@@ -5,14 +5,15 @@ independent routes, and returns True only on coefficientwise equality.
 The checks read one invariant bundle (``SRInvariants``), whose vertex
 and edge sweeps both run directly, so no side is derived from the
 other. 2.1, 2.3 and 3.2 expand through ``bipoly.substitute``, one
-call per side over its own terms, and compare term maps (3.2 is kept
-in the bundle); 4.3 compares the Betti table's signed column sums, a
-term map of its own, with the terms of K(t), so no identity drops
-zeros or trims in a step both sides share; 4.2 sweeps the bundle's
-cards once, on the edge side, reads their P through the transform and
-builds no ``Deck``. The CLI binds them to the identity ids ``2.1``,
-``2.3``, ``3.2``, ``4.2``, ``4.3``; a False from any of them on a valid
-input means a bug somewhere, which is the point of running them.
+call per side over its own terms, and compare term maps; 4.3 compares
+the Betti table's signed column sums, a term map of its own, with the
+terms of K(t), so no identity drops zeros or trims in a step both
+sides share; 4.2 sweeps the bundle's cards once, on the edge side,
+reads their P through the transform and builds no ``Deck``.
+``run_identity`` calls 2.1 and 2.3 here, 3.2 in the bundle, 4.2 in
+``reconstruct`` and 4.3 in ``homology``, each by name in an if-chain,
+so a rebound function is the one called. A False from any of them on a
+valid input means a bug somewhere, which is the point of running them.
 
 The rule for every check, these identities and the guards that raise
 InternalMismatch alike: a check stays only if it catches a fault that
@@ -55,26 +56,15 @@ def verify_coefficient_relation(inv: SRInvariants) -> bool:
     return substitute(inv.P.terms, inv.n, 0, 1) == substitute(inv.S.terms, inv.n, 1, 0)
 
 
-def verify_series_numerator(inv: SRInvariants) -> bool:
-    """Identity 3.2, as the bundle evaluated it for its Hilbert function."""
-    return inv.series_numerator_holds
-
-
-def verify_deck_sums(inv: SRInvariants) -> bool:
-    """Deck-sum identity for both polynomials; raises NotReconstructible
-    on excluded inputs."""
-    return verify_deck_sum_identity(inv)
-
-
 def run_identity(identity: str, inv: SRInvariants) -> bool:
     if identity == "2.1":
         return verify_transform(inv)
     if identity == "2.3":
         return verify_coefficient_relation(inv)
     if identity == "3.2":
-        return verify_series_numerator(inv)
+        return inv.series_numerator_holds
     if identity == "4.2":
-        return verify_deck_sums(inv)
+        return verify_deck_sum_identity(inv)
     if identity == "4.3":
         return verify_betti_alternating_sum(inv.betti, inv.k_polynomial)
     raise ValueError(f"unknown identity {identity!r}")

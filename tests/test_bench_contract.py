@@ -51,6 +51,8 @@ DEAD_TRACER_NAMES = {
     "reconstruct.reconstruct_f_vector": "ROADMAP item 1: reconstruct.poly_s",
     "reconstruct.reconstruct_hilbert_function": "ROADMAP item 1: reconstruct.poly_s",
     "reconstruct.reconstruct_multigraded_betti": "ROADMAP item 1: reconstruct.betti_s, reconstruct.betti_self_s",
+    "verify.verify_series_numerator": "ROADMAP item 1: verify.series_numerator_s",
+    "verify.verify_deck_sums": "ROADMAP item 1: verify.deck_sums_s",
 }
 
 

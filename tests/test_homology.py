@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgpoly import homology
+from hgpoly.bipoly import BiPoly
 from hgpoly.cli import _report_for, build_parser, main
 from hgpoly.errors import InternalMismatch, LimitExceeded, check_limit
 from hgpoly.formats import dump_hypergraph_json
@@ -20,7 +21,6 @@ from hgpoly.homology import (
     _gf2_reduce,
     _restriction_faces,
     BettiTable,
-    betti_alternating_sum,
     betti_columns,
     exact_rank,
     hochster_betti,
@@ -410,8 +410,9 @@ def test_multigraded_entries_builds_each_entry_when_drawn(monkeypatch):
 @settings(max_examples=40, deadline=None)
 @given(hypergraphs(max_n=6, max_m=6))
 def test_alternating_sum_identity(h):
-    assert verify_betti_alternating_sum(hochster_betti(h), SRInvariants(h).k_polynomial)
-    assert betti_alternating_sum(hochster_betti(h)) == SRInvariants(h).k_polynomial.terms
+    table, kpoly = hochster_betti(h), SRInvariants(h).k_polynomial
+    assert verify_betti_alternating_sum(table, kpoly)
+    assert not verify_betti_alternating_sum(table, BiPoly({**kpoly.terms, (h.n + 1, 0): 1}))
 
 
 def _assert_signed_sums_are_mu(h: Hypergraph, limit: int = DEFAULT_HOMOLOGY_LIMIT) -> None:

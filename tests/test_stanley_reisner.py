@@ -17,7 +17,6 @@ from hgpoly.stanley_reisner import (
     h_vector,
     hilbert_function,
 )
-from hgpoly.verify import verify_series_numerator
 
 from . import oracles
 from .strategies import hypergraphs
@@ -128,7 +127,7 @@ def test_f_vector_matches_naive(h):
 @settings(max_examples=60, deadline=None)
 @given(hypergraphs())
 def test_numerator_equals_face_expansion(h):
-    assert verify_series_numerator(SRInvariants(h))
+    assert SRInvariants(h).series_numerator_holds
 
 
 @settings(max_examples=60, deadline=None)
@@ -163,7 +162,7 @@ def test_perturbed_face_count_fails_identity_3_2(k3, monkeypatch):
     assert inv.f == (1, 4)
     with pytest.raises(InternalMismatch, match=r"^identity 3\.2 fails: "):
         inv.hilbert_function(4)
-    assert verify_series_numerator(inv) is False
+    assert inv.series_numerator_holds is False
 
 
 @settings(max_examples=40, deadline=None)
