@@ -17,6 +17,10 @@ with (a, b) in {-1, 0, 1}^2, so no rational function ever appears:
     identity 2.3           (0, +1) on P against (+1, 0) on S
     identity 3.2           (-1, 0) on f against the terms of K(t)
     h_vector(f)            (-1, 0) at d = len(f) - 1
+
+The two transforms refuse a caller's polynomial that is too high for n
+(InputError); in ``substitute``, which sees only the engine's own term
+maps, such a term is an InternalMismatch.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from functools import cache
 from math import comb
 
-from .errors import InputError
+from .errors import InputError, InternalMismatch
 
 
 class BiPoly:
@@ -117,16 +121,15 @@ def substitute(terms: Mapping[tuple[int, int], int], n: int, a: int, b: int) -> 
     """Expand sum c * x^i (1+a*x)^(n-i) (y+b)^j over the terms c*x^i*y^j,
     for a and b in {-1, 0, 1}; the result is a term map without zeros.
 
-    Raises InputError when n < 0, whatever the terms, and for a
-    term with i > n when a != 0, whose negative power of (1+a*x) is no
-    polynomial.
+    Raises InternalMismatch for a term with i > n when a != 0, whose
+    negative power of (1+a*x) is no polynomial: every caller hands it
+    term maps the engine built, ``to_edge_form`` and ``to_vertex_form``
+    after checking a caller's polynomial, so such a term is a bug.
     """
-    if n < 0:
-        raise InputError(f"vertex count n={n} is negative")
     out: dict[tuple[int, int], int] = {}
     for (i, j), c in terms.items():
         if a and i > n:
-            raise InputError(f"term x^{i}*y^{j} has x-degree {i}, which exceeds n={n}")
+            raise InternalMismatch(f"term x^{i}*y^{j} has x-degree {i}, which exceeds n={n}")
         ys = _binomial_row(j, b)
         for l, cx in _binomial_row(n - i, a):
             cx *= c
@@ -142,6 +145,16 @@ def _binomial_row(k: int, a: int) -> tuple[tuple[int, int], ...]:
     return tuple((l, comb(k, l) * a**l) for l in range(k + 1)) if a else ((0, 1),)
 
 
+def _checked_terms(p: BiPoly, n: int) -> dict[tuple[int, int], int]:
+    """p's term map, once n and p are checked as a caller's values."""
+    if n < 0:
+        raise InputError(f"vertex count n={n} is negative")
+    for i, j in p._terms:
+        if i > n:
+            raise InputError(f"term x^{i}*y^{j} has x-degree {i}, which exceeds n={n}")
+    return p._terms
+
+
 def to_edge_form(p: BiPoly, n: int) -> BiPoly:
     """Transform the vertex-subset polynomial of an n-vertex hypergraph
     into the edge-subset polynomial: each term c*x^i*y^j contributes
@@ -150,7 +163,7 @@ def to_edge_form(p: BiPoly, n: int) -> BiPoly:
 
     Raises InputError if n < 0 or the x-degree of p exceeds n.
     """
-    return BiPoly(substitute(p._terms, n, -1, 1))
+    return BiPoly(substitute(_checked_terms(p, n), n, -1, 1))
 
 
 def to_vertex_form(s: BiPoly, n: int) -> BiPoly:
@@ -159,7 +172,7 @@ def to_vertex_form(s: BiPoly, n: int) -> BiPoly:
 
     Raises InputError if n < 0 or the x-degree of s exceeds n.
     """
-    return BiPoly(substitute(s._terms, n, 1, -1))
+    return BiPoly(substitute(_checked_terms(s, n), n, 1, -1))
 
 
 def expand_series(num: BiPoly, denom_power: int, k_max: int) -> list[int]:

@@ -11,7 +11,7 @@ from hgpoly.bipoly import (
     to_edge_form,
     to_vertex_form,
 )
-from hgpoly.errors import InputError
+from hgpoly.errors import InputError, InternalMismatch
 
 from . import oracles
 from .strategies import bipolys
@@ -123,7 +123,7 @@ def test_substitute_matches_direct_evaluation(p, extra):
 def test_substitute_rejects_a_term_above_n():
     for a in (-1, 1):
         for b in SIGNS:
-            with pytest.raises(InputError, match=r"^term x\^4\*y\^1 has x-degree 4, which exceeds n=3$"):
+            with pytest.raises(InternalMismatch, match=r"^term x\^4\*y\^1 has x-degree 4, which exceeds n=3$"):
                 substitute({(0, 0): 1, (4, 1): 2}, 3, a, b)
 
 

@@ -1,12 +1,14 @@
 """Fault injection: which printed values the shipped checks guard.
 
 Each fault is a monkeypatch of one engine function (a method is
-patched on its class) that makes some printed value wrong. Run
+patched on its class, and a fault inside a function on every module
+that imports it by name) that makes some printed value wrong, through
+its result or, for ON_ARGUMENTS, its arguments. Run
 through ``main`` on a small fixed slice of inputs, every fault in FAULTS must end in exit 1 (an InternalMismatch)
 or a failed identity (FAIL from ``verify``, false in a report), under
 each of its commands and on every input of the slice; a fault in
 ``homology`` must end in exit 1, since the table builder checks its
-own table. A fault that no shipped check can catch goes in KNOWN_BLIND
+own table, and so must a fault on arguments, which a guard refuses. A fault that no shipped check can catch goes in KNOWN_BLIND
 instead, with the function it patches, the slice members it is blind
 on and the reason; the test asserts that it stays blind there, so a
 check that starts catching it moves it to FAULTS, and that
@@ -23,9 +25,11 @@ import json
 
 import pytest
 
+import hgpoly.bipoly as bipoly
 import hgpoly.homology as homology
 import hgpoly.reconstruct as reconstruct
 import hgpoly.stanley_reisner as stanley_reisner
+import hgpoly.verify as verify
 from hgpoly.bipoly import BiPoly
 from hgpoly.cli import main
 from hgpoly.corpus import complete_graph, cycle_graph, wheel
@@ -79,6 +83,19 @@ def _drop_one_more(folded):
     return bmask ^ low, {u: a & ~low for u, a in adjacent.items() if u != low}
 
 
+def _term_above_n(terms, n: int, a: int, b: int) -> tuple:
+    """substitute's arguments with one more term, one x-degree above n,
+    whenever a term sits at n and a != 0: valid terms, as the engine
+    builds them, then trip the transform's guard."""
+    if a and any(i == n for i, _ in terms):
+        terms = {**terms, (n + 1, 0): 1}
+    return terms, n, a, b
+
+
+# the faults that act on a function's arguments, not on its result
+ON_ARGUMENTS = (_term_above_n,)
+
+
 def _first_entry(table: dict[tuple[int, int], int]) -> tuple[int, int]:
     return min(key for key in table if key[0] >= 1)
 
@@ -130,7 +147,8 @@ RECONSTRUCT_BETTI = ("reconstruct", "--target", "betti")
 VERIFY_43 = ("verify", "--identity", "4.3")
 TABLES = (REPORT, BETTI, RECONSTRUCT_BETTI, VERIFY_43)
 
-# name -> (module or class, function, what the fault does to its result, commands that must catch it)
+# name -> (module, class or tuple of modules, function, what the fault does to its result
+#          or, for ON_ARGUMENTS, to its arguments, commands that must catch it)
 FAULTS = {
     "expand_series +1 at t^3": (stanley_reisner, "expand_series", _plus_one_at_t3, (HILBERT, REPORT, RECONSTRUCT_HILBERT)),
     "h_vector +1 on its last entry": (stanley_reisner, "h_vector", _plus_one_on_last, (HVECTOR, REPORT)),
@@ -159,6 +177,11 @@ FAULTS = {
     "card vertex family sweep +1 at x^2": (
         reconstruct, "vertex_family_poly", _plus_one_at_x2,
         (("reconstruct", "--target", "P"), ("reconstruct", "--target", "fvector"), RECONSTRUCT_HILBERT),
+    ),
+    # the engine hands substitute only its own term maps, so its guard is an InternalMismatch
+    "substitute handed a term above n": (
+        (bipoly, stanley_reisner, verify), "substitute", _term_above_n,
+        (REPORT, HVECTOR, ("verify", "--identity", "4.2")),
     ),
     "to_vertex_form +1 at x^2": (
         reconstruct, "to_vertex_form", _plus_one_at_x2,
@@ -192,9 +215,13 @@ KNOWN_BLIND = {
 }
 
 
-def _install(monkeypatch, module, name: str, after) -> None:
-    real = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *args: after(real(*args)))
+def _install(monkeypatch, modules, name: str, after) -> None:
+    for module in modules if isinstance(modules, tuple) else (modules,):
+        real = getattr(module, name)
+        if after in ON_ARGUMENTS:
+            monkeypatch.setattr(module, name, lambda *args, real=real: real(*after(*args)))
+        else:
+            monkeypatch.setattr(module, name, lambda *args, real=real: after(real(*args)))
 
 
 def _inputs(tmp_path, capsys) -> dict[str, tuple[str, str]]:
@@ -237,7 +264,8 @@ def test_fault_is_caught_on_every_input(fault, command, tmp_path, capsys, monkey
     for member, (path, deck) in inputs.items():
         code, out, err = _run(capsys, command, path, deck)
         assert _caught(command, code, out), f"{fault} passes {' '.join(command)} on {member}"
-        assert code == 1 or module is not homology, f"{fault} fails only an identity on {member}"
+        must_exit_1 = module is homology or after in ON_ARGUMENTS
+        assert code == 1 or not must_exit_1, f"{fault} fails only an identity on {member}"
         if code == 1 and err.startswith("internal consistency failure: "):
             # every check runs before the first byte of a single document
             assert out == "", f"{fault} printed part of {' '.join(command)} on {member}"
