@@ -7,8 +7,8 @@ every edge subset L, the number of vertices covered by the union of L.
 Both sweeps are bit-sliced and take a family of hypergraphs, returning
 the sum of their polynomials; one hypergraph is the family of one. A
 member sweeps its 2^k subsets (k = n or m) in its own blocks: one block
-of 2^k bits when k <= 12, else one block of 2^12 bits per value of its
-index bits above the low 12. One Python int holds one bit per subset
+of 2^k bits when k <= 14, else one block of 2^14 bits per value of its
+index bits above the low 14. One Python int holds one bit per subset
 of a block (bit l stands for the subset whose low index bits are l), so
 a 3-vertex card and a 24-vertex parent run the same loop. A per-subset
 predicate such as "edge e lies inside W" then becomes a few AND/OR
@@ -17,7 +17,7 @@ into binary digit planes by ripple-carry addition. Splitting the planes
 gives, for each count value, the int of the subsets that have it, and
 the tally is the popcount of its AND with the int of the subsets of
 each size. The loop over blocks runs in Python; each int holds at most
-2^12 bits whatever n or m.
+2^14 bits whatever n or m.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .hypergraph import Hypergraph, mask_indices
 
 DEFAULT_LIMIT = 24
 
-# Index bits held in one int: a block is 2^12 subsets, a 4096-bit int.
-_LOW_BITS = 12
+# Index bits held in one int: a block is 2^14 subsets, a 16384-bit int.
+_LOW_BITS = 14
 
 
 def check_sweep_limits(h: Hypergraph, limit: int = DEFAULT_LIMIT) -> None:

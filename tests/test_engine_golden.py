@@ -6,8 +6,9 @@ their work, each on inputs committed as `golden/engine/<name>.json`:
 
 - `report` and `verify --identity 4.2` (both formats) on seeded graphs
   with (n, m) = (15, 12), (15, 16), (12, 14), (14, 16) and (20, 18), on
-  13 vertices with m = 12, 13 and 14 (on both sides of the 2^12-bit
-  sweep block, for the parent and for its cards), on seeded 3-uniform
+  13 vertices with m = 12, 13 and 14 (within the 2^14-bit sweep block,
+  for the parent and for its cards, which the inputs with n or m of 15
+  and more cross), on seeded 3-uniform
   hypergraphs with (15, 15) and (16, 13), and on K7 (m = 21 > n);
 - `betti --format json` above the default homology limit: at
   `--homology-n-max 16` on the two 3-uniform inputs and at 24 on the

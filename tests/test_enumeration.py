@@ -116,11 +116,12 @@ def test_multiplicative_over_disjoint_union(h1, h2):
 
 def _clutter(n: int, m: int, seed: int):
     """n vertices and m edges: when m > 0 the singleton edge {v0}, an
-    isolated v1, {v11, v12} when n > 12 and {v12, v(n-1)} (all of its
-    vertices at index >= 12) when n >= 14, then seeded random 2- and
-    3-edges over v2.. that keep the antichain, some straddling index 12."""
+    isolated v1, {v13, v14} when n > 14 and {v14, v(n-1)} (all of its
+    vertices at index >= 14, the sweep's low index bits) when n >= 16,
+    then seeded random 2- and 3-edges over v2.. that keep the antichain,
+    some straddling index 14."""
     rng = random.Random(seed)
-    edges = [{0}, {11, 12}, {12, n - 1}][: 1 + (n > 12) + (n >= 14)] if m else []
+    edges = [{0}, {13, 14}, {14, n - 1}][: 1 + (n > 14) + (n >= 16)] if m else []
     while len(edges) < m:
         e = set(rng.sample(range(2, n), rng.choice((2, 3))))
         if all(not (e <= f or f <= e) for f in edges):
@@ -129,16 +130,16 @@ def _clutter(n: int, m: int, seed: int):
 
 
 class TestBlockBoundary:
-    """Sweeps of more than 2^12 subsets run in several blocks; the
+    """Sweeps of more than 2^14 subsets run in several blocks; the
     Hypothesis strategies stay within one."""
 
-    @pytest.mark.parametrize("n, m", [(0, 0), (3, 0), (13, 13), (14, 14), (15, 15)])
+    @pytest.mark.parametrize("n, m", [(0, 0), (3, 0), (12, 12), (13, 13), (14, 14), (15, 15), (16, 16)])
     def test_vertex_poly_matches_naive(self, n, m):
         h = _clutter(n, m, seed=n)
         assert (h.n, h.m) == (n, m)
         assert vertex_induced_poly(h).terms == oracles.naive_vertex_poly(h)
 
-    @pytest.mark.parametrize("n, m", [(0, 0), (3, 0), (10, 13), (10, 14)])
+    @pytest.mark.parametrize("n, m", [(0, 0), (3, 0), (10, 12), (10, 13), (10, 14), (10, 15), (10, 16)])
     def test_edge_poly_matches_naive(self, n, m):
         h = _clutter(n, m, seed=m)
         assert (h.n, h.m) == (n, m)
@@ -162,32 +163,32 @@ def test_family_sweeps_sum_the_members(family):
 
 class TestFamilies:
     """Each member is swept in its own blocks: one block when it has at
-    most 12 vertices (or edges), else one per value of its index bits
-    above the low 12."""
+    most 14 vertices (or edges), else one per value of its index bits
+    above the low 14."""
 
     def _check(self, family):
         assert vertex_family_poly(family).terms == _naive_sum(oracles.naive_vertex_poly, family)
         assert edge_family_poly(family).terms == _naive_sum(oracles.naive_edge_poly, family)
 
     def test_a_member_over_one_block_among_small_ones(self):
-        # n = m = 13: two blocks for that member alone, on either side
-        family = [cycle_graph(4), _clutter(13, 13, seed=13), path_graph(12), star(3)]
+        # n = m = 15: two blocks for that member alone, on either side
+        family = [cycle_graph(4), _clutter(15, 15, seed=15), path_graph(14), star(3)]
         self._check(family)
 
-    def test_a_member_with_more_than_12_edges(self):
-        family = [_clutter(10, 14, seed=14), complete_graph(6), cycle_graph(5)]
-        assert [h.m for h in family] == [14, 15, 5]
+    def test_a_member_with_more_than_14_edges(self):
+        family = [_clutter(10, 16, seed=16), complete_graph(6), cycle_graph(5)]
+        assert [h.m for h in family] == [16, 15, 5]
         self._check(family)
 
-    def test_a_member_with_exactly_12_edges(self):
-        # m = 12: the largest member whose edge side is one block
-        family = [_clutter(10, 12, seed=12), path_graph(3)]
-        assert [h.m for h in family] == [12, 2]
+    def test_a_member_with_exactly_14_edges(self):
+        # m = 14: the largest member whose edge side is one block
+        family = [_clutter(10, 14, seed=14), path_graph(3)]
+        assert [h.m for h in family] == [14, 2]
         self._check(family)
 
     def test_a_member_over_one_block_among_edgeless_and_tiny_ones(self):
-        family = [validate([], []), _clutter(10, 13, seed=13), validate(["a"], [["a"]]), path_graph(3), validate(["a", "b"], [])]
-        assert [(h.n, h.m) for h in family] == [(0, 0), (10, 13), (1, 1), (3, 2), (2, 0)]
+        family = [validate([], []), _clutter(10, 15, seed=15), validate(["a"], [["a"]]), path_graph(3), validate(["a", "b"], [])]
+        assert [(h.n, h.m) for h in family] == [(0, 0), (10, 15), (1, 1), (3, 2), (2, 0)]
         self._check(family)
 
     def test_edgeless_members(self):
@@ -200,7 +201,7 @@ class TestFamilies:
         assert {h.n for h in family} == {9}
         self._check(family)
 
-    @pytest.mark.parametrize("n, m", [(0, 0), (3, 0), (13, 13), (10, 14)])
+    @pytest.mark.parametrize("n, m", [(0, 0), (3, 0), (13, 13), (10, 14), (15, 15), (10, 16)])
     def test_a_family_of_one_is_the_single_sweep(self, n, m):
         h = _clutter(n, m, seed=m)
         assert vertex_family_poly([h]) == vertex_induced_poly(h)
