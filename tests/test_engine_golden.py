@@ -12,7 +12,9 @@ their work, each on inputs committed as `golden/engine/<name>.json`:
   hypergraphs with (15, 15) and (16, 13), and on K7 (m = 21 > n);
 - `betti --format json` above the default homology limit: at
   `--homology-n-max 16` on the two 3-uniform inputs and at 24 on the
-  graph with (20, 18);
+  graphs with (20, 18) and (24, 20);
+- `fvector` and `hvector` on the graph with (24, 20), a sweep of 2^24
+  vertex subsets in 2^10 blocks;
 - `report` (refused for m, exit 3) and `betti --format json` on K8 and
   on the complete 3-uniform hypergraph on 9 vertices;
 - `deck` of a seeded graph with (n, m) = (13, 16), then all five
@@ -72,6 +74,7 @@ MEMBERS = {
     "K8": (8, 2, 28, None, ("report", "betti:json")),
     "tri-K9": (9, 3, 84, None, ("report", "betti:json")),
     "graph-13-16": (13, 2, 16, 1316, DECK),
+    "graph-24-20": (24, 2, 20, 2420, ("betti-24:json", "fvector", "hvector")),
 }
 COMMANDS = {
     "report": ["report"],
@@ -80,6 +83,8 @@ COMMANDS = {
     "betti:json": ["betti", "--format", "json"],
     "betti-16:json": ["betti", "--format", "json", "--homology-n-max", "16"],
     "betti-24:json": ["betti", "--format", "json", "--homology-n-max", "24"],
+    "fvector": ["fvector"],
+    "hvector": ["hvector"],
 }
 # the directory member: its inputs, and the core counts it runs on
 DIRECTORY = ("graph-12-14", "graph-13-12", "K7")
