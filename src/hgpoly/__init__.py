@@ -24,7 +24,7 @@ from .homology import (
     pd_reg_depth,
     verify_betti_alternating_sum,
 )
-from .hypergraph import Deck, Hypergraph, disjoint_union, validate
+from .hypergraph import Deck, Hypergraph, validate
 from . import parallel  # noqa: F401  (read by perfbench's tracer)
 from .reconstruct import (
     DeckInvariants,
@@ -58,7 +58,6 @@ __all__ = [
     "SRInvariants",
     "betti_columns",
     "check_reconstructible",
-    "disjoint_union",
     "edge_induced_poly",
     "exact_rank",
     "expand_series",

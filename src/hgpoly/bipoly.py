@@ -79,10 +79,10 @@ class BiPoly:
         top = max((i for i, j in self._terms if j == 0), default=-1)
         return tuple(self.coeff(i, 0) for i in range(top + 1))
 
-    def to_text(self, x: str = "x", y: str = "y") -> str:
+    def to_text(self, x: str = "x") -> str:
         """Render with terms sorted by (i, j) ascending, e.g.
-        ``1 + 3*x^2*y + 3*x^3*y^2 + x^3*y^3``."""
-        return _sum_text((c, ((x, i), (y, j))) for (i, j), c in self.iter_sorted())
+        ``1 + 3*x^2*y + 3*x^3*y^2 + x^3*y^3``; x names the first variable."""
+        return _sum_text((c, ((x, i), ("y", j))) for (i, j), c in self.iter_sorted())
 
     def __repr__(self) -> str:
         return f"BiPoly({self.to_text()})"

@@ -96,7 +96,7 @@ def _value_list(values) -> tuple[list[str], str]:
 def _betti_json(table: BettiTable) -> dict:
     payload = {
         "multigraded": table.multigraded_entries(),
-        "graded": [[i, j, b] for i, j, b in table.graded_entries()],
+        "graded": [[i, j, b] for (i, j), b in sorted(table.graded.items())],
     }
     if not table.top_complete:
         payload["top_complete"] = False

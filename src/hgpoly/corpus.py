@@ -16,7 +16,7 @@ import string
 from collections.abc import Iterator
 from itertools import combinations
 
-from .hypergraph import Hypergraph, disjoint_union
+from .hypergraph import Hypergraph
 
 _SAMPLE_SEED = 20130319
 
@@ -132,10 +132,7 @@ def uniform_complete(n: int, size: int) -> Hypergraph:
 
 def named_instances() -> list[tuple[str, Hypergraph]]:
     first = Hypergraph.from_masks(_labels(3), [0b011, 0b101, 0b110])
-    pair = disjoint_union(
-        Hypergraph.from_masks(("a", "b", "c"), [0b011, 0b101, 0b110]),
-        Hypergraph.from_masks(("x", "y", "z"), [0b011, 0b101, 0b110]),
-    )
+    pair = Hypergraph.from_masks(("a", "b", "c", "x", "y", "z"), [0b011, 0b101, 0b110, 0b011000, 0b101000, 0b110000])
     return [
         ("triangle", first),
         ("path5", path_graph(5)),

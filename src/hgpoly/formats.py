@@ -109,20 +109,14 @@ def load_hypergraph(path: str) -> Hypergraph:
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def dump_json(value: object) -> str:
-    """``json.dumps(value, indent=2)``, byte for byte, for values built
-    of str, int, bool, None, lists or iterators, tuples and dicts with
-    str keys; any other type, a subclass of these included, raises
-    TypeError. With an indent the standard library falls back to its
-    pure-Python encoder, which this writer outruns. Each container is
-    joined from its items' texts, never held as one piece per token."""
-    return _json_text(value, "\n")
-
-
 def dump_json_pieces(value: object) -> Iterator[str]:
-    """``dump_json(value)`` in pieces: a dict or an iterator one member
-    at a time, each drawn only when its piece is asked for, and any other
-    value whole, so a lazy list is never held as text."""
+    """``json.dumps(value, indent=2)``, byte for byte, in pieces, for
+    values built of str, int, bool, None, lists or iterators, tuples and
+    dicts with str keys; any other type, a subclass of these included,
+    raises TypeError. A dict or an iterator comes a member at a time,
+    each drawn only when its piece is asked for, and any other value
+    whole, so a lazy list is never held as text. The standard library
+    falls back to its slower pure-Python encoder with an indent."""
     return _json_pieces(value, "\n")
 
 
@@ -132,7 +126,7 @@ def dump_json_item(value: object) -> str:
 
 
 def dump_json_list(texts: Iterable[str]) -> Iterator[str]:
-    """``dump_json(items)`` in pieces, given each item's ``dump_json_item``
+    """``dump_json_pieces(iter(items))``, given each item's ``dump_json_item``
     text; each text is drawn only when its piece is asked for."""
     return _json_pieces(iter(texts), "\n", lambda text, _: text)
 
@@ -189,7 +183,7 @@ def _json_text(value: object, newline: str) -> str:
 
 
 def dump_hypergraph_json(h: Hypergraph) -> str:
-    return dump_json(h.to_json_dict()) + "\n"
+    return _json_text(h.to_json_dict(), "\n") + "\n"
 
 
 def _card_names(directory: str) -> list[str]:

@@ -235,9 +235,6 @@ class BettiTable(Frozen):
         for i, bmask in sorted(multigraded):
             yield i, tuple([labels[v] for v in mask_indices(bmask)]), multigraded[i, bmask]
 
-    def graded_entries(self) -> list[tuple[int, int, int]]:
-        return [(i, j, self.graded[(i, j)]) for i, j in sorted(self.graded)]
-
 
 def _edge_union_closure(edges: tuple[int, ...]) -> dict[int, int]:
     """{B: mu(B)} for every union B of edge subsets, the empty union and

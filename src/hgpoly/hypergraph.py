@@ -252,15 +252,3 @@ class Deck(Frozen):
         parent = (next(iter(first_missing)),) + cards[0].labels
         return cls(parent, tuple(cards))
 
-
-def disjoint_union(a: Hypergraph, b: Hypergraph) -> Hypergraph:
-    """Disjoint union on label-disjoint hypergraphs.
-
-    Raises InputError if the label sets overlap.
-    """
-    overlap = set(a.labels) & set(b.labels)
-    if overlap:
-        raise InputError(f"label sets overlap: {sorted(overlap)}")
-    labels = a.labels + b.labels
-    edges = list(a.edges) + [e << a.n for e in b.edges]
-    return Hypergraph.from_masks(labels, edges)

@@ -198,6 +198,12 @@ def first_contained_pair(edges: list[tuple[int, ...]]) -> tuple[tuple[int, ...],
     return None
 
 
+def disjoint_union(a: Hypergraph, b: Hypergraph) -> Hypergraph:
+    """a and b side by side, b's labels after a's, built from the label
+    data alone; ``validate`` refuses label sets that overlap."""
+    return validate(a.labels + b.labels, a.edge_label_sets() + b.edge_label_sets())
+
+
 def convolve2d(a: dict[tuple[int, int], int], b: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
     """The convolution of two tables keyed (i, j), zero entries dropped.
 

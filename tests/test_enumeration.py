@@ -15,7 +15,7 @@ from hgpoly.enumeration import (
     vertex_induced_poly,
 )
 from hgpoly.errors import LimitExceeded
-from hgpoly.hypergraph import disjoint_union, validate
+from hgpoly.hypergraph import validate
 from hgpoly.stanley_reisner import SRInvariants
 from hgpoly.corpus import complete_graph, cycle_graph, path_graph, random_antichain, star
 
@@ -106,7 +106,7 @@ def test_multiplicative_over_disjoint_union(h1, h2):
         [f"r{lbl}" for lbl in h2.labels],
         [[f"r{lbl}" for lbl in e] for e in h2.edge_label_sets()],
     )
-    u, parts = SRInvariants(disjoint_union(h1, relabeled)), (SRInvariants(h1), SRInvariants(h2))
+    u, parts = SRInvariants(oracles.disjoint_union(h1, relabeled)), (SRInvariants(h1), SRInvariants(h2))
     assert u.P.terms == oracles.convolve2d(parts[0].P.terms, parts[1].P.terms)
     assert u.S.terms == oracles.convolve2d(parts[0].S.terms, parts[1].S.terms)
     f1, f2 = ({(i, 0): c for i, c in enumerate(inv.f)} for inv in parts)

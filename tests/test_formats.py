@@ -11,9 +11,9 @@ from hgpoly.bipoly import BiPoly
 from hgpoly.corpus import cycle_graph
 from hgpoly.errors import InputError
 from hgpoly.formats import (
+    _json_text,
     bipoly_to_json_terms,
     dump_hypergraph_json,
-    dump_json,
     dump_json_pieces,
     load_corpus,
     load_hypergraph,
@@ -45,12 +45,13 @@ def _lazily(value):
     return value
 
 
-# each writer's whole text of a value; the lazy ones are given its lists as iterators
+# each writer's whole text of a value; the lazy ones are given its lists as iterators.
+# "whole" is the one-string writer that dump_hypergraph_json uses
 WRITERS = {
-    "whole": dump_json,
+    "whole": lambda value: _json_text(value, "\n"),
     "pieces": lambda value: "".join(dump_json_pieces(value)),
     "lazy pieces": lambda value: "".join(dump_json_pieces(_lazily(value))),
-    "lazy whole": lambda value: dump_json(_lazily(value)),
+    "lazy whole": lambda value: _json_text(_lazily(value), "\n"),
 }
 
 

@@ -29,7 +29,7 @@ from hgpoly.homology import (
     restriction_betti,
     verify_betti_alternating_sum,
 )
-from hgpoly.hypergraph import Hypergraph, disjoint_union, validate
+from hgpoly.hypergraph import Hypergraph, validate
 from hgpoly.corpus import cycle_graph, path_graph, wheel
 from hgpoly.stanley_reisner import SRInvariants
 
@@ -472,7 +472,7 @@ def _assert_table_of_disjoint_union_is_the_convolution(a: Hypergraph, b: Hypergr
         for (j, y), q in hochster_betti(b).multigraded.items():
             key = (i + j, x | y << a.n)
             expected[key] = expected.get(key, 0) + p * q
-    assert hochster_betti(disjoint_union(a, b)).multigraded == expected
+    assert hochster_betti(oracles.disjoint_union(a, b)).multigraded == expected
 
 
 @settings(max_examples=40, deadline=None)

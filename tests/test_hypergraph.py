@@ -16,7 +16,7 @@ from hgpoly.homology import (
     restriction_betti,
 )
 from hgpoly.corpus import cycle_graph
-from hgpoly.hypergraph import Deck, Hypergraph, disjoint_union, validate
+from hgpoly.hypergraph import Deck, Hypergraph, validate
 from hgpoly.stanley_reisner import SRInvariants
 
 from .oracles import first_contained_pair
@@ -279,15 +279,3 @@ def test_antichain_preserved_by_card_and_induced(h):
         h.card(l)
     w = (1 << (h.n // 2)) - 1
     Hypergraph.from_masks(h.labels, [e for e in h.edges if e & ~w == 0])
-
-
-def test_disjoint_union_requires_distinct_labels(k3):
-    with pytest.raises(InputError, match=r"^label sets overlap: \['a', 'b', 'c'\]$"):
-        disjoint_union(k3, k3)
-
-
-def test_disjoint_union_merges_structure(k3):
-    other = validate(["x", "y"], [["x", "y"]])
-    u = disjoint_union(k3, other)
-    assert u.n == 5 and u.m == 4
-    assert set(u.edge_label_sets()) == {("a", "b"), ("a", "c"), ("b", "c"), ("x", "y")}
