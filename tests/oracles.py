@@ -11,6 +11,7 @@ what the property tests assert.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -290,3 +291,34 @@ def path_cycle_multigraded(n: int, cycle: bool) -> dict[tuple[int, int], int]:
         if all(run % 3 != 1 for run in runs):
             table[(size - sum(-(-run // 3) for run in runs), bmask)] = 1
     return table
+
+
+def parse_poly_text(text: str, x: str = "x") -> dict[tuple[int, int], int]:
+    """The term map {(i, j): c} of a polynomial's text in x and y, read
+    from the format alone: "0", or terms in ascending (i, j) order joined
+    by " + " or " - " (the first may lead with "-"), each an unsigned
+    coefficient and the factors x^i and y^j joined by "*". A coefficient
+    of 1 beside a factor, a zero power and "^1" go unwritten. Raises
+    ValueError on any other text."""
+    if text == "0":
+        return {}
+    pieces = re.split(r" ([+-]) ", text)
+    signs = ["-" if pieces[0].startswith("-") else "+"] + pieces[1::2]
+    terms: dict[tuple[int, int], int] = {}
+    for sign, term in zip(signs, [pieces[0].removeprefix("-")] + pieces[2::2]):
+        factors, c = term.split("*"), 1
+        if factors[0].isdigit():
+            c = int(factors.pop(0))
+            if str(c) != term.partition("*")[0] or c == 0 or (c == 1 and factors):
+                raise ValueError(f"coefficient of {term!r}")
+        powers: dict[str, int] = {}
+        for factor in factors:
+            var, caret, e = factor.partition("^")
+            if var not in (x, "y")[len(powers):] or var in powers or (caret and not (e.isdigit() and int(e) > 1 and e[0] != "0")):
+                raise ValueError(f"factor {factor!r} of {term!r}")
+            powers[var] = int(e) if caret else 1
+        key = (powers.get(x, 0), powers.get("y", 0))
+        if terms and key <= max(terms):
+            raise ValueError(f"term {term!r} out of order")
+        terms[key] = -c if sign == "-" else c
+    return terms

@@ -14,7 +14,7 @@ from hgpoly.bipoly import (
 from hgpoly.errors import InputError, InternalMismatch
 
 from . import oracles
-from .strategies import bipolys
+from .strategies import bipolys, coefficients
 
 ONE = BiPoly({(0, 0): 1})
 
@@ -170,6 +170,20 @@ class TestRendering:
 
     def test_univariate_text(self):
         assert BiPoly({(0, 0): 1, (2, 0): -3, (3, 0): 2}).to_text("t") == "1 - 3*t^2 + 2*t^3"
+
+    @settings(max_examples=150, deadline=None)
+    @given(bipolys(), st.lists(coefficients, max_size=8))
+    def test_text_reads_back_as_the_terms(self, p, xs):
+        # no runtime check reads the text back, so this and the goldens
+        # are what pin the renderer
+        assert oracles.parse_poly_text(p.to_text()) == p.terms
+        q = BiPoly(((i, 0), c) for i, c in enumerate(xs))
+        assert oracles.parse_poly_text(q.to_text("t"), "t") == q.terms
+
+    @pytest.mark.parametrize("text", ["", "1*x", "x^1", "x^0", "03*x", "0*x", "y*x", "x*x", "3*z", "x + 1", "2 - -x", "x*y^01"])
+    def test_read_back_refuses_other_text(self, text):
+        with pytest.raises(ValueError):
+            oracles.parse_poly_text(text)
 
 
 def _comb(n, k):
