@@ -175,10 +175,12 @@ class TestRendering:
     @given(bipolys(), st.lists(coefficients, max_size=8))
     def test_text_reads_back_as_the_terms(self, p, xs):
         # no runtime check reads the text back, so this and the goldens
-        # are what pin the renderer
-        assert oracles.parse_poly_text(p.to_text()) == p.terms
-        q = BiPoly(((i, 0), c) for i, c in enumerate(xs))
-        assert oracles.parse_poly_text(q.to_text("t"), "t") == q.terms
+        # are what pin the renderer; the twins with coefficients in
+        # -2..2 put +-1, whose text differs, at every position
+        for q in (p, BiPoly({e: c % 5 - 2 for e, c in p.terms.items()})):
+            assert oracles.parse_poly_text(q.to_text()) == q.terms
+        for q in (BiPoly(((i, 0), c) for i, c in enumerate(xs)), BiPoly(((i, 0), c % 5 - 2) for i, c in enumerate(xs))):
+            assert oracles.parse_poly_text(q.to_text("t"), "t") == q.terms
 
     @pytest.mark.parametrize("text", ["", "1*x", "x^1", "x^0", "03*x", "0*x", "y*x", "x*x", "3*z", "x + 1", "2 - -x", "x*y^01"])
     def test_read_back_refuses_other_text(self, text):
