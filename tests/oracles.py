@@ -308,14 +308,18 @@ def parse_poly_text(text: str, x: str = "x") -> dict[tuple[int, int], int]:
     for sign, term in zip(signs, [pieces[0].removeprefix("-")] + pieces[2::2]):
         factors, c = term.split("*"), 1
         if factors[0].isdigit():
-            c = int(factors.pop(0))
-            if str(c) != term.partition("*")[0] or c == 0 or (c == 1 and factors):
+            head = factors.pop(0)
+            c = int(head)
+            if head != str(c) or c == 0 or (c == 1 and factors):
                 raise ValueError(f"coefficient of {term!r}")
         powers: dict[str, int] = {}
+        allowed = (x, "y")
         for factor in factors:
+            # x before y, each at most once, and a written power is 2 or more
             var, caret, e = factor.partition("^")
-            if var not in (x, "y")[len(powers):] or var in powers or (caret and not (e.isdigit() and int(e) > 1 and e[0] != "0")):
+            if var not in allowed or (caret and not (e.isdigit() and e == str(int(e)) and int(e) > 1)):
                 raise ValueError(f"factor {factor!r} of {term!r}")
+            allowed = allowed[allowed.index(var) + 1 :]
             powers[var] = int(e) if caret else 1
         key = (powers.get(x, 0), powers.get("y", 0))
         if terms and key <= max(terms):

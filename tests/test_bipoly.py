@@ -182,7 +182,9 @@ class TestRendering:
         for q in (BiPoly(((i, 0), c) for i, c in enumerate(xs)), BiPoly(((i, 0), c % 5 - 2) for i, c in enumerate(xs))):
             assert oracles.parse_poly_text(q.to_text("t"), "t") == q.terms
 
-    @pytest.mark.parametrize("text", ["", "1*x", "x^1", "x^0", "03*x", "0*x", "y*x", "x*x", "3*z", "x + 1", "2 - -x", "x*y^01"])
+    @pytest.mark.parametrize(
+        "text", ["", "1*x", "x^1", "x^0", "03*x", "0*x", "y*x", "x*x", "y*y", "3*z", "x + 1", "2 - -x", "x*y^01"]
+    )
     def test_read_back_refuses_other_text(self, text):
         with pytest.raises(ValueError):
             oracles.parse_poly_text(text)
