@@ -25,7 +25,6 @@ from .homology import (
     verify_betti_alternating_sum,
 )
 from .hypergraph import Deck, Hypergraph, validate
-from . import parallel  # noqa: F401  (read by perfbench's tracer)
 from .reconstruct import (
     DeckInvariants,
     check_reconstructible,

@@ -81,40 +81,22 @@ class BiPoly:
 
     def to_text(self, x: str = "x") -> str:
         """Render with terms sorted by (i, j) ascending, e.g.
-        ``1 + 3*x^2*y + 3*x^3*y^2 + x^3*y^3``; x names the first variable."""
-        return _sum_text((c, ((x, i), ("y", j))) for (i, j), c in self.iter_sorted())
+        ``1 + 3*x^2*y + 3*x^3*y^2 + x^3*y^3`` or ``1 - 3*t^2``; x names
+        the first variable, and the zero polynomial is "0"."""
+        parts: list[str] = []
+        for (i, j), c in self.iter_sorted():
+            factors = [var if e == 1 else f"{var}^{e}" for var, e in ((x, i), ("y", j)) if e]
+            if abs(c) != 1 or not factors:
+                factors.insert(0, str(abs(c)))
+            mono = "*".join(factors)
+            if parts:
+                parts.append(f"- {mono}" if c < 0 else f"+ {mono}")
+            else:
+                parts.append(f"-{mono}" if c < 0 else mono)
+        return " ".join(parts) or "0"
 
     def __repr__(self) -> str:
         return f"BiPoly({self.to_text()})"
-
-
-def _sum_text(terms: Iterable[tuple[int, tuple[tuple[str, int], ...]]]) -> str:
-    """Signed sum of (coefficient, ((variable, exponent), ...)) terms,
-    e.g. ``1 - 3*t^2``; "0" when there are none."""
-    parts: list[str] = []
-    for c, vars_and_exps in terms:
-        mono = _monomial_text(c, vars_and_exps)
-        if not parts:
-            parts.append(mono if c > 0 else f"-{mono}")
-        else:
-            parts.append(f"+ {mono}" if c > 0 else f"- {mono}")
-    return " ".join(parts) or "0"
-
-
-def _monomial_text(coeff: int, vars_and_exps: tuple[tuple[str, int], ...]) -> str:
-    """Unsigned monomial text; the caller handles the sign."""
-    c = abs(coeff)
-    factors = []
-    for var, e in vars_and_exps:
-        if e == 1:
-            factors.append(var)
-        elif e > 1:
-            factors.append(f"{var}^{e}")
-    if not factors:
-        return str(c)
-    if c != 1:
-        factors.insert(0, str(c))
-    return "*".join(factors)
 
 
 def substitute(terms: Mapping[tuple[int, int], int], n: int, a: int, b: int) -> dict[tuple[int, int], int]:

@@ -273,7 +273,6 @@ _COMMON = (
     ("--n-max", {"type": int, "default": DEFAULT_LIMIT, "help": f"enumeration size limit (default {DEFAULT_LIMIT})"}),
     ("--homology-n-max", {"type": int, "default": DEFAULT_HOMOLOGY_LIMIT,
                           "help": f"homology size limit (default {DEFAULT_HOMOLOGY_LIMIT})"}),
-    ("--parallel", {"action": "store_true", "help": "does nothing; to be removed"}),
 )
 _INPUT = ("--input", {"required": True})
 
@@ -296,6 +295,7 @@ _COMMANDS = {
     "reconstruct": ("rebuild an invariant from a deck directory", (
         ("--deck", {"required": True, "metavar": "DIR"}),
         ("--target", {"choices": ("S", "P", "fvector", "hilbert", "betti"), "required": True}),
+        ("--parallel", {"action": "store_true", "help": "does nothing; kept for callers that pass it"}),
     ), {}, _cmd_reconstruct),
     "verify": ("run exact identity checks; nonzero exit on failure", (
         ("--identity", {"choices": IDENTITY_IDS + ("all",), "default": "all"}), _INPUT,

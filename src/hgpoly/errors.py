@@ -6,8 +6,8 @@ an error, each raise site telling its check apart by its message.
 - ``NotReconstructible`` (an ``InputError``, exit 2): one of the inputs
   the reconstruction theorems leave out (fewer than three vertices, no
   edges, or a single spanning edge).
-- ``LimitExceeded`` (exit 3): the instance is above a size limit;
-  ``check_limit`` raises every such refusal.
+- ``LimitExceeded`` (exit 3): the instance is above a size limit
+  (``check_limit``), or ``--terms`` is above the series limit.
 - ``InternalMismatch`` (exit 1): two independent routes disagreed on a
   valid input, which only a bug can cause.
 
@@ -39,8 +39,10 @@ class LimitExceeded(HgpolyError):
 
 def check_limit(kind: str, value: int, name: str, limit: int) -> None:
     """Refuse an instance whose size ``kind`` (n or m) is above the named
-    limit. Every size refusal is raised here, so the CLI's exit-3 message,
-    identity 4.3's skip and a report's ``betti_skipped`` read alike."""
+    limit. Every size refusal of an instance is raised here, so the CLI's
+    exit-3 message, identity 4.3's skip and a report's ``betti_skipped``
+    read alike; ``cli.main`` raises the one other, for ``--terms``, with
+    its own message, which ``tests/test_limits.py`` pins."""
     if value > limit:
         raise LimitExceeded(
             f"{kind}={value} exceeds the {name} limit {limit}; raise the limit explicitly to run anyway"

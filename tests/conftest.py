@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from hgpoly.corpus import default_corpus
 from hgpoly.hypergraph import Hypergraph, validate
+
+from .families import default_corpus
 
 
 @pytest.fixture(scope="session")

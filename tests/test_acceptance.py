@@ -15,9 +15,9 @@ from math import comb
 
 import pytest
 
+from hgpoly import cli
 from hgpoly.bipoly import BiPoly, to_edge_form
 from hgpoly.cli import main
-from hgpoly.corpus import complete_graph, star
 from hgpoly.enumeration import edge_family_poly, edge_induced_poly, vertex_induced_poly
 from hgpoly.errors import InputError, NotReconstructible
 from hgpoly.formats import dump_hypergraph_json
@@ -26,6 +26,7 @@ from hgpoly.hypergraph import validate
 from hgpoly.reconstruct import check_reconstructible, reconstruct_edge_poly, verify_deck_sum_identity
 from hgpoly.stanley_reisner import SRInvariants, hilbert_function
 
+from .families import complete_graph, star
 from .test_reconstruct import deck_bundle_mismatches
 
 
@@ -117,19 +118,20 @@ def test_criterion_6_reconstruction_roundtrips(corpus):
     _report("6 reconstruction", f"{count} reconstructible corpus members, deck bundle equals the direct one")
 
 
-def test_criterion_7_determinism(tmp_path, corpus):
+def test_criterion_7_determinism(tmp_path, corpus, monkeypatch):
     corpus_dir = tmp_path / "corpus"
     corpus_dir.mkdir()
     for k, (name, h) in enumerate(corpus):
         (corpus_dir / f"{k:04d}_{name}.json").write_text(dump_hypergraph_json(h))
     outputs = []
-    for flags in ([], ["--parallel"]):
+    for cores in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
         buf = io.StringIO()
         with redirect_stdout(buf):
-            rc = main(["report", "--terms", "12", "--input", str(corpus_dir)] + flags)
+            rc = main(["report", "--terms", "12", "--input", str(corpus_dir)])
         assert rc == 0
         outputs.append(buf.getvalue().encode())
-    assert outputs[0] == outputs[1], "parallel report differs from sequential"
+    assert outputs[0] == outputs[1], "report split over two workers differs from one worker's"
     _report("7 determinism", f"{len(corpus)} reports byte-identical, {len(outputs[0])} bytes")
 
 

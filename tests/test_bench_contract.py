@@ -70,6 +70,17 @@ def test_harness_names_exist(module):
     assert not missing, f"{module} lacks {missing}"
 
 
+def test_corpus_defines_only_what_the_harness_reads():
+    # the test families live in tests/families.py; none may creep back
+    corpus = importlib.import_module("hgpoly.corpus")
+    public = {
+        name
+        for name, obj in vars(corpus).items()
+        if inspect.isfunction(obj) and obj.__module__ == corpus.__name__ and not name.startswith("_")
+    }
+    assert sorted(public) == sorted(HARNESS_NAMES["hgpoly.corpus"])
+
+
 def _tracer_function_names(modules) -> set[str]:
     """Every quoted "<module>.<name>" in the tracer's source whose module
     is one it wraps, less the per-layer metric names."""

@@ -18,12 +18,12 @@ from hypothesis import strategies as st
 import hgpoly
 from hgpoly import cli
 from hgpoly.cli import build_parser, main
-from hgpoly.corpus import complete_graph, cycle_graph
 from hgpoly.enumeration import check_sweep_limits
 from hgpoly.errors import InternalMismatch, LimitExceeded
 from hgpoly.formats import dump_hypergraph_json
 from hgpoly.hypergraph import Hypergraph, validate
 
+from .families import complete_graph, cycle_graph
 from .strategies import hypergraphs
 from .test_entry import _in_process
 from .test_reconstruct import EXCLUDED_DECKS, cycle_chord
@@ -542,8 +542,6 @@ class TestReport:
         # K6 has m=15 edges, above the homology limit of 14; only n may be
         # held against that limit, and the numerator K(t) is swept under
         # the enumeration limit
-        from hgpoly.corpus import complete_graph
-
         p = tmp_path / "k6.json"
         p.write_text(dump_hypergraph_json(complete_graph(6)))
         assert main(["report", "--input", str(p)]) == 0
@@ -923,6 +921,15 @@ FALLBACK_ARGVS = {
 def test_help_and_usage_errors_are_argparse_own(argv, monkeypatch):
     assert cli._parse(argv) is None
     assert _in_process(argv, monkeypatch) == _argparse_exit(argv)  # COLUMNS=80 on both sides
+
+
+def test_parallel_is_a_usage_error_off_reconstruct(k3_file):
+    # the flag does nothing, and stays only on reconstruct, where callers pass it
+    takers = [command for command, row in cli._COMMANDS.items() if "--parallel" in dict(cli._COMMON + row[1])]
+    assert takers == ["reconstruct"]
+    argv = ["report", "--input", k3_file, "--parallel"]
+    assert cli._parse(argv) is None
+    assert _argparse_exit(argv)[0] == 2
 
 
 @pytest.mark.parametrize("spelling", [["--inp", "{}"], ["--input={}"]], ids=["abbreviated", "joined"])

@@ -25,8 +25,9 @@ import tempfile
 from pathlib import Path
 
 from hgpoly.cli import main
-from hgpoly.corpus import default_corpus, named_instances
 from hgpoly.formats import dump_hypergraph_json
+
+from .families import default_corpus, named_instances
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_sha256.json"
 

@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import pytest
 
-from hgpoly.corpus import complete_graph, cycle_graph, path_graph, star
 from hgpoly.homology import hochster_betti
 
 from . import oracles
+from .families import complete_graph, cycle_graph, path_graph, star
 
 # n up to 10 meets every residue mod 3 at least three times, and 13 is
 # the largest size checked on every family; 11 and 12 would add about

@@ -17,9 +17,9 @@ from hgpoly.enumeration import (
 from hgpoly.errors import LimitExceeded
 from hgpoly.hypergraph import validate
 from hgpoly.stanley_reisner import SRInvariants
-from hgpoly.corpus import complete_graph, cycle_graph, path_graph, random_antichain, star
 
 from . import oracles
+from .families import complete_graph, cycle_graph, path_graph, random_antichain, star
 from .strategies import hypergraphs
 
 

@@ -20,13 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgpoly.cli import main
-from hgpoly.corpus import complete_graph, cycle_graph, path_graph, star
 from hgpoly.enumeration import edge_family_poly, edge_induced_poly, vertex_family_poly, vertex_induced_poly
 from hgpoly.formats import dump_hypergraph_json, load_corpus, read_deck, write_deck
 from hgpoly.hypergraph import Hypergraph, mask_indices
 from hgpoly.reconstruct import reconstruct_edge_poly, reconstruct_vertex_poly
 from hgpoly.stanley_reisner import SRInvariants
 
+from .families import complete_graph, cycle_graph, path_graph, star
 from .strategies import hypergraphs, reconstructible_hypergraphs
 
 

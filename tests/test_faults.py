@@ -32,11 +32,11 @@ import hgpoly.stanley_reisner as stanley_reisner
 import hgpoly.verify as verify
 from hgpoly.bipoly import BiPoly
 from hgpoly.cli import main
-from hgpoly.corpus import complete_graph, cycle_graph, wheel
 from hgpoly.formats import dump_hypergraph_json
 from hgpoly.homology import hochster_betti
 from hgpoly.hypergraph import validate
 
+from .families import complete_graph, cycle_graph, wheel
 from .oracles import dual_betti
 
 SLICE = {

@@ -30,10 +30,10 @@ from hgpoly.homology import (
     verify_betti_alternating_sum,
 )
 from hgpoly.hypergraph import Hypergraph, validate
-from hgpoly.corpus import cycle_graph, path_graph, wheel
 from hgpoly.stanley_reisner import SRInvariants
 
 from . import oracles
+from .families import cycle_graph, path_graph, wheel
 from .strategies import hypergraphs
 
 

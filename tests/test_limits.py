@@ -21,8 +21,9 @@ import pytest
 
 import hgpoly
 from hgpoly.cli import main
-from hgpoly.corpus import complete_graph, cycle_graph
 from hgpoly.formats import dump_hypergraph_json
+
+from .families import complete_graph, cycle_graph
 
 HOMOLOGY_REFUSAL = "n=6 exceeds the homology limit 5; raise the limit explicitly to run anyway"
 

@@ -22,8 +22,8 @@ from hgpoly.reconstruct import (
     verify_deck_sum_identity,
 )
 from hgpoly.stanley_reisner import SRInvariants
-from hgpoly.corpus import cycle_graph, path_graph, wheel
 
+from .families import cycle_graph, path_graph, wheel
 from .strategies import reconstructible_hypergraphs
 
 

@@ -26,9 +26,9 @@ import pytest
 
 from hgpoly import cli
 from hgpoly.cli import main
-from hgpoly.corpus import complete_graph, default_corpus
 from hgpoly.formats import dump_hypergraph_json
 
+from .families import complete_graph, default_corpus
 from .test_cli import _assert_no_child_left, _descriptors
 
 GOLDEN = Path(__file__).parent / "golden" / "report_sha256.json"

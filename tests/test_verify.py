@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 
 from hgpoly.bipoly import BiPoly
-from hgpoly.corpus import cycle_graph, uniform_complete, wheel
 from hgpoly.hypergraph import validate
 from hgpoly.reconstruct import verify_deck_sum_identity
 from hgpoly.stanley_reisner import SRInvariants
@@ -16,6 +15,7 @@ from hgpoly.verify import (
     verify_transform,
 )
 
+from .families import cycle_graph, uniform_complete, wheel
 from .strategies import hypergraphs
 
 

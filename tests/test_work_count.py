@@ -17,11 +17,12 @@ import hgpoly.bipoly as bipoly
 import hgpoly.enumeration as enumeration
 import hgpoly.homology as homology
 from hgpoly.cli import main
-from hgpoly.corpus import complete_graph, cycle_graph, path_graph, star, wheel
 from hgpoly.formats import dump_hypergraph_json
 from hgpoly.hypergraph import Hypergraph
 from hgpoly.reconstruct import DeckInvariants
 from hgpoly.stanley_reisner import SRInvariants
+
+from .families import complete_graph, cycle_graph, path_graph, star, wheel
 
 COUNTED = (
     (enumeration, "vertex_induced_poly"),
