@@ -197,15 +197,15 @@ def write_deck(deck: Deck, out_dir: str) -> list[str]:
     a directory or already holds a card_*.json file that this deck would
     not overwrite: read back, that stale card would join the deck.
     """
-    width = max(2, len(str(deck.origin_n - 1)))
-    names = [f"card_{l:0{width}d}.json" for l in range(deck.origin_n)]
+    width = max(2, len(str(deck.parent.n - 1)))
+    names = [f"card_{l:0{width}d}.json" for l in range(deck.parent.n)]
     paths = [os.path.join(out_dir, name) for name in names]
     try:
         os.makedirs(out_dir, exist_ok=True)
         stale = [name for name in _card_names(out_dir) if name not in names]
         if stale:
             raise InputError(
-                f"{out_dir} already holds {stale[0]}, which this {deck.origin_n}-card deck "
+                f"{out_dir} already holds {stale[0]}, which this {deck.parent.n}-card deck "
                 f"would not overwrite; write the deck to an empty directory"
             )
         for path, card in zip(paths, deck.cards):

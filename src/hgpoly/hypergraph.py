@@ -140,7 +140,7 @@ class Hypergraph(Frozen):
 
     def deck(self) -> "Deck":
         """All n vertex-deleted cards, in vertex order."""
-        return Deck(self.labels, tuple(self.card(l) for l in range(self.n)))
+        return Deck(self)
 
     def to_json_dict(self) -> dict:
         return {
@@ -190,65 +190,52 @@ def validate(raw_vertices: Sequence[str], raw_edges: Sequence[Sequence[str]]) ->
 class Deck(Frozen):
     """Ordered vertex-deleted deck: card l is the parent minus vertex l.
 
-    Cards keep the parent's labels (minus the deleted one), which is
-    what makes the reconstruction identities checkable without any
-    isomorphism search. Construction rejects cards that disagree with
-    each other: card l must hold exactly the edges of the other cards
-    that avoid vertex l.
+    Cards keep the parent's labels (minus the deleted one), so the
+    reconstruction identities are checkable without any isomorphism
+    search, and the union of the cards' edges is the parent's edge set:
+    a deck is its parent, and its cards are cut on first use.
     """
 
-    def __init__(self, parent_labels: tuple[str, ...], cards: tuple[Hypergraph, ...]) -> None:
-        self._freeze(parent_labels=parent_labels, cards=cards)
-        n = len(self.parent_labels)
-        if len(self.cards) != n:
-            raise InputError(f"expected {n} cards, got {len(self.cards)}")
-        for l, card in enumerate(self.cards):
-            expected = self.parent_labels[:l] + self.parent_labels[l + 1 :]
-            if card.labels != expected:
-                raise InputError(
-                    f"card {l} has labels {card.labels}, expected {expected}"
-                )
-        # a genuine card l holds exactly the parent's edges avoiding vertex l
-        holders: dict[int, int] = {}
-        for l, edges in enumerate(self.parent_edges):
-            for e in edges:
-                holders[e] = holders.get(e, 0) | 1 << l
-        for e in sorted(holders):
-            missing = ((1 << n) - 1) & ~e & ~holders[e]
-            if missing:
-                labels = [self.parent_labels[v] for v in mask_indices(e)]
-                raise InputError(
-                    f"edge {labels} is on card {mask_indices(holders[e])[0]} but not on card "
-                    f"{mask_indices(missing)[0]}, whose deleted vertex it avoids; the input is not a genuine deck"
-                )
-
-    @property
-    def origin_n(self) -> int:
-        return len(self.parent_labels)
+    def __init__(self, parent: Hypergraph) -> None:
+        self._freeze(parent=parent)
 
     @cached_property
-    def parent_edges(self) -> tuple[tuple[int, ...], ...]:
-        """Each card's edges as masks over the parent's vertex indices:
-        card l's vertex k is the parent's vertex k below l, k + 1 from l on."""
-        out = []
-        for l, card in enumerate(self.cards):
-            low = (1 << l) - 1
-            out.append(tuple(e & low | (e & ~low) << 1 for e in card.edges))
-        return tuple(out)
+    def cards(self) -> tuple[Hypergraph, ...]:
+        return tuple(self.parent.card(l) for l in range(self.parent.n))
 
     @classmethod
     def from_cards(cls, cards: Sequence[Hypergraph]) -> "Deck":
-        """Recover the parent label order from the cards themselves.
-
-        Card l omits exactly the parent's l-th label, so the first
-        missing label is parent[0] and card 0 lists the rest in order.
-        Requires at least two cards.
-        """
+        """The one check of cards from outside. Card l omits exactly the
+        parent's l-th label, so the first missing label is parent[0] and
+        card 0 lists the rest in order; card l must hold exactly the other
+        cards' edges that avoid vertex l, and is then the parent's card l,
+        edge order included. Needs at least two cards."""
         if len(cards) < 2:
             raise InputError("need at least two cards to recover the vertex order")
         first_missing = set(cards[1].labels) - set(cards[0].labels)
         if len(first_missing) != 1:
             raise InputError("cards 0 and 1 do not differ in exactly one label")
-        parent = (next(iter(first_missing)),) + cards[0].labels
-        return cls(parent, tuple(cards))
-
+        labels = (next(iter(first_missing)),) + cards[0].labels
+        n = len(labels)
+        if len(cards) != n:
+            raise InputError(f"expected {n} cards, got {len(cards)}")
+        # bit l of holders[e] is set when card l holds e, lifted to the
+        # parent's indices: card l's vertex k is the parent's k below l, k + 1 from l on
+        holders: dict[int, int] = {}
+        for l, card in enumerate(cards):
+            expected = labels[:l] + labels[l + 1 :]
+            if card.labels != expected:
+                raise InputError(f"card {l} has labels {card.labels}, expected {expected}")
+            low = (1 << l) - 1
+            for e in card.edges:
+                e = e & low | (e & ~low) << 1
+                holders[e] = holders.get(e, 0) | 1 << l
+        # a genuine card l holds exactly the parent's edges avoiding vertex l
+        for e in sorted(holders):
+            missing = ((1 << n) - 1) & ~e & ~holders[e]
+            if missing:
+                raise InputError(
+                    f"edge {[labels[v] for v in mask_indices(e)]} is on card {mask_indices(holders[e])[0]} but not on card "
+                    f"{mask_indices(missing)[0]}, whose deleted vertex it avoids; the input is not a genuine deck"
+                )
+        return cls(Hypergraph.from_masks(labels, holders))

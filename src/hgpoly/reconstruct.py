@@ -4,21 +4,21 @@ A subhypergraph spanning i < n vertices survives in exactly n - i of
 the n cards, so summing a coefficient over the deck and dividing by
 n - i recovers it. S and P are therefore read from the sum of the
 card polynomials alone, which one family sweep over the cards computes
-and which does not depend on the cards' labels or order; the
-``DeckInvariants`` bundle derives the rest from them as ``SRInvariants``
-does. The divisions must come out exact: a remainder certifies that the
-summed polynomial is not a genuine deck's. A checked ``Deck`` always is,
-so there ``DeckInvariants`` raises InternalMismatch instead. The
-full-vertex row of the edge-subset polynomial is not visible on any
-card; it is completed from the column-sum identity (column j sums to
-C(m, j)), which is valid because the excluded inputs guarantee every
-edge misses some vertex.
+and which does not depend on the cards' labels or order;
+``DeckInvariants`` is the bundle of the deck's parent with these in
+place of its sweeps. The divisions must come out exact: a remainder
+certifies that the summed polynomial is not a genuine deck's. A
+``Deck``'s cards always sum to one, so ``DeckInvariants`` raises
+InternalMismatch instead. The full-vertex row of the edge-subset
+polynomial is not visible on any card; it is completed from the
+column-sum identity (column j sums to C(m, j)), which is valid because
+the excluded inputs guarantee every edge misses some vertex.
 
 Excluded inputs: fewer than three vertices, no edges, and the single
 edge covering every vertex. The latter two have identical decks, which
 is exactly why they are excluded. S and P decide the exclusion from
-the card sum, where the exact division is made; the Betti table, read
-off the union of the cards' edges, checks the exclusion itself.
+the card sum, where the exact division is made; the Betti table, the
+parent's less its top row, checks the exclusion itself.
 """
 
 from __future__ import annotations
@@ -144,9 +144,8 @@ def reconstruct_vertex_poly(card_sum: BiPoly, n: int) -> BiPoly:
 
 
 def _rebuilt(rebuild, card_sum: BiPoly, n: int) -> BiPoly:
-    """rebuild(card_sum, n) for the cards of a checked Deck, which are the
-    deck of their edges' union, an antichain (an edge inside another would
-    share a card with it): any other refusal than NotReconstructible is a bug."""
+    """rebuild(card_sum, n) for a Deck's cards, which are its parent's, an
+    antichain: any other refusal than NotReconstructible is a bug."""
     try:
         return rebuild(card_sum, n)
     except NotReconstructible:
@@ -156,20 +155,12 @@ def _rebuilt(rebuild, card_sum: BiPoly, n: int) -> BiPoly:
 
 
 class DeckInvariants(SRInvariants):
-    """The bundle of a deck's parent: P and S rebuilt from the summed
+    """The bundle of a deck's parent with P and S rebuilt from the summed
     cards and the Betti table below the top row; all else is derived as
     for a hypergraph, so identity 3.2 guards the Hilbert function."""
 
     def __init__(self, deck: Deck, limit: int = DEFAULT_LIMIT, homology_limit: int = DEFAULT_HOMOLOGY_LIMIT):
-        self._freeze(deck=deck, limit=limit, homology_limit=homology_limit)
-
-    @property
-    def n(self) -> int:
-        return self.deck.origin_n
-
-    @property
-    def cards(self) -> tuple[Hypergraph, ...]:
-        return self.deck.cards
+        super().__init__(deck.parent, limit, homology_limit)
 
     @cached_property
     def P(self) -> BiPoly:
@@ -181,15 +172,13 @@ class DeckInvariants(SRInvariants):
 
     @cached_property
     def betti(self) -> BettiTable:
-        """The table of the parent the cards imply (the union of their
-        edges), checked whole by hochster_betti, less its B = V entries,
-        which no card sees. Any other B misses some vertex l, and the
-        union's edges inside B are card l's, which the Deck checked are
-        the parent's."""
+        """The parent's table, checked whole by hochster_betti, less its
+        B = V entries, which no card sees; refused after it if the deck
+        is edgeless, as a single spanning edge's is."""
         _check_n(self.n)
-        parent = Hypergraph.from_masks(self.deck.parent_labels, set().union(*self.deck.parent_edges))
+        parent = self.hypergraph
         table = hochster_betti(parent, self.homology_limit)
-        if not parent.edges:
+        if all(e == parent.full_mask for e in parent.edges):
             raise NotReconstructible(_EDGELESS_DECK)
         below = {key: b for key, b in table.multigraded.items() if key[1] != parent.full_mask}
         return BettiTable(parent.labels, below, top_complete=False)

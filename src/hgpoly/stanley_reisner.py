@@ -15,8 +15,9 @@ InternalMismatch, which only a bug can cause, unless 3.2 holds and it
 equals the face-count sums; f raises it unless its last entry is
 nonzero; h raises it unless it transforms back to f;
 the Betti table is checked where ``hochster_betti`` builds it.
-``reconstruct.DeckInvariants`` swaps in P, S, the cards and the Betti
-table rebuilt from a deck, so ``reconstruct`` views a bundle too.
+``reconstruct.DeckInvariants`` is the bundle of a deck's parent with
+P, S and the Betti table read from its cards, so ``reconstruct`` views
+a bundle too.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .bipoly import BiPoly, expand_series, substitute
 from .enumeration import DEFAULT_LIMIT, edge_induced_poly, vertex_induced_poly
 from .errors import InternalMismatch
 from .homology import DEFAULT_HOMOLOGY_LIMIT, BettiTable, hochster_betti
-from .hypergraph import Frozen, Hypergraph
+from .hypergraph import Deck, Frozen, Hypergraph
 
 
 class SRInvariants(Frozen):
@@ -40,8 +41,7 @@ class SRInvariants(Frozen):
     1 for the empty face, its binomial transform h, the Krull dimension,
     the multiplicity, the Hilbert series numerator K(t) = S(t, -1), the
     outcome of identity 3.2 (K(t) against its expansion from f), the n
-    vertex-deleted cards (never checked again as a Deck), and the
-    multigraded Betti table."""
+    vertex-deleted cards (its Deck's), and the multigraded Betti table."""
 
     def __init__(self, hypergraph: Hypergraph, limit: int = DEFAULT_LIMIT, homology_limit: int = DEFAULT_HOMOLOGY_LIMIT):
         self._freeze(hypergraph=hypergraph, limit=limit, homology_limit=homology_limit)
@@ -97,7 +97,7 @@ class SRInvariants(Frozen):
 
     @cached_property
     def cards(self) -> tuple[Hypergraph, ...]:
-        return tuple(self.hypergraph.card(l) for l in range(self.n))
+        return Deck(self.hypergraph).cards
 
     @cached_property
     def betti(self) -> BettiTable:

@@ -239,6 +239,33 @@ def signed_union_closure(h: Hypergraph) -> dict[frozenset[str], int]:
     return mu
 
 
+def crosscut_betti(h: Hypergraph, rank=rank_over_rationals) -> dict[tuple[int, tuple[str, ...]], int]:
+    """Multigraded table of R/I(H), keyed like naive_betti_table, by the
+    crosscut theorem on the lcm lattice (Björner, Handbook of
+    Combinatorics, 1995, Thm. 10.8): b[i, B] = dim H~_(i-2)(Gamma_B) for
+    B in the union closure, where Gamma_B = {L inside E_B : union of L
+    is not B} is a complex on the edges E_B inside B. It lives on edge
+    subsets, not on vertex restrictions, and walks 2^|E_B| of them per B,
+    so it is cheap only when m is small."""
+    edges = [frozenset(e) for e in h.edge_label_sets()]
+    closure = {frozenset()}
+    for edge in edges:
+        closure |= {union | edge for union in closure}
+    table: dict[tuple[int, tuple[str, ...]], int] = {(0, ()): 1}
+    for b in closure - {frozenset()}:
+        inside = [k for k, e in enumerate(edges) if e <= b]
+        faces = [
+            frozenset(subset)
+            for size in range(len(inside) + 1)
+            for subset in combinations(inside, size)
+            if frozenset().union(*(edges[k] for k in subset)) != b
+        ]
+        for k, d in enumerate(naive_reduced_homology(faces, rank)):  # index k holds degree k - 1 = i - 2
+            if d:
+                table[(k + 1, tuple(v for v in h.labels if v in b))] = d
+    return table
+
+
 # -- closed-form Betti tables ------------------------------------------------
 
 

@@ -12,7 +12,7 @@ own table, and so must a fault on arguments, which a guard refuses. A fault that
 instead, with the function it patches, the slice members it is blind
 on and the reason; the test asserts that it stays blind there, so a
 check that starts catching it moves it to FAULTS, and that
-``oracles.dual_betti`` catches it.
+``oracles.dual_betti`` and ``oracles.crosscut_betti`` catch it.
 A command that some slice member gives no way to show a fault (the
 fault leaves everything it prints right) is left out of that fault's
 commands, with the reason beside it. Every new route adds its fault
@@ -37,7 +37,7 @@ from hgpoly.homology import hochster_betti
 from hgpoly.hypergraph import validate
 
 from .families import complete_graph, cycle_graph, wheel
-from .oracles import dual_betti
+from .oracles import crosscut_betti, dual_betti, rank_over_gf2
 
 SLICE = {
     "C5": cycle_graph(5),
@@ -284,11 +284,23 @@ def test_known_blind_fault_passes_every_check_and_fails_the_dual_oracle(fault, t
         h = SLICE[member]
         faulty = {(i, verts): b for i, verts, b in hochster_betti(h).multigraded_entries()}
         assert dual_betti(h) != faulty
+        assert _crosscut(h) != faulty
+
+
+def _crosscut(h) -> dict:
+    # ranked over GF(2): over the rationals the crosscut of wheel5's 10 edges takes
+    # about 0.9 s, and no slice member has torsion (the clean test below)
+    return crosscut_betti(h, rank_over_gf2)
 
 
 def test_clean_tables_match_the_dual_oracle():
     for h in SLICE.values():
         assert {(i, verts): b for i, verts, b in hochster_betti(h).multigraded_entries()} == dual_betti(h)
+
+
+def test_clean_tables_match_the_crosscut_oracle():
+    for h in SLICE.values():
+        assert {(i, verts): b for i, verts, b in hochster_betti(h).multigraded_entries()} == _crosscut(h)
 
 
 def test_h_guard_sweeps_no_edges(tmp_path, capsys):

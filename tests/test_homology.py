@@ -345,6 +345,14 @@ def test_hochster_matches_naive_all_subsets_loop(h):
     assert got == oracles.naive_betti_table(h)
 
 
+def test_hochster_matches_the_crosscut_oracle_on_the_corpus(corpus):
+    # the crosscut walks edge subsets, 2^m per B at most, so only the members with m <= 7
+    for _, h in corpus:
+        if h.m <= 7:
+            got = {(i, verts): b for i, verts, b in hochster_betti(h).multigraded_entries()}
+            assert got == oracles.crosscut_betti(h), h
+
+
 def test_restriction_betti_gives_an_uncovered_vertex_no_entries():
     # no edge covers vertex 1, so the complex on {1} is a cone
     assert restriction_betti((), [0b10]) == {(0, 0): 1}

@@ -164,7 +164,7 @@ class TestDeck:
 
     def test_edgeless_deck(self, edgeless3):
         deck = edgeless3.deck()
-        assert deck.origin_n == 3
+        assert deck.parent.n == 3
         assert all(c.n == 2 and c.m == 0 for c in deck.cards)
 
     def test_star_minus_center(self):
@@ -183,6 +183,30 @@ class TestDeck:
         deck = path3.deck()
         rebuilt = Deck.from_cards(list(deck.cards))
         assert rebuilt == deck
+
+    def test_from_cards_rebuilds_every_corpus_parent(self, corpus):
+        for _, h in corpus:
+            if h.n < 2:
+                continue
+            cards = h.deck().cards
+            deck = Deck.from_cards(cards)
+            # a single spanning edge is on no card, so its cards are the edgeless parent's
+            spanning = h.edges == (h.full_mask,)
+            assert deck.parent == (Hypergraph(h.labels, ()) if spanning else h) and deck.cards == cards
+            for l, card in enumerate(cards):
+                if not card.edges:
+                    continue
+                forged = [*cards[:l], Hypergraph(card.labels, card.edges[1:]), *cards[l + 1 :]]
+                low = (1 << l) - 1
+                dropped = card.edges[0] & low | (card.edges[0] & ~low) << 1
+                if dropped.bit_count() == h.n - 1:
+                    # an edge that avoids only vertex l is on card l alone, so the
+                    # cards without it are the genuine deck of the parent without it
+                    rest = Hypergraph.from_masks(h.labels, [e for e in h.edges if e != dropped])
+                    assert Deck.from_cards(forged).parent == rest
+                else:
+                    with pytest.raises(InputError, match="the input is not a genuine deck$"):
+                        Deck.from_cards(forged)
 
     def test_from_cards_rejects_mismatched(self, k3, path3):
         cards = list(k3.deck().cards)
@@ -210,9 +234,9 @@ class TestDeck:
         with pytest.raises(InputError, match="^cards 0 and 1 do not differ in exactly one label$"):
             Deck.from_cards([k3.card(0), k3.card(0), k3.card(2)])
 
-    def test_deck_constructor_validates_card_count(self, k3):
+    def test_from_cards_validates_card_count(self, k3):
         with pytest.raises(InputError, match="^expected 3 cards, got 2$"):
-            Deck(k3.labels, k3.deck().cards[:2])
+            Deck.from_cards(k3.deck().cards[:2])
 
 
 class TestValueSemantics:
@@ -221,7 +245,7 @@ class TestValueSemantics:
     def test_equal_values_compare_and_hash_equal(self, k3, path3):
         twin = validate(["a", "b", "c"], [["b", "c"], ["c", "a"], ["a", "b"]])
         assert twin is not k3 and twin == k3 and hash(twin) == hash(k3)
-        deck = Deck(parent_labels=k3.labels, cards=twin.deck().cards)
+        deck = Deck(twin)
         assert deck == k3.deck() and hash(deck) == hash(k3.deck())
         assert k3 != path3 and k3.deck() != path3.deck() and k3 != k3.labels
         assert len({k3, twin, path3}) == 2
@@ -256,11 +280,11 @@ def test_card_commutes_with_vertex_induced(h):
     # vertex l, so for B a union of edges (the only supports of nonzero
     # entries) its restriction homology is the parent's, and so is the
     # deck's table, read off the union of the cards' edges, at every such B.
-    # Building the deck also rebuilds every card through from_masks,
-    # whose antichain check must pass.
-    deck = h.deck()
     unions = _edge_union_closure(h.edges)
-    for l, card_edges in enumerate(deck.parent_edges):
+    for l, card in enumerate(h.deck().cards):
+        # card l's vertex k is the parent's vertex k below l, k + 1 from l on
+        low = (1 << l) - 1
+        card_edges = tuple(e & low | (e & ~low) << 1 for e in card.edges)
         for bmask in range(1 << h.n):
             if not bmask >> l & 1:
                 inside = {e for e in h.edges if e & ~bmask == 0}

@@ -189,6 +189,7 @@ def test_perturbed_face_count_fails_identity_3_2_on_a_deck(k3, monkeypatch, tmp_
 
 EXCLUDED_DECKS = {
     "edgeless3": (validate(list("abc"), []), _EDGELESS_DECK),
+    "spanning3": (validate(list("abc"), [list("abc")]), _EDGELESS_DECK),
     "two-vertex": (validate(["a", "b"], [["a", "b"]]), "reconstruction needs n >= 3, got n=2"),
 }
 
@@ -206,6 +207,16 @@ def test_excluded_deck_refused_by_every_polynomial_target(parent, target):
     h, message = EXCLUDED_DECKS[parent]
     with pytest.raises(NotReconstructible) as exc:
         POLY_TARGETS[target](h.deck())
+    assert type(exc.value) is NotReconstructible and str(exc.value) == message
+
+
+@pytest.mark.parametrize("parent", sorted(EXCLUDED_DECKS))
+def test_excluded_deck_refused_by_betti(parent):
+    # the table is the parent's own, so a single spanning edge is refused
+    # by its deck, which is the edgeless parent's, not by its own edges
+    h, message = EXCLUDED_DECKS[parent]
+    with pytest.raises(NotReconstructible) as exc:
+        DeckInvariants(h.deck()).betti
     assert type(exc.value) is NotReconstructible and str(exc.value) == message
 
 
@@ -233,7 +244,7 @@ class TestReconstructBetti:
         cards = list(genuine.deck().cards)
         cards[5] = other.deck().cards[5]
         with pytest.raises(InputError, match="on card 5 but not on card 0"):
-            DeckInvariants(Deck(genuine.labels, tuple(cards))).betti
+            Deck.from_cards(cards)
 
 
 REPORT_ARGS = build_parser().parse_args(["report", "--input", "-"])
