@@ -145,27 +145,22 @@ def _betti_text(table: BettiTable) -> str:
     return "\n".join(lines)
 
 
-def _betti(table: BettiTable) -> tuple[dict, str]:
-    return _betti_json(table), _betti_text(table)
-
-
 def _identities(results: dict[str, bool | str]) -> tuple[dict[str, str], str]:
     status = {ident: "ok" if r is True else "FAIL" if r is False else str(r) for ident, r in sorted(results.items())}
     return status, "\n".join(f"identity {ident}: {s}" for ident, s in status.items())
 
 
 def _report_for(h: Hypergraph, args) -> dict:
+    check_sweep_limits(h, args.n_max)
     inv = SRInvariants(h, args.n_max, args.homology_n_max)
-    # the vertex side first, so a hypergraph over both limits is refused for n
-    f_json = _strs(inv.f)
     report = {
         "hypergraph": h.to_json_dict(),
         "n": h.n,
         "m": h.m,
         "edge_induced_poly": {"text": inv.S.to_text(), "terms": bipoly_to_json_terms(inv.S)},
         "vertex_induced_poly": {"text": inv.P.to_text(), "terms": bipoly_to_json_terms(inv.P)},
-        "independence_poly": f_json,
-        "f_vector": f_json,
+        "independence_poly": _strs(inv.f),
+        "f_vector": _strs(inv.f),
         "h_vector": _strs(inv.h),
         "krull_dim": inv.krull_dim,
         "multiplicity": str(inv.multiplicity),
@@ -220,7 +215,7 @@ _VIEWS = {
     "hilbert": lambda inv, args: _value_list(inv.hilbert_function(args.terms)),
     "fvector": lambda inv, args: _vector(inv.f),
     "hvector": lambda inv, args: _vector(inv.h),
-    "betti": lambda inv, args: _betti(inv.betti),
+    "betti": lambda inv, args: (_betti_json(inv.betti), _betti_text(inv.betti)),
     "verify": lambda inv, args: _identities(
         run_all(inv) if args.identity == "all" else {args.identity: run_identity(args.identity, inv)}
     ),
@@ -228,7 +223,8 @@ _VIEWS = {
 
 
 def _cmd_view(args) -> Output:
-    return _VIEWS[args.view](SRInvariants(load_hypergraph(args.input), args.n_max, args.homology_n_max), args)
+    inv = SRInvariants(load_hypergraph(args.input), args.n_max, args.homology_n_max)
+    return _VIEWS[getattr(args, "view", args.command)](inv, args)
 
 
 def _cmd_deck(args) -> Output:
@@ -251,17 +247,15 @@ def _cmd_report(args) -> Output:
             raise LimitExceeded(f"{name}: {exc}") from exc
     # one process per usable core, and at most one per member
     workers = min(_usable_cores(), len(corpus))
-    return ordered_texts(lambda member: _member_text(*member, args), corpus, workers), None
+    return ordered_texts(
+        lambda member: dump_json_item({"name": member[0], "report": _report_for(member[1], args)}), corpus, workers
+    ), None
 
 
 def _usable_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _member_text(name: str, h: Hypergraph, args) -> str:
-    return dump_json_item({"name": name, "report": _report_for(h, args)})
 
 
 # -- the option table: each option's flag and add_argument keywords, of which _parse
@@ -276,33 +270,33 @@ _COMMON = (
 )
 _INPUT = ("--input", {"required": True})
 
-# subcommand -> (its help, its options after the common ones, the fields it sets itself, its handler)
+# subcommand -> (its help, its options after the common ones, its handler); a view is named by its subcommand or --poly
 _COMMANDS = {
     "compute": ("print a subhypergraph polynomial", (
         ("--poly", {"dest": "view", "choices": ("S", "P", "independence"), "required": True,
                     "help": "S: edge-subset polynomial; P: vertex-subset polynomial; "
                             "independence: independent-set counts by size"}),
         _INPUT,
-    ), {}, _cmd_view),
-    **{name: (text, (_INPUT,), {"view": name}, _cmd_view) for name, text in (
+    ), _cmd_view),
+    **{name: (text, (_INPUT,), _cmd_view) for name, text in (
         ("hilbert", "graded dimensions of the edge-ideal quotient"),
         ("fvector", "face counts of the independence complex"),
         ("hvector", "binomial transform of the face counts"),
         ("betti", "multigraded Betti table via restriction homology"),
     )},
     "deck": ("write the vertex-deleted cards as JSON files",
-             (_INPUT, ("--out-dir", {"required": True})), {}, _cmd_deck),
+             (_INPUT, ("--out-dir", {"required": True})), _cmd_deck),
     "reconstruct": ("rebuild an invariant from a deck directory", (
         ("--deck", {"required": True, "metavar": "DIR"}),
         ("--target", {"choices": ("S", "P", "fvector", "hilbert", "betti"), "required": True}),
         ("--parallel", {"action": "store_true", "help": "does nothing; kept for callers that pass it"}),
-    ), {}, _cmd_reconstruct),
+    ), _cmd_reconstruct),
     "verify": ("run exact identity checks; nonzero exit on failure", (
         ("--identity", {"choices": IDENTITY_IDS + ("all",), "default": "all"}), _INPUT,
-    ), {"view": "verify"}, _cmd_view),
+    ), _cmd_view),
     "report": ("bundle every invariant into one JSON document", (
         ("--input", {"required": True, "help": "a hypergraph file, or a directory of them"}),
-    ), {}, _cmd_report),
+    ), _cmd_report),
 }
 
 
@@ -316,11 +310,10 @@ def build_parser():
         "and deck reconstruction, all in exact integer arithmetic.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, options, fields, _) in _COMMANDS.items():
+    for name, (text, options, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
         for flag, keywords in _COMMON + options:
             p.add_argument(flag, **keywords)
-        p.set_defaults(**fields)
     return parser
 
 
@@ -331,11 +324,11 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     "-" alone). The last repeat of an option wins, as in argparse."""
     if not argv or argv[0] not in _COMMANDS:
         return None
-    _, options, fields, _ = _COMMANDS[argv[0]]
+    _, options, _ = _COMMANDS[argv[0]]
     table = {flag: (keywords.get("dest", flag[2:].replace("-", "_")), keywords) for flag, keywords in _COMMON + options}
     args = {dest: keywords.get("default", False if "action" in keywords else None)
             for dest, keywords in table.values() if not keywords.get("required")}
-    args.update(command=argv[0], **fields)
+    args["command"] = argv[0]
     words = iter(argv[1:])
     try:  # KeyError: no such option; StopIteration: no value left; ValueError: not an int
         for word in words:
@@ -364,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
             raise LimitExceeded(f"--terms={args.terms} exceeds the series limit {MAX_TERMS}")
         if args.n_max <= 0 or args.homology_n_max <= 0:
             raise InputError("size limits must be positive")
-        value, text = _COMMANDS[args.command][3](args)
+        value, text = _COMMANDS[args.command][2](args)
         try:
             pieces = (text,) if text else None  # the deck of an empty hypergraph lists no paths
             if args.format == "json" or text is None:  # a directory report is a lazy list of member texts

@@ -193,11 +193,12 @@ class Deck(Frozen):
     Cards keep the parent's labels (minus the deleted one), so the
     reconstruction identities are checkable without any isomorphism
     search, and the union of the cards' edges is the parent's edge set:
-    a deck is its parent, and its cards are cut on first use.
+    a deck is its parent, and its cards are cut on first use. A parent
+    whose lone edge spans every vertex, on no card, is stored edgeless.
     """
 
     def __init__(self, parent: Hypergraph) -> None:
-        self._freeze(parent=parent)
+        self._freeze(parent=Hypergraph(parent.labels, ()) if parent.edges == (parent.full_mask,) else parent)
 
     @cached_property
     def cards(self) -> tuple[Hypergraph, ...]:

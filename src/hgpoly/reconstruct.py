@@ -173,12 +173,12 @@ class DeckInvariants(SRInvariants):
     @cached_property
     def betti(self) -> BettiTable:
         """The parent's table, checked whole by hochster_betti, less its
-        B = V entries, which no card sees; refused after it if the deck
-        is edgeless, as a single spanning edge's is."""
+        B = V entries, which no card sees; refused after it if the parent
+        is edgeless, as a Deck stores a lone spanning edge's parent."""
         _check_n(self.n)
         parent = self.hypergraph
         table = hochster_betti(parent, self.homology_limit)
-        if all(e == parent.full_mask for e in parent.edges):
+        if not parent.edges:
             raise NotReconstructible(_EDGELESS_DECK)
         below = {key: b for key, b in table.multigraded.items() if key[1] != parent.full_mask}
         return BettiTable(parent.labels, below, top_complete=False)

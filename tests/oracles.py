@@ -11,6 +11,7 @@ what the property tests assert.
 
 from __future__ import annotations
 
+import random
 import re
 from fractions import Fraction
 from itertools import combinations
@@ -264,6 +265,53 @@ def crosscut_betti(h: Hypergraph, rank=rank_over_rationals) -> dict[tuple[int, t
             if d:
                 table[(k + 1, tuple(v for v in h.labels if v in b))] = d
     return table
+
+
+# -- witnesses that bound pd, reg and depth ---------------------------------
+
+
+def greedy_maximal_independent_set(h: Hypergraph, orders: int = 10) -> frozenset[str]:
+    """The smallest of the maximal independent sets built greedily over
+    the vertices in each of the seeded shuffles 0..orders-1: a vertex
+    joins unless it would complete an edge. V - M is then a minimal
+    vertex cover, whose prime is associated to the edge ideal, so
+    depth <= |M| (Bruns & Herzog, Prop. 1.2.13) and, by
+    Auslander-Buchsbaum, pd >= n - |M|."""
+    edges = [frozenset(e) for e in h.edge_label_sets()]
+    best = frozenset(h.labels)
+    for seed in range(orders):
+        order = list(h.labels)
+        random.Random(seed).shuffle(order)
+        chosen: frozenset[str] = frozenset()
+        for v in order:
+            if not any(e <= chosen | {v} for e in edges):
+                chosen |= {v}
+        best = min(best, chosen, key=len)
+    return best
+
+
+def greedy_induced_matching(h: Hypergraph, orders: int = 10) -> list[frozenset[str]]:
+    """The induced matching N of largest sum_(e in N) (|e| - 1) built
+    greedily over the edges in each of the seeded shuffles
+    0..orders-1: an edge joins when it misses the union B of those
+    chosen and no edge outside them lies inside B with it. Ind(H|B) is
+    then the join of the spheres on the boundaries of N's edges, so
+    Hochster's formula gives b[|N|, B] = 1 and reg >= sum (|e| - 1)
+    (Katzman, JCTA 113, 2006; Ha & Van Tuyl, J. Algebraic Combin. 27,
+    2008)."""
+    edges = [frozenset(e) for e in h.edge_label_sets()]
+    best: list[frozenset[str]] = []
+    for seed in range(orders):
+        order = edges[:]
+        random.Random(seed).shuffle(order)
+        chosen: list[frozenset[str]] = []
+        for e in order:
+            union = frozenset().union(e, *chosen)
+            disjoint = len(union) == len(e) + sum(map(len, chosen))
+            if disjoint and all(f == e or f in chosen for f in edges if f <= union):
+                chosen.append(e)
+        best = max(best, chosen, key=lambda matching: sum(len(e) - 1 for e in matching))
+    return best
 
 
 # -- closed-form Betti tables ------------------------------------------------

@@ -353,6 +353,22 @@ def test_hochster_matches_the_crosscut_oracle_on_the_corpus(corpus):
             assert got == oracles.crosscut_betti(h), h
 
 
+@settings(max_examples=40, deadline=None)
+@given(hypergraphs())
+def test_hochster_matches_the_crosscut_oracle(h):
+    got = {(i, verts): b for i, verts, b in hochster_betti(h).multigraded_entries()}
+    assert got == oracles.crosscut_betti(h)
+
+
+@pytest.mark.parametrize("n, k, m", [(16, 3, 5), (20, 3, 6), (24, 4, 5), (18, 2, 6), (22, 3, 4)])
+def test_hochster_matches_the_crosscut_oracle_on_sparse_uniform_inputs(n, k, m):
+    # m distinct k-sets of n vertices, seeded: few edges keep the crosscut cheap at any n
+    edges = random.Random(1).sample(list(combinations(range(n), k)), m)
+    h = Hypergraph.from_masks(tuple(f"v{v}" for v in range(n)), [sum(1 << v for v in e) for e in edges])
+    got = {(i, verts): b for i, verts, b in hochster_betti(h, 24).multigraded_entries()}
+    assert got == oracles.crosscut_betti(h)
+
+
 def test_restriction_betti_gives_an_uncovered_vertex_no_entries():
     # no edge covers vertex 1, so the complex on {1} is a cone
     assert restriction_betti((), [0b10]) == {(0, 0): 1}
@@ -515,6 +531,26 @@ class TestDerivedInvariants:
         table = hochster_betti(h)
         assert table.graded == {(0, 0): 1, (1, 2): 2, (2, 4): 1}
         assert pd_reg_depth(table) == (2, 2, 2)
+
+
+def test_witnessed_bounds_hold_on_the_corpus(corpus):
+    # pd >= n - |M| and depth <= |M| for a maximal independent set M,
+    # reg >= sum (|e| - 1) over an induced matching N, and deg K(t) <= pd + reg,
+    # as each term of K(t) comes from a table entry. The collage upper bound
+    # on reg is left out: its hypotheses are not checked here
+    for _, h in corpus:
+        inv = SRInvariants(h)
+        pd, reg, depth = pd_reg_depth(inv.betti)
+        edges = [frozenset(e) for e in h.edge_label_sets()]
+        independent = oracles.greedy_maximal_independent_set(h)
+        assert not any(e <= independent for e in edges)
+        assert all(any(e <= independent | {v} for e in edges) for v in set(h.labels) - independent)
+        matching = oracles.greedy_induced_matching(h)
+        union = frozenset().union(*matching)
+        assert len(union) == sum(map(len, matching)) and all(e in matching for e in edges if e <= union)
+        assert pd >= h.n - len(independent) and depth <= len(independent), h
+        assert reg >= sum(len(e) - 1 for e in matching), h
+        assert max(i for i, _ in inv.k_polynomial.terms) <= pd + reg, h
 
 
 REPORT_ARGS = build_parser().parse_args(["report", "--input", "-"])

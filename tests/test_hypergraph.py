@@ -167,6 +167,15 @@ class TestDeck:
         assert deck.parent.n == 3
         assert all(c.n == 2 and c.m == 0 for c in deck.cards)
 
+    def test_lone_spanning_edge_deck_is_the_edgeless_deck(self, edgeless3):
+        # the spanning edge is on no card, so both decks hold the same cards
+        # and are one value, however they were built
+        span3 = validate(["a", "b", "c"], [["a", "b", "c"]])
+        assert span3.deck().cards == edgeless3.deck().cards
+        assert Deck(span3) == Deck(edgeless3) and hash(Deck(span3)) == hash(Deck(edgeless3))
+        rebuilt = Deck.from_cards(span3.deck().cards)
+        assert rebuilt == span3.deck() and hash(rebuilt) == hash(span3.deck())
+
     def test_star_minus_center(self):
         h = validate(["c", "x", "y", "z"], [["c", "x"], ["c", "y"], ["c", "z"]])
         card = h.card(0)

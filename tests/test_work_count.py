@@ -140,6 +140,15 @@ def test_reconstruct_sweeps_the_deck_once(h, target, side, calls, families, monk
     assert transforms == ([] if target == "S" else [h.n - 1])
 
 
+def test_report_over_one_sweep_limit_is_refused_before_any_sweep(calls, tmp_path, capsys):
+    # K8 has n = 8 but m = 28, over the default limit 24: the refusal names
+    # m, as the directory pre-check's does, and no vertex sweep runs first
+    assert main(["report", "--input", _write(tmp_path, complete_graph(8))]) == 3
+    message = "m=28 exceeds the enumeration limit 24; raise the limit explicitly to run anyway"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert calls == []
+
+
 def test_verify_single_identity_builds_no_table(calls, tmp_path, capsys):
     assert main(["verify", "--identity", "2.1", "--input", _write(tmp_path, cycle_graph(10))]) == 0
     assert capsys.readouterr().out == "identity 2.1: ok\n"
