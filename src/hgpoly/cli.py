@@ -261,40 +261,44 @@ def _usable_cores() -> int:
 # -- the option table: each option's flag and add_argument keywords, of which _parse
 # reads dest (else the flag's name), choices, type (int, else str), action (store_true
 # only: a flag), default and required --
-_COMMON = (
-    ("--format", {"choices": ("text", "json"), "default": "text", "help": "output format"}),
-    ("--terms", {"type": int, "default": 20, "metavar": "K", "help": "series terms to expand (default 20)"}),
-    ("--n-max", {"type": int, "default": DEFAULT_LIMIT, "help": f"enumeration size limit (default {DEFAULT_LIMIT})"}),
-    ("--homology-n-max", {"type": int, "default": DEFAULT_HOMOLOGY_LIMIT,
-                          "help": f"homology size limit (default {DEFAULT_HOMOLOGY_LIMIT})"}),
-)
+_FORMAT = ("--format", {"choices": ("text", "json"), "default": "text", "help": "output format"})
+_TERMS = ("--terms", {"type": int, "default": 20, "metavar": "K", "help": "series terms to expand (default 20)"})
+_N_MAX = ("--n-max", {"type": int, "default": DEFAULT_LIMIT, "help": f"enumeration size limit (default {DEFAULT_LIMIT})"})
+_HOMOLOGY_N_MAX = ("--homology-n-max", {"type": int, "default": DEFAULT_HOMOLOGY_LIMIT,
+                                        "help": f"homology size limit (default {DEFAULT_HOMOLOGY_LIMIT})"})
 _INPUT = ("--input", {"required": True})
+# a subcommand takes only the shared options it reads, but main and every handler find each one's field
+_SHARED_DEFAULTS = {flag[2:].replace("-", "_"): keywords["default"]
+                    for flag, keywords in (_FORMAT, _TERMS, _N_MAX, _HOMOLOGY_N_MAX)}
 
-# subcommand -> (its help, its options after the common ones, its handler); a view is named by its subcommand or --poly
+# subcommand -> (its help, its options, shared ones first, its handler); a view is named by its subcommand or --poly
 _COMMANDS = {
     "compute": ("print a subhypergraph polynomial", (
+        _FORMAT, _N_MAX,
         ("--poly", {"dest": "view", "choices": ("S", "P", "independence"), "required": True,
                     "help": "S: edge-subset polynomial; P: vertex-subset polynomial; "
                             "independence: independent-set counts by size"}),
         _INPUT,
     ), _cmd_view),
-    **{name: (text, (_INPUT,), _cmd_view) for name, text in (
-        ("hilbert", "graded dimensions of the edge-ideal quotient"),
-        ("fvector", "face counts of the independence complex"),
-        ("hvector", "binomial transform of the face counts"),
-        ("betti", "multigraded Betti table via restriction homology"),
+    **{name: (text, shared + (_INPUT,), _cmd_view) for name, text, shared in (
+        ("hilbert", "graded dimensions of the edge-ideal quotient", (_FORMAT, _TERMS, _N_MAX)),
+        ("fvector", "face counts of the independence complex", (_FORMAT, _N_MAX)),
+        ("hvector", "binomial transform of the face counts", (_FORMAT, _N_MAX)),
+        ("betti", "multigraded Betti table via restriction homology", (_FORMAT, _HOMOLOGY_N_MAX)),
     )},
     "deck": ("write the vertex-deleted cards as JSON files",
-             (_INPUT, ("--out-dir", {"required": True})), _cmd_deck),
+             (_FORMAT, _INPUT, ("--out-dir", {"required": True})), _cmd_deck),
     "reconstruct": ("rebuild an invariant from a deck directory", (
+        _FORMAT, _TERMS, _N_MAX, _HOMOLOGY_N_MAX,
         ("--deck", {"required": True, "metavar": "DIR"}),
         ("--target", {"choices": ("S", "P", "fvector", "hilbert", "betti"), "required": True}),
         ("--parallel", {"action": "store_true", "help": "does nothing; kept for callers that pass it"}),
     ), _cmd_reconstruct),
     "verify": ("run exact identity checks; nonzero exit on failure", (
-        ("--identity", {"choices": IDENTITY_IDS + ("all",), "default": "all"}), _INPUT,
+        _FORMAT, _N_MAX, _HOMOLOGY_N_MAX, ("--identity", {"choices": IDENTITY_IDS + ("all",), "default": "all"}), _INPUT,
     ), _cmd_view),
     "report": ("bundle every invariant into one JSON document", (
+        _TERMS, _N_MAX, _HOMOLOGY_N_MAX,
         ("--input", {"required": True, "help": "a hypergraph file, or a directory of them"}),
     ), _cmd_report),
 }
@@ -309,10 +313,11 @@ def build_parser():
         description="Subhypergraph polynomials, ring invariants of edge ideals, "
         "and deck reconstruction, all in exact integer arithmetic.",
     )
+    parser.set_defaults(**_SHARED_DEFAULTS)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, options, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
-        for flag, keywords in _COMMON + options:
+        for flag, keywords in options:
             p.add_argument(flag, **keywords)
     return parser
 
@@ -325,10 +330,10 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     if not argv or argv[0] not in _COMMANDS:
         return None
     _, options, _ = _COMMANDS[argv[0]]
-    table = {flag: (keywords.get("dest", flag[2:].replace("-", "_")), keywords) for flag, keywords in _COMMON + options}
+    table = {flag: (keywords.get("dest", flag[2:].replace("-", "_")), keywords) for flag, keywords in options}
     args = {dest: keywords.get("default", False if "action" in keywords else None)
             for dest, keywords in table.values() if not keywords.get("required")}
-    args["command"] = argv[0]
+    args = {**_SHARED_DEFAULTS, **args, "command": argv[0]}
     words = iter(argv[1:])
     try:  # KeyError: no such option; StopIteration: no value left; ValueError: not an int
         for word in words:

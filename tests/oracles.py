@@ -240,6 +240,48 @@ def signed_union_closure(h: Hypergraph) -> dict[frozenset[str], int]:
     return mu
 
 
+def taylor_counts(h: Hypergraph) -> dict[frozenset[str], list[int]]:
+    """t[B][i], the number of i-edge subsets whose union is B, keyed by
+    every B in the union closure, built in one pass over the edges: each
+    edge either joins a subset or does not. Each row is copied before the
+    edge extends it, since a union B | e can be B itself."""
+    t: dict[frozenset[str], list[int]] = {frozenset(): [1]}
+    for edge in h.edge_label_sets():
+        for union, row in [(union, row[:]) for union, row in t.items()]:
+            target = t.setdefault(union | frozenset(edge), [])
+            target.extend([0] * (len(row) + 1 - len(target)))
+            for i, c in enumerate(row):
+                target[i + 1] += c
+    return t
+
+
+def taylor_violations(h: Hypergraph, table: dict[tuple[int, tuple[str, ...]], int]) -> list[tuple[str, ...]]:
+    """The B (as sorted label tuples) where a multigraded table, keyed like
+    naive_betti_table, breaks the Taylor complex's per-degree bound.
+
+    The Taylor complex is a free resolution with t[B][i] generators in
+    homological degree i and multidegree B, and the minimal resolution is
+    a direct summand of it whose complement is a sum of trivial complexes
+    R(-B) -> R(-B) (Peeva, Graded Syzygies, Section 7; Miller & Sturmfels,
+    GTM 227). So at each B, with e_(-1) = 0, the number of trivial pieces
+    e_i = (t_i - b_i) - e_(i-1) linking degrees i and i + 1 is at least 0,
+    and the last one is 0. This bounds each degree on its own, where the
+    signed sum mu(B) sees only the alternating total."""
+    t = taylor_counts(h)
+    b: dict[frozenset[str], dict[int, int]] = {}
+    for (i, verts), value in table.items():
+        b.setdefault(frozenset(verts), {})[i] = value
+    bad = []
+    for union in t.keys() | b.keys():
+        row, betti = t.get(union, []), b.get(union, {})
+        excess = [0]  # e_(-1)
+        for i in range(max([len(row)] + [i + 1 for i in betti])):
+            excess.append((row[i] if i < len(row) else 0) - betti.get(i, 0) - excess[-1])
+        if min(excess) < 0 or excess[-1]:
+            bad.append(tuple(v for v in h.labels if v in union))
+    return sorted(bad)
+
+
 def crosscut_betti(h: Hypergraph, rank=rank_over_rationals) -> dict[tuple[int, tuple[str, ...]], int]:
     """Multigraded table of R/I(H), keyed like naive_betti_table, by the
     crosscut theorem on the lcm lattice (Björner, Handbook of

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -864,7 +865,7 @@ def _argvs(draw) -> tuple[list[str], bool]:
     two defects may follow: a required option dropped, a bad value, an
     abbreviated or joined spelling, or an odd word."""
     command = draw(st.sampled_from(sorted(cli._COMMANDS)))
-    table = dict(cli._COMMON + cli._COMMANDS[command][1])
+    table = dict(cli._COMMANDS[command][1])
     pieces = []
     for flag, keywords in table.items():
         for _ in range(draw(st.integers(1 if keywords.get("required") else 0, 2))):
@@ -923,13 +924,46 @@ def test_help_and_usage_errors_are_argparse_own(argv, monkeypatch):
     assert _in_process(argv, monkeypatch) == _argparse_exit(argv)  # COLUMNS=80 on both sides
 
 
-def test_parallel_is_a_usage_error_off_reconstruct(k3_file):
-    # the flag does nothing, and stays only on reconstruct, where callers pass it
-    takers = [command for command, row in cli._COMMANDS.items() if "--parallel" in dict(cli._COMMON + row[1])]
-    assert takers == ["reconstruct"]
-    argv = ["report", "--input", k3_file, "--parallel"]
-    assert cli._parse(argv) is None
-    assert _argparse_exit(argv)[0] == 2
+# the shared options each subcommand takes, in --help order: each is one its handler reads
+TAKEN = {
+    "compute": ("--format", "--n-max"),
+    "hilbert": ("--format", "--terms", "--n-max"),
+    "fvector": ("--format", "--n-max"),
+    "hvector": ("--format", "--n-max"),
+    "betti": ("--format", "--homology-n-max"),
+    "deck": ("--format",),
+    "reconstruct": ("--format", "--terms", "--n-max", "--homology-n-max"),
+    "verify": ("--format", "--n-max", "--homology-n-max"),
+    "report": ("--terms", "--n-max", "--homology-n-max"),
+}
+SHARED = ("--format", "--terms", "--n-max", "--homology-n-max")
+
+
+def test_parallel_is_a_usage_error_off_reconstruct(k3_file, tmp_path, monkeypatch):
+    # an option a subcommand never reads is argparse's usage error: a shared one
+    # off the subcommands that read it, and --parallel, which reads nowhere, off
+    # reconstruct, where callers pass it
+    assert sorted(TAKEN) == sorted(cli._COMMANDS)
+    dead = []
+    for command, taken in TAKEN.items():
+        flags = [flag for flag, _ in cli._COMMANDS[command][1]]
+        # the shared ones come first, so --help lists the options in the order it always has
+        assert [flag for flag in flags if flag in SHARED] == flags[: len(taken)] == list(taken)
+        takes = taken + (("--parallel",) if command == "reconstruct" else ())
+        usage = _argparse_exit([command, "--help"])[1].decode()
+        assert [flag for flag in SHARED + ("--parallel",) if re.search(rf"\[{flag}[ \]]", usage)] == list(takes)
+        dead += [(command, flag) for flag in SHARED + ("--parallel",) if flag not in takes]
+    assert len(dead) == 14 + 8  # 14 dead slots of the four valued options, 8 of --parallel
+    required = {"compute": ["--poly", "S"], "deck": ["--out-dir", str(tmp_path / "cards")],
+                "reconstruct": ["--deck", str(tmp_path), "--target", "S"]}
+    for command, flag in dead:
+        value = [] if flag == "--parallel" else ["json" if flag == "--format" else "5"]
+        argv = [command, "--input", k3_file, *required.get(command, []), flag, *value]
+        assert cli._parse(argv) is None
+        code, out, err = _in_process(argv, monkeypatch)
+        assert (code, out) == (2, b"")
+        assert err.endswith(f"error: unrecognized arguments: {' '.join([flag, *value])}\n".encode())
+    assert not (tmp_path / "cards").exists()
 
 
 @pytest.mark.parametrize("spelling", [["--inp", "{}"], ["--input={}"]], ids=["abbreviated", "joined"])

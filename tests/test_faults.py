@@ -37,7 +37,7 @@ from hgpoly.homology import hochster_betti
 from hgpoly.hypergraph import validate
 
 from .families import complete_graph, cycle_graph, wheel
-from .oracles import crosscut_betti, dual_betti, rank_over_gf2
+from .oracles import crosscut_betti, dual_betti, rank_over_gf2, taylor_violations
 
 SLICE = {
     "C5": cycle_graph(5),
@@ -301,6 +301,17 @@ def test_clean_tables_match_the_dual_oracle():
 def test_clean_tables_match_the_crosscut_oracle():
     for h in SLICE.values():
         assert {(i, verts): b for i, verts, b in hochster_betti(h).multigraded_entries()} == _crosscut(h)
+
+
+@pytest.mark.parametrize("fault", [_bump_adjacent, _move_entry], ids=["+1 at two adjacent degrees", "one entry moved"])
+def test_taylor_bound_sees_a_wrong_degree_that_mu_does_not(fault):
+    # both faults keep every signed sum mu(B); the Taylor complex bounds each degree
+    for member, h in SLICE.items():
+        bmasks = [bmask for bmask in sorted(homology._edge_union_closure(h.edges)) if bmask]
+        clean = homology.restriction_betti(h.edges, bmasks)
+        for table, wrong in ((clean, False), (fault(clean), True)):
+            keyed = {(0, ()): 1, **{(i, h.labels_of(bmask)): b for (i, bmask), b in table.items()}}
+            assert bool(taylor_violations(h, keyed)) == wrong, member
 
 
 def test_h_guard_sweeps_no_edges(tmp_path, capsys):

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from hgpoly import homology
 from hgpoly.bipoly import BiPoly
 from hgpoly.cli import _report_for, build_parser, main
+from hgpoly.enumeration import DEFAULT_LIMIT
 from hgpoly.errors import InternalMismatch, LimitExceeded, check_limit
-from hgpoly.formats import dump_hypergraph_json
+from hgpoly.formats import dump_hypergraph_json, load_hypergraph
 from hgpoly.homology import (
     DEFAULT_HOMOLOGY_LIMIT,
     _edge_union_closure,
@@ -35,6 +36,7 @@ from hgpoly.stanley_reisner import SRInvariants
 from . import oracles
 from .families import cycle_graph, path_graph, wheel
 from .strategies import hypergraphs
+from .test_engine_golden import INPUTS as ENGINE_INPUTS
 
 
 # the 6-vertex real projective plane: a closed surface (every edge on
@@ -369,6 +371,21 @@ def test_hochster_matches_the_crosscut_oracle_on_sparse_uniform_inputs(n, k, m):
     assert got == oracles.crosscut_betti(h)
 
 
+def test_tables_keep_the_taylor_bound_on_the_corpus(corpus):
+    # each degree of each B on its own: the table is at most the Taylor complex less
+    # its trivial pieces, which the signed sum mu(B) checked by the builder cannot see
+    for _, h in corpus:
+        got = {(i, verts): b for i, verts, b in hochster_betti(h).multigraded_entries()}
+        assert oracles.taylor_violations(h, got) == [], h
+
+
+@settings(max_examples=40, deadline=None)
+@given(hypergraphs())
+def test_tables_keep_the_taylor_bound(h):
+    got = {(i, verts): b for i, verts, b in hochster_betti(h).multigraded_entries()}
+    assert oracles.taylor_violations(h, got) == []
+
+
 def test_restriction_betti_gives_an_uncovered_vertex_no_entries():
     # no edge covers vertex 1, so the complex on {1} is a cone
     assert restriction_betti((), [0b10]) == {(0, 0): 1}
@@ -533,24 +550,47 @@ class TestDerivedInvariants:
         assert pd_reg_depth(table) == (2, 2, 2)
 
 
-def test_witnessed_bounds_hold_on_the_corpus(corpus):
+def _assert_witnessed_bounds(h: Hypergraph, homology_limit: int = DEFAULT_HOMOLOGY_LIMIT) -> None:
     # pd >= n - |M| and depth <= |M| for a maximal independent set M,
     # reg >= sum (|e| - 1) over an induced matching N, and deg K(t) <= pd + reg,
     # as each term of K(t) comes from a table entry. The collage upper bound
     # on reg is left out: its hypotheses are not checked here
+    inv = SRInvariants(h, homology_limit=homology_limit)
+    pd, reg, depth = pd_reg_depth(inv.betti)
+    edges = [frozenset(e) for e in h.edge_label_sets()]
+    independent = oracles.greedy_maximal_independent_set(h)
+    assert not any(e <= independent for e in edges)
+    assert all(any(e <= independent | {v} for e in edges) for v in set(h.labels) - independent)
+    matching = oracles.greedy_induced_matching(h)
+    union = frozenset().union(*matching)
+    assert len(union) == sum(map(len, matching)) and all(e in matching for e in edges if e <= union)
+    assert pd >= h.n - len(independent) and depth <= len(independent), h
+    assert reg >= sum(len(e) - 1 for e in matching), h
+    assert max(i for i, _ in inv.k_polynomial.terms) <= pd + reg, h
+
+
+def test_witnessed_bounds_hold_on_the_corpus(corpus):
     for _, h in corpus:
-        inv = SRInvariants(h)
-        pd, reg, depth = pd_reg_depth(inv.betti)
-        edges = [frozenset(e) for e in h.edge_label_sets()]
-        independent = oracles.greedy_maximal_independent_set(h)
-        assert not any(e <= independent for e in edges)
-        assert all(any(e <= independent | {v} for e in edges) for v in set(h.labels) - independent)
-        matching = oracles.greedy_induced_matching(h)
-        union = frozenset().union(*matching)
-        assert len(union) == sum(map(len, matching)) and all(e in matching for e in edges if e <= union)
-        assert pd >= h.n - len(independent) and depth <= len(independent), h
-        assert reg >= sum(len(e) - 1 for e in matching), h
-        assert max(i for i, _ in inv.k_polynomial.terms) <= pd + reg, h
+        _assert_witnessed_bounds(h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hypergraphs())
+def test_witnessed_bounds_hold(h):
+    _assert_witnessed_bounds(h)
+
+
+def test_witnessed_bounds_hold_on_the_engine_inputs():
+    # the engine goldens' inputs with n <= 16 at homology limit 16, less tri-15-15 (its
+    # table takes 0.3 s), and less K8 and tri-K9, whose K(t) needs an edge sweep over
+    # the enumeration limit
+    checked = []
+    for path in sorted(ENGINE_INPUTS.glob("*.json")):
+        h = load_hypergraph(str(path))
+        if h.n <= 16 and h.m <= DEFAULT_LIMIT and path.stem != "tri-15-15":
+            _assert_witnessed_bounds(h, 16)
+            checked.append(path.stem)
+    assert len(checked) == 10
 
 
 REPORT_ARGS = build_parser().parse_args(["report", "--input", "-"])

@@ -49,6 +49,15 @@ def _run(capsys, argv: list[str]) -> tuple[int, str, str]:
     return code, out, err
 
 
+def _assert_usage_error(capsys, argv: list[str], words: list[str]) -> None:
+    """argv is argparse's exit 2, refusing words as options the subcommand does not take."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith(f"error: unrecognized arguments: {' '.join(words)}\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -147,22 +156,30 @@ def test_card_sweep_refused_above_the_limit(capsys, c6_deck, target, refused, ki
 def test_betti_guard_sweep_refused_above_the_limit(capsys, c6_file, c6_deck, source, refused, value):
     # the printed table is checked against mu per B, read from the edges' union closure,
     # so the guard sweeps neither the parent's nor a card's vertex side: an enumeration
-    # limit below that side's n (`value`) leaves the output unchanged, and only the
-    # homology limit refuses betti
+    # limit below that side's n (`value`) leaves the deck's output unchanged, betti takes
+    # no enumeration limit at all (test_work_count checks it sweeps nothing), and only
+    # the homology limit refuses betti
     argv = ["betti", "--input", c6_file] if source == "file" else ["reconstruct", "--deck", c6_deck, "--target", "betti"]
     code, out, err = _run(capsys, argv)
     assert (code, err) == (0, "") and out
     assert int(refused) < value
-    assert _run(capsys, argv + ["--n-max", refused]) == (0, out, "")
+    if source == "file":
+        _assert_usage_error(capsys, argv + ["--n-max", refused], ["--n-max", refused])
+    else:
+        assert _run(capsys, argv + ["--n-max", refused]) == (0, out, "")
     assert _run(capsys, argv + ["--homology-n-max", "5"]) == (3, "", f"error: {HOMOLOGY_REFUSAL}\n")
 
 
 @pytest.mark.parametrize("flag", ["--n-max", "--homology-n-max"])
 @pytest.mark.parametrize("command", ["betti", "report", "deck"])
 def test_zero_limit_is_an_input_error(capsys, tmp_path, c6_file, flag, command):
+    # a limit the subcommand never reads is not taken at all: deck sweeps nothing, betti only its homology
     extra = ["--out-dir", str(tmp_path / "cards")] if command == "deck" else []
-    got = _run(capsys, [command, flag, "0", "--input", c6_file] + extra)
-    assert got == (2, "", "error: size limits must be positive\n")
+    argv = [command, flag, "0", "--input", c6_file] + extra
+    if command == "deck" or (command, flag) == ("betti", "--n-max"):
+        _assert_usage_error(capsys, argv, [flag, "0"])
+    else:
+        assert _run(capsys, argv) == (2, "", "error: size limits must be positive\n")
 
 
 @pytest.mark.parametrize(

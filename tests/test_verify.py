@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from hgpoly.bipoly import BiPoly
+from hgpoly.errors import NotReconstructible
 from hgpoly.hypergraph import validate
 from hgpoly.reconstruct import verify_deck_sum_identity
 from hgpoly.stanley_reisner import SRInvariants
@@ -41,6 +42,21 @@ def test_run_all_skips_excluded(edgeless3):
     results = run_all(SRInvariants(edgeless3))
     assert results["2.1"] is True
     assert isinstance(results["4.2"], str) and results["4.2"].startswith("skipped")
+
+
+def test_deck_sum_identity_skips_exactly_what_its_theorems_leave_out(corpus):
+    # decided from n, m and the edges alone: fewer than three vertices, no edge,
+    # or one edge spanning every vertex is skipped, and anything else is checked
+    skipped = 0
+    for name, h in corpus:
+        spanning = h.m == 1 and set(h.edge_label_sets()[0]) == set(h.labels)
+        if h.n >= 3 and h.m >= 1 and not spanning:
+            assert run_identity("4.2", SRInvariants(h)) is True, name
+        else:
+            with pytest.raises(NotReconstructible):
+                run_identity("4.2", SRInvariants(h))
+            skipped += 1
+    assert 0 < skipped < len(corpus)
 
 
 def test_run_all_skips_over_homology_limit():

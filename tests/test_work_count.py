@@ -149,6 +149,16 @@ def test_report_over_one_sweep_limit_is_refused_before_any_sweep(calls, tmp_path
     assert calls == []
 
 
+def test_betti_tables_once_and_sweeps_nothing(calls, families, tmp_path, capsys):
+    # the table is checked against mu per B from the union closure, so betti sweeps
+    # neither side of the parent nor of a card, and takes no enumeration limit
+    h = cycle_graph(6)
+    assert main(["betti", "--input", _write(tmp_path, h)]) == 0
+    assert capsys.readouterr().err == ""
+    assert calls == [("hochster_betti", h.labels)]
+    assert families == {"vertex": [], "edge": []}
+
+
 def test_verify_single_identity_builds_no_table(calls, tmp_path, capsys):
     assert main(["verify", "--identity", "2.1", "--input", _write(tmp_path, cycle_graph(10))]) == 0
     assert capsys.readouterr().out == "identity 2.1: ok\n"
