@@ -16,9 +16,9 @@ the excluded inputs guarantee every edge misses some vertex.
 
 Excluded inputs: fewer than three vertices, no edges, and the single
 edge covering every vertex. The latter two have identical decks, which
-is exactly why they are excluded. S and P decide the exclusion from
-the card sum, where the exact division is made; the Betti table, the
-parent's less its top row, checks the exclusion itself.
+is exactly why they are excluded. ``check_reconstructible`` refuses a
+hypergraph, the exact division a caller's card sum, and
+``DeckInvariants`` a deck, from its parent, before any card is swept.
 """
 
 from __future__ import annotations
@@ -144,12 +144,10 @@ def reconstruct_vertex_poly(card_sum: BiPoly, n: int) -> BiPoly:
 
 
 def _rebuilt(rebuild, card_sum: BiPoly, n: int) -> BiPoly:
-    """rebuild(card_sum, n) for a Deck's cards, which are its parent's, an
-    antichain: any other refusal than NotReconstructible is a bug."""
+    """rebuild(card_sum, n) for the cards of a Deck whose parent, an
+    antichain, is already checked as reconstructible: any refusal is a bug."""
     try:
         return rebuild(card_sum, n)
-    except NotReconstructible:
-        raise
     except InputError as exc:
         raise InternalMismatch(f"the sum of a checked deck's cards is refused: {exc}") from exc
 
@@ -157,9 +155,14 @@ def _rebuilt(rebuild, card_sum: BiPoly, n: int) -> BiPoly:
 class DeckInvariants(SRInvariants):
     """The bundle of a deck's parent with P and S rebuilt from the summed
     cards and the Betti table below the top row; all else is derived as
-    for a hypergraph, so identity 3.2 guards the Hilbert function."""
+    for a hypergraph, so identity 3.2 guards the Hilbert function. It
+    refuses an excluded deck from its parent, whatever the limits (a Deck
+    stores a lone spanning edge's parent edgeless)."""
 
     def __init__(self, deck: Deck, limit: int = DEFAULT_LIMIT, homology_limit: int = DEFAULT_HOMOLOGY_LIMIT):
+        _check_n(deck.parent.n)
+        if not deck.parent.edges:
+            raise NotReconstructible(_EDGELESS_DECK)
         super().__init__(deck.parent, limit, homology_limit)
 
     @cached_property
@@ -173,12 +176,8 @@ class DeckInvariants(SRInvariants):
     @cached_property
     def betti(self) -> BettiTable:
         """The parent's table, checked whole by hochster_betti, less its
-        B = V entries, which no card sees; refused after it if the parent
-        is edgeless, as a Deck stores a lone spanning edge's parent."""
-        _check_n(self.n)
+        B = V entries, which no card sees."""
         parent = self.hypergraph
         table = hochster_betti(parent, self.homology_limit)
-        if not parent.edges:
-            raise NotReconstructible(_EDGELESS_DECK)
         below = {key: b for key, b in table.multigraded.items() if key[1] != parent.full_mask}
         return BettiTable(parent.labels, below, top_complete=False)

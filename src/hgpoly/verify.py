@@ -66,7 +66,8 @@ def run_identity(identity: str, inv: SRInvariants) -> bool:
     if identity == "4.2":
         return verify_deck_sum_identity(inv)
     if identity == "4.3":
-        return verify_betti_alternating_sum(inv.betti, inv.k_polynomial)
+        k = inv.k_polynomial  # first, so the m limit refuses before a table is built
+        return verify_betti_alternating_sum(inv.betti, k)
     raise ValueError(f"unknown identity {identity!r}")
 
 

@@ -224,20 +224,16 @@ def convolve2d(a: dict[tuple[int, int], int], b: dict[tuple[int, int], int]) -> 
 
 
 def signed_union_closure(h: Hypergraph) -> dict[frozenset[str], int]:
-    """mu(B) = sum of (-1)^|F| over the edge subsets F whose union is B,
-    keyed by every B in the union closure (zeros kept), built in one pass
-    over the edges: each edge either joins a subset or does not.
+    """mu(B) = sum_i (-1)^i t_i[B], the signed count of the edge subsets
+    whose union is B, read from taylor_counts and keyed by every B in the
+    union closure (zeros kept), so it shares no loop with the table
+    builder's closure pass.
 
     The Taylor complex of the edge ideal is a free resolution, graded by
     the unions of its generator subsets, so its Euler characteristic in
     degree B, mu(B), is the signed sum sum_i (-1)^i b[i, B] of every
     resolution, the minimal one included."""
-    mu: dict[frozenset[str], int] = {frozenset(): 1}
-    for edge in h.edge_label_sets():
-        for union, c in list(mu.items()):
-            key = union | frozenset(edge)
-            mu[key] = mu.get(key, 0) - c
-    return mu
+    return {union: sum(-c if i & 1 else c for i, c in enumerate(row)) for union, row in taylor_counts(h).items()}
 
 
 def taylor_counts(h: Hypergraph) -> dict[frozenset[str], list[int]]:

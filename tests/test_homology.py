@@ -34,7 +34,7 @@ from hgpoly.hypergraph import Hypergraph, validate
 from hgpoly.stanley_reisner import SRInvariants
 
 from . import oracles
-from .families import cycle_graph, path_graph, wheel
+from .families import complete_graph, cycle_graph, path_graph, star, wheel
 from .strategies import hypergraphs
 from .test_engine_golden import INPUTS as ENGINE_INPUTS
 
@@ -591,6 +591,21 @@ def test_witnessed_bounds_hold_on_the_engine_inputs():
             _assert_witnessed_bounds(h, 16)
             checked.append(path.stem)
     assert len(checked) == 10
+
+
+def test_witnessed_bounds_hold_on_the_closed_forms():
+    # the families whose tables test_closed_forms pins: K1-K7 (K8's K(t)
+    # needs an edge sweep over the m limit), stars with 0-12 leaves, and
+    # paths and cycles up to 13 vertices and at 16
+    closed_forms = (
+        [complete_graph(n) for n in range(1, 8)]
+        + [star(m) for m in range(13)]
+        + [path_graph(n) for n in [*range(1, 14), 16]]
+        + [cycle_graph(n) for n in [*range(3, 14), 16]]
+    )
+    assert len(closed_forms) == 46
+    for h in closed_forms:
+        _assert_witnessed_bounds(h, 16)
 
 
 REPORT_ARGS = build_parser().parse_args(["report", "--input", "-"])

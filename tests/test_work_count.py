@@ -23,6 +23,7 @@ from hgpoly.reconstruct import DeckInvariants
 from hgpoly.stanley_reisner import SRInvariants
 
 from .families import complete_graph, cycle_graph, path_graph, star, wheel
+from .test_reconstruct import EXCLUDED_DECKS
 
 COUNTED = (
     (enumeration, "vertex_induced_poly"),
@@ -147,6 +148,29 @@ def test_report_over_one_sweep_limit_is_refused_before_any_sweep(calls, tmp_path
     message = "m=28 exceeds the enumeration limit 24; raise the limit explicitly to run anyway"
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert calls == []
+
+
+@pytest.mark.parametrize("parent", sorted(EXCLUDED_DECKS))
+def test_excluded_deck_refused_before_any_sweep_or_table(parent, calls, families, tmp_path, capsys):
+    # every target refuses from the deck's parent, at the default limits and
+    # at limits that its cards and parent are over
+    cards_dir = str(tmp_path / "cards")
+    assert main(["deck", "--input", _write(tmp_path, EXCLUDED_DECKS[parent][0]), "--out-dir", cards_dir]) == 0
+    for target in ("S", "P", "fvector", "hilbert", "betti"):
+        for limits in ([], ["--n-max", "1", "--homology-n-max", "1"]):
+            assert main(["reconstruct", "--deck", cards_dir, "--target", target] + limits) == 2
+    capsys.readouterr()
+    assert families == {"vertex": [], "edge": []}
+    assert calls == []
+
+
+def test_identity_4_3_reads_k_before_the_table(calls, tmp_path, capsys):
+    # K8's K(t) needs an edge sweep over the m limit, which refuses it, so
+    # 4.3 builds no table for nothing
+    assert main(["verify", "--identity", "4.3", "--input", _write(tmp_path, complete_graph(8))]) == 3
+    message = "m=28 exceeds the enumeration limit 24; raise the limit explicitly to run anyway"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert [name for name, _ in calls] == ["edge_induced_poly"]
 
 
 def test_betti_tables_once_and_sweeps_nothing(calls, families, tmp_path, capsys):
