@@ -309,6 +309,35 @@ def test_excluded_deck_refused_by_every_target(tmp_path, capsys, parent, target)
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("n_max, over", [("4", {"P", "fvector"}), ("5", set())])
+@pytest.mark.parametrize("target", TARGETS[:4])
+def test_edgeless_deck_with_cards_over_the_limit(tmp_path, capsys, target, n_max, over):
+    # the cards have 5 vertices and no edges, so only the vertex sweeps of
+    # the targets in `over` would pass the limit; the edgeless deck is
+    # refused from its parent before any sweep, so every target exits 2
+    deck = _write_deck(tmp_path, validate(list("abcdef"), []), capsys)
+    code = main(["reconstruct", "--deck", deck, "--target", target, "--n-max", n_max])
+    message = EXCLUDED_DECKS["edgeless3"][1]
+    assert (code, capsys.readouterr()) == (2, ("", f"error: {message}\n")), (target in over, n_max)
+
+
+@pytest.mark.parametrize(
+    "labels, limit, expected",
+    [
+        ("ab", "1", (2, "reconstruction needs n >= 3, got n=2")),
+        ("abcdef", "5", (2, EXCLUDED_DECKS["edgeless3"][1])),
+        ("abcdef", "6", (2, EXCLUDED_DECKS["edgeless3"][1])),
+    ],
+    ids=["n-below-3", "over-the-limit", "edgeless"],
+)
+def test_betti_refusal_order_on_edgeless_decks(tmp_path, capsys, labels, limit, expected):
+    # the deck's parent refuses n < 3 first, then no edges, both before the
+    # homology limit is read
+    deck = _write_deck(tmp_path, validate(list(labels), []), capsys)
+    code = main(["reconstruct", "--deck", deck, "--target", "betti", "--homology-n-max", limit])
+    assert (code, capsys.readouterr()) == (expected[0], ("", f"error: {expected[1]}\n"))
+
+
 # one bad file per kind of input error, parse and validation alike
 BAD_FILES = {
     "invalid_json.json": "{broken",

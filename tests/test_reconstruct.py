@@ -152,10 +152,23 @@ class TestReconstructFVector:
     def test_path3(self, path3):
         assert DeckInvariants(path3.deck()).f == (1, 3, 1)
 
+    def test_edgeless_deck_rejected(self, edgeless3):
+        with pytest.raises(NotReconstructible, match=re.escape(_EDGELESS_DECK)):
+            DeckInvariants(edgeless3.deck()).f
+
+    def test_vertex_count_checked_before_edges(self):
+        with pytest.raises(NotReconstructible, match="^reconstruction needs n >= 3, got n=2$"):
+            DeckInvariants(validate(["a", "b"], []).deck()).f
+
 
 class TestReconstructHilbert:
     def test_k3(self, k3):
         assert DeckInvariants(k3.deck()).hilbert_function(4) == [1, 3, 3, 3, 3]
+
+    def test_small_deck_rejected(self):
+        h = validate(["a", "b"], [["a", "b"]])
+        with pytest.raises(NotReconstructible, match="^reconstruction needs n >= 3, got n=2$"):
+            DeckInvariants(h.deck()).hilbert_function(4)
 
 
 def test_perturbed_face_count_fails_identity_3_2_on_a_deck(k3, monkeypatch, tmp_path, capsys):
@@ -182,6 +195,32 @@ EXCLUDED_DECKS = {
     # n is checked before edges
     "two-vertex-edgeless": (validate(["a", "b"], []), "reconstruction needs n >= 3, got n=2"),
 }
+
+POLY_TARGETS = {
+    "S": lambda deck: DeckInvariants(deck).S,
+    "P": lambda deck: DeckInvariants(deck).P,
+    "fvector": lambda deck: DeckInvariants(deck).f,
+    "hilbert": lambda deck: DeckInvariants(deck).hilbert_function(4),
+}
+
+
+@pytest.mark.parametrize("target", sorted(POLY_TARGETS))
+@pytest.mark.parametrize("parent", sorted(EXCLUDED_DECKS))
+def test_excluded_deck_refused_by_every_polynomial_target(parent, target):
+    h, message = EXCLUDED_DECKS[parent]
+    with pytest.raises(NotReconstructible) as exc:
+        POLY_TARGETS[target](h.deck())
+    assert type(exc.value) is NotReconstructible and str(exc.value) == message
+
+
+@pytest.mark.parametrize("parent", sorted(EXCLUDED_DECKS))
+def test_excluded_deck_refused_by_betti(parent):
+    # the table is the parent's own, so a single spanning edge is refused
+    # by its deck, which is the edgeless parent's, not by its own edges
+    h, message = EXCLUDED_DECKS[parent]
+    with pytest.raises(NotReconstructible) as exc:
+        DeckInvariants(h.deck()).betti
+    assert type(exc.value) is NotReconstructible and str(exc.value) == message
 
 
 @pytest.mark.parametrize("parent", sorted(EXCLUDED_DECKS))
