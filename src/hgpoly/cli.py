@@ -24,11 +24,11 @@ memory follows the largest member; only an internal consistency failure
 (exit 1) can leave a partial document. The members are shared among
 the usable cores by ``parallel.ordered_texts`` and written in member
 order, so the output and any failure read as on one core.
-compute, hilbert, fvector, hvector, betti and verify are one handler
-over views of the hypergraph's ``SRInvariants`` bundle, and the five
-reconstruct targets are the same views of a deck's ``DeckInvariants``
-bundle, so a value rebuilt from a deck prints exactly as the value
-computed directly.
+compute, hilbert, fvector, hvector, betti, verify and reconstruct are
+one handler over views of a hypergraph's ``SRInvariants`` bundle or a
+deck's ``DeckInvariants``, so a value rebuilt from a deck prints as the
+value computed directly; each view names what it reads, and every size
+it reads is checked before any sweep or table.
 
 Every integer that can grow beyond machine size (coefficients, Hilbert
 values, face counts) is emitted as a decimal string in JSON output;
@@ -44,7 +44,7 @@ from collections.abc import Iterator
 from types import SimpleNamespace
 
 from .bipoly import BiPoly
-from .enumeration import DEFAULT_LIMIT, check_sweep_limits
+from .enumeration import DEFAULT_LIMIT
 from .errors import InputError, InternalMismatch, LimitExceeded
 from .formats import (
     bipoly_to_json_terms,
@@ -151,8 +151,8 @@ def _identities(results: dict[str, bool | str]) -> tuple[dict[str, str], str]:
 
 
 def _report_for(h: Hypergraph, args) -> dict:
-    check_sweep_limits(h, args.n_max)
     inv = SRInvariants(h, args.n_max, args.homology_n_max)
+    inv.check(_REPORT_READS)
     report = {
         "hypergraph": h.to_json_dict(),
         "n": h.n,
@@ -207,33 +207,34 @@ def _report_for(h: Hypergraph, args) -> dict:
 
 # -- subcommand handlers: text None means the output is JSON only --
 
-# compute --poly, the invariant commands, verify and the reconstruct targets, as views of a bundle
+# each view (compute --poly, the invariant commands, verify, the reconstruct targets): its reads in read order, its renderer
 _VIEWS = {
-    "S": lambda inv, args: _poly(inv.S),
-    "P": lambda inv, args: _poly(inv.P),
-    "independence": lambda inv, args: (_strs(inv.f), _in_t(inv.f).to_text("t")),
-    "hilbert": lambda inv, args: _value_list(inv.hilbert_function(args.terms)),
-    "fvector": lambda inv, args: _vector(inv.f),
-    "hvector": lambda inv, args: _vector(inv.h),
-    "betti": lambda inv, args: (_betti_json(inv.betti), _betti_text(inv.betti)),
-    "verify": lambda inv, args: _identities(
+    "S": (("S",), lambda inv, args: _poly(inv.S)),
+    "P": (("P",), lambda inv, args: _poly(inv.P)),
+    "independence": (("P",), lambda inv, args: (_strs(inv.f), _in_t(inv.f).to_text("t"))),
+    "hilbert": (("S", "P"), lambda inv, args: _value_list(inv.hilbert_function(args.terms))),
+    "fvector": (("P",), lambda inv, args: _vector(inv.f)),
+    "hvector": (("P",), lambda inv, args: _vector(inv.h)),
+    "betti": (("betti",), lambda inv, args: (_betti_json(inv.betti), _betti_text(inv.betti))),
+    "verify": ((), lambda inv, args: _identities(  # each identity checks its own reads
         run_all(inv) if args.identity == "all" else {args.identity: run_identity(args.identity, inv)}
-    ),
+    )),
 }
+# report needs P and S; its table is optional, and a refusal of it is its betti_skipped
+_REPORT_READS = ("P", "S")
 
 
 def _cmd_view(args) -> Output:
-    inv = SRInvariants(load_hypergraph(args.input), args.n_max, args.homology_n_max)
-    return _VIEWS[getattr(args, "view", args.command)](inv, args)
+    inv = (DeckInvariants(read_deck(args.deck), args.n_max, args.homology_n_max) if args.command == "reconstruct"
+           else SRInvariants(load_hypergraph(args.input), args.n_max, args.homology_n_max))
+    reads, render = _VIEWS[getattr(args, "view", args.command)]
+    inv.check(reads)
+    return render(inv, args)
 
 
 def _cmd_deck(args) -> Output:
     paths = write_deck(load_hypergraph(args.input).deck(), args.out_dir)
     return paths, "\n".join(paths)
-
-
-def _cmd_reconstruct(args) -> Output:
-    return _VIEWS[args.target](DeckInvariants(read_deck(args.deck), args.n_max, args.homology_n_max), args)
 
 
 def _cmd_report(args) -> Output:
@@ -242,7 +243,7 @@ def _cmd_report(args) -> Output:
     corpus = load_corpus(args.input)
     for name, h in corpus:
         try:
-            check_sweep_limits(h, args.n_max)
+            SRInvariants(h, args.n_max, args.homology_n_max).check(_REPORT_READS)
         except LimitExceeded as exc:
             raise LimitExceeded(f"{name}: {exc}") from exc
     # one process per usable core, and at most one per member
@@ -271,7 +272,7 @@ _INPUT = ("--input", {"required": True})
 _SHARED_DEFAULTS = {flag[2:].replace("-", "_"): keywords["default"]
                     for flag, keywords in (_FORMAT, _TERMS, _N_MAX, _HOMOLOGY_N_MAX)}
 
-# subcommand -> (its help, its options, shared ones first, its handler); a view is named by its subcommand or --poly
+# subcommand -> (its help, its options, shared ones first, its handler); a view is named by its subcommand, --poly or --target
 _COMMANDS = {
     "compute": ("print a subhypergraph polynomial", (
         _FORMAT, _N_MAX,
@@ -291,9 +292,9 @@ _COMMANDS = {
     "reconstruct": ("rebuild an invariant from a deck directory", (
         _FORMAT, _TERMS, _N_MAX, _HOMOLOGY_N_MAX,
         ("--deck", {"required": True, "metavar": "DIR"}),
-        ("--target", {"choices": ("S", "P", "fvector", "hilbert", "betti"), "required": True}),
+        ("--target", {"dest": "view", "choices": ("S", "P", "fvector", "hilbert", "betti"), "required": True}),
         ("--parallel", {"action": "store_true", "help": "does nothing; kept for callers that pass it"}),
-    ), _cmd_reconstruct),
+    ), _cmd_view),
     "verify": ("run exact identity checks; nonzero exit on failure", (
         _FORMAT, _N_MAX, _HOMOLOGY_N_MAX, ("--identity", {"choices": IDENTITY_IDS + ("all",), "default": "all"}), _INPUT,
     ), _cmd_view),

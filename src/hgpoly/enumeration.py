@@ -36,12 +36,6 @@ DEFAULT_LIMIT = 24
 _LOW_BITS = 14
 
 
-def check_sweep_limits(h: Hypergraph, limit: int = DEFAULT_LIMIT) -> None:
-    """Raise, without sweeping, the LimitExceeded that sweeping h would: n first, then m."""
-    check_limit("n", h.n, "enumeration", limit)
-    check_limit("m", h.m, "enumeration", limit)
-
-
 @cache
 def _coordinates(k: int) -> tuple[int, tuple[int, ...]]:
     """The all-ones int over 2^k subset bits, and for each v < k the int

@@ -57,14 +57,15 @@ def check_reconstructible(h: Hypergraph) -> None:
 
 
 def verify_deck_sum_identity(inv: SRInvariants) -> bool:
-    """Check n*F = x*dF/dx + sum of card polynomials for S, then P, both
-    read before any card, so a size limit refuses the parent first. The
-    bundle's cards (cut from the parent: no Deck checks them) are swept
-    once, as one edge-side family under its limit. Their summed terms
-    must be (n - i)*S[i, j]; only then is their summed P, the linear
-    transform of that sum on n - 1 vertices, held to (n - i)*P[i, j],
-    so a sum too wide for n - 1 vertices fails as S, not in the transform."""
+    """Check n*F = x*dF/dx + sum of card polynomials for S, then P, once
+    the input is reconstructible and its reads fit (no card's m exceeds
+    its own). The bundle's cards (cut from the parent: no Deck checks
+    them) are swept once, as one edge-side family under its limit. Their
+    summed terms must be (n - i)*S[i, j]; only then is their summed P,
+    the linear transform of that sum on n - 1 vertices, held to
+    (n - i)*P[i, j], so a sum too wide for n - 1 vertices fails as S."""
     check_reconstructible(inv.hypergraph)
+    inv.check(("S", "P"))
     n = inv.n
     want_s, want_p = ({(i, j): (n - i) * c for (i, j), c in f.terms.items() if i < n} for f in (inv.S, inv.P))
     card_s = edge_family_poly(inv.cards, inv.limit)
@@ -157,13 +158,15 @@ class DeckInvariants(SRInvariants):
     cards and the Betti table below the top row; all else is derived as
     for a hypergraph, so identity 3.2 guards the Hilbert function. It
     refuses an excluded deck from its parent, whatever the limits (a Deck
-    stores a lone spanning edge's parent edgeless)."""
+    stores a lone spanning edge's parent edgeless); P and S charge the cards."""
 
     def __init__(self, deck: Deck, limit: int = DEFAULT_LIMIT, homology_limit: int = DEFAULT_HOMOLOGY_LIMIT):
         _check_n(deck.parent.n)
         if not deck.parent.edges:
             raise NotReconstructible(_EDGELESS_DECK)
         super().__init__(deck.parent, limit, homology_limit)
+
+    _swept = property(lambda self: self.cards)
 
     @cached_property
     def P(self) -> BiPoly:

@@ -10,11 +10,12 @@ the Krull dimension, so the series in lowest terms is h(t) / (1-t)^d
 (identity 3.2 checks the expansion this rests on). ``SRInvariants``
 computes each quantity on first use and keeps it, so a consumer that
 reads the same bundle never sweeps, cuts the cards, checks identity 3.2
-or builds a Betti table twice. The Hilbert function raises
-InternalMismatch, which only a bug can cause, unless 3.2 holds and it
-equals the face-count sums; f raises it unless its last entry is
-nonzero; h raises it unless it transforms back to f;
-the Betti table is checked where ``hochster_betti`` builds it.
+or builds a Betti table twice; ``check`` raises, with no work, the size
+refusal that reading given quantities in order would. The Hilbert
+function raises InternalMismatch, which only a bug can cause, unless 3.2
+holds and it equals the face-count sums; f raises it unless its last
+entry is nonzero; h raises it unless it transforms back to f; the Betti
+table is checked where ``hochster_betti`` builds it.
 ``reconstruct.DeckInvariants`` is the bundle of a deck's parent with
 P, S and the Betti table read from its cards, so ``reconstruct`` views
 a bundle too.
@@ -28,7 +29,7 @@ from math import comb
 
 from .bipoly import BiPoly, expand_series, substitute
 from .enumeration import DEFAULT_LIMIT, edge_induced_poly, vertex_induced_poly
-from .errors import InternalMismatch
+from .errors import InternalMismatch, check_limit
 from .homology import DEFAULT_HOMOLOGY_LIMIT, BettiTable, hochster_betti
 from .hypergraph import Deck, Frozen, Hypergraph
 
@@ -49,6 +50,20 @@ class SRInvariants(Frozen):
     @property
     def n(self) -> int:
         return self.hypergraph.n
+
+    _swept = property(lambda self: (self.hypergraph,))  # the hypergraphs whose sweeps give P and S
+
+    def check(self, reads: tuple[str, ...]) -> None:
+        """Raise, before any sweep or table, the LimitExceeded that reading
+        these quantities in this order would: "P" charges the n, and "S"
+        the m, of each hypergraph it sweeps to the enumeration limit, in
+        sweep order, and "betti" charges n to the homology limit."""
+        for read in reads:
+            if read == "betti":
+                check_limit("n", self.n, "homology", self.homology_limit)
+            else:
+                for h in self._swept:
+                    check_limit(*{"P": ("n", h.n), "S": ("m", h.m)}[read], "enumeration", self.limit)
 
     @cached_property
     def P(self) -> BiPoly:
@@ -110,7 +125,7 @@ class SRInvariants(Frozen):
         holds and every value is its face-count sum, 1 at k = 0, else
         sum_i f[i] * C(k-1, i-1), summed with no step of the expansion.
         """
-        values = expand_series(self.k_polynomial, self.n, k_max)  # K before f: over both limits, m is refused
+        values = expand_series(self.k_polynomial, self.n, k_max)
         if not self.series_numerator_holds:
             raise InternalMismatch(f"identity 3.2 fails: K(t) = {self.k_polynomial.to_text('t')} is not the expansion of f = {self.f}")
         # sum_k dim R_(k+1) t^k = sum_i f[i] t^(i-1) / (1-t)^i, by Horner: per face size, times t, then a running sum

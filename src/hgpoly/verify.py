@@ -10,10 +10,10 @@ the Betti table's signed column sums, a term map of its own, with the
 terms of K(t), so no identity drops zeros or trims in a step both
 sides share; 4.2 sweeps the bundle's cards once, on the edge side,
 reads their P through the transform and builds no ``Deck``.
-``run_identity`` calls 2.1 and 2.3 here, 3.2 in the bundle, 4.2 in
-``reconstruct`` and 4.3 in ``homology``, each by name in an if-chain,
-so a rebound function is the one called. A False from any of them on a
-valid input means a bug somewhere, which is the point of running them.
+``run_identity`` checks the sizes an identity reads, then calls 2.1 and
+2.3 here, 3.2 in the bundle, 4.2 in ``reconstruct`` and 4.3 in
+``homology``, each by name in an if-chain, so a rebound function is the
+one called. A False from any of them on a valid input means a bug.
 
 The rule for every check, these identities and the guards that raise
 InternalMismatch alike: a check stays only if it catches a fault that
@@ -30,7 +30,9 @@ from .homology import verify_betti_alternating_sum
 from .reconstruct import verify_deck_sum_identity
 from .stanley_reisner import SRInvariants
 
-IDENTITY_IDS = ("2.1", "2.3", "3.2", "4.2", "4.3")
+# each identity's reads in read order, checked before any; 4.2 checks its own after its exclusion check
+IDENTITY_READS = {"2.1": ("P", "S"), "2.3": ("P", "S"), "3.2": ("P", "S"), "4.2": (), "4.3": ("S", "betti")}
+IDENTITY_IDS = tuple(IDENTITY_READS)
 
 
 def verify_transform(inv: SRInvariants) -> bool:
@@ -57,6 +59,9 @@ def verify_coefficient_relation(inv: SRInvariants) -> bool:
 
 
 def run_identity(identity: str, inv: SRInvariants) -> bool:
+    if identity not in IDENTITY_READS:
+        raise ValueError(f"unknown identity {identity!r}")
+    inv.check(IDENTITY_READS[identity])
     if identity == "2.1":
         return verify_transform(inv)
     if identity == "2.3":
@@ -65,10 +70,7 @@ def run_identity(identity: str, inv: SRInvariants) -> bool:
         return inv.series_numerator_holds
     if identity == "4.2":
         return verify_deck_sum_identity(inv)
-    if identity == "4.3":
-        k = inv.k_polynomial  # first, so the m limit refuses before a table is built
-        return verify_betti_alternating_sum(inv.betti, k)
-    raise ValueError(f"unknown identity {identity!r}")
+    return verify_betti_alternating_sum(inv.betti, inv.k_polynomial)
 
 
 def run_all(inv: SRInvariants) -> dict[str, bool | str]:

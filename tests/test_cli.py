@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 import hgpoly
 from hgpoly import cli
 from hgpoly.cli import build_parser, main
-from hgpoly.enumeration import check_sweep_limits
 from hgpoly.errors import InternalMismatch, LimitExceeded
 from hgpoly.formats import dump_hypergraph_json
 from hgpoly.hypergraph import Hypergraph, validate
+from hgpoly.stanley_reisner import SRInvariants
 
 from .families import complete_graph, cycle_graph
 from .strategies import hypergraphs
@@ -824,7 +824,7 @@ def test_sweep_limit_check_agrees_with_report(h, n_max):
             return str(exc)
         return None
 
-    checked = refusal(lambda: check_sweep_limits(h, n_max))
+    checked = refusal(lambda: SRInvariants(h, n_max).check(cli._REPORT_READS))
     args = build_parser().parse_args(["report", "--n-max", str(n_max), "--input", "-"])
     assert checked == refusal(lambda: cli._report_for(h, args))
 

@@ -9,6 +9,8 @@ from calls on its deck cards.
 
 from __future__ import annotations
 
+import itertools
+import random
 import sys
 
 import pytest
@@ -16,11 +18,13 @@ import pytest
 import hgpoly.bipoly as bipoly
 import hgpoly.enumeration as enumeration
 import hgpoly.homology as homology
+from hgpoly import cli
 from hgpoly.cli import main
 from hgpoly.formats import dump_hypergraph_json
-from hgpoly.hypergraph import Hypergraph
+from hgpoly.hypergraph import Hypergraph, validate
 from hgpoly.reconstruct import DeckInvariants
 from hgpoly.stanley_reisner import SRInvariants
+from hgpoly.verify import IDENTITY_IDS
 
 from .families import complete_graph, cycle_graph, path_graph, star, wheel
 from .test_reconstruct import EXCLUDED_DECKS
@@ -165,12 +169,106 @@ def test_excluded_deck_refused_before_any_sweep_or_table(parent, calls, families
 
 
 def test_identity_4_3_reads_k_before_the_table(calls, tmp_path, capsys):
-    # K8's K(t) needs an edge sweep over the m limit, which refuses it, so
-    # 4.3 builds no table for nothing
+    # K8's K(t) needs an edge sweep over the m limit, so 4.3 is refused
+    # on m, as it reads K first, before it sweeps or builds a table
     assert main(["verify", "--identity", "4.3", "--input", _write(tmp_path, complete_graph(8))]) == 3
     message = "m=28 exceeds the enumeration limit 24; raise the limit explicitly to run anyway"
     assert capsys.readouterr() == ("", f"error: {message}\n")
-    assert [name for name, _ in calls] == ["edge_induced_poly"]
+    assert calls == []
+
+
+def _seeded_graph(n: int, m: int) -> Hypergraph:
+    """G(n, m): labels v0..v(n-1) and m distinct pairs drawn by random.Random(1)."""
+    pairs = random.Random(1).sample(list(itertools.combinations(range(n), 2)), m)
+    return validate([f"v{i}" for i in range(n)], [[f"v{a}", f"v{b}"] for a, b in pairs])
+
+
+def _over(size: str, limit: str) -> str:
+    return f"{size} exceeds the {limit}; raise the limit explicitly to run anyway"
+
+
+# G(n, m), a command, and its exit code and refusal, or its identities' skips:
+# each command swept 2^24 subsets first while a read was refused only when made
+SEEDED_REFUSALS = [
+    (24, 30, ["verify"], 0, {i: _over("m=30", "enumeration limit 24") for i in IDENTITY_IDS}),
+    (24, 30, ["verify", "--identity", "2.1"], 3, _over("m=30", "enumeration limit 24")),
+    (24, 30, ["verify", "--identity", "2.3"], 3, _over("m=30", "enumeration limit 24")),
+    (24, 30, ["verify", "--identity", "3.2"], 3, _over("m=30", "enumeration limit 24")),
+    (30, 24, ["hilbert"], 3, _over("n=30", "enumeration limit 24")),
+    (30, 24, ["verify"], 0, {**{i: _over("n=30", "enumeration limit 24") for i in IDENTITY_IDS},
+                             "4.3": _over("n=30", "homology limit 14")}),
+    (30, 24, ["verify", "--identity", "4.2"], 3, _over("n=30", "enumeration limit 24")),
+    (30, 24, ["verify", "--identity", "4.3"], 3, _over("n=30", "homology limit 14")),
+    (26, 22, ["reconstruct", "--target", "hilbert"], 3, _over("n=25", "enumeration limit 24")),
+]
+
+
+@pytest.mark.parametrize("n, m, argv, code, out", SEEDED_REFUSALS,
+                         ids=[f"G{n}-{m}-" + "-".join(argv) for n, m, argv, *_ in SEEDED_REFUSALS])
+def test_refused_or_skipped_before_any_sweep(n, m, argv, code, out, calls, families, tmp_path, capsys):
+    path = _write(tmp_path, _seeded_graph(n, m))
+    if argv[0] == "reconstruct":  # the cards have n - 1 vertices
+        assert main(["deck", "--input", path, "--out-dir", str(tmp_path / "cards")]) == 0
+        capsys.readouterr()
+        argv = [*argv, "--deck", str(tmp_path / "cards")]
+    else:
+        argv = [*argv, "--input", path]
+    assert main(argv) == code
+    if code:
+        assert capsys.readouterr() == ("", f"error: {out}\n")
+    else:
+        assert capsys.readouterr() == ("".join(f"identity {i}: skipped: {s}\n" for i, s in out.items()), "")
+    assert (calls, families) == ([], {"vertex": [], "edge": []})
+
+
+HYPERGRAPH_COMMANDS = (
+    [["compute", "--poly", poly] for poly in ("S", "P", "independence")]
+    + [[name] for name in ("hilbert", "fvector", "hvector", "betti", "report")]
+    + [["verify", "--identity", identity] for identity in (*IDENTITY_IDS, "all")]
+)
+
+# an input over one limit alone, the limits, and whether only its deck's commands run:
+# the cards of cycle7 are over n = 5 alone, but cycle7 is over both n and m
+OVER_ONE_LIMIT = {
+    "n": (path_graph(7), ["--n-max", "6"], False),
+    "m": (complete_graph(6), ["--n-max", "6"], False),
+    "homology-n": (cycle_graph(7), ["--homology-n-max", "6"], False),
+    "cards-n": (cycle_graph(7), ["--n-max", "5"], True),
+}
+
+
+def _argv(command: list[str], limits: list[str], source: list[str]) -> list[str]:
+    """The command with those of the limit flags it takes, then its source."""
+    takes = {flag for flag, _ in cli._COMMANDS[command[0]][1]}
+    flags = [word for flag, value in zip(limits[::2], limits[1::2]) if flag in takes for word in (flag, value)]
+    return [*command, *flags, *source]
+
+
+@pytest.mark.parametrize("case", sorted(OVER_ONE_LIMIT))
+def test_every_view_target_and_identity_refuses_before_any_work(case, calls, families, monkeypatch, tmp_path, capsys):
+    h, limits, deck_only = OVER_ONE_LIMIT[case]
+    path, cards = _write(tmp_path, h), str(tmp_path / "cards")
+    assert main(["deck", "--input", path, "--out-dir", cards]) == 0
+    argvs = [_argv(command, limits, ["--input", path]) for command in ([] if deck_only else HYPERGRAPH_COMMANDS)]
+    argvs += [_argv(["reconstruct", "--target", t], limits, ["--deck", cards]) for t in ("S", "P", "fvector", "hilbert", "betti")]
+    capsys.readouterr()
+    refused = 0
+    for argv in argvs:
+        # without the up-front check each read is refused by its sweep's or
+        # table's own limit check, in read order: the answer must not change
+        with monkeypatch.context() as unchecked:
+            unchecked.setattr(SRInvariants, "check", lambda inv, reads: None, raising=False)
+            reference = main(argv), capsys.readouterr()
+        calls.clear()
+        families["vertex"].clear()
+        families["edge"].clear()
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, (out, err)) == reference, argv
+        if code or all(": skipped: " in line for line in out.splitlines()):
+            refused += 1
+            assert (calls, families) == ([], {"vertex": [], "edge": []}), argv
+    assert refused
 
 
 def test_betti_tables_once_and_sweeps_nothing(calls, families, tmp_path, capsys):
