@@ -24,7 +24,7 @@ from .homology import (
     pd_reg_depth,
     verify_betti_alternating_sum,
 )
-from .hypergraph import Deck, Hypergraph, validate
+from .hypergraph import Hypergraph, validate
 from .reconstruct import (
     DeckInvariants,
     check_reconstructible,
@@ -46,7 +46,6 @@ __all__ = [
     "BiPoly",
     "DEFAULT_HOMOLOGY_LIMIT",
     "DEFAULT_LIMIT",
-    "Deck",
     "DeckInvariants",
     "HgpolyError",
     "Hypergraph",

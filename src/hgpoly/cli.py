@@ -57,7 +57,6 @@ from .formats import (
     write_deck,
 )
 from .homology import DEFAULT_HOMOLOGY_LIMIT, BettiTable, betti_columns, pd_reg_depth
-from .hypergraph import Hypergraph
 from .parallel import ordered_texts
 from .reconstruct import DeckInvariants
 from .stanley_reisner import SRInvariants
@@ -150,13 +149,12 @@ def _identities(results: dict[str, bool | str]) -> tuple[dict[str, str], str]:
     return status, "\n".join(f"identity {ident}: {s}" for ident, s in status.items())
 
 
-def _report_for(h: Hypergraph, args) -> dict:
-    inv = SRInvariants(h, args.n_max, args.homology_n_max)
-    inv.check(_REPORT_READS)
+def _report_for(inv: SRInvariants, args) -> dict:
+    """The report of a bundle, refusing no read once its _REPORT_READS are checked."""
     report = {
-        "hypergraph": h.to_json_dict(),
-        "n": h.n,
-        "m": h.m,
+        "hypergraph": inv.hypergraph.to_json_dict(),
+        "n": inv.n,
+        "m": inv.hypergraph.m,
         "edge_induced_poly": {"text": inv.S.to_text(), "terms": bipoly_to_json_terms(inv.S)},
         "vertex_induced_poly": {"text": inv.P.to_text(), "terms": bipoly_to_json_terms(inv.P)},
         "independence_poly": _strs(inv.f),
@@ -167,7 +165,7 @@ def _report_for(h: Hypergraph, args) -> dict:
         "k_polynomial": {"text": inv.k_polynomial.to_text("t"), "coefficients": _strs(inv.k_polynomial.coefficients())},
         "hilbert_series": {
             "numerator": _strs(inv.k_polynomial.coefficients()),
-            "denominator_power": h.n,
+            "denominator_power": inv.n,
             "reduced_numerator": _strs(_in_t(inv.h).coefficients()),
             "reduced_denominator_power": inv.krull_dim,
         },
@@ -182,7 +180,7 @@ def _report_for(h: Hypergraph, args) -> dict:
         pd, reg, depth = pd_reg_depth(table)
         columns = betti_columns(table)
         # column n is the row no card sees: K_n pins it down when it holds at most one entry
-        top = columns.get(h.n, {})
+        top = columns.get(inv.n, {})
         crowded = [j for j, column in columns.items() if len(column) > 1]
         report["betti"] = _betti_json(table)
         report["homological"] = {
@@ -192,7 +190,7 @@ def _report_for(h: Hypergraph, args) -> dict:
             "depth": depth,
         }
         report["top_betti"] = {
-            "top_coefficient": str(inv.k_polynomial.coeff(h.n, 0)),
+            "top_coefficient": str(inv.k_polynomial.coeff(inv.n, 0)),
             "entries": [[i, b] for i, b in sorted(top.items())],
             "determined": len(top) <= 1,
         }
@@ -233,23 +231,25 @@ def _cmd_view(args) -> Output:
 
 
 def _cmd_deck(args) -> Output:
-    paths = write_deck(load_hypergraph(args.input).deck(), args.out_dir)
+    paths = write_deck(load_hypergraph(args.input), args.out_dir)
     return paths, "\n".join(paths)
 
 
 def _cmd_report(args) -> Output:
     if not os.path.isdir(args.input):
-        return _report_for(load_hypergraph(args.input), args), None
-    corpus = load_corpus(args.input)
-    for name, h in corpus:
+        inv = SRInvariants(load_hypergraph(args.input), args.n_max, args.homology_n_max)
+        inv.check(_REPORT_READS)
+        return _report_for(inv, args), None
+    members = [(name, SRInvariants(h, args.n_max, args.homology_n_max)) for name, h in load_corpus(args.input)]
+    for name, inv in members:  # each bundle is checked before any is rendered
         try:
-            SRInvariants(h, args.n_max, args.homology_n_max).check(_REPORT_READS)
+            inv.check(_REPORT_READS)
         except LimitExceeded as exc:
             raise LimitExceeded(f"{name}: {exc}") from exc
     # one process per usable core, and at most one per member
-    workers = min(_usable_cores(), len(corpus))
+    workers = min(_usable_cores(), len(members))
     return ordered_texts(
-        lambda member: dump_json_item({"name": member[0], "report": _report_for(member[1], args)}), corpus, workers
+        lambda member: dump_json_item({"name": member[0], "report": _report_for(member[1], args)}), members, workers
     ), None
 
 

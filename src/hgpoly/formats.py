@@ -36,7 +36,7 @@ from json.encoder import encode_basestring_ascii
 
 from .bipoly import BiPoly
 from .errors import InputError
-from .hypergraph import Deck, Hypergraph, validate
+from .hypergraph import Hypergraph, validate
 
 
 def parse_hypergraph_text(text: str) -> Hypergraph:
@@ -190,25 +190,25 @@ def _card_names(directory: str) -> list[str]:
     return sorted(n for n in os.listdir(directory) if n.startswith("card_") and n.endswith(".json"))
 
 
-def write_deck(deck: Deck, out_dir: str) -> list[str]:
-    """Write one JSON file per card, zero-padded in vertex order.
+def write_deck(h: Hypergraph, out_dir: str) -> list[str]:
+    """Write one JSON file per card of h, zero-padded in vertex order.
 
     Raises InputError, before writing anything, when out_dir cannot be
     a directory or already holds a card_*.json file that this deck would
     not overwrite: read back, that stale card would join the deck.
     """
-    width = max(2, len(str(deck.parent.n - 1)))
-    names = [f"card_{l:0{width}d}.json" for l in range(deck.parent.n)]
+    width = max(2, len(str(h.n - 1)))
+    names = [f"card_{l:0{width}d}.json" for l in range(h.n)]
     paths = [os.path.join(out_dir, name) for name in names]
     try:
         os.makedirs(out_dir, exist_ok=True)
         stale = [name for name in _card_names(out_dir) if name not in names]
         if stale:
             raise InputError(
-                f"{out_dir} already holds {stale[0]}, which this {deck.parent.n}-card deck "
+                f"{out_dir} already holds {stale[0]}, which this {h.n}-card deck "
                 f"would not overwrite; write the deck to an empty directory"
             )
-        for path, card in zip(paths, deck.cards):
+        for path, card in zip(paths, h.cards):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(dump_hypergraph_json(card))
     except OSError as exc:
@@ -216,9 +216,9 @@ def write_deck(deck: Deck, out_dir: str) -> list[str]:
     return paths
 
 
-def read_deck(deck_dir: str) -> Deck:
-    """Read the card_<k>.json files in order of the integer k, whatever
-    its zero padding, and recover the deck; its own errors name deck_dir."""
+def read_deck(deck_dir: str) -> Hypergraph:
+    """Read the card_<k>.json files in order of the integer k, whatever its
+    zero padding, and return their parent; its own errors name deck_dir."""
     if not os.path.isdir(deck_dir):
         raise InputError(f"{deck_dir} is not a directory")
     files: dict[int, str] = {}
@@ -234,7 +234,7 @@ def read_deck(deck_dir: str) -> Deck:
         raise InputError(f"no card_*.json files in {deck_dir}")
     cards = [load_hypergraph(os.path.join(deck_dir, files[k])) for k in sorted(files)]
     try:
-        return Deck.from_cards(cards)
+        return Hypergraph.from_cards(cards)
     except InputError as exc:
         raise type(exc)(f"{deck_dir}: {exc}") from exc
 

@@ -66,7 +66,8 @@ class Hypergraph(Frozen):
     """Labeled hypergraph with an antichain edge set.
 
     Construct through :func:`validate` (labels), :meth:`from_masks`
-    (masks) or :meth:`card`; each enforces or keeps the invariants.
+    (masks), :meth:`from_cards` (a deck) or :meth:`card`; each enforces
+    or keeps the invariants.
     """
 
     def __init__(self, labels: tuple[str, ...], edges: tuple[int, ...]) -> None:
@@ -138,9 +139,53 @@ class Hypergraph(Frozen):
         edges = tuple(e & low | e >> 1 & ~low for e in self.edges if not e >> l & 1)
         return Hypergraph(self.labels[:l] + self.labels[l + 1 :], edges)
 
-    def deck(self) -> "Deck":
-        """All n vertex-deleted cards, in vertex order."""
-        return Deck(self)
+    @cached_property
+    def cards(self) -> tuple[Hypergraph, ...]:
+        """The n vertex-deleted cards in vertex order, cut on first use.
+        Card l keeps every label but the l-th, so the cards' edges are the
+        parent's, less a lone spanning edge: a labeled deck is its parent."""
+        return tuple(self.card(l) for l in range(self.n))
+
+    def deck(self) -> Hypergraph:
+        """The hypergraph itself, its cards' parent; kept for the benchmark's tracer."""
+        return self
+
+    @classmethod
+    def from_cards(cls, cards: Sequence[Hypergraph]) -> Hypergraph:
+        """The one check of cards from outside, returning their parent.
+        Card l omits exactly the parent's l-th label, so the first missing
+        label is parent[0] and card 0 lists the rest in order; card l must
+        hold exactly the other cards' edges that avoid vertex l, and is
+        then the parent's card l, edge order included. Needs at least two cards."""
+        if len(cards) < 2:
+            raise InputError("need at least two cards to recover the vertex order")
+        first_missing = set(cards[1].labels) - set(cards[0].labels)
+        if len(first_missing) != 1:
+            raise InputError("cards 0 and 1 do not differ in exactly one label")
+        labels = (next(iter(first_missing)),) + cards[0].labels
+        n = len(labels)
+        if len(cards) != n:
+            raise InputError(f"expected {n} cards, got {len(cards)}")
+        # bit l of holders[e] is set when card l holds e, lifted to the
+        # parent's indices: card l's vertex k is the parent's k below l, k + 1 from l on
+        holders: dict[int, int] = {}
+        for l, card in enumerate(cards):
+            expected = labels[:l] + labels[l + 1 :]
+            if card.labels != expected:
+                raise InputError(f"card {l} has labels {card.labels}, expected {expected}")
+            low = (1 << l) - 1
+            for e in card.edges:
+                e = e & low | (e & ~low) << 1
+                holders[e] = holders.get(e, 0) | 1 << l
+        # a genuine card l holds exactly the parent's edges avoiding vertex l
+        for e in sorted(holders):
+            missing = ((1 << n) - 1) & ~e & ~holders[e]
+            if missing:
+                raise InputError(
+                    f"edge {[labels[v] for v in mask_indices(e)]} is on card {mask_indices(holders[e])[0]} but not on card "
+                    f"{mask_indices(missing)[0]}, whose deleted vertex it avoids; the input is not a genuine deck"
+                )
+        return cls.from_masks(labels, holders)
 
     def to_json_dict(self) -> dict:
         return {
@@ -185,58 +230,3 @@ def validate(raw_vertices: Sequence[str], raw_edges: Sequence[Sequence[str]]) ->
             mask |= 1 << v
         masks.append(mask)
     return Hypergraph.from_masks(labels, masks)
-
-
-class Deck(Frozen):
-    """Ordered vertex-deleted deck: card l is the parent minus vertex l.
-
-    Cards keep the parent's labels (minus the deleted one), so the
-    reconstruction identities are checkable without any isomorphism
-    search, and the union of the cards' edges is the parent's edge set:
-    a deck is its parent, and its cards are cut on first use. A parent
-    whose lone edge spans every vertex, on no card, is stored edgeless.
-    """
-
-    def __init__(self, parent: Hypergraph) -> None:
-        self._freeze(parent=Hypergraph(parent.labels, ()) if parent.edges == (parent.full_mask,) else parent)
-
-    @cached_property
-    def cards(self) -> tuple[Hypergraph, ...]:
-        return tuple(self.parent.card(l) for l in range(self.parent.n))
-
-    @classmethod
-    def from_cards(cls, cards: Sequence[Hypergraph]) -> "Deck":
-        """The one check of cards from outside. Card l omits exactly the
-        parent's l-th label, so the first missing label is parent[0] and
-        card 0 lists the rest in order; card l must hold exactly the other
-        cards' edges that avoid vertex l, and is then the parent's card l,
-        edge order included. Needs at least two cards."""
-        if len(cards) < 2:
-            raise InputError("need at least two cards to recover the vertex order")
-        first_missing = set(cards[1].labels) - set(cards[0].labels)
-        if len(first_missing) != 1:
-            raise InputError("cards 0 and 1 do not differ in exactly one label")
-        labels = (next(iter(first_missing)),) + cards[0].labels
-        n = len(labels)
-        if len(cards) != n:
-            raise InputError(f"expected {n} cards, got {len(cards)}")
-        # bit l of holders[e] is set when card l holds e, lifted to the
-        # parent's indices: card l's vertex k is the parent's k below l, k + 1 from l on
-        holders: dict[int, int] = {}
-        for l, card in enumerate(cards):
-            expected = labels[:l] + labels[l + 1 :]
-            if card.labels != expected:
-                raise InputError(f"card {l} has labels {card.labels}, expected {expected}")
-            low = (1 << l) - 1
-            for e in card.edges:
-                e = e & low | (e & ~low) << 1
-                holders[e] = holders.get(e, 0) | 1 << l
-        # a genuine card l holds exactly the parent's edges avoiding vertex l
-        for e in sorted(holders):
-            missing = ((1 << n) - 1) & ~e & ~holders[e]
-            if missing:
-                raise InputError(
-                    f"edge {[labels[v] for v in mask_indices(e)]} is on card {mask_indices(holders[e])[0]} but not on card "
-                    f"{mask_indices(missing)[0]}, whose deleted vertex it avoids; the input is not a genuine deck"
-                )
-        return cls(Hypergraph.from_masks(labels, holders))

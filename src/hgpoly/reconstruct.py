@@ -7,8 +7,8 @@ card polynomials alone, which one family sweep over the cards computes
 and which does not depend on the cards' labels or order;
 ``DeckInvariants`` is the bundle of the deck's parent with these in
 place of its sweeps. The divisions must come out exact: a remainder
-certifies that the summed polynomial is not a genuine deck's. A
-``Deck``'s cards always sum to one, so ``DeckInvariants`` raises
+certifies that the summed polynomial is not a genuine deck's. The cards
+of a hypergraph always sum to one, so ``DeckInvariants`` raises
 InternalMismatch instead. The full-vertex row of the edge-subset
 polynomial is not visible on any card; it is completed from the
 column-sum identity (column j sums to C(m, j)), which is valid because
@@ -30,7 +30,7 @@ from .bipoly import BiPoly, to_edge_form, to_vertex_form
 from .enumeration import DEFAULT_LIMIT, edge_family_poly, vertex_family_poly
 from .errors import InputError, InternalMismatch, NotReconstructible
 from .homology import DEFAULT_HOMOLOGY_LIMIT, BettiTable, hochster_betti
-from .hypergraph import Deck, Hypergraph
+from .hypergraph import Hypergraph
 from .stanley_reisner import SRInvariants
 
 _EDGELESS_DECK = (
@@ -59,8 +59,8 @@ def check_reconstructible(h: Hypergraph) -> None:
 def verify_deck_sum_identity(inv: SRInvariants) -> bool:
     """Check n*F = x*dF/dx + sum of card polynomials for S, then P, once
     the input is reconstructible and its reads fit (no card's m exceeds
-    its own). The bundle's cards (cut from the parent: no Deck checks
-    them) are swept once, as one edge-side family under its limit. Their
+    its own). The parent's cards (cut from it, so nothing checks them)
+    are swept once, as one edge-side family under its limit. Their
     summed terms must be (n - i)*S[i, j]; only then is their summed P,
     the linear transform of that sum on n - 1 vertices, held to
     (n - i)*P[i, j], so a sum too wide for n - 1 vertices fails as S."""
@@ -68,7 +68,7 @@ def verify_deck_sum_identity(inv: SRInvariants) -> bool:
     inv.check(("S", "P"))
     n = inv.n
     want_s, want_p = ({(i, j): (n - i) * c for (i, j), c in f.terms.items() if i < n} for f in (inv.S, inv.P))
-    card_s = edge_family_poly(inv.cards, inv.limit)
+    card_s = edge_family_poly(inv.hypergraph.cards, inv.limit)
     return card_s.terms == want_s and to_vertex_form(card_s, n - 1).terms == want_p
 
 
@@ -145,8 +145,8 @@ def reconstruct_vertex_poly(card_sum: BiPoly, n: int) -> BiPoly:
 
 
 def _rebuilt(rebuild, card_sum: BiPoly, n: int) -> BiPoly:
-    """rebuild(card_sum, n) for the cards of a Deck whose parent, an
-    antichain, is already checked as reconstructible: any refusal is a bug."""
+    """rebuild(card_sum, n) for the cards of a parent, an antichain,
+    already checked as reconstructible: any refusal is a bug."""
     try:
         return rebuild(card_sum, n)
     except InputError as exc:
@@ -156,25 +156,25 @@ def _rebuilt(rebuild, card_sum: BiPoly, n: int) -> BiPoly:
 class DeckInvariants(SRInvariants):
     """The bundle of a deck's parent with P and S rebuilt from the summed
     cards and the Betti table below the top row; all else is derived as
-    for a hypergraph, so identity 3.2 guards the Hilbert function. It
-    refuses an excluded deck from its parent, whatever the limits (a Deck
-    stores a lone spanning edge's parent edgeless); P and S charge the cards."""
+    for a hypergraph, so identity 3.2 guards the Hilbert function, and P
+    and S charge the cards. An excluded deck is refused from its parent,
+    whatever the limits; a lone spanning edge has the edgeless deck."""
 
-    def __init__(self, deck: Deck, limit: int = DEFAULT_LIMIT, homology_limit: int = DEFAULT_HOMOLOGY_LIMIT):
-        _check_n(deck.parent.n)
-        if not deck.parent.edges:
+    def __init__(self, parent: Hypergraph, limit: int = DEFAULT_LIMIT, homology_limit: int = DEFAULT_HOMOLOGY_LIMIT):
+        _check_n(parent.n)
+        if parent.edges in ((), (parent.full_mask,)):
             raise NotReconstructible(_EDGELESS_DECK)
-        super().__init__(deck.parent, limit, homology_limit)
+        super().__init__(parent, limit, homology_limit)
 
-    _swept = property(lambda self: self.cards)
+    _swept = property(lambda self: self.hypergraph.cards)
 
     @cached_property
     def P(self) -> BiPoly:
-        return _rebuilt(reconstruct_vertex_poly, vertex_family_poly(self.cards, self.limit), self.n)
+        return _rebuilt(reconstruct_vertex_poly, vertex_family_poly(self.hypergraph.cards, self.limit), self.n)
 
     @cached_property
     def S(self) -> BiPoly:
-        return _rebuilt(reconstruct_edge_poly, edge_family_poly(self.cards, self.limit), self.n)
+        return _rebuilt(reconstruct_edge_poly, edge_family_poly(self.hypergraph.cards, self.limit), self.n)
 
     @cached_property
     def betti(self) -> BettiTable:

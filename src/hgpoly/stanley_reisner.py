@@ -9,8 +9,8 @@ The h-vector is the reduced numerator: K(t) = h(t) (1-t)^(n-d) with d
 the Krull dimension, so the series in lowest terms is h(t) / (1-t)^d
 (identity 3.2 checks the expansion this rests on). ``SRInvariants``
 computes each quantity on first use and keeps it, so a consumer that
-reads the same bundle never sweeps, cuts the cards, checks identity 3.2
-or builds a Betti table twice; ``check`` raises, with no work, the size
+reads the same bundle never sweeps, checks identity 3.2 or builds a
+Betti table twice; ``check`` raises, with no work, the size
 refusal that reading given quantities in order would. The Hilbert
 function raises InternalMismatch, which only a bug can cause, unless 3.2
 holds and it equals the face-count sums; f raises it unless its last
@@ -31,7 +31,9 @@ from .bipoly import BiPoly, expand_series, substitute
 from .enumeration import DEFAULT_LIMIT, edge_induced_poly, vertex_induced_poly
 from .errors import InternalMismatch, check_limit
 from .homology import DEFAULT_HOMOLOGY_LIMIT, BettiTable, hochster_betti
-from .hypergraph import Deck, Frozen, Hypergraph
+from .hypergraph import Frozen, Hypergraph
+
+_SWEPT_SIZE = {"P": "n", "S": "m"}  # the size of each swept hypergraph that a read charges to the enumeration limit
 
 
 class SRInvariants(Frozen):
@@ -41,8 +43,8 @@ class SRInvariants(Frozen):
     derived from one another), the face vector f = P(x, 0) with a leading
     1 for the empty face, its binomial transform h, the Krull dimension,
     the multiplicity, the Hilbert series numerator K(t) = S(t, -1), the
-    outcome of identity 3.2 (K(t) against its expansion from f), the n
-    vertex-deleted cards (its Deck's), and the multigraded Betti table."""
+    outcome of identity 3.2 (K(t) against its expansion from f), and the
+    multigraded Betti table."""
 
     def __init__(self, hypergraph: Hypergraph, limit: int = DEFAULT_LIMIT, homology_limit: int = DEFAULT_HOMOLOGY_LIMIT):
         self._freeze(hypergraph=hypergraph, limit=limit, homology_limit=homology_limit)
@@ -62,8 +64,9 @@ class SRInvariants(Frozen):
             if read == "betti":
                 check_limit("n", self.n, "homology", self.homology_limit)
             else:
+                size = _SWEPT_SIZE[read]
                 for h in self._swept:
-                    check_limit(*{"P": ("n", h.n), "S": ("m", h.m)}[read], "enumeration", self.limit)
+                    check_limit(size, getattr(h, size), "enumeration", self.limit)
 
     @cached_property
     def P(self) -> BiPoly:
@@ -109,10 +112,6 @@ class SRInvariants(Frozen):
         each power of (1-t) expanded by the binomial theorem; the term
         maps are compared, each side having dropped its own zeros."""
         return substitute({(i, 0): fi for i, fi in enumerate(self.f)}, self.n, -1, 0) == self.k_polynomial.terms
-
-    @cached_property
-    def cards(self) -> tuple[Hypergraph, ...]:
-        return Deck(self.hypergraph).cards
 
     @cached_property
     def betti(self) -> BettiTable:

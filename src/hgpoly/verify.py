@@ -8,8 +8,8 @@ other. 2.1, 2.3 and 3.2 expand through ``bipoly.substitute``, one
 call per side over its own terms, and compare term maps; 4.3 compares
 the Betti table's signed column sums, a term map of its own, with the
 terms of K(t), so no identity drops zeros or trims in a step both
-sides share; 4.2 sweeps the bundle's cards once, on the edge side,
-reads their P through the transform and builds no ``Deck``.
+sides share; 4.2 sweeps the parent's cards once, on the edge side,
+and reads their P through the transform.
 ``run_identity`` checks the sizes an identity reads, then calls 2.1 and
 2.3 here, 3.2 in the bundle, 4.2 in ``reconstruct`` and 4.3 in
 ``homology``, each by name in an if-chain, so a rebound function is the

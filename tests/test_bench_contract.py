@@ -106,7 +106,25 @@ def test_tracer_names_resolve():
 
 def test_harness_methods_exist():
     assert callable(hgpoly.BettiTable.multigraded_entries)
-    assert callable(hgpoly.Hypergraph.deck)
+    # the tracer wraps the method it finds in the class's own __dict__
+    assert "deck" in hgpoly.Hypergraph.__dict__ and callable(hgpoly.Hypergraph.deck)
+
+
+def test_tracer_measures_what_the_deck_command_writes(tmp_path, capsys, monkeypatch):
+    # the tracer counts formats.write_deck's files as len(arg.cards) of its first argument
+    written, write_deck = [], cli.write_deck
+
+    def recorded(*args, **kwargs):
+        written.append((args, kwargs))
+        return write_deck(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "write_deck", recorded)
+    path = tmp_path / "path5.json"
+    path.write_text(dump_hypergraph_json(path_graph(5)))
+    assert main(["deck", "--input", str(path), "--out-dir", str(tmp_path / "cards")]) == 0
+    capsys.readouterr()
+    measure = _load_tracer()._measures(hgpoly)["formats.write_deck"]
+    assert [measure(*args, **kwargs) for args, kwargs in written] == [(5, None)]
 
 
 def test_tracer_installs_and_restores(tmp_path):

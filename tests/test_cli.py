@@ -597,7 +597,7 @@ class TestReport:
         # the member over the limit sorts last, and is refused before any
         # member's report is built
         calls = []
-        monkeypatch.setattr(cli, "_report_for", lambda h, args: calls.append(h))
+        monkeypatch.setattr(cli, "_report_for", lambda inv, args: calls.append(inv))
         (tmp_path / "a_k3.json").write_text(dump_hypergraph_json(k3))
         (tmp_path / "k8.json").write_text(dump_hypergraph_json(complete_graph(8)))
         assert main(["report", "--input", str(tmp_path)]) == 3
@@ -617,10 +617,10 @@ class TestReport:
         (tmp_path / "b.json").write_text(dump_hypergraph_json(path3))
         report_for = cli._report_for
 
-        def fail_on_second(h, args):
-            if h == path3:
+        def fail_on_second(inv, args):
+            if inv.hypergraph == path3:
                 raise InternalMismatch("routes disagree")
-            return report_for(h, args)
+            return report_for(inv, args)
 
         monkeypatch.setattr(cli, "_report_for", fail_on_second)
         descriptors = _descriptors()
@@ -641,10 +641,10 @@ class TestReport:
         (tmp_path / "c.json").write_text(dump_hypergraph_json(path3))
         report_for = cli._report_for
 
-        def fail_on_third(h, args):
-            if h == path3:
+        def fail_on_third(inv, args):
+            if inv.hypergraph == path3:
                 raise InternalMismatch("routes disagree")
-            return report_for(h, args)
+            return report_for(inv, args)
 
         monkeypatch.setattr(cli, "_report_for", fail_on_third)
         descriptors = _descriptors()
@@ -675,10 +675,10 @@ class TestReport:
         report_for = cli._report_for
         log = tmp_path / "builders"
 
-        def logged_report(h, args):
+        def logged_report(inv, args):
             with open(log, "a", encoding="utf-8") as fh:
                 fh.write(f"{os.getpid()}\n")
-            return report_for(h, args)
+            return report_for(inv, args)
 
         monkeypatch.setattr(cli, "_usable_cores", lambda: 3)
         monkeypatch.setattr(cli, "_report_for", logged_report)
@@ -699,10 +699,10 @@ class TestReport:
         (tmp_path / "b.json").write_text(dump_hypergraph_json(path3))
         report_for = cli._report_for
 
-        def fail_on_second(h, args):
-            if h == path3:
+        def fail_on_second(inv, args):
+            if inv.hypergraph == path3:
                 raise ValueError("a bug")
-            return report_for(h, args)
+            return report_for(inv, args)
 
         monkeypatch.setattr(cli, "_report_for", fail_on_second)
         descriptors = _descriptors()
@@ -721,10 +721,10 @@ class TestReport:
         expected = capsys.readouterr()
         parent, report_for = os.getpid(), cli._report_for
 
-        def die_in_a_worker(h, args):
+        def die_in_a_worker(inv, args):
             if os.getpid() != parent:
                 os._exit(0)
-            return report_for(h, args)
+            return report_for(inv, args)
 
         monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
         monkeypatch.setattr(cli, "_report_for", die_in_a_worker)
@@ -762,13 +762,13 @@ class TestReport:
         drawn = []  # in the process that draws: a forked worker starts with it empty
         log = tmp_path / "draws"
 
-        def report_after_freeing(h, args):
+        def report_after_freeing(inv, args):
             # in every process, each earlier member is freed when the next member is drawn
             assert [ref() for ref in drawn] == [None] * len(drawn)
-            drawn.append(weakref.ref(h))
+            drawn.append(weakref.ref(inv.hypergraph))
             with open(log, "a", encoding="utf-8") as fh:
                 fh.write(f"{os.getpid()}\n")
-            return report_for(h, args)
+            return report_for(inv, args)
 
         monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
         monkeypatch.setattr(cli, "_report_for", report_after_freeing)
@@ -824,9 +824,15 @@ def test_sweep_limit_check_agrees_with_report(h, n_max):
             return str(exc)
         return None
 
-    checked = refusal(lambda: SRInvariants(h, n_max).check(cli._REPORT_READS))
     args = build_parser().parse_args(["report", "--n-max", str(n_max), "--input", "-"])
-    assert checked == refusal(lambda: cli._report_for(h, args))
+
+    def report():
+        inv = SRInvariants(h, args.n_max, args.homology_n_max)
+        inv.check(cli._REPORT_READS)
+        cli._report_for(inv, args)
+
+    checked = refusal(lambda: SRInvariants(h, n_max).check(cli._REPORT_READS))
+    assert checked == refusal(report)
 
 
 # -- argv: _parse over the option table, and argparse for everything it leaves --

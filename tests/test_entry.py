@@ -130,10 +130,10 @@ _STALLING_WORKER = """
 import os, time
 import hgpoly.cli as cli
 caller, report_for = os.getpid(), cli._report_for
-def report_or_stall(h, args):
-    if h.n == 9:
+def report_or_stall(inv, args):
+    if inv.n == 9:
         time.sleep(0.5 if os.getpid() == caller else 10)
-    return report_for(h, args)
+    return report_for(inv, args)
 cli._usable_cores, cli._report_for = (lambda: 2), report_or_stall
 cli.entry()
 """

@@ -612,7 +612,7 @@ REPORT_ARGS = build_parser().parse_args(["report", "--input", "-"])
 
 
 def recovery(h: Hypergraph) -> dict:
-    return _report_for(h, REPORT_ARGS)["antidiagonal_recovery"]
+    return _report_for(SRInvariants(h), REPORT_ARGS)["antidiagonal_recovery"]
 
 
 class TestAntidiagonalRecovery:

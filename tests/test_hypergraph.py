@@ -8,7 +8,7 @@ from itertools import combinations, islice
 import pytest
 from hypothesis import given, settings
 
-from hgpoly.errors import InputError
+from hgpoly.errors import InputError, NotReconstructible
 from hgpoly.homology import (
     _edge_union_closure,
     _restriction_faces,
@@ -16,7 +16,8 @@ from hgpoly.homology import (
     restriction_betti,
 )
 from hgpoly.corpus import cycle_graph
-from hgpoly.hypergraph import Deck, Hypergraph, validate
+from hgpoly.hypergraph import Hypergraph, validate
+from hgpoly.reconstruct import _EDGELESS_DECK, DeckInvariants
 from hgpoly.stanley_reisner import SRInvariants
 
 from .oracles import first_contained_pair
@@ -163,18 +164,19 @@ class TestDeck:
                 assert card == Hypergraph.from_masks(card.labels, card.edges)
 
     def test_edgeless_deck(self, edgeless3):
-        deck = edgeless3.deck()
-        assert deck.parent.n == 3
-        assert all(c.n == 2 and c.m == 0 for c in deck.cards)
+        assert all(c.n == 2 and c.m == 0 for c in edgeless3.cards)
+        assert Hypergraph.from_cards(edgeless3.cards) == edgeless3
 
     def test_lone_spanning_edge_deck_is_the_edgeless_deck(self, edgeless3):
-        # the spanning edge is on no card, so both decks hold the same cards
-        # and are one value, however they were built
+        # the spanning edge is on no card, so both parents hold the same
+        # cards, which rebuild the edgeless parent, and are refused alike
         span3 = validate(["a", "b", "c"], [["a", "b", "c"]])
-        assert span3.deck().cards == edgeless3.deck().cards
-        assert Deck(span3) == Deck(edgeless3) and hash(Deck(span3)) == hash(Deck(edgeless3))
-        rebuilt = Deck.from_cards(span3.deck().cards)
-        assert rebuilt == span3.deck() and hash(rebuilt) == hash(span3.deck())
+        assert span3.cards == edgeless3.cards
+        assert Hypergraph.from_cards(span3.cards) == edgeless3
+        for parent in (span3, edgeless3):
+            with pytest.raises(NotReconstructible) as exc:
+                DeckInvariants(parent)
+            assert str(exc.value) == _EDGELESS_DECK
 
     def test_star_minus_center(self):
         h = validate(["c", "x", "y", "z"], [["c", "x"], ["c", "y"], ["c", "z"]])
@@ -190,18 +192,18 @@ class TestDeck:
 
     def test_from_cards_roundtrip(self, path3):
         deck = path3.deck()
-        rebuilt = Deck.from_cards(list(deck.cards))
+        rebuilt = Hypergraph.from_cards(list(deck.cards))
         assert rebuilt == deck
 
     def test_from_cards_rebuilds_every_corpus_parent(self, corpus):
         for _, h in corpus:
             if h.n < 2:
                 continue
-            cards = h.deck().cards
-            deck = Deck.from_cards(cards)
+            cards = h.cards
+            parent = Hypergraph.from_cards(cards)
             # a single spanning edge is on no card, so its cards are the edgeless parent's
             spanning = h.edges == (h.full_mask,)
-            assert deck.parent == (Hypergraph(h.labels, ()) if spanning else h) and deck.cards == cards
+            assert parent == (Hypergraph(h.labels, ()) if spanning else h) and parent.cards == cards
             for l, card in enumerate(cards):
                 if not card.edges:
                     continue
@@ -212,24 +214,24 @@ class TestDeck:
                     # an edge that avoids only vertex l is on card l alone, so the
                     # cards without it are the genuine deck of the parent without it
                     rest = Hypergraph.from_masks(h.labels, [e for e in h.edges if e != dropped])
-                    assert Deck.from_cards(forged).parent == rest
+                    assert Hypergraph.from_cards(forged) == rest
                 else:
                     with pytest.raises(InputError, match="the input is not a genuine deck$"):
-                        Deck.from_cards(forged)
+                        Hypergraph.from_cards(forged)
 
     def test_from_cards_rejects_mismatched(self, k3, path3):
         cards = list(k3.deck().cards)
         cards[2] = path3.card(0)  # same labels, fine; now break the labels
         bad = [validate(["x", "y"], []), validate(["x", "z"], []), validate(["q", "r"], [])]
         with pytest.raises(InputError, match=r"^card 1 has labels \('x', 'z'\), expected \('z', 'y'\)$"):
-            Deck.from_cards(bad)
+            Hypergraph.from_cards(bad)
 
     def test_from_cards_rejects_card_from_another_deck(self):
         # card 3 of the relabelled copy fits the labels; its chord does not
         cards = list(cycle_chord(0, 5).deck().cards)
         cards[3] = cycle_chord(1, 6).card(3)
         with pytest.raises(InputError, match="whose deleted vertex it avoids") as exc:
-            Deck.from_cards(cards)
+            Hypergraph.from_cards(cards)
         assert str(exc.value) == (
             "edge ['a', 'f'] is on card 1 but not on card 3, whose deleted vertex it avoids; "
             "the input is not a genuine deck"
@@ -237,26 +239,26 @@ class TestDeck:
 
     def test_from_cards_needs_two_cards(self, k3):
         with pytest.raises(InputError, match="^need at least two cards to recover the vertex order$"):
-            Deck.from_cards([k3.card(0)])
+            Hypergraph.from_cards([k3.card(0)])
 
     def test_from_cards_needs_cards_0_and_1_to_differ_in_one_label(self, k3):
         with pytest.raises(InputError, match="^cards 0 and 1 do not differ in exactly one label$"):
-            Deck.from_cards([k3.card(0), k3.card(0), k3.card(2)])
+            Hypergraph.from_cards([k3.card(0), k3.card(0), k3.card(2)])
 
     def test_from_cards_validates_card_count(self, k3):
         with pytest.raises(InputError, match="^expected 3 cards, got 2$"):
-            Deck.from_cards(k3.deck().cards[:2])
+            Hypergraph.from_cards(k3.deck().cards[:2])
 
 
 class TestValueSemantics:
-    """Hypergraph, Deck and the result records are immutable values."""
+    """Hypergraphs and the result records are immutable values."""
 
     def test_equal_values_compare_and_hash_equal(self, k3, path3):
         twin = validate(["a", "b", "c"], [["b", "c"], ["c", "a"], ["a", "b"]])
         assert twin is not k3 and twin == k3 and hash(twin) == hash(k3)
-        deck = Deck(twin)
-        assert deck == k3.deck() and hash(deck) == hash(k3.deck())
-        assert k3 != path3 and k3.deck() != path3.deck() and k3 != k3.labels
+        # cutting one's cards, kept in place, changes neither its equality nor its hash
+        assert twin.cards == k3.cards and twin == k3 and hash(twin) == hash(k3)
+        assert k3 != path3 and k3.cards != path3.cards and k3 != k3.labels
         assert len({k3, twin, path3}) == 2
 
     def test_betti_tables_hash_by_value(self):
@@ -300,6 +302,14 @@ def test_card_commutes_with_vertex_induced(h):
                 assert {e for e in card_edges if e & ~bmask == 0} == inside
         avoiding = [b for b in unions if b and not b >> l & 1]
         assert restriction_betti(card_edges, avoiding) == restriction_betti(h.edges, avoiding)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hypergraphs().filter(lambda h: h.n >= 2))
+def test_from_cards_returns_the_parent(h):
+    # a lone spanning edge is on no card, so its cards rebuild the edgeless parent
+    spanning = h.edges == (h.full_mask,)
+    assert Hypergraph.from_cards(h.cards) == (Hypergraph(h.labels, ()) if spanning else h)
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,7 +12,7 @@ from hgpoly.enumeration import edge_family_poly, edge_induced_poly, vertex_famil
 from hgpoly.errors import InputError, NotReconstructible
 from hgpoly.formats import dump_hypergraph_json
 from hgpoly.homology import hochster_betti
-from hgpoly.hypergraph import Deck, Hypergraph, validate
+from hgpoly.hypergraph import Hypergraph, validate
 from hgpoly.reconstruct import (
     _EDGELESS_DECK,
     DeckInvariants,
@@ -258,14 +258,14 @@ class TestReconstructBetti:
         cards = list(genuine.deck().cards)
         cards[5] = other.deck().cards[5]
         with pytest.raises(InputError, match="on card 5 but not on card 0"):
-            Deck.from_cards(cards)
+            Hypergraph.from_cards(cards)
 
 
 REPORT_ARGS = build_parser().parse_args(["report", "--input", "-"])
 
 
 def top_betti(h: Hypergraph) -> dict:
-    return _report_for(h, REPORT_ARGS)["top_betti"]
+    return _report_for(SRInvariants(h), REPORT_ARGS)["top_betti"]
 
 
 class TestTopBettiReport:

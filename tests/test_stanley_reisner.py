@@ -96,7 +96,7 @@ class TestReducedSeries:
     """The report's Hilbert series over (1-t)^n and in lowest terms."""
 
     def test_k3_reduced(self, k3):
-        series = _report_for(k3, REPORT_ARGS)["hilbert_series"]
+        series = _report_for(SRInvariants(k3), REPORT_ARGS)["hilbert_series"]
         assert series == {
             "numerator": ["1", "0", "-3", "2"],
             "denominator_power": 3,
@@ -106,7 +106,7 @@ class TestReducedSeries:
         assert sum(map(int, series["reduced_numerator"])) == SRInvariants(k3).multiplicity
 
     def test_edgeless_reduced(self, edgeless3):
-        series = _report_for(edgeless3, REPORT_ARGS)["hilbert_series"]
+        series = _report_for(SRInvariants(edgeless3), REPORT_ARGS)["hilbert_series"]
         assert series["reduced_numerator"] == ["1"] and series["reduced_denominator_power"] == 3
 
 

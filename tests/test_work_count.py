@@ -289,10 +289,31 @@ def test_verify_single_identity_builds_no_table(calls, tmp_path, capsys):
 
 def test_bundle_computes_each_member_once(calls):
     inv = SRInvariants(cycle_graph(6))
-    members = ("P", "S", "f", "h", "k_polynomial", "cards", "betti")
+    members = ("P", "S", "f", "h", "k_polynomial", "betti")
     first = [getattr(inv, name) for name in members]
     assert all(getattr(inv, name) is value for name, value in zip(members, first))
     assert sorted(name for name, _ in calls) == ["edge_induced_poly", "hochster_betti", "vertex_induced_poly"]
+    # the cards are the parent's own, cut once
+    assert inv.hypergraph.cards is inv.hypergraph.cards
+
+
+def test_directory_report_builds_one_bundle_per_member(monkeypatch, tmp_path, capsys):
+    # the bundle each member's limits are checked on is the one its report reads
+    built: list[tuple[str, ...]] = []
+
+    class Counted(SRInvariants):
+        def __init__(self, h, *limits):
+            built.append(h.labels)
+            super().__init__(h, *limits)
+
+    members = (cycle_graph(5), path_graph(4), complete_graph(3))
+    for k, h in enumerate(members):
+        (tmp_path / f"m{k}.json").write_text(dump_hypergraph_json(h))
+    monkeypatch.setattr(cli, "SRInvariants", Counted)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)  # every member is built in this process
+    assert main(["report", "--input", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert built == [h.labels for h in members]
 
 
 @pytest.mark.parametrize("command", ["report", "verify"])
