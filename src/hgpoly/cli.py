@@ -24,11 +24,11 @@ memory follows the largest member; only an internal consistency failure
 (exit 1) can leave a partial document. The members are shared among
 the usable cores by ``parallel.ordered_texts`` and written in member
 order, so the output and any failure read as on one core.
-compute, hilbert, fvector, hvector, betti, verify and reconstruct are
-one handler over views of a hypergraph's ``SRInvariants`` bundle or a
-deck's ``DeckInvariants``, so a value rebuilt from a deck prints as the
-value computed directly; each view names what it reads, and every size
-it reads is checked before any sweep or table.
+compute, hilbert, fvector, hvector, betti, verify, reconstruct and a
+file's report are one handler over views of an ``SRInvariants`` bundle
+or a deck's ``DeckInvariants``, so a value rebuilt from a deck prints
+as one computed directly; each view's row lists its reads in the order
+they are refused, all checked before any sweep or table.
 
 Every integer that can grow beyond machine size (coefficients, Hilbert
 values, face counts) is emitted as a decimal string in JSON output;
@@ -150,7 +150,8 @@ def _identities(results: dict[str, bool | str]) -> tuple[dict[str, str], str]:
 
 
 def _report_for(inv: SRInvariants, args) -> dict:
-    """The report of a bundle, refusing no read once its _REPORT_READS are checked."""
+    """The report of a bundle, refusing nothing once its row's reads are checked; it
+    sweeps S before P, unlike the row, so unchecked it can refuse m where the check refuses n."""
     report = {
         "hypergraph": inv.hypergraph.to_json_dict(),
         "n": inv.n,
@@ -205,7 +206,8 @@ def _report_for(inv: SRInvariants, args) -> dict:
 
 # -- subcommand handlers: text None means the output is JSON only --
 
-# each view (compute --poly, the invariant commands, verify, the reconstruct targets): its reads in read order, its renderer
+# each view (compute --poly, the invariant commands, verify, report, the reconstruct targets): its reads,
+# in the order check refuses them, and its renderer, which may read them in another order
 _VIEWS = {
     "S": (("S",), lambda inv, args: _poly(inv.S)),
     "P": (("P",), lambda inv, args: _poly(inv.P)),
@@ -217,9 +219,9 @@ _VIEWS = {
     "verify": ((), lambda inv, args: _identities(  # each identity checks its own reads
         run_all(inv) if args.identity == "all" else {args.identity: run_identity(args.identity, inv)}
     )),
+    # report's table is optional: a refusal of it is its betti_skipped
+    "report": (("P", "S"), lambda inv, args: (_report_for(inv, args), None)),
 }
-# report needs P and S; its table is optional, and a refusal of it is its betti_skipped
-_REPORT_READS = ("P", "S")
 
 
 def _cmd_view(args) -> Output:
@@ -236,14 +238,12 @@ def _cmd_deck(args) -> Output:
 
 
 def _cmd_report(args) -> Output:
-    if not os.path.isdir(args.input):
-        inv = SRInvariants(load_hypergraph(args.input), args.n_max, args.homology_n_max)
-        inv.check(_REPORT_READS)
-        return _report_for(inv, args), None
+    if not os.path.isdir(args.input):  # a file is the report view
+        return _cmd_view(args)
     members = [(name, SRInvariants(h, args.n_max, args.homology_n_max)) for name, h in load_corpus(args.input)]
     for name, inv in members:  # each bundle is checked before any is rendered
         try:
-            inv.check(_REPORT_READS)
+            inv.check(_VIEWS["report"][0])
         except LimitExceeded as exc:
             raise LimitExceeded(f"{name}: {exc}") from exc
     # one process per usable core, and at most one per member

@@ -10,10 +10,10 @@ the Betti table's signed column sums, a term map of its own, with the
 terms of K(t), so no identity drops zeros or trims in a step both
 sides share; 4.2 sweeps the parent's cards once, on the edge side,
 and reads their P through the transform.
-``run_identity`` checks the sizes an identity reads, then calls 2.1 and
-2.3 here, 3.2 in the bundle, 4.2 in ``reconstruct`` and 4.3 in
-``homology``, each by name in an if-chain, so a rebound function is the
-one called. A False from any of them on a valid input means a bug.
+Each ``IDENTITIES`` row is an identity's reads, checked first by
+``run_identity``, and its check, which calls 2.1 and 2.3 here, 3.2 in
+the bundle, 4.2 in ``reconstruct`` and 4.3 in ``homology`` by name, so
+a rebound function is the one called. False on a valid input is a bug.
 
 The rule for every check, these identities and the guards that raise
 InternalMismatch alike: a check stays only if it catches a fault that
@@ -29,10 +29,6 @@ from .errors import LimitExceeded, NotReconstructible
 from .homology import verify_betti_alternating_sum
 from .reconstruct import verify_deck_sum_identity
 from .stanley_reisner import SRInvariants
-
-# each identity's reads in read order, checked before any; 4.2 checks its own after its exclusion check
-IDENTITY_READS = {"2.1": ("P", "S"), "2.3": ("P", "S"), "3.2": ("P", "S"), "4.2": (), "4.3": ("S", "betti")}
-IDENTITY_IDS = tuple(IDENTITY_READS)
 
 
 def verify_transform(inv: SRInvariants) -> bool:
@@ -58,19 +54,23 @@ def verify_coefficient_relation(inv: SRInvariants) -> bool:
     return substitute(inv.P.terms, inv.n, 0, 1) == substitute(inv.S.terms, inv.n, 1, 0)
 
 
+# each identity's reads, in the order check refuses them, and its check; 4.2 checks its own after its exclusion check
+IDENTITIES = {
+    "2.1": (("P", "S"), lambda inv: verify_transform(inv)),
+    "2.3": (("P", "S"), lambda inv: verify_coefficient_relation(inv)),
+    "3.2": (("P", "S"), lambda inv: inv.series_numerator_holds),
+    "4.2": ((), lambda inv: verify_deck_sum_identity(inv)),
+    "4.3": (("S", "betti"), lambda inv: verify_betti_alternating_sum(inv.betti, inv.k_polynomial)),
+}
+IDENTITY_IDS = tuple(IDENTITIES)
+
+
 def run_identity(identity: str, inv: SRInvariants) -> bool:
-    if identity not in IDENTITY_READS:
+    if identity not in IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}")
-    inv.check(IDENTITY_READS[identity])
-    if identity == "2.1":
-        return verify_transform(inv)
-    if identity == "2.3":
-        return verify_coefficient_relation(inv)
-    if identity == "3.2":
-        return inv.series_numerator_holds
-    if identity == "4.2":
-        return verify_deck_sum_identity(inv)
-    return verify_betti_alternating_sum(inv.betti, inv.k_polynomial)
+    reads, check = IDENTITIES[identity]
+    inv.check(reads)
+    return check(inv)
 
 
 def run_all(inv: SRInvariants) -> dict[str, bool | str]:

@@ -19,13 +19,11 @@ from hypothesis import strategies as st
 import hgpoly
 from hgpoly import cli
 from hgpoly.cli import build_parser, main
-from hgpoly.errors import InternalMismatch, LimitExceeded
+from hgpoly.errors import InternalMismatch
 from hgpoly.formats import dump_hypergraph_json
 from hgpoly.hypergraph import Hypergraph, validate
-from hgpoly.stanley_reisner import SRInvariants
 
 from .families import complete_graph, cycle_graph
-from .strategies import hypergraphs
 from .test_entry import _in_process
 from .test_reconstruct import EXCLUDED_DECKS, cycle_chord
 
@@ -810,29 +808,6 @@ def test_text_and_json_encode_identical_values(k3_file, capsys):
     main(["fvector", "--format", "json", "--input", k3_file])
     as_json = json.loads(capsys.readouterr().out)
     assert text == "(" + ", ".join(as_json) + ")"
-
-
-@settings(max_examples=60, deadline=None)
-@given(hypergraphs(), st.integers(1, 6))
-def test_sweep_limit_check_agrees_with_report(h, n_max):
-    # the directory report checks every member before building any
-    # report, so the check must refuse exactly what a report refuses
-    def refusal(run):
-        try:
-            run()
-        except LimitExceeded as exc:
-            return str(exc)
-        return None
-
-    args = build_parser().parse_args(["report", "--n-max", str(n_max), "--input", "-"])
-
-    def report():
-        inv = SRInvariants(h, args.n_max, args.homology_n_max)
-        inv.check(cli._REPORT_READS)
-        cli._report_for(inv, args)
-
-    checked = refusal(lambda: SRInvariants(h, n_max).check(cli._REPORT_READS))
-    assert checked == refusal(report)
 
 
 # -- argv: _parse over the option table, and argparse for everything it leaves --

@@ -8,6 +8,10 @@ where a command reports identity 4.3 instead, the same message follows
 "skipped: ".
 K5 (m = 10, cards K4 with m = 6) pins which size a refusal names where
 the parent and its cards are both over the limit.
+The last tests hold each row of the read tables (``cli._VIEWS`` and
+``verify.IDENTITIES``) to its code: on drawn inputs under small limits,
+checking the row's reads refuses exactly when its renderer or check,
+run without that check, raises.
 """
 
 from __future__ import annotations
@@ -16,14 +20,23 @@ import importlib
 import inspect
 import json
 import pkgutil
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hgpoly
+from hgpoly import cli
 from hgpoly.cli import main
+from hgpoly.errors import LimitExceeded
 from hgpoly.formats import dump_hypergraph_json
+from hgpoly.reconstruct import DeckInvariants
+from hgpoly.stanley_reisner import SRInvariants
+from hgpoly.verify import IDENTITIES
 
 from .families import complete_graph, cycle_graph
+from .strategies import hypergraphs, reconstructible_hypergraphs
 
 HOMOLOGY_REFUSAL = "n=6 exceeds the homology limit 5; raise the limit explicitly to run anyway"
 
@@ -229,3 +242,52 @@ def test_every_limit_parameter_defaults_to_an_int():
                 defaults[f"{name}({param.name})"] = param.default
     assert len(defaults) == 11, sorted(defaults)
     assert {key: value for key, value in defaults.items() if type(value) is not int} == {}
+
+
+# -- each row's reads are complete: only whether a read is refused is compared, not which
+# size the message names, since a row's code may read in another order than its check --
+
+LIMITS = st.integers(1, 6)
+# verify --identity all skips what it refuses; a single identity is its own row, tested below
+ARGS = SimpleNamespace(terms=20, identity="all")
+TARGETS = dict(cli._COMMANDS["reconstruct"][1])["--target"]["choices"]
+
+
+def _refuses(run, *args) -> bool:
+    try:
+        run(*args)
+    except LimitExceeded:
+        return True
+    return False
+
+
+def _assert_reads_complete(row: str, bundle, reads, run, *args) -> None:
+    """check(reads) on one bundle refuses exactly when run(fresh bundle, *args) raises."""
+    assert _refuses(bundle().check, reads) == _refuses(run, bundle(), *args), row
+
+
+# K4 (n = 4, m = 6) and K5's cards (K4 each) are over the m limit alone, which few drawn inputs are
+@settings(max_examples=60, deadline=None)
+@given(hypergraphs(), LIMITS, LIMITS)
+@example(complete_graph(4), 4, 3)
+def test_every_view_row_lists_every_read_its_renderer_refuses(h, limit, homology_limit):
+    for view, (reads, render) in cli._VIEWS.items():
+        _assert_reads_complete(view, lambda: SRInvariants(h, limit, homology_limit), reads, render, ARGS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(reconstructible_hypergraphs(), LIMITS, LIMITS)
+@example(complete_graph(5), 5, 4)
+def test_every_target_row_lists_every_read_its_renderer_refuses(parent, limit, homology_limit):
+    for target in TARGETS:
+        reads, render = cli._VIEWS[target]
+        _assert_reads_complete(target, lambda: DeckInvariants(parent, limit, homology_limit), reads, render, ARGS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hypergraphs(), LIMITS, LIMITS)
+@example(complete_graph(4), 4, 3)
+def test_every_identity_row_lists_every_read_its_check_refuses(h, limit, homology_limit):
+    for identity, (reads, check) in IDENTITIES.items():
+        if identity != "4.2":  # it checks its own reads, after its exclusion check
+            _assert_reads_complete(identity, lambda: SRInvariants(h, limit, homology_limit), reads, check)

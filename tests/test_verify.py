@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
+import hgpoly.verify as verify
 from hgpoly.bipoly import BiPoly
 from hgpoly.errors import NotReconstructible
 from hgpoly.hypergraph import validate
@@ -67,8 +68,20 @@ def test_run_all_skips_over_homology_limit():
 
 
 def test_unknown_identity(k3):
-    with pytest.raises(ValueError):
-        run_identity("9.9", SRInvariants(k3))
+    for unknown in ("9.9", "", "4.4", "all", "2.1 "):
+        with pytest.raises(ValueError, match="unknown identity"):
+            run_identity(unknown, SRInvariants(k3))
+
+
+def test_each_identity_runs_its_own_check_by_name(k3, monkeypatch):
+    # each row calls its function when it runs, so a rebound function is the one called
+    sentinels = {identity: object() for identity in IDENTITY_IDS}
+    for identity, name in (("2.1", "verify_transform"), ("2.3", "verify_coefficient_relation"),
+                           ("4.2", "verify_deck_sum_identity"), ("4.3", "verify_betti_alternating_sum")):
+        monkeypatch.setattr(verify, name, lambda *args, sentinel=sentinels[identity]: sentinel)
+    inv = SRInvariants(k3)
+    inv.__dict__["series_numerator_holds"] = sentinels["3.2"]  # 3.2 is the bundle's cached property
+    assert {identity: run_identity(identity, inv) for identity in IDENTITY_IDS} == sentinels
 
 
 def test_deck_sums_on_wheel():
