@@ -12,7 +12,7 @@ is no ring arithmetic.
 Six exact expansions share one binomial substitution, :func:`substitute`
 with (a, b) in {-1, 0, 1}^2, so no rational function ever appears:
 
-    to_edge_form(P, n)     (-1, +1)   P -> S
+    to_edge_form(P, n)     (-1, +1)   P -> S, and identity 2.1 on the engine's P
     to_vertex_form(S, n)   (+1, -1)   S -> P, exact inverse at x-degree <= n
     identity 2.3           (0, +1) on P against (+1, 0) on S
     identity 3.2           (-1, 0) on f against the terms of K(t)

@@ -21,9 +21,9 @@ the table, not the document, and every check has run by the first byte.
 A directory ``report`` parses and limit-checks every member before any
 output, then returns a lazy list of the members' report texts, so peak
 memory follows the largest member; only an internal consistency failure
-(exit 1) can leave a partial document. The members are shared among
-the usable cores by ``parallel.ordered_texts`` and written in member
-order, so the output and any failure read as on one core.
+(exit 1) can leave a partial document. ``parallel.ordered_texts``
+decides how many processes build the members' texts and yields them in
+member order, so the output and any failure read as in one process.
 compute, hilbert, fvector, hvector, betti, verify, reconstruct and a
 file's report are one handler over views of an ``SRInvariants`` bundle
 or a deck's ``DeckInvariants``, so a value rebuilt from a deck prints
@@ -246,17 +246,7 @@ def _cmd_report(args) -> Output:
             inv.check(_VIEWS["report"][0])
         except LimitExceeded as exc:
             raise LimitExceeded(f"{name}: {exc}") from exc
-    # one process per usable core, and at most one per member
-    workers = min(_usable_cores(), len(members))
-    return ordered_texts(
-        lambda member: dump_json_item({"name": member[0], "report": _report_for(member[1], args)}), members, workers
-    ), None
-
-
-def _usable_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return ordered_texts(lambda member: dump_json_item({"name": member[0], "report": _report_for(member[1], args)}), members), None
 
 
 # -- the option table: each option's flag and add_argument keywords, of which _parse

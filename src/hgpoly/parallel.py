@@ -1,14 +1,18 @@
 """An ordered map over forked workers; the only module that forks.
 
-``ordered_texts(build, items, workers)`` yields ``build(item)`` for each
-item, in order. Item k is built by worker k mod w: worker 0 is the
-calling process, and the w - 1 others are forked on the first draw. Each
-sends its texts through its own pipe, as the length in 8 bytes and then
-the UTF-8 bytes, and a text is read only when its turn comes. An item no
-worker sent (its worker could not be forked, or it failed on that item
-or an earlier one) is built by the caller, so it fails as with one
-worker. A worker writes nothing else and leaves by ``os._exit``; every
-worker is killed and reaped when the map ends, early or not.
+``ordered_texts(build, items)`` yields ``build(item)`` for each item, in
+order, and alone decides how many processes build them: w is one per
+usable core (``os.sched_getaffinity``, else ``os.cpu_count``) and at
+most one per item, or 1 where the caller cannot fork safely (no
+``os.fork``, or another thread is running). Item k is built by worker k
+mod w: worker 0 is the calling process, and the w - 1 others are forked
+on the first draw. Each sends its texts through its own pipe, as the
+length in 8 bytes and then the UTF-8 bytes, and a text is read only
+when its turn comes. An item no worker sent (its worker could not be
+forked, or it failed on that item or an earlier one) is built by the
+caller, so it fails as with one worker. A worker writes nothing else
+and leaves by ``os._exit``; every worker is killed and reaped when the
+map ends, early or not.
 
 ``_executor`` is always None: there is no process pool, and perfbench's
 tracer reads it.
@@ -23,14 +27,13 @@ from collections.abc import Callable, Iterator
 _executor = None
 
 
-def ordered_texts(build: Callable[[object], str], items: list, workers: int) -> Iterator[str]:
-    """build(item) for each item, in order, shared among workers processes,
-    or built by the caller alone where it cannot fork safely (no
-    ``os.fork``, or another thread is running). items is emptied as it is
-    drawn, so each item is freed once the next one is drawn."""
+def ordered_texts(build: Callable[[object], str], items: list) -> Iterator[str]:
+    """build(item) for each item, in order, shared among w processes (see
+    above). items is emptied as it is drawn, so each item is freed once
+    the next one is drawn."""
     threading = sys.modules.get("threading")
-    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
-        workers = 1
+    safe = hasattr(os, "fork") and (threading is None or threading.active_count() == 1)
+    workers = min(_usable_cores(), len(items)) if safe else 1
     children: list = []  # (pid, the read end of its pipe)
     try:
         try:
@@ -44,6 +47,10 @@ def ordered_texts(build: Callable[[object], str], items: list, workers: int) -> 
             yield build(item) if text is None else text
     finally:
         _stop(children)
+
+
+def _usable_cores() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _drawn(items: list) -> Iterator:

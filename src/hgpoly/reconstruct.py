@@ -61,13 +61,14 @@ def verify_deck_sum_identity(inv: SRInvariants) -> bool:
     the input is reconstructible and its reads fit (no card's m exceeds
     its own). The parent's cards (cut from it, so nothing checks them)
     are swept once, as one edge-side family under its limit. Their
-    summed terms must be (n - i)*S[i, j]; only then is their summed P,
-    the linear transform of that sum on n - 1 vertices, held to
+    summed terms must be (n - i)*S[i, j] at every i but the invisible n
+    (so a parent term above n fails); only then is their summed P, the
+    linear transform of that sum on n - 1 vertices, held to
     (n - i)*P[i, j], so a sum too wide for n - 1 vertices fails as S."""
     check_reconstructible(inv.hypergraph)
     inv.check(("S", "P"))
     n = inv.n
-    want_s, want_p = ({(i, j): (n - i) * c for (i, j), c in f.terms.items() if i < n} for f in (inv.S, inv.P))
+    want_s, want_p = ({(i, j): (n - i) * c for (i, j), c in f.terms.items() if i != n} for f in (inv.S, inv.P))
     card_s = edge_family_poly(inv.hypergraph.cards, inv.limit)
     return card_s.terms == want_s and to_vertex_form(card_s, n - 1).terms == want_p
 

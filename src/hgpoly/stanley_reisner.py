@@ -10,12 +10,12 @@ the Krull dimension, so the series in lowest terms is h(t) / (1-t)^d
 (identity 3.2 checks the expansion this rests on). ``SRInvariants``
 computes each quantity on first use and keeps it, so a consumer that
 reads the same bundle never sweeps, checks identity 3.2 or builds a
-Betti table twice; ``check`` raises, with no work, the size
-refusal that reading given quantities in order would. The Hilbert
-function raises InternalMismatch, which only a bug can cause, unless 3.2
-holds and it equals the face-count sums; f raises it unless its last
-entry is nonzero; h raises it unless it transforms back to f; the Betti
-table is checked where ``hochster_betti`` builds it.
+Betti table twice; ``check`` raises, with no work, the size refusal
+that reading given quantities in order would. InternalMismatch, which
+only a bug can cause, is raised by the Hilbert function unless 3.2
+holds and it equals the face-count sums, by f unless it has at most
+n + 1 entries and ends nonzero, by h unless it transforms back to f,
+and by the Betti table where ``hochster_betti`` builds it.
 ``reconstruct.DeckInvariants`` is the bundle of a deck's parent with
 P, S and the Betti table read from its cards, so ``reconstruct`` views
 a bundle too.
@@ -79,9 +79,9 @@ class SRInvariants(Frozen):
     @cached_property
     def f(self) -> tuple[int, ...]:
         f = self.P.eval_y(0).coefficients()
-        # the last entry counts the largest independent sets, so it is at least 1 (the empty set at n = 0)
-        if not f or not f[-1]:
-            raise InternalMismatch(f"f = {f} does not end in a count of largest independent sets")
+        # the last entry counts the largest independent sets, at least 1 (the empty set at n = 0), of size <= n
+        if not f or not f[-1] or len(f) > self.n + 1:
+            raise InternalMismatch(f"f = {f} does not end in a count of largest independent sets of at most n={self.n} vertices")
         return f
 
     @cached_property
@@ -136,10 +136,10 @@ class SRInvariants(Frozen):
         return values
 
 
-def f_vector(h: Hypergraph, limit: int = DEFAULT_LIMIT) -> tuple[int, ...]:
-    """Face counts of the independence complex by size, starting with
-    the empty set: entry l is the number of independent l-subsets."""
-    return SRInvariants(h, limit).f
+def f_vector(h: Hypergraph) -> tuple[int, ...]:
+    """Face counts of the independence complex by size, under the default
+    limit, from the empty set: entry l is the number of independent l-subsets."""
+    return SRInvariants(h).f
 
 
 def h_vector(f: tuple[int, ...] | list[int]) -> tuple[int, ...]:
@@ -150,6 +150,6 @@ def h_vector(f: tuple[int, ...] | list[int]) -> tuple[int, ...]:
     return tuple(out.get((k, 0), 0) for k in range(d + 1))
 
 
-def hilbert_function(h: Hypergraph, k_max: int, limit: int = DEFAULT_LIMIT) -> list[int]:
-    """See SRInvariants.hilbert_function."""
-    return SRInvariants(h, limit).hilbert_function(k_max)
+def hilbert_function(h: Hypergraph, k_max: int) -> list[int]:
+    """See SRInvariants.hilbert_function; under the default limit."""
+    return SRInvariants(h).hilbert_function(k_max)

@@ -15,7 +15,7 @@ from math import comb
 
 import pytest
 
-from hgpoly import cli
+from hgpoly import parallel
 from hgpoly.bipoly import BiPoly, to_edge_form
 from hgpoly.cli import main
 from hgpoly.enumeration import edge_family_poly, edge_induced_poly, vertex_induced_poly
@@ -125,7 +125,7 @@ def test_criterion_7_determinism(tmp_path, corpus, monkeypatch):
         (corpus_dir / f"{k:04d}_{name}.json").write_text(dump_hypergraph_json(h))
     outputs = []
     for cores in (1, 2):
-        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: cores)
         buf = io.StringIO()
         with redirect_stdout(buf):
             rc = main(["report", "--terms", "12", "--input", str(corpus_dir)])
@@ -151,7 +151,7 @@ def test_criterion_8_negative_paths():
 
     # corrupted deck: perturb one coefficient of the card sum so a division fails
     h = validate(list("abcd"), [["a", "b"], ["b", "c"], ["c", "d"]])
-    card_sum = BiPoly([*edge_family_poly(h.deck().cards).terms.items(), ((2, 1), 1)])
+    card_sum = BiPoly([*edge_family_poly(h.cards).terms.items(), ((2, 1), 1)])
     with pytest.raises(InputError, match=r"is not divisible by n-i=2; the input is not a genuine deck$") as exc:
         reconstruct_edge_poly(card_sum, 4)
     assert "not divisible" in str(exc.value)

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import hgpoly
-from hgpoly import cli
+from hgpoly import cli, parallel
 from hgpoly.cli import main
 from hgpoly.corpus import cycle_graph, path_graph
 from hgpoly.formats import dump_hypergraph_json
@@ -163,7 +163,7 @@ def test_traced_directory_report_forks_and_restores(tmp_path, capsys, monkeypatc
     for k in range(3):
         (tmp_path / f"c{k}.json").write_text(dump_hypergraph_json(cycle_graph(5 + k)))
     argv = ["report", "--input", str(tmp_path)]
-    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
     assert main(argv) == 0
     untraced = capsys.readouterr().out
     tracer_mod = _load_tracer()

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hgpoly
-from hgpoly import cli
+from hgpoly import cli, parallel
 from hgpoly.cli import build_parser, main
 from hgpoly.errors import InternalMismatch
 from hgpoly.formats import dump_hypergraph_json
@@ -563,7 +563,7 @@ class TestReport:
         assert doc["identities"]["4.3"].startswith("skipped")
 
     def test_directory_report(self, tmp_path, k3, path3, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
         (tmp_path / "k3.json").write_text(dump_hypergraph_json(k3))
         (tmp_path / "p3.json").write_text(dump_hypergraph_json(path3))
         descriptors = _descriptors()
@@ -608,7 +608,7 @@ class TestReport:
 
     def test_directory_internal_failure_midway_exit_1(self, tmp_path, k3, path3, capsys, monkeypatch):
         # with two workers the failing member 1 is the forked worker's
-        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
         (tmp_path / "a.json").write_text(dump_hypergraph_json(k3))
         assert main(["report", "--input", str(tmp_path)]) == 0
         first = capsys.readouterr().out
@@ -631,7 +631,7 @@ class TestReport:
 
     def test_directory_internal_failure_in_this_process_exit_1(self, tmp_path, k3, path3, capsys, monkeypatch):
         # with two workers member 2 of 3 is the calling process's, and member 1 the forked worker's
-        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
         for name in ("a", "b"):
             (tmp_path / f"{name}.json").write_text(dump_hypergraph_json(k3))
         assert main(["report", "--input", str(tmp_path)]) == 0
@@ -678,7 +678,7 @@ class TestReport:
                 fh.write(f"{os.getpid()}\n")
             return report_for(inv, args)
 
-        monkeypatch.setattr(cli, "_usable_cores", lambda: 3)
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: 3)
         monkeypatch.setattr(cli, "_report_for", logged_report)
         monkeypatch.setattr(os, "fork", fork_once)
         descriptors = _descriptors()
@@ -692,7 +692,7 @@ class TestReport:
     def test_directory_report_worker_failure_raises_as_on_one_core(self, tmp_path, k3, path3, capsys, monkeypatch):
         # member 1 is the forked worker's: it sends nothing for it, and this process
         # builds it again and raises the same exception
-        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
         (tmp_path / "a.json").write_text(dump_hypergraph_json(k3))
         (tmp_path / "b.json").write_text(dump_hypergraph_json(path3))
         report_for = cli._report_for
@@ -714,7 +714,7 @@ class TestReport:
         # builds every member, and the output is that of one core
         for name, h in (("a", k3), ("b", path3), ("c", k3), ("d", path3)):
             (tmp_path / f"{name}.json").write_text(dump_hypergraph_json(h))
-        monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: 1)
         assert main(["report", "--input", str(tmp_path)]) == 0
         expected = capsys.readouterr()
         parent, report_for = os.getpid(), cli._report_for
@@ -724,7 +724,7 @@ class TestReport:
                 os._exit(0)
             return report_for(inv, args)
 
-        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
         monkeypatch.setattr(cli, "_report_for", die_in_a_worker)
         descriptors = _descriptors()
         assert main(["report", "--input", str(tmp_path)]) == 0
@@ -768,7 +768,7 @@ class TestReport:
                 fh.write(f"{os.getpid()}\n")
             return report_for(inv, args)
 
-        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
         monkeypatch.setattr(cli, "_report_for", report_after_freeing)
         descriptors = _descriptors()
         assert main(["report", "--input", str(members)]) == 0

@@ -21,7 +21,7 @@ their work, each on inputs committed as `golden/engine/<name>.json`:
   `reconstruct --format json` targets from those cards, with the card
   directory replaced by a fixed token before hashing;
 - `report` on a directory holding three of the inputs, on one core and
-  on two (`cli._usable_cores` patched), which must print the same bytes.
+  on two (`parallel._usable_cores` patched), which must print the same bytes.
 
 Every seeded member draws its m distinct k-edges with
 `random.Random(seed).sample(list(itertools.combinations(range(n), k)), m)`
@@ -49,7 +49,7 @@ import tempfile
 from itertools import combinations
 from pathlib import Path
 
-from hgpoly import cli
+from hgpoly import parallel
 from hgpoly.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "engine_sha256.json"
@@ -124,16 +124,16 @@ def _member_digests(name: str, labels: tuple[str, ...]) -> dict[str, str]:
 
 def _directory_digests() -> dict[str, str]:
     row = {}
-    usable_cores = cli._usable_cores
+    usable_cores = parallel._usable_cores
     with tempfile.TemporaryDirectory() as workdir:
         for name in DIRECTORY:
             shutil.copy(INPUTS / f"{name}.json", workdir)
         try:
             for cores in CORES:
-                cli._usable_cores = lambda: cores
+                parallel._usable_cores = lambda: cores
                 row[f"report:cores={cores}"] = _digest(["report", "--input", workdir], workdir)
         finally:
-            cli._usable_cores = usable_cores
+            parallel._usable_cores = usable_cores
     return row
 
 

@@ -129,12 +129,13 @@ def test_reader_closing_the_pipe_ends_the_process_with_exit_141(tmp_path):
 _STALLING_WORKER = """
 import os, time
 import hgpoly.cli as cli
+import hgpoly.parallel as parallel
 caller, report_for = os.getpid(), cli._report_for
 def report_or_stall(inv, args):
     if inv.n == 9:
         time.sleep(0.5 if os.getpid() == caller else 10)
     return report_for(inv, args)
-cli._usable_cores, cli._report_for = (lambda: 2), report_or_stall
+parallel._usable_cores, cli._report_for = (lambda: 2), report_or_stall
 cli.entry()
 """
 

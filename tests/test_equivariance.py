@@ -56,11 +56,11 @@ def test_invariants_unchanged_by_relabelling(h, data):
 @settings(max_examples=40, deadline=None)
 @given(reconstructible_hypergraphs(max_n=5, max_m=5), st.data())
 def test_deck_sums_ignore_card_labels_and_order(h, data):
-    cards = [_relabel(card, data.draw(st.permutations(range(card.n)))) for card in h.deck().cards]
+    cards = [_relabel(card, data.draw(st.permutations(range(card.n)))) for card in h.cards]
     cards = data.draw(st.permutations(cards))
     s_sum, p_sum = edge_family_poly(cards), vertex_family_poly(cards)
-    assert s_sum == edge_family_poly(h.deck().cards)
-    assert p_sum == vertex_family_poly(h.deck().cards)
+    assert s_sum == edge_family_poly(h.cards)
+    assert p_sum == vertex_family_poly(h.cards)
     assert reconstruct_edge_poly(s_sum, h.n) == edge_induced_poly(h)
     assert reconstruct_vertex_poly(p_sum, h.n) == vertex_induced_poly(h)
 
@@ -79,27 +79,27 @@ def listed(tmp_path_factory):
     and a corpus directory, with a subdirectory it skips, whose names
     sort differently as text and as numbers; each read in plain order."""
     root = tmp_path_factory.mktemp("listing")
-    deck = cycle_graph(11).deck()
-    write_deck(deck, str(root / "padded"))
+    c11 = cycle_graph(11)
+    write_deck(c11, str(root / "padded"))
     (root / "unpadded").mkdir()
-    for l, card in enumerate(deck.cards):
+    for l, card in enumerate(c11.cards):
         (root / "unpadded" / f"card_{l}.json").write_text(dump_hypergraph_json(card))
     corpus = root / "corpus"
     (corpus / "sub").mkdir(parents=True)
     for name, h in [("m10.json", path_graph(4)), ("m2.json", star(3)), ("a.json", complete_graph(4)), ("z", path_graph(2))]:
         (corpus / name).write_text(dump_hypergraph_json(h))
     deck_dirs = [str(root / "padded"), str(root / "unpadded")]
-    assert [read_deck(d) for d in deck_dirs] == [deck, deck]
-    return deck_dirs, deck, str(corpus), load_corpus(str(corpus)), _report(str(corpus))
+    assert [read_deck(d) for d in deck_dirs] == [c11, c11]
+    return deck_dirs, c11, str(corpus), load_corpus(str(corpus)), _report(str(corpus))
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_directory_listing_order_changes_nothing(listed, data):
-    deck_dirs, deck, corpus, members, report = listed
+    deck_dirs, c11, corpus, members, report = listed
     listdir = os.listdir
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(os, "listdir", lambda path: data.draw(st.permutations(listdir(path))))
-        assert [read_deck(d) for d in deck_dirs] == [deck, deck]
+        assert [read_deck(d) for d in deck_dirs] == [c11, c11]
         assert load_corpus(corpus) == members
         assert _report(corpus) == report

@@ -53,8 +53,9 @@ def _plus_one_at_x2(poly: BiPoly) -> BiPoly:
 
 
 def _plus_one_above_top(poly: BiPoly) -> BiPoly:
-    """+1 one x-degree above the top one: a term no sum of cards with
-    that many vertices holds, which the transform to P refuses."""
+    """+1 one x-degree above the top one: for a parent sweep, a term at
+    x^(n + 1), which no subset of n vertices gives; for the cards' sum, a
+    term no card on n - 1 vertices holds, which the transform to P refuses."""
     terms = dict(poly.terms)
     terms[(max(i for i, _ in terms) + 1, 0)] = 1
     return BiPoly(terms)
@@ -163,6 +164,20 @@ FAULTS = {
     ),
     "parent vertex sweep +1 at x^2": (
         stanley_reisner, "vertex_induced_poly", _plus_one_at_x2, (REPORT, ("verify", "--identity", "2.1")),
+    ),
+    # a term at x^(n + 1) makes f one entry too long; 2.1 hands the engine's P to substitute, whose
+    # guard raises, and 4.2 compares every row but x^n. compute --poly P is left out: it prints P and
+    # checks nothing (ROADMAP item 15)
+    "parent vertex sweep +1 above its top x-degree": (
+        stanley_reisner, "vertex_induced_poly", _plus_one_above_top,
+        (REPORT, *(("verify", "--identity", ident) for ident in ("2.1", "2.3", "3.2", "4.2")),
+         ("fvector",), HVECTOR, HILBERT, ("compute", "--poly", "independence")),
+    ),
+    # K(t) gains a term at t^(n + 1), which 3.2, 4.3 and the Hilbert function see; compute --poly S
+    # is left out: it prints S and checks nothing (ROADMAP item 15)
+    "parent edge sweep +1 above its top x-degree": (
+        stanley_reisner, "edge_induced_poly", _plus_one_above_top,
+        (REPORT, *(("verify", "--identity", ident) for ident in ("2.1", "2.3", "3.2", "4.2", "4.3")), HILBERT),
     ),
     "card edge family sweep +1 at x^2": (
         reconstruct, "edge_family_poly", _plus_one_at_x2,

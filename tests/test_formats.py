@@ -186,10 +186,9 @@ class TestFiles:
             load_hypergraph(tmp_path / "nosuch.json")
 
     def test_deck_roundtrip(self, tmp_path, path3):
-        deck = path3.deck()
-        paths = write_deck(deck, tmp_path / "deck")
+        paths = write_deck(path3, tmp_path / "deck")
         assert [os.path.basename(p) for p in paths] == ["card_00.json", "card_01.json", "card_02.json"]
-        assert read_deck(tmp_path / "deck") == deck
+        assert read_deck(tmp_path / "deck") == path3
 
     def test_read_deck_empty_dir(self, tmp_path):
         with pytest.raises(InputError, match=r"^no card_\*\.json files in "):
@@ -197,14 +196,14 @@ class TestFiles:
 
     def test_read_deck_unpadded_names(self, tmp_path):
         # name order would put card_10 between card_1 and card_2
-        deck = cycle_graph(11).deck()
-        for l, card in enumerate(deck.cards):
+        c11 = cycle_graph(11)
+        for l, card in enumerate(c11.cards):
             (tmp_path / f"card_{l}.json").write_text(dump_hypergraph_json(card))
-        assert read_deck(tmp_path) == deck
+        assert read_deck(tmp_path) == c11
 
     @pytest.mark.parametrize("extra", ["card_1.json", "card_001.json"])
     def test_read_deck_repeated_index_rejected(self, tmp_path, path3, extra):
-        write_deck(path3.deck(), tmp_path)
+        write_deck(path3, tmp_path)
         (tmp_path / extra).write_text((tmp_path / "card_01.json").read_text())
         with pytest.raises(InputError, match="card index 1 repeats") as exc:
             read_deck(tmp_path)
@@ -212,7 +211,7 @@ class TestFiles:
 
     @pytest.mark.parametrize("bad", ["card_x.json", "card_.json", "card_-1.json", "card_1a.json"])
     def test_read_deck_unparsable_name_rejected(self, tmp_path, path3, bad):
-        write_deck(path3.deck(), tmp_path)
+        write_deck(path3, tmp_path)
         (tmp_path / bad).write_text((tmp_path / "card_01.json").read_text())
         with pytest.raises(InputError, match=f"{bad}: card file name is not card_<integer>.json$"):
             read_deck(tmp_path)

@@ -185,15 +185,12 @@ class TestDeck:
 
     def test_deck_cards_never_mention_deleted_vertex(self, corpus):
         for _, h in corpus[:60]:
-            deck = h.deck()
-            assert len(deck.cards) == h.n
-            for l, card in enumerate(deck.cards):
+            assert len(h.cards) == h.n
+            for l, card in enumerate(h.cards):
                 assert h.labels[l] not in card.labels
 
     def test_from_cards_roundtrip(self, path3):
-        deck = path3.deck()
-        rebuilt = Hypergraph.from_cards(list(deck.cards))
-        assert rebuilt == deck
+        assert Hypergraph.from_cards(list(path3.cards)) == path3
 
     def test_from_cards_rebuilds_every_corpus_parent(self, corpus):
         for _, h in corpus:
@@ -220,7 +217,7 @@ class TestDeck:
                         Hypergraph.from_cards(forged)
 
     def test_from_cards_rejects_mismatched(self, k3, path3):
-        cards = list(k3.deck().cards)
+        cards = list(k3.cards)
         cards[2] = path3.card(0)  # same labels, fine; now break the labels
         bad = [validate(["x", "y"], []), validate(["x", "z"], []), validate(["q", "r"], [])]
         with pytest.raises(InputError, match=r"^card 1 has labels \('x', 'z'\), expected \('z', 'y'\)$"):
@@ -228,7 +225,7 @@ class TestDeck:
 
     def test_from_cards_rejects_card_from_another_deck(self):
         # card 3 of the relabelled copy fits the labels; its chord does not
-        cards = list(cycle_chord(0, 5).deck().cards)
+        cards = list(cycle_chord(0, 5).cards)
         cards[3] = cycle_chord(1, 6).card(3)
         with pytest.raises(InputError, match="whose deleted vertex it avoids") as exc:
             Hypergraph.from_cards(cards)
@@ -247,7 +244,7 @@ class TestDeck:
 
     def test_from_cards_validates_card_count(self, k3):
         with pytest.raises(InputError, match="^expected 3 cards, got 2$"):
-            Hypergraph.from_cards(k3.deck().cards[:2])
+            Hypergraph.from_cards(k3.cards[:2])
 
 
 class TestValueSemantics:
@@ -270,7 +267,7 @@ class TestValueSemantics:
         inv = SRInvariants(k3)
         values = (
             (k3, "edges"),
-            (k3.deck(), "cards"),
+            (k3, "cards"),
             (inv, "limit"),
             (inv.betti, "top_complete"),
         )
@@ -292,7 +289,7 @@ def test_card_commutes_with_vertex_induced(h):
     # entries) its restriction homology is the parent's, and so is the
     # deck's table, read off the union of the cards' edges, at every such B.
     unions = _edge_union_closure(h.edges)
-    for l, card in enumerate(h.deck().cards):
+    for l, card in enumerate(h.cards):
         # card l's vertex k is the parent's vertex k below l, k + 1 from l on
         low = (1 << l) - 1
         card_edges = tuple(e & low | (e & ~low) << 1 for e in card.edges)

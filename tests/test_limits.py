@@ -240,7 +240,7 @@ def test_every_limit_parameter_defaults_to_an_int():
         for param in params.values():
             if param.name in ("limit", "homology_limit") and param.default is not param.empty:
                 defaults[f"{name}({param.name})"] = param.default
-    assert len(defaults) == 11, sorted(defaults)
+    assert len(defaults) == 9, sorted(defaults)
     assert {key: value for key, value in defaults.items() if type(value) is not int} == {}
 
 

@@ -1,4 +1,4 @@
-"""``parallel.ordered_texts``: where it may fork, and its worker records."""
+"""``parallel.ordered_texts``: how many workers it forks, where it may fork, and its worker records."""
 
 from __future__ import annotations
 
@@ -7,12 +7,38 @@ import threading
 
 import pytest
 
+from hgpoly import parallel
 from hgpoly.parallel import _receive, ordered_texts
 
 
+def test_usable_cores_reads_the_affinity_else_the_core_count(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert parallel._usable_cores() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    assert parallel._usable_cores() == (os.cpu_count() or 1)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+@pytest.mark.parametrize("cores, items, forks", [(1, 4, 0), (3, 2, 1), (3, 5, 2), (4, 0, 0)])
+def test_forks_one_worker_per_core_and_item_beside_the_caller(monkeypatch, cores, items, forks):
+    forked = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(os, "fork", counted)
+    assert list(ordered_texts(str, list(range(items)))) == [str(k) for k in range(items)]
+    assert len(forked) == forks
+
+
 def test_builds_in_the_caller_alone_without_os_fork(monkeypatch):
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 3)
     monkeypatch.delattr(os, "fork")
-    assert list(ordered_texts(str, [1, 2, 3], 3)) == ["1", "2", "3"]
+    assert list(ordered_texts(str, [1, 2, 3])) == ["1", "2", "3"]
 
 
 def test_builds_in_the_caller_alone_while_another_thread_runs(monkeypatch):
@@ -20,12 +46,13 @@ def test_builds_in_the_caller_alone_while_another_thread_runs(monkeypatch):
     def fork():
         raise AssertionError("forked")
 
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 3)
     monkeypatch.setattr(os, "fork", fork)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert list(ordered_texts(str, [1, 2, 3], 3)) == ["1", "2", "3"]
+        assert list(ordered_texts(str, [1, 2, 3])) == ["1", "2", "3"]
     finally:
         stop.set()
         thread.join()

@@ -1,7 +1,9 @@
 """The README's Python examples run as written: its ```python blocks are
 executed in order in one namespace, so a name removed from the library
 but still shown in the docs fails here. Its "Limits" table of reads is
-the read tables ``cli._VIEWS`` and ``verify.IDENTITIES``, row for row."""
+the read tables ``cli._VIEWS`` and ``verify.IDENTITIES``, row for row,
+and its grid of the shared options each subcommand takes is
+``cli._COMMANDS``, cell for cell."""
 
 from __future__ import annotations
 
@@ -41,3 +43,15 @@ def test_readme_limits_table_is_the_read_tables():
             views.update(dict.fromkeys((c.split()[-1] for c in re.findall(r"`([^`]+)`", names)), _read_names(reads)))
     assert views == {view: reads for view, (reads, _) in cli._VIEWS.items()}
     assert identities == {identity: reads for identity, (reads, _) in IDENTITIES.items()}
+
+
+def test_readme_options_grid_is_the_command_table():
+    section = README.read_text().split("Each subcommand takes only the shared options it reads", 1)[1]
+    rows = [line.strip().strip("|").split("|") for line in section.split("\n\n", 2)[1].splitlines()]
+    flags = [re.fullmatch(r" `(--[a-z-]+)` ", cell)[1] for cell in rows[0][1:]]
+    takes = {}
+    for names, *cells in rows[2:]:  # below the header and its rule
+        marked = {flag for flag, cell in zip(flags, cells, strict=True) if cell.strip() == "✓"}
+        takes.update(dict.fromkeys(re.findall(r"`(\w+)`", names), marked))
+    assert flags == [flag for flag, _ in (cli._FORMAT, cli._TERMS, cli._N_MAX, cli._HOMOLOGY_N_MAX)]
+    assert takes == {name: {flag for flag, _ in options} & set(flags) for name, (_, options, _) in cli._COMMANDS.items()}

@@ -75,7 +75,7 @@ class TestReconstructEdgePoly:
         assert got == BiPoly({(0, 0): 1, (2, 1): 3, (3, 2): 3, (3, 3): 1})
 
     def test_path3(self, path3):
-        card_sum = edge_family_poly(path3.deck().cards)
+        card_sum = edge_family_poly(path3.cards)
         assert reconstruct_edge_poly(card_sum, 3) == BiPoly({(0, 0): 1, (2, 1): 2, (3, 2): 1})
 
     def test_wrong_length(self):
@@ -95,19 +95,19 @@ class TestReconstructEdgePoly:
         # parent: path on 4 vertices; bump the deck sum's (2,1) count so
         # it is no longer divisible by n-i=2
         h = validate(list("abcd"), [["a", "b"], ["b", "c"], ["c", "d"]])
-        card_sum = BiPoly([*edge_family_poly(h.deck().cards).terms.items(), ((2, 1), 1)])
+        card_sum = BiPoly([*edge_family_poly(h.cards).terms.items(), ((2, 1), 1)])
         with pytest.raises(InputError, match=r"is not divisible by n-i=2; the input is not a genuine deck$") as exc:
             reconstruct_edge_poly(card_sum, 4)
         assert "i=2" in str(exc.value)
 
     def test_perturbed_constant_detected(self, k3):
-        card_sum = BiPoly([*edge_family_poly(k3.deck().cards).terms.items(), ((0, 0), 1)])
+        card_sum = BiPoly([*edge_family_poly(k3.cards).terms.items(), ((0, 0), 1)])
         with pytest.raises(InputError, match="^card constant terms sum to 4, but a genuine 3-card deck sums to 3$"):
             reconstruct_edge_poly(card_sum, 3)
 
     def test_term_on_every_vertex_refused(self, k3):
         # no card has n vertices, so no card subset can span n of them
-        card_sum = BiPoly([*edge_family_poly(k3.deck().cards).terms.items(), ((3, 1), 1)])
+        card_sum = BiPoly([*edge_family_poly(k3.cards).terms.items(), ((3, 1), 1)])
         with pytest.raises(InputError, match="^cards carry an x-degree 3 term, impossible for cards on 2 vertices$"):
             reconstruct_edge_poly(card_sum, 3)
 
@@ -120,18 +120,18 @@ class TestReconstructEdgePoly:
 
 class TestReconstructVertexPoly:
     def test_k3(self, k3):
-        card_sum = vertex_family_poly(k3.deck().cards)
+        card_sum = vertex_family_poly(k3.cards)
         assert reconstruct_vertex_poly(card_sum, 3) == vertex_induced_poly(k3)
 
     def test_path3(self, path3):
-        card_sum = vertex_family_poly(path3.deck().cards)
+        card_sum = vertex_family_poly(path3.cards)
         expected = BiPoly({(0, 0): 1, (1, 0): 3, (2, 0): 1, (2, 1): 2, (3, 2): 1})
         assert reconstruct_vertex_poly(card_sum, 3) == expected
 
     def test_forged_sum_that_divides_exactly_is_an_input_error(self):
         # (n - i) * x^i at i = 2 passes both exact divisions, but the direct
         # route and the transform route then disagree: the sum is no deck's
-        card_sum = vertex_family_poly(path_graph(4).deck().cards)
+        card_sum = vertex_family_poly(path_graph(4).cards)
         forged = BiPoly([*card_sum.terms.items(), ((2, 0), 2)])
         assert forged == BiPoly({(0, 0): 4, (1, 0): 12, (2, 0): 8, (2, 1): 6, (3, 1): 2, (3, 2): 2})
         with pytest.raises(InputError) as exc:
@@ -147,28 +147,28 @@ class TestReconstructVertexPoly:
 
 class TestReconstructFVector:
     def test_k3(self, k3):
-        assert DeckInvariants(k3.deck()).f == (1, 3)
+        assert DeckInvariants(k3).f == (1, 3)
 
     def test_path3(self, path3):
-        assert DeckInvariants(path3.deck()).f == (1, 3, 1)
+        assert DeckInvariants(path3).f == (1, 3, 1)
 
     def test_edgeless_deck_rejected(self, edgeless3):
         with pytest.raises(NotReconstructible, match=re.escape(_EDGELESS_DECK)):
-            DeckInvariants(edgeless3.deck()).f
+            DeckInvariants(edgeless3).f
 
     def test_vertex_count_checked_before_edges(self):
         with pytest.raises(NotReconstructible, match="^reconstruction needs n >= 3, got n=2$"):
-            DeckInvariants(validate(["a", "b"], []).deck()).f
+            DeckInvariants(validate(["a", "b"], [])).f
 
 
 class TestReconstructHilbert:
     def test_k3(self, k3):
-        assert DeckInvariants(k3.deck()).hilbert_function(4) == [1, 3, 3, 3, 3]
+        assert DeckInvariants(k3).hilbert_function(4) == [1, 3, 3, 3, 3]
 
     def test_small_deck_rejected(self):
         h = validate(["a", "b"], [["a", "b"]])
         with pytest.raises(NotReconstructible, match="^reconstruction needs n >= 3, got n=2$"):
-            DeckInvariants(h.deck()).hilbert_function(4)
+            DeckInvariants(h).hilbert_function(4)
 
 
 def test_perturbed_face_count_fails_identity_3_2_on_a_deck(k3, monkeypatch, tmp_path, capsys):
@@ -209,7 +209,7 @@ POLY_TARGETS = {
 def test_excluded_deck_refused_by_every_polynomial_target(parent, target):
     h, message = EXCLUDED_DECKS[parent]
     with pytest.raises(NotReconstructible) as exc:
-        POLY_TARGETS[target](h.deck())
+        POLY_TARGETS[target](h)
     assert type(exc.value) is NotReconstructible and str(exc.value) == message
 
 
@@ -219,7 +219,7 @@ def test_excluded_deck_refused_by_betti(parent):
     # by its deck, which is the edgeless parent's, not by its own edges
     h, message = EXCLUDED_DECKS[parent]
     with pytest.raises(NotReconstructible) as exc:
-        DeckInvariants(h.deck()).betti
+        DeckInvariants(h).betti
     assert type(exc.value) is NotReconstructible and str(exc.value) == message
 
 
@@ -230,13 +230,13 @@ def test_excluded_deck_refused_when_its_bundle_is_built(parent):
     # the edgeless parent's, not by its own edges
     h, message = EXCLUDED_DECKS[parent]
     with pytest.raises(NotReconstructible) as exc:
-        DeckInvariants(h.deck())
+        DeckInvariants(h)
     assert type(exc.value) is NotReconstructible and str(exc.value) == message
 
 
 class TestReconstructBetti:
     def test_k3_partial_table(self, k3):
-        table = DeckInvariants(k3.deck()).betti
+        table = DeckInvariants(k3).betti
         assert not table.top_complete
         assert table.graded == {(0, 0): 1, (1, 2): 3}  # the (2,3) top entry is unknowable
 
@@ -247,7 +247,7 @@ class TestReconstructBetti:
             except NotReconstructible:
                 continue
             direct = hochster_betti(h)
-            rec = DeckInvariants(h.deck()).betti
+            rec = DeckInvariants(h).betti
             full = (1 << h.n) - 1
             expected = {k: v for k, v in direct.multigraded.items() if k[1] != full}
             assert rec.multigraded == expected
@@ -255,8 +255,8 @@ class TestReconstructBetti:
     def test_card_from_another_deck_rejected(self):
         # same labels on every card, so only the edges give the forgery away
         genuine, other = cycle_chord(0, 5), cycle_chord(2, 7)
-        cards = list(genuine.deck().cards)
-        cards[5] = other.deck().cards[5]
+        cards = list(genuine.cards)
+        cards[5] = other.cards[5]
         with pytest.raises(InputError, match="on card 5 but not on card 0"):
             Hypergraph.from_cards(cards)
 
@@ -281,10 +281,10 @@ class TestTopBettiReport:
 
 
 def deck_bundle_mismatches(h: Hypergraph) -> list[str]:
-    """The fields on which DeckInvariants(h.deck()) differs from
+    """The fields on which DeckInvariants(h) differs from
     SRInvariants(h): the polynomials, f, h, Krull dimension, multiplicity,
     K, the Hilbert function to 2n and the Betti table below the top row."""
-    rec, inv = DeckInvariants(h.deck()), SRInvariants(h)
+    rec, inv = DeckInvariants(h), SRInvariants(h)
     fields = ("P", "S", "f", "h", "krull_dim", "multiplicity", "k_polynomial")
     pairs = {name: (getattr(rec, name), getattr(inv, name)) for name in fields}
     pairs["hilbert_function"] = (rec.hilbert_function(2 * h.n), inv.hilbert_function(2 * h.n))
@@ -303,7 +303,7 @@ def test_roundtrip_properties(h):
 @given(reconstructible_hypergraphs(max_n=5, max_m=5))
 def test_deck_constant_bookkeeping(h):
     # each card contributes exactly one empty edge subset
-    total = sum(edge_induced_poly(c).coeff(0, 0) for c in h.deck().cards)
+    total = sum(edge_induced_poly(c).coeff(0, 0) for c in h.cards)
     assert total == h.n
 
 

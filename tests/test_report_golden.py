@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from hgpoly import cli
+from hgpoly import parallel
 from hgpoly.cli import main
 from hgpoly.formats import dump_hypergraph_json
 
@@ -105,7 +105,7 @@ def test_directory_report_is_the_same_on_any_number_of_cores(corpus_dir, monkeyp
         forks.append(None)  # before the fork, so only the caller counts
         return fork()
 
-    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: cores)
     monkeypatch.setattr(os, "fork", counted_fork)
     expected = json.loads(DIR_GOLDEN.read_text())
     descriptors = _descriptors()

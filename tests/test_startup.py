@@ -63,7 +63,7 @@ def test_directory_report_split_loads_no_heavy_module(tmp_path):
         (tmp_path / f"c{k}.json").write_text(dump_hypergraph_json(cycle_graph(5)))
     run = (
         "import contextlib, io\n"
-        "hgpoly.cli._usable_cores = lambda: 2\n"
+        "hgpoly.parallel._usable_cores = lambda: 2\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert hgpoly.cli.main(['report', '--input', {str(tmp_path)!r}]) == 0"
     )

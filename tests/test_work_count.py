@@ -18,7 +18,7 @@ import pytest
 import hgpoly.bipoly as bipoly
 import hgpoly.enumeration as enumeration
 import hgpoly.homology as homology
-from hgpoly import cli
+from hgpoly import cli, parallel
 from hgpoly.cli import main
 from hgpoly.formats import dump_hypergraph_json
 from hgpoly.hypergraph import Hypergraph, validate
@@ -107,7 +107,7 @@ def test_report_sweeps_and_tables_once(h, calls, families, monkeypatch, tmp_path
     # the deck-sum identity 4.2 makes one family sweep of the n cards, in
     # order, on the edge side, and reads their summed P as one transform
     # of that sum on n - 1 vertices
-    cards = tuple(card.labels for card in h.deck().cards)
+    cards = tuple(card.labels for card in h.cards)
     assert len(cards) == h.n
     assert families["vertex"] == [(h.labels,)]
     assert sorted(families["edge"]) == sorted([(h.labels,), cards])
@@ -136,7 +136,7 @@ def test_reconstruct_sweeps_the_deck_once(h, target, side, calls, families, monk
     # one family sweep over the n cards on the side the target reads, both
     # sides for hilbert (K from S, identity 3.2 from f), and no hypergraph
     # swept on its own
-    cards = tuple(card.labels for card in h.deck().cards)
+    cards = tuple(card.labels for card in h.cards)
     assert len(cards) == h.n
     sides = ("vertex", "edge") if target == "hilbert" else (side,)
     assert families == {"vertex": [], "edge": [], **{s: [cards] for s in sides}}
@@ -310,7 +310,7 @@ def test_directory_report_builds_one_bundle_per_member(monkeypatch, tmp_path, ca
     for k, h in enumerate(members):
         (tmp_path / f"m{k}.json").write_text(dump_hypergraph_json(h))
     monkeypatch.setattr(cli, "SRInvariants", Counted)
-    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)  # every member is built in this process
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 1)  # every member is built in this process
     assert main(["report", "--input", str(tmp_path)]) == 0
     capsys.readouterr()
     assert built == [h.labels for h in members]
@@ -370,7 +370,7 @@ def test_independent_sets_enumerated_once_per_edge_set(monkeypatch):
     # the reconstruction's one edge set is the union of the cards' edges
     seen.clear()
     h = cycle_graph(10)
-    DeckInvariants(h.deck()).betti
+    DeckInvariants(h).betti
     assert seen == [h.full_mask]
 
 
